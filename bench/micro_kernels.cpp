@@ -88,15 +88,26 @@ void BM_NvmInsertion(benchmark::State& state) {
 }
 BENCHMARK(BM_NvmInsertion);
 
+// synth100k is a ~100k-gate synthetic stress circuit.
+const Netlist& synth100k() {
+  static const Netlist nl =
+      gen::random_logic("synth100k", 64, 32, 100000, 0xC1ABULL);
+  return nl;
+}
+
+// The `gates` counter lets tools/run_bench.sh check that synthesis time
+// grows linearly with circuit size (synth100k vs s38417).
 void BM_FullSynthesis(benchmark::State& state, const std::string& name) {
-  const Netlist& nl = circuit(name);
+  const Netlist& nl = name == "synth100k" ? synth100k() : circuit(name);
   for (auto _ : state) {
     DiacSynthesizer synth(nl, lib());
     benchmark::DoNotOptimize(synth.synthesize());
   }
+  state.counters["gates"] = static_cast<double>(nl.logic_gate_count());
 }
 BENCHMARK_CAPTURE(BM_FullSynthesis, s1238, std::string("s1238"));
 BENCHMARK_CAPTURE(BM_FullSynthesis, s38417, std::string("s38417"));
+BENCHMARK_CAPTURE(BM_FullSynthesis, synth100k, std::string("synth100k"));
 
 void BM_LogicSimStep(benchmark::State& state, const std::string& name) {
   const Netlist& nl = circuit(name);
@@ -134,13 +145,7 @@ BENCHMARK_CAPTURE(BM_EquivCheck, s38417, std::string("s38417"));
 // Multi-word batched stepping on the compiled kernel: B words per gate
 // visit = 64*B patterns per traversal.  items/sec counts gate-pattern
 // words (gates x B), so the speedup over BM_LogicSimStep is the direct
-// batching win.  synth100k is a ~100k-gate synthetic stress circuit.
-const Netlist& synth100k() {
-  static const Netlist nl =
-      gen::random_logic("synth100k", 64, 32, 100000, 0xC1ABULL);
-  return nl;
-}
-
+// batching win.
 void BM_LogicSimBatched(benchmark::State& state, const std::string& name) {
   const Netlist& nl = name == "synth100k" ? synth100k() : circuit(name);
   const int batch = static_cast<int>(state.range(0));

@@ -5,8 +5,6 @@
 #include <map>
 #include <stdexcept>
 
-#include "tree/energy_model.hpp"
-
 namespace diac {
 
 const char* to_string(PolicyKind kind) {
@@ -22,6 +20,13 @@ TaskTree split_large_nodes(const TaskTree& tree, const PolicyLimits& limits) {
   if (limits.upper <= 0 || limits.split_fraction <= 0) {
     throw std::invalid_argument("split_large_nodes: limits must be positive");
   }
+  auto splits = [&limits](const TaskNode& node) {
+    return limits.scaled(node.dict.energy()) > limits.upper &&
+           node.gates.size() >= 2;
+  };
+  if (std::none_of(tree.nodes().begin(), tree.nodes().end(), splits)) {
+    return tree;  // rebuilding the identical partition would change nothing
+  }
   const Netlist& nl = tree.netlist();
   const CellLibrary& lib = tree.library();
   const double chunk_cap = limits.upper * limits.split_fraction;
@@ -29,11 +34,10 @@ TaskTree split_large_nodes(const TaskTree& tree, const PolicyLimits& limits) {
   std::vector<int> part(nl.size(), kNoNode);
   std::vector<std::string> labels;
   int next = 0;
-  const auto pos = topological_positions(nl);
+  const std::span<const std::uint32_t> pos = tree.topo_positions();
 
   for (const TaskNode& node : tree.nodes()) {
-    if (limits.scaled(node.dict.energy()) <= limits.upper ||
-        node.gates.size() < 2) {
+    if (!splits(node)) {
       for (GateId g : node.gates) part[g] = next;
       labels.push_back(node.label);
       ++next;
@@ -44,7 +48,7 @@ TaskTree split_large_nodes(const TaskTree& tree, const PolicyLimits& limits) {
     // forward in topological order, so the partition stays acyclic.
     std::vector<GateId> ordered = node.gates;
     std::sort(ordered.begin(), ordered.end(),
-              [&pos](GateId a, GateId b) { return pos[a] < pos[b]; });
+              [pos](GateId a, GateId b) { return pos[a] < pos[b]; });
     double acc = 0.0;
     bool chunk_open = false;
     int chunk_idx = 0;
@@ -66,7 +70,7 @@ TaskTree split_large_nodes(const TaskTree& tree, const PolicyLimits& limits) {
     }
     if (chunk_open) ++next;
   }
-  return TaskTree::from_partition(nl, lib, part, next, labels);
+  return tree.repartition(part, next, labels);
 }
 
 namespace {
@@ -97,7 +101,6 @@ TaskTree merge_small_nodes(const TaskTree& tree, const PolicyLimits& limits) {
     throw std::invalid_argument("merge_small_nodes: need 0 < lower <= upper");
   }
   const Netlist& nl = tree.netlist();
-  const CellLibrary& lib = tree.library();
   const std::size_t n = tree.size();
 
   UnionFind uf(n);
@@ -181,7 +184,7 @@ TaskTree merge_small_nodes(const TaskTree& tree, const PolicyLimits& limits) {
     append_label(group_index[root], tree.node(id).label);
     for (GateId g : tree.node(id).gates) part[g] = group_index[root];
   }
-  TaskTree merged = TaskTree::from_partition(nl, lib, part, next, labels);
+  TaskTree merged = tree.repartition(part, next, labels);
   if (limits.structural_only) return merged;
 
   // Stage (c): pack topologically-contiguous runs of small nodes.  A
@@ -227,7 +230,7 @@ TaskTree merge_small_nodes(const TaskTree& tree, const PolicyLimits& limits) {
       if (dense[s] < 0) dense[s] = next2++;
       for (GateId g : merged.node(id).gates) part2[g] = dense[s];
     }
-    merged = TaskTree::from_partition(nl, lib, part2, next2);
+    merged = merged.repartition(part2, next2);
   }
   return merged;
 }

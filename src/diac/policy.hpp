@@ -11,7 +11,7 @@
 //    splitting F2 into F9..F11 and merging F5..F8 into F13.
 //
 // Transforms are expressed as new gate->node partitions and rebuilt through
-// TaskTree::from_partition, so the result is always a valid levelized DAG:
+// TaskTree::repartition, so the result is always a valid levelized DAG:
 //
 //  - splitting cuts a node's member gates along their topological order
 //    into energy-bounded chunks (chunk dependencies can only point forward,
@@ -59,7 +59,8 @@ struct PolicyLimits {
 TaskTree apply_policy(const TaskTree& tree, PolicyKind kind,
                       const PolicyLimits& limits);
 
-// The individual transforms (exposed for tests and ablations).
+// The individual transforms (exposed for tests and ablations).  When no
+// node splits, split_large_nodes returns a copy of `tree` as is.
 TaskTree split_large_nodes(const TaskTree& tree, const PolicyLimits& limits);
 TaskTree merge_small_nodes(const TaskTree& tree, const PolicyLimits& limits);
 

@@ -16,20 +16,30 @@ DiacSynthesizer::DiacSynthesizer(const Netlist& nl, const CellLibrary& lib,
   }
 }
 
-TaskTree DiacSynthesizer::transformed_tree() const {
+TaskTree DiacSynthesizer::initial_tree() const {
+  DIAC_TRACE_SPAN("synth.tree", "synth");
+  DIAC_OBS_COUNT("synth.tree_builds", 1);
   TreeGeneratorOptions tg;
   tg.grouping = options_.grouping;
-  const TaskTree unoptimized = TreeGenerator(*nl_, *lib_, tg).generate();
+  return TreeGenerator(*nl_, *lib_, tg).generate();
+}
 
+TaskTree DiacSynthesizer::policy_tree(const TaskTree& initial) const {
+  DIAC_TRACE_SPAN("synth.policy", "synth");
+  DIAC_OBS_COUNT("synth.policy_trees", 1);
   PolicyLimits limits;
-  const double total = unoptimized.total_energy();
+  const double total = initial.total_energy();
   if (total <= 0) {
     throw std::invalid_argument("DiacSynthesizer: netlist has no energy");
   }
   limits.scale = options_.instance_rho * options_.e_max / total;
   limits.upper = options_.upper_fraction * options_.e_max;
   limits.lower = options_.lower_ratio * limits.upper;
-  return apply_policy(unoptimized, options_.policy, limits);
+  return apply_policy(initial, options_.policy, limits);
+}
+
+TaskTree DiacSynthesizer::transformed_tree() const {
+  return policy_tree(initial_tree());
 }
 
 SynthesisResult DiacSynthesizer::synthesize() const {
@@ -37,10 +47,14 @@ SynthesisResult DiacSynthesizer::synthesize() const {
 }
 
 SynthesisResult DiacSynthesizer::synthesize_scheme(Scheme scheme) const {
+  return synthesize_scheme(scheme, transformed_tree());
+}
+
+SynthesisResult DiacSynthesizer::synthesize_scheme(Scheme scheme,
+                                                   TaskTree tree) const {
   DIAC_TRACE_SPAN("synthesize", "synth");
   DIAC_OBS_COUNT("synth.runs", 1);
   SynthesisResult result;
-  TaskTree tree = transformed_tree();
 
   const double total = tree.total_energy();
   const double scale = options_.instance_rho * options_.e_max / total;

@@ -59,10 +59,28 @@ class DiacSynthesizer {
 
   // Runs the flow for any scheme (checkpoint baselines reuse the same
   // policy-transformed tree but carry full-state backups instead of commit
-  // points).
+  // points): synthesize_scheme(scheme, transformed_tree()).
   SynthesisResult synthesize_scheme(Scheme scheme) const;
 
-  // The policy-transformed tree (before NVM insertion), for inspection.
+  // The flow's stages, for sweeps that share them across designs.  The
+  // initial tree depends only on the netlist and `grouping`; the policy
+  // tree additionally on `policy`, `e_max`, `instance_rho`,
+  // `upper_fraction` and `lower_ratio`; the scheme stage adds
+  // `budget_fraction`, `technology` and `system_factor`.
+  //
+  // Steps 1-3: the un-optimized levelized tree (TreeGenerator::generate).
+  TaskTree initial_tree() const;
+  // Step 4 (policy): derives the limits from `initial` and applies the
+  // policy.  `initial` must come from initial_tree() of a synthesizer with
+  // the same netlist and grouping.
+  TaskTree policy_tree(const TaskTree& initial) const;
+  // Steps 5-6 (replacement): the `scheme` design over `policy_tree`, which
+  // must come from policy_tree() of a synthesizer that agrees with this one
+  // on the policy-tree fields above.
+  SynthesisResult synthesize_scheme(Scheme scheme, TaskTree policy_tree) const;
+
+  // The policy-transformed tree (before NVM insertion), for inspection:
+  // policy_tree(initial_tree()).
   TaskTree transformed_tree() const;
 
   const SynthesisOptions& options() const { return options_; }

@@ -51,10 +51,7 @@ McSweepJobs::McSweepJobs(const Netlist& nl, const CellLibrary& lib,
 
   // Synthesize each scheme once — the designs are independent of the
   // harvest seed, so all runs share them.
-  const DiacSynthesizer synth(nl, lib, options.synthesis);
-  for (Scheme s : kAllSchemes) {
-    designs_[static_cast<std::size_t>(s)] = synth.synthesize_scheme(s);
-  }
+  designs_ = synthesize_all_schemes(nl, lib, options.synthesis);
 
   // Materialize one source per seed (in parallel — trace generation is
   // the dominant cost of short jobs); the four schemes of a seed share

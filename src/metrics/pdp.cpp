@@ -16,6 +16,17 @@ double BenchmarkResult::improvement(Scheme better, Scheme base) const {
   return 1.0 - pdp(better) / b;
 }
 
+std::array<SynthesisResult, kSchemeCount> synthesize_all_schemes(
+    const Netlist& nl, const CellLibrary& lib, const SynthesisOptions& options) {
+  const DiacSynthesizer synth(nl, lib, options);
+  const TaskTree tree = synth.transformed_tree();
+  std::array<SynthesisResult, kSchemeCount> designs;
+  for (Scheme s : kAllSchemes) {
+    designs[static_cast<std::size_t>(s)] = synth.synthesize_scheme(s, tree);
+  }
+  return designs;
+}
+
 BenchmarkResult evaluate_circuit(const Netlist& nl, const CellLibrary& lib,
                                  const EvaluationOptions& options,
                                  ExperimentRunner& runner) {
@@ -23,19 +34,16 @@ BenchmarkResult evaluate_circuit(const Netlist& nl, const CellLibrary& lib,
   result.name = nl.name();
   result.gate_count = nl.logic_gate_count();
 
-  // Synthesis is deterministic and cheap relative to long simulations:
-  // run it once per scheme up front, then fan the simulations out.  All
+  // Synthesize every scheme up front, then fan the simulations out.  All
   // four schemes see the same trace, so they share one source.
-  const DiacSynthesizer synth(nl, lib, options.synthesis);
+  const std::array<SynthesisResult, kSchemeCount> designs =
+      synthesize_all_schemes(nl, lib, options.synthesis);
   const std::unique_ptr<HarvestSource> source = make_source(
       clamp_scenario_horizon(options.scenario, options.simulator.max_time));
-  std::array<SynthesisResult, kSchemeCount> designs;
   std::vector<SimulationJob> jobs;
   jobs.reserve(kSchemeCount);
-  for (Scheme scheme : kAllSchemes) {
-    const auto i = static_cast<std::size_t>(scheme);
-    designs[i] = synth.synthesize_scheme(scheme);
-    jobs.push_back({&designs[i].design, options.scenario, source.get(),
+  for (const SynthesisResult& design : designs) {
+    jobs.push_back({&design.design, options.scenario, source.get(),
                     options.fsm, options.simulator});
   }
   const std::vector<RunStats> stats = run_simulations(runner, jobs);

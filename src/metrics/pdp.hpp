@@ -47,6 +47,11 @@ struct BenchmarkResult {
   double improvement(Scheme better, Scheme base) const;
 };
 
+// The four scheme designs of a sweep, indexed by Scheme.  All four are
+// derived from one policy tree, built once rather than once per scheme.
+std::array<SynthesisResult, kSchemeCount> synthesize_all_schemes(
+    const Netlist& nl, const CellLibrary& lib, const SynthesisOptions& options);
+
 // Synthesizes all four schemes for `nl` and simulates each on the same
 // seeded harvest trace, fanning the four simulations out over `runner`.
 BenchmarkResult evaluate_circuit(const Netlist& nl, const CellLibrary& lib,

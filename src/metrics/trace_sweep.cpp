@@ -9,10 +9,7 @@ ReplaySweepJobs::ReplaySweepJobs(const Netlist& nl, const CellLibrary& lib,
                                  const std::vector<ScenarioSpec>& scenarios) {
   // Synthesis is independent of the supply: once per scheme, shared by
   // every trace.
-  const DiacSynthesizer synth(nl, lib, options.synthesis);
-  for (Scheme s : kAllSchemes) {
-    designs_[static_cast<std::size_t>(s)] = synth.synthesize_scheme(s);
-  }
+  designs_ = synthesize_all_schemes(nl, lib, options.synthesis);
 
   // One job per (trace × scheme), pointing at the scenario's shared
   // in-memory trace — each file was read exactly once, at load time.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <deque>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <tuple>
 
@@ -95,10 +96,17 @@ SearchResult run_search(const Netlist& nl, const CellLibrary& lib,
   // --- synthesize every candidate once ---------------------------------
   // The runtime-knob axes don't change the synthesized design, so
   // candidates are deduplicated on the synthesis-relevant axes.  A deque
-  // keeps addresses stable for the non-owning job pointers.
+  // keeps addresses stable for the non-owning job pointers.  The stages
+  // below a design are shared too: DesignPoint never overlays `grouping`,
+  // so every candidate starts from one initial tree, and policy trees are
+  // memoized on exactly the fields DiacSynthesizer::policy_tree reads.
   using SynthKey = std::tuple<PolicyKind, double, NvmTechnology, Scheme>;
+  using PolicyKey =
+      std::tuple<TreeGrouping, PolicyKind, double, double, double, double>;
   std::map<SynthKey, std::size_t> synth_index;
   std::deque<SynthesisResult> synthesized;
+  std::optional<TaskTree> initial;
+  std::map<PolicyKey, TaskTree> policy_trees;
   std::vector<std::size_t> design_of(points.size());
   {
     DIAC_TRACE_SPAN_ARG("search.synthesize", "search", "candidates",
@@ -108,9 +116,18 @@ SearchResult run_search(const Netlist& nl, const CellLibrary& lib,
       const SynthKey key{p.policy, p.budget_fraction, p.technology, p.scheme};
       auto [it, inserted] = synth_index.try_emplace(key, synthesized.size());
       if (inserted) {
-        const DiacSynthesizer synth(nl, lib,
-                                    p.synthesis_options(options.synthesis));
-        synthesized.push_back(synth.synthesize_scheme(p.scheme));
+        const SynthesisOptions so = p.synthesis_options(options.synthesis);
+        const DiacSynthesizer synth(nl, lib, so);
+        if (!initial) initial = synth.initial_tree();
+        const PolicyKey policy_key{so.grouping,       so.policy,
+                                   so.e_max,          so.instance_rho,
+                                   so.upper_fraction, so.lower_ratio};
+        auto tree = policy_trees.find(policy_key);
+        if (tree == policy_trees.end()) {
+          tree = policy_trees.emplace(policy_key, synth.policy_tree(*initial))
+                     .first;
+        }
+        synthesized.push_back(synth.synthesize_scheme(p.scheme, tree->second));
       }
       design_of[i] = it->second;
 

@@ -3,7 +3,8 @@
 ///
 /// Pipeline per search:
 ///   1. synthesize each candidate once (candidates differing only in
-///      runtime knobs share one synthesis),
+///      runtime knobs share one synthesis, and all candidates share one
+///      initial tree and one policy tree per policy),
 ///   2. materialize the harvest scenario once and share the read-only
 ///      HarvestSource across every job,
 ///   3. fan evaluation batches out over an ExperimentRunner, folding each

@@ -1,6 +1,7 @@
 #include "tree/energy_model.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "netlist/analysis.hpp"
 
@@ -15,21 +16,24 @@ std::vector<std::uint32_t> topological_positions(const Netlist& nl) {
 
 OperandCost operand_cost(const Netlist& nl, std::span<const GateId> members,
                          const CellLibrary& lib) {
-  return operand_cost(nl, members, lib, topological_positions(nl));
+  std::vector<double> arrival(nl.size(), -1.0);
+  return operand_cost(nl, members, lib, topological_positions(nl), arrival);
 }
 
 OperandCost operand_cost(const Netlist& nl, std::span<const GateId> members,
                          const CellLibrary& lib,
-                         std::span<const std::uint32_t> topo_pos) {
+                         std::span<const std::uint32_t> topo_pos,
+                         std::span<double> arrival) {
+  if (arrival.size() < nl.size()) {
+    throw std::invalid_argument("operand_cost: arrival buffer too small");
+  }
   OperandCost cost;
   if (members.empty()) return cost;
 
-  // Arrival times for the arrival-time restriction, indexed by GateId.
+  // `arrival` holds the restricted arrival times, indexed by GateId.
   // Non-members and members whose arrival is still unresolved both read as
   // negative (members resolve before use because we visit them in
   // topological order).
-  std::vector<double> arrival(nl.size(), -1.0);
-
   double sum_static = 0.0;
   double max_static = 0.0;
 
@@ -64,6 +68,7 @@ OperandCost operand_cost(const Netlist& nl, std::span<const GateId> members,
     arrival[id] = at;
     cost.delay = std::max(cost.delay, at);
   }
+  for (GateId id : ordered) arrival[id] = -1.0;
 
   // Static energy: while one gate switches, the other n-1 leak for the
   // node's CDP.  We charge CDP * (sum - max) — the "currently active gate"

@@ -35,12 +35,17 @@ struct OperandCost {
 OperandCost operand_cost(const Netlist& nl, std::span<const GateId> members,
                          const CellLibrary& lib);
 
-// As above with a precomputed topological position map (pos[g] = rank of
-// gate g in topological_order(nl)), avoiding the per-call O(|netlist|)
-// ordering — use this when costing many operands of the same netlist.
+// As above for costing many operands of the same netlist, in time
+// independent of the netlist's size: `topo_pos` is the precomputed position map (pos[g] = rank of gate
+// g in topological_order(nl)) and `arrival` a caller-owned scratch buffer
+// of nl.size() entries that must all read -1.0 on entry.  The call writes
+// only the members' entries and resets them to -1.0 before returning, so
+// one buffer serves every operand of a tree build.  Throws
+// std::invalid_argument when `arrival` is smaller than the netlist.
 OperandCost operand_cost(const Netlist& nl, std::span<const GateId> members,
                          const CellLibrary& lib,
-                         std::span<const std::uint32_t> topo_pos);
+                         std::span<const std::uint32_t> topo_pos,
+                         std::span<double> arrival);
 
 // Builds the position map for the overload above.
 std::vector<std::uint32_t> topological_positions(const Netlist& nl);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "netlist/analysis.hpp"
 #include "tree/energy_model.hpp"
@@ -21,6 +22,19 @@ TaskTree TaskTree::from_partition(const Netlist& nl, const CellLibrary& lib,
                                   const std::vector<int>& node_of_gate,
                                   int num_nodes,
                                   const std::vector<std::string>& labels) {
+  return build(nl, lib, nullptr, node_of_gate, num_nodes, labels);
+}
+
+TaskTree TaskTree::repartition(const std::vector<int>& node_of_gate,
+                               int num_nodes,
+                               const std::vector<std::string>& labels) const {
+  return build(*nl_, *lib_, topo_pos_, node_of_gate, num_nodes, labels);
+}
+
+TaskTree TaskTree::build(const Netlist& nl, const CellLibrary& lib,
+                         std::shared_ptr<const std::vector<std::uint32_t>> pos,
+                         const std::vector<int>& node_of_gate, int num_nodes,
+                         const std::vector<std::string>& labels) {
   if (node_of_gate.size() != nl.size()) {
     throw std::invalid_argument("TaskTree: partition size != netlist size");
   }
@@ -99,10 +113,16 @@ TaskTree TaskTree::from_partition(const Netlist& nl, const CellLibrary& lib,
     node.dict.fanout = ext_out;
   }
 
-  // Costs (shared topo-position map).
-  const auto pos = topological_positions(nl);
+  // Costs over the (possibly shared) topological position map, with one
+  // arrival scratch buffer serving every node.
+  tree.topo_pos_ =
+      pos != nullptr ? std::move(pos)
+                     : std::make_shared<const std::vector<std::uint32_t>>(
+                           topological_positions(nl));
+  std::vector<double> arrival(nl.size(), -1.0);
   for (TaskNode& node : tree.nodes_) {
-    const OperandCost cost = operand_cost(nl, node.gates, lib, pos);
+    const OperandCost cost =
+        operand_cost(nl, node.gates, lib, tree.topo_positions(), arrival);
     node.dict.delay = cost.delay;
     node.dict.power = cost.power;
     node.dict.dynamic_energy = cost.dynamic_energy;

@@ -12,6 +12,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -65,6 +67,12 @@ class TaskTree {
                                  int num_nodes,
                                  const std::vector<std::string>& labels = {});
 
+  // from_partition over this tree's netlist and library, sharing this
+  // tree's topological position map instead of recomputing it: the
+  // rebuild step of every policy transform.
+  TaskTree repartition(const std::vector<int>& node_of_gate, int num_nodes,
+                       const std::vector<std::string>& labels = {}) const;
+
   const Netlist& netlist() const { return *nl_; }
   const CellLibrary& library() const { return *lib_; }
 
@@ -75,6 +83,10 @@ class TaskTree {
 
   // The gate->node map this tree was built from.
   const std::vector<int>& partition() const { return node_of_gate_; }
+
+  // pos[g] = rank of gate g in topological_order(netlist()); computed once
+  // per from_partition and shared by every tree repartitioned from it.
+  std::span<const std::uint32_t> topo_positions() const { return *topo_pos_; }
 
   // Topological order of nodes (sources first).
   const std::vector<TaskId>& schedule() const { return schedule_; }
@@ -104,8 +116,14 @@ class TaskTree {
   TaskTree() = default;
 
  private:
+  static TaskTree build(const Netlist& nl, const CellLibrary& lib,
+                        std::shared_ptr<const std::vector<std::uint32_t>> pos,
+                        const std::vector<int>& node_of_gate, int num_nodes,
+                        const std::vector<std::string>& labels);
+
   const Netlist* nl_ = nullptr;
   const CellLibrary* lib_ = nullptr;
+  std::shared_ptr<const std::vector<std::uint32_t>> topo_pos_;
   std::vector<TaskNode> nodes_;
   std::vector<int> node_of_gate_;
   std::vector<TaskId> schedule_;

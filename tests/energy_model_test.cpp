@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "netlist/bench_format.hpp"
+#include "netlist/suite.hpp"
 #include "tree/energy_model.hpp"
+#include "tree/task_tree.hpp"
 
 namespace diac {
 namespace {
@@ -113,11 +117,40 @@ y = XOR(w1, w2)
   const CellLibrary lib = CellLibrary::nominal_45nm();
   std::vector<GateId> members = {nl.find("w1"), nl.find("w2"), nl.find("y")};
   const auto pos = topological_positions(nl);
+  std::vector<double> arrival(nl.size(), -1.0);
   const OperandCost c1 = operand_cost(nl, members, lib);
-  const OperandCost c2 = operand_cost(nl, members, lib, pos);
+  const OperandCost c2 = operand_cost(nl, members, lib, pos, arrival);
   EXPECT_DOUBLE_EQ(c1.dynamic_energy, c2.dynamic_energy);
   EXPECT_DOUBLE_EQ(c1.static_energy, c2.static_energy);
   EXPECT_DOUBLE_EQ(c1.delay, c2.delay);
+  std::vector<double> short_buffer(nl.size() - 1, -1.0);
+  EXPECT_THROW(operand_cost(nl, members, lib, pos, short_buffer),
+               std::invalid_argument);
+}
+
+TEST(EnergyModel, SharedScratchBufferMatchesFreshBuffersOnS38417) {
+  // One arrival buffer reused across every operand of a tree build must
+  // give the bits a fresh buffer gives, and hand the buffer back clean.
+  const Netlist nl = build_benchmark("s38417");
+  const CellLibrary lib = CellLibrary::nominal_45nm();
+  const TaskTree tree = initial_tree(nl, lib);
+  ASSERT_GT(tree.size(), 1000u);
+  const auto pos = topological_positions(nl);
+  std::vector<double> shared(nl.size(), -1.0);
+  for (const TaskNode& node : tree.nodes()) {
+    std::vector<double> fresh(nl.size(), -1.0);
+    const OperandCost a = operand_cost(nl, node.gates, lib, pos, shared);
+    const OperandCost b = operand_cost(nl, node.gates, lib, pos, fresh);
+    ASSERT_EQ(a.delay, b.delay) << node.label;
+    ASSERT_EQ(a.dynamic_energy, b.dynamic_energy) << node.label;
+    ASSERT_EQ(a.static_energy, b.static_energy) << node.label;
+    ASSERT_EQ(a.power, b.power) << node.label;
+    // The tree's own dictionary was costed through the same path.
+    ASSERT_EQ(node.dict.delay, a.delay) << node.label;
+    ASSERT_EQ(node.dict.dynamic_energy, a.dynamic_energy) << node.label;
+  }
+  EXPECT_TRUE(std::all_of(shared.begin(), shared.end(),
+                          [](double v) { return v == -1.0; }));
 }
 
 TEST(EnergyModel, DffMemberContributesCaptureDelay) {

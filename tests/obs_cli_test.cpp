@@ -189,6 +189,36 @@ TEST(ObsCli, StatsRendersMetricsFile) {
 #endif
 }
 
+TEST(ObsCli, SweepsBuildEachTreeOncePerPolicy) {
+  // mc derives its four schemes from one policy tree; the search grid's
+  // 36 designs share one initial tree and one policy tree per policy.
+  const fs::path mc = temp_file("obscli_stages_mc.json");
+  const fs::path search = temp_file("obscli_stages_search.json");
+  ASSERT_EQ(run_cli("mc s344 --runs 4 --instances 4 --metrics-out " +
+                        mc.string(),
+                    "obscli_stages_mc")
+                .exit_code,
+            0);
+  ASSERT_EQ(run_cli("search s344 --instances 4 --max-time 8000 "
+                    "--metrics-out " +
+                        search.string(),
+                    "obscli_stages_search")
+                .exit_code,
+            0);
+#if !defined(DIAC_OBS_DISABLED)
+  const obs::JsonValue m = obs::parse_json(slurp(mc));
+  const obs::JsonValue* mc_counters = m.find("counters");
+  EXPECT_EQ(mc_counters->find("synth.tree_builds")->as_u64(), 1u);
+  EXPECT_EQ(mc_counters->find("synth.policy_trees")->as_u64(), 1u);
+  EXPECT_EQ(mc_counters->find("synth.runs")->as_u64(), 4u);
+  const obs::JsonValue s = obs::parse_json(slurp(search));
+  const obs::JsonValue* search_counters = s.find("counters");
+  EXPECT_EQ(search_counters->find("synth.tree_builds")->as_u64(), 1u);
+  EXPECT_EQ(search_counters->find("synth.policy_trees")->as_u64(), 3u);
+  EXPECT_EQ(search_counters->find("synth.runs")->as_u64(), 36u);
+#endif
+}
+
 TEST(ObsCli, ShardWorkerStderrLinesArePrefixed) {
   // Worker failure diagnostics must arrive line-buffered and tagged with
   // the shard index.  With one trace over two workers only the owning

@@ -347,6 +347,44 @@ TEST(SearchEngine, SynthesisTimeBoundsPruneProvablyDominatedCandidates) {
                         without.candidates[1].costs));
 }
 
+TEST(SearchEngine, SharedPolicyTreesMatchPerCandidateSynthesis) {
+  // A grid search builds one initial tree and one policy tree per policy,
+  // shared across budgets, technologies and schemes.  Searching each
+  // candidate alone builds everything from scratch; every candidate's
+  // design and outcome, and hence the front, must be unchanged.
+  SearchOptions options = small_search_options();
+  options.prune = false;
+  CandidateSpace space = small_space();
+  space.schemes = {Scheme::kDiacOptimized, Scheme::kNvClustering};
+  const std::vector<DesignPoint> points = space.grid();
+  ExperimentRunner runner(1);
+  const SearchResult shared = run_search(s344(), lib(), points, options, runner);
+  ASSERT_EQ(shared.candidates.size(), points.size());
+
+  ParetoFront front(options.objectives.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const SearchResult alone =
+        run_search(s344(), lib(), {points[i]}, options, runner);
+    const CandidateResult& a = alone.candidates[0];
+    const CandidateResult& b = shared.candidates[i];
+    EXPECT_EQ(a.tasks, b.tasks) << a.point.label();
+    EXPECT_EQ(a.commit_points, b.commit_points) << a.point.label();
+    EXPECT_EQ(a.optimistic, b.optimistic) << a.point.label();
+    EXPECT_EQ(a.stats.makespan, b.stats.makespan) << a.point.label();
+    EXPECT_EQ(a.stats.energy_consumed, b.stats.energy_consumed)
+        << a.point.label();
+    EXPECT_EQ(a.stats.nvm_writes, b.stats.nvm_writes) << a.point.label();
+    ASSERT_EQ(a.costs.size(), b.costs.size()) << a.point.label();
+    for (std::size_t k = 0; k < a.costs.size(); ++k) {
+      EXPECT_EQ(compare_cost(a.costs[k], b.costs[k]), 0)
+          << a.point.label() << " objective " << k;
+    }
+    front.insert(i, a.costs);
+  }
+  EXPECT_FALSE(shared.front.empty());
+  EXPECT_EQ(shared.front, ranked_front(front));
+}
+
 TEST(SearchEngine, SingleCandidateSearchPutsItOnTheFront) {
   CandidateSpace space;
   space.policies = {PolicyKind::kPolicy3};

@@ -139,5 +139,83 @@ TEST(Synthesizer, WorksAcrossSuites) {
   }
 }
 
+// Every design a sweep derives from shared stages (one initial tree per
+// circuit, one policy tree per policy) must equal, bit for bit, the design
+// the composed synthesize_scheme(scheme) builds from scratch.
+void expect_same_design(const SynthesisResult& staged,
+                        const SynthesisResult& composed,
+                        const std::string& what) {
+  const TaskTree& a = staged.design.tree;
+  const TaskTree& b = composed.design.tree;
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (TaskId id = 0; id < a.size(); ++id) {
+    const TaskNode& x = a.node(id);
+    const TaskNode& y = b.node(id);
+    ASSERT_EQ(x.gates, y.gates) << what << " node " << id;
+    ASSERT_EQ(x.label, y.label) << what << " node " << id;
+    ASSERT_EQ(x.preds, y.preds) << what << " node " << id;
+    ASSERT_EQ(x.succs, y.succs) << what << " node " << id;
+    ASSERT_EQ(x.dict.fanin, y.dict.fanin) << what << " node " << id;
+    ASSERT_EQ(x.dict.fanout, y.dict.fanout) << what << " node " << id;
+    ASSERT_EQ(x.dict.level, y.dict.level) << what << " node " << id;
+    ASSERT_EQ(x.dict.power, y.dict.power) << what << " node " << id;
+    ASSERT_EQ(x.dict.delay, y.dict.delay) << what << " node " << id;
+    ASSERT_EQ(x.dict.dynamic_energy, y.dict.dynamic_energy)
+        << what << " node " << id;
+    ASSERT_EQ(x.dict.static_energy, y.dict.static_energy)
+        << what << " node " << id;
+    ASSERT_EQ(x.has_nvm, y.has_nvm) << what << " node " << id;
+    ASSERT_EQ(x.nvm_bits, y.nvm_bits) << what << " node " << id;
+    ASSERT_EQ(x.accumulated_energy, y.accumulated_energy)
+        << what << " node " << id;
+  }
+  EXPECT_EQ(a.schedule(), b.schedule()) << what;
+  EXPECT_EQ(a.partition(), b.partition()) << what;
+  EXPECT_EQ(staged.replacement.points, composed.replacement.points) << what;
+  EXPECT_EQ(staged.replacement.total_bits, composed.replacement.total_bits)
+      << what;
+  EXPECT_EQ(staged.replacement.max_exposed_energy,
+            composed.replacement.max_exposed_energy)
+      << what;
+  EXPECT_EQ(staged.design.scheme, composed.design.scheme) << what;
+  EXPECT_EQ(staged.design.scale, composed.design.scale) << what;
+  EXPECT_EQ(staged.design.clustering_ratio, composed.design.clustering_ratio)
+      << what;
+  EXPECT_EQ(staged.limits.scale, composed.limits.scale) << what;
+}
+
+std::vector<std::string> suite_names() {
+  std::vector<std::string> names;
+  for (const BenchmarkSpec& spec : benchmark_suite()) {
+    names.push_back(spec.name);
+  }
+  return names;
+}
+
+class StagedSynthesis : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(StagedSynthesis, SharedStagesMatchComposedSynthesis) {
+  const Netlist nl = build_benchmark(GetParam());
+  const TaskTree initial = DiacSynthesizer(nl, lib()).initial_tree();
+  for (PolicyKind policy : {PolicyKind::kPolicy1, PolicyKind::kPolicy2,
+                            PolicyKind::kPolicy3}) {
+    SynthesisOptions opt;
+    opt.policy = policy;
+    const DiacSynthesizer synth(nl, lib(), opt);
+    const TaskTree tree = synth.policy_tree(initial);
+    for (Scheme scheme : {Scheme::kNvBased, Scheme::kNvClustering,
+                          Scheme::kDiac, Scheme::kDiacOptimized}) {
+      expect_same_design(synth.synthesize_scheme(scheme, tree),
+                         synth.synthesize_scheme(scheme),
+                         GetParam() + "/" + to_string(policy) + "/" +
+                             to_string(scheme));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllCircuits, StagedSynthesis,
+                         ::testing::ValuesIn(suite_names()),
+                         [](const auto& inf) { return inf.param; });
+
 }  // namespace
 }  // namespace diac

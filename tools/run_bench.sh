@@ -78,6 +78,23 @@ for circuit in ("s1238", "s38417", "synth100k"):
 # the largest suite circuit, tracking checker throughput per PR.
 assert any(k.startswith("BM_EquivCheck/s38417") for k in kernels), \
     f"missing BM_EquivCheck/s38417 entry: {kernels}"
+# The synthesis linearity gate: full synthesis of the ~100k-gate
+# synthetic circuit may take at most 2x its gate-count ratio over s38417.
+# A per-node cost that scales with the whole netlist (quadratic
+# synthesis) blows far past that bound.
+synth = {b["name"]: b for b in doc["benchmarks"]
+         if b["name"].startswith("BM_FullSynthesis/")}
+for entry in ("BM_FullSynthesis/s38417", "BM_FullSynthesis/synth100k"):
+    assert entry in synth, f"missing {entry} entry: {sorted(synth)}"
+small = synth["BM_FullSynthesis/s38417"]
+large = synth["BM_FullSynthesis/synth100k"]
+time_ratio = large["real_time"] / small["real_time"]
+gate_ratio = large["gates"] / small["gates"]
+assert time_ratio <= 2.0 * gate_ratio, \
+    f"synthesis not linear: synth100k/s38417 time {time_ratio:.1f}x > " \
+    f"2 x gate ratio {gate_ratio:.1f}x"
+print(f"BM_FullSynthesis: synth100k/s38417 time {time_ratio:.1f}x for "
+      f"{gate_ratio:.1f}x the gates (bound {2.0 * gate_ratio:.1f}x)")
 # The observability overhead gate: the compiled kernel with the obs
 # instrumentation built in but idle; compare against a -DDIAC_OBS=OFF
 # build of the same entry to measure the total obs cost (< 2% bar).
