@@ -100,6 +100,14 @@ struct Case {
   double p_fail;
 };
 
+// Without this, GoogleTest prints a Case as its raw bytes, which include
+// the address of `bench` and so change from one process to the next; the
+// discovered CTest names must be the same on every build.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << '{' << '"' << c.bench << '"' << ", " << c.cycles << ", "
+      << c.interval << ", " << c.p_fail << '}';
+}
+
 class Robustness : public ::testing::TestWithParam<Case> {};
 
 TEST_P(Robustness, IntermittentEqualsGolden) {
