@@ -65,7 +65,7 @@ void append_key(std::vector<std::string>& key, const FsmConfig& fsm) {
 
 void append_key(std::vector<std::string>& key,
                 const SimulatorOptions& options) {
-  static_assert(sizeof(SimulatorOptions) == 112,
+  static_assert(sizeof(SimulatorOptions) == 80,
                 "SimulatorOptions changed: extend append_key");
   key.push_back("sim");
   push_double(key, options.capacitance);
@@ -75,10 +75,6 @@ void append_key(std::vector<std::string>& key,
   push_double(key, options.storage_leakage);
   push_int(key, options.target_instances);
   push_double(key, options.max_time);
-  push_int(key, static_cast<int>(options.mode));
-  push_double(key, options.dt);
-  push_int(key, static_cast<int>(options.continuous_advance));
-  push_double(key, options.continuous_step);
   push_int(key, static_cast<long long>(options.seed));
   // record_trace / trace_interval are side-channel sampling knobs — they
   // never reach RunStats, so two runs differing only there share one

@@ -20,8 +20,8 @@
 /// `CompiledSimulator` evaluates the plan with multi-word pattern
 /// batching: `B` words are evaluated per step, so one plan traversal
 /// amortizes over `64 x B` independent patterns.  Results are
-/// bit-identical to the scalar `eval_gate` reference path
-/// (`ReferenceSimulator`) for every word — see docs/ARCHITECTURE.md,
+/// bit-identical to the scalar reference simulator (`ReferenceSimulator`,
+/// a test-only oracle) for every word — see docs/ARCHITECTURE.md,
 /// "The compiled simulation kernel".
 // diac-lint: api-header
 #pragma once

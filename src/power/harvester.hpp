@@ -32,8 +32,7 @@ class HarvestSource {
   // breakpoints — the contract the event-driven simulator exploits to
   // advance in closed form.  Sources with a continuously varying envelope
   // (SolarSource) return false; the event engine then advances them via
-  // energy_between()/next_power_crossing() (or in bounded quanta when the
-  // quantum path is selected for differential testing).
+  // energy_between()/next_power_crossing().
   virtual bool piecewise_constant() const { return true; }
 
   // Exact integral of harvested power over [t0, t1], in J.  The default

@@ -32,6 +32,10 @@ TaskProgram::TaskProgram(const IntermittentDesign& design,
   if (steps_.empty()) {
     throw std::invalid_argument("TaskProgram: design has no tasks");
   }
+  step_prefix_.resize(steps_.size() + 1, 0.0);
+  for (std::size_t i = 0; i < steps_.size(); ++i) {
+    step_prefix_[i + 1] = step_prefix_[i] + steps_[i].energy;
+  }
 }
 
 int TaskProgram::resume_after_loss(int captured_step) const {
@@ -44,6 +48,15 @@ int TaskProgram::resume_after_loss(int captured_step) const {
     if (steps_[static_cast<std::size_t>(i)].persist) return i + 1;
   }
   return 0;
+}
+
+double TaskProgram::steps_energy(int from, int to) const {
+  const int n = static_cast<int>(steps_.size());
+  from = std::clamp(from, 0, n);
+  to = std::clamp(to, 0, n);
+  if (to <= from) return 0;
+  return step_prefix_[static_cast<std::size_t>(to)] -
+         step_prefix_[static_cast<std::size_t>(from)];
 }
 
 }  // namespace diac

@@ -55,9 +55,14 @@ class TaskProgram {
   // unexecuted step at backup time.
   int resume_after_loss(int captured_step) const;
 
+  // Summed (unjittered) energy of steps [from, to), clamped to the
+  // program; the cost of re-executing them.
+  double steps_energy(int from, int to) const;
+
  private:
   Scheme scheme_;
   std::vector<TaskStep> steps_;
+  std::vector<double> step_prefix_;  // prefix sums of step energies
   double instance_energy_ = 0;
   double instance_duration_ = 0;
   double max_step_energy_ = 0;

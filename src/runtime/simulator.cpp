@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "obs/obs.hpp"
-#include "util/rng.hpp"
 
 namespace diac {
 
@@ -18,126 +17,43 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // threshold separation, so the post-jump comparisons resolve the same way
 // the continuous trajectory would an instant after the crossing.
 constexpr double kCrossEps = 1.0e-15;  // J
-// Slack on time comparisons (timer expiry, trace sampling) so events
-// scheduled *at* a boundary fire despite rounding.
-constexpr double kTimeEps = 1.0e-9;  // s
-// Residual below which an in-flight operation counts as finished.
-constexpr double kOpEps = 1.0e-12;  // s
+constexpr double kTimeEps = NodeMachine::kTimeEps;
+
+bool positive_finite(double v) { return std::isfinite(v) && v > 0; }
 
 void validate_options(const SimulatorOptions& o) {
-  if (o.dt <= 0 || o.max_time <= 0) {
+  if (o.target_instances < 1) {
     throw std::invalid_argument(
-        "SystemSimulator: dt and max_time must be positive");
+        "SystemSimulator: target_instances must be at least 1");
   }
-  if (o.charge_efficiency <= 0 || o.charge_efficiency > 1) {
+  if (!positive_finite(o.max_time)) {
+    throw std::invalid_argument(
+        "SystemSimulator: max_time must be positive and finite");
+  }
+  if (!positive_finite(o.capacitance) || !positive_finite(o.voltage)) {
+    throw std::invalid_argument(
+        "SystemSimulator: capacitance and voltage must be positive and "
+        "finite");
+  }
+  if (!(o.initial_energy_fraction >= 0 && o.initial_energy_fraction <= 1)) {
+    throw std::invalid_argument(
+        "SystemSimulator: initial_energy_fraction must be in [0, 1]");
+  }
+  if (!(o.charge_efficiency > 0 && o.charge_efficiency <= 1)) {
     throw std::invalid_argument(
         "SystemSimulator: charge_efficiency must be in (0, 1]");
   }
-  if (o.storage_leakage < 0) {
+  if (!(std::isfinite(o.storage_leakage) && o.storage_leakage >= 0)) {
     throw std::invalid_argument(
-        "SystemSimulator: storage_leakage must be non-negative");
+        "SystemSimulator: storage_leakage must be non-negative and finite");
   }
-  if (o.trace_interval <= 0) {
+  if (!positive_finite(o.trace_interval)) {
     throw std::invalid_argument(
-        "SystemSimulator: trace_interval must be positive");
+        "SystemSimulator: trace_interval must be positive and finite");
   }
-  if (o.continuous_step <= 0) {
-    throw std::invalid_argument(
-        "SystemSimulator: continuous_step must be positive");
-  }
-}
-
-}  // namespace
-
-const char* to_string(SimMode mode) {
-  switch (mode) {
-    case SimMode::kEventDriven: return "event-driven";
-    case SimMode::kStepped: return "stepped";
-  }
-  return "?";
-}
-
-const char* to_string(ContinuousAdvance advance) {
-  switch (advance) {
-    case ContinuousAdvance::kClosedForm: return "closed-form";
-    case ContinuousAdvance::kQuantum: return "quantum";
-  }
-  return "?";
-}
-
-const char* to_string(SimEvent::Kind kind) {
-  switch (kind) {
-    case SimEvent::Kind::kBackup: return "Backup";
-    case SimEvent::Kind::kRestore: return "Restore";
-    case SimEvent::Kind::kSafeZoneSave: return "SafeZoneSave";
-    case SimEvent::Kind::kShutdown: return "Shutdown";
-    case SimEvent::Kind::kInstanceDone: return "InstanceDone";
-    case SimEvent::Kind::kPowerInterrupt: return "PowerInterrupt";
-  }
-  return "?";
-}
-
-SystemSimulator::SystemSimulator(const IntermittentDesign& design,
-                                 const HarvestSource& source, FsmConfig config,
-                                 SimulatorOptions options)
-    : design_(&design),
-      source_(&source),
-      config_(config),
-      options_(options),
-      program_(design, config),
-      e_max_(0.5 * options.capacitance * options.voltage * options.voltage) {
-  validate_options(options_);
-  thresholds_ = thresholds_for(config_, e_max_, design.backup_energy(),
-                               program_.max_step_energy());
-  step_prefix_.resize(program_.size() + 1, 0.0);
-  for (std::size_t i = 0; i < program_.size(); ++i) {
-    step_prefix_[i + 1] = step_prefix_[i] + program_.steps()[i].energy;
-  }
-}
-
-void SystemSimulator::start_operation(double energy, double duration) {
-  op_.energy_left = energy;
-  // The stepped engine integrates in whole dt slices, so it stretches
-  // sub-dt operations to one step; the event engine honors the true
-  // duration (zero-duration operations complete immediately).
-  op_.time_left = options_.mode == SimMode::kStepped
-                      ? std::max(duration, options_.dt)
-                      : std::max(duration, 0.0);
-  op_.active = true;
-}
-
-bool SystemSimulator::advance_operation(Capacitor& cap, double dt,
-                                        RunStats& stats) {
-  if (!op_.active) return false;
-  const double slice = std::min(dt, op_.time_left);
-  const double de = op_.energy_left * (slice / op_.time_left);
-  stats.energy_consumed += cap.draw(de);
-  op_.energy_left -= de;
-  op_.time_left -= slice;
-  if (op_.time_left <= kOpEps) {
-    op_.active = false;
-    return true;
-  }
-  return false;
-}
-
-double SystemSimulator::step_need(std::size_t idx) const {
-  const TaskStep& s = program_.steps()[idx];
-  const double e = config_.dispatch_energy + s.energy + s.persist_energy;
-  return thresholds_.safe + config_.entry_margin * e;
-}
-
-double SystemSimulator::prefix_energy(int from, int to) const {
-  from = std::clamp(from, 0, static_cast<int>(program_.size()));
-  to = std::clamp(to, 0, static_cast<int>(program_.size()));
-  if (to <= from) return 0;
-  return step_prefix_[static_cast<std::size_t>(to)] -
-         step_prefix_[static_cast<std::size_t>(from)];
 }
 
 #if !defined(DIAC_OBS_DISABLED)
-namespace {
-
 // Flushes one run's event mix into the obs metrics side channel.  This
 // reads the already-recorded event list after the fact; RunStats is
 // computed independently, so obs can never perturb results (rule D6).
@@ -164,340 +80,53 @@ void record_run_metrics(const std::vector<SimEvent>& events,
   DIAC_OBS_COUNT("sim.events.instance_done", done);
   DIAC_OBS_COUNT("sim.events.power_interrupt", interrupts);
 }
-
-}  // namespace
 #endif  // !DIAC_OBS_DISABLED
 
+}  // namespace
+
+SystemSimulator::SystemSimulator(const IntermittentDesign& design,
+                                 const HarvestSource& source, FsmConfig config,
+                                 SimulatorOptions options)
+    : design_(&design),
+      source_(&source),
+      config_(config),
+      options_(options),
+      program_(design, config),
+      e_max_(0.5 * options.capacitance * options.voltage * options.voltage) {
+  validate_options(options_);
+  thresholds_ = thresholds_for(config_, e_max_, design.backup_energy(),
+                               program_.max_step_energy());
+}
+
+// ---------------------------------------------------------------------------
+// The event integrator.
+//
+// The state trajectory between two events is a linear energy ramp: the
+// harvest power is constant (piecewise-constant sources) or integrated in
+// closed form (continuous sources), the load is either the standby drain
+// or the in-flight operation's constant power, and leakage is constant.
+// NodeMachine's decisions are made exactly at the crossing / completion
+// instants.
+// ---------------------------------------------------------------------------
 RunStats SystemSimulator::run() {
   DIAC_TRACE_SPAN("simulate", "sim");
   trace_.clear();
   events_.clear();
-  bisections_ = 0;
-  const RunStats stats =
-      options_.mode == SimMode::kStepped ? run_stepped() : run_event();
-#if !defined(DIAC_OBS_DISABLED)
-  record_run_metrics(events_, bisections_);
-#endif
-  return stats;
-}
-
-// ---------------------------------------------------------------------------
-// Event-driven engine.
-//
-// The state trajectory between two events is a linear energy ramp: the
-// harvest power is constant (piecewise-constant sources) or sampled at the
-// interval midpoint (continuous sources, bounded by continuous_step), the
-// load is either the standby drain or the in-flight operation's constant
-// power, and leakage is constant.  Every decision the stepped loop makes
-// per-tick is instead made exactly at the crossing/completion instants.
-// ---------------------------------------------------------------------------
-RunStats SystemSimulator::run_event() {
   RunStats stats;
-  SplitMix64 rng(options_.seed);
+  NodeMachine m(*design_, program_, config_, thresholds_,
+                options_.target_instances, options_.seed, stats, events_);
+  NodeMachine::Operation& op = m.op();
 
   const double e_cap = e_max_;
   const double eta = options_.charge_efficiency;
   const double leak = options_.storage_leakage;
   double energy = options_.initial_energy_fraction * e_cap;
-
-  const int total_packets = static_cast<int>(
-      std::ceil(config_.transmit_energy / config_.transmit_packet_energy));
-  const bool safe_zone = uses_safe_zone(design_->scheme);
   const bool pwc = source_->piecewise_constant();
-
-  // --- machine state -----------------------------------------------------
-  NodeState state = NodeState::kSleep;
-  RegFlag reg = RegFlag::kIdle;
-  int step_idx = 0;    // next compute step
-  int packet_idx = 0;  // next transmit packet
-  double last_sense_done = -config_.sense_interval;  // timer fires at t=0
-  bool backed_up = false;
-  struct Captured {
-    RegFlag reg = RegFlag::kIdle;
-    int step = 0;
-    int packet = 0;
-  } captured;
-  bool pending_dip = false;  // inside the safe zone without a backup yet
   double next_trace = 0;
   double t = 0;
-
-  op_ = Operation{};
-
-  auto record_event = [&](SimEvent::Kind kind) {
-    events_.push_back({kind, t});
-  };
-
-  auto begin_backup = [&] {
-    op_ = Operation{};
-    state = NodeState::kBackup;
-    start_operation(design_->backup_energy(), design_->backup_time());
-    record_event(SimEvent::Kind::kPowerInterrupt);
-    ++stats.power_interrupts;
-  };
-
-  auto standby_power = [&] {
-    return backed_up ? config_.sleep_power_backed_up : config_.sleep_power;
-  };
-
-  auto load_power = [&]() -> double {
-    switch (state) {
-      case NodeState::kSleep: return standby_power();
-      case NodeState::kOff: return 0.0;
-      default: return op_.active ? op_.power() : 0.0;
-    }
-  };
-
-  auto sense_interval_at = [&](double e) {
-    double interval = config_.sense_interval;
-    if (config_.adaptive_sensing && e < thresholds_.compute) {
-      interval *= config_.adaptive_slowdown;
-    }
-    return interval;
-  };
-
-  auto start_compute_step = [&] {
-    const TaskStep& s = program_.steps()[static_cast<std::size_t>(step_idx)];
-    const double te = config_.dispatch_energy +
-                      rng.jitter(s.energy, config_.op_jitter) +
-                      s.persist_energy;
-    const double tt = config_.dispatch_time + s.duration + s.persist_time;
-    start_operation(te, tt);
-  };
-
-  auto start_packet = [&] {
-    const double pe =
-        rng.jitter(config_.transmit_packet_energy, config_.op_jitter);
-    start_operation(pe, pe / config_.transmit_power);
-  };
-
-  // Finishes the in-flight operation: draws any residual, then applies the
-  // same completion transitions as the stepped loop.  Returns true when
-  // the workload target was reached (run over).
-  auto complete_operation = [&]() -> bool {
-    const double residue = std::clamp(op_.energy_left, 0.0, energy);
-    energy -= residue;
-    stats.energy_consumed += residue;
-    op_ = Operation{};
-
-    switch (state) {
-      case NodeState::kRestore: {
-        ++stats.restores;
-        // Roll back to the recovery point of the captured state.
-        reg = captured.reg;
-        packet_idx = captured.packet;
-        const int resume = program_.resume_after_loss(captured.step);
-        if (captured.step > resume) {
-          stats.tasks_reexecuted += captured.step - resume;
-          stats.reexec_energy += prefix_energy(resume, captured.step);
-        }
-        step_idx = resume;
-        backed_up = true;  // NVM still holds the captured state
-        state = NodeState::kSleep;
-        record_event(SimEvent::Kind::kRestore);
-        break;
-      }
-      case NodeState::kBackup: {
-        ++stats.backups;
-        ++stats.nvm_writes;
-        stats.nvm_bits_written += design_->backup_bits();
-        // After the backup the node drops to the low standby drain, which
-        // sacrifices volatile state: DIAC schemes roll back to the last
-        // commit point and re-execute the tail.
-        const int resume = program_.resume_after_loss(step_idx);
-        if (step_idx > resume) {
-          stats.tasks_reexecuted += step_idx - resume;
-          stats.reexec_energy += prefix_energy(resume, step_idx);
-          step_idx = resume;
-        }
-        captured = {reg, step_idx, packet_idx};
-        backed_up = true;
-        pending_dip = false;
-        state = NodeState::kSleep;
-        record_event(SimEvent::Kind::kBackup);
-        break;
-      }
-      case NodeState::kSense: {
-        last_sense_done = t;
-        reg = RegFlag::kCompute;
-        backed_up = false;
-        state = NodeState::kSleep;
-        break;
-      }
-      case NodeState::kCompute: {
-        const TaskStep& s =
-            program_.steps()[static_cast<std::size_t>(step_idx)];
-        ++stats.tasks_executed;
-        if (s.persist) {
-          ++stats.nvm_writes;
-          ++stats.nvm_boundary_writes;
-          stats.nvm_bits_written += s.persist_bits;
-        }
-        ++step_idx;
-        // A persisted step is itself a fresh resume point; only steps
-        // whose data lives in volatile registers invalidate the backup.
-        backed_up = false;
-        if (step_idx == static_cast<int>(program_.size())) {
-          reg = RegFlag::kTransmit;
-          state = NodeState::kSleep;
-        } else if (energy >= step_need(static_cast<std::size_t>(step_idx))) {
-          // Stay in Compute (Algorithm 1's inner while loop): chain the
-          // next task without bouncing through Sleep.
-          start_compute_step();
-        } else {
-          state = NodeState::kSleep;
-        }
-        break;
-      }
-      case NodeState::kTransmit: {
-        ++packet_idx;
-        backed_up = false;
-        if (packet_idx >= total_packets) {
-          ++stats.instances_completed;
-          record_event(SimEvent::Kind::kInstanceDone);
-          reg = RegFlag::kIdle;
-          packet_idx = 0;
-          step_idx = 0;
-          state = NodeState::kSleep;
-          if (stats.instances_completed >= options_.target_instances) {
-            stats.makespan = t;
-            stats.workload_completed = true;
-            return true;
-          }
-        } else if (energy >= thresholds_.safe +
-                                 config_.entry_margin *
-                                     config_.transmit_packet_energy) {
-          start_packet();
-        } else {
-          state = NodeState::kSleep;
-        }
-        break;
-      }
-      default: break;  // Sleep/Off never own an operation
-    }
-    return false;
-  };
-
-  // Applies every zero-time transition due at (t, energy); returns true
-  // when something changed (the caller re-resolves until quiescent).
-  // Mirrors the decision half of the stepped loop's switch.
-  auto resolve = [&]() -> bool {
-    // Deep outage: volatile state is lost below Th_Off.
-    if (energy < thresholds_.off && state != NodeState::kOff) {
-      state = NodeState::kOff;
-      op_ = Operation{};
-      ++stats.deep_outages;
-      record_event(SimEvent::Kind::kShutdown);
-      pending_dip = false;
-      return true;
-    }
-
-    switch (state) {
-      case NodeState::kOff: {
-        // Recover once there is enough energy to pay for the restore and
-        // land above the safe zone.
-        const double need =
-            thresholds_.safe + 1.25 * design_->restore_energy();
-        if (energy >= need) {
-          state = NodeState::kRestore;
-          start_operation(design_->restore_energy(), design_->restore_time());
-          return true;
-        }
-        return false;
-      }
-
-      case NodeState::kRestore:
-      case NodeState::kBackup:
-        return false;  // only the completion event moves these along
-
-      case NodeState::kSleep: {
-        // Power interrupt (Algorithm 1 line 38): below Th_Bk every design
-        // must back up — unless the NVM already holds this progress.
-        if (energy < thresholds_.backup) {
-          if (!backed_up) {
-            begin_backup();
-            return true;
-          }
-          return false;
-        }
-        // Between Th_Bk and Th_Safe: a design *with* the safe zone holds
-        // in Sleep hoping to recover; a design without it cannot tell a
-        // brief dip from an outage and conservatively backs up now.
-        if (energy < thresholds_.safe) {
-          if (!backed_up) {
-            if (safe_zone) {
-              if (!pending_dip) {
-                pending_dip = true;
-                return true;
-              }
-            } else {
-              begin_backup();
-              return true;
-            }
-          }
-          return false;
-        }
-        // Recovered above Th_Safe: a pending dip that never needed a
-        // backup is a saved NVM write (Fig. 4 region 5).
-        if (pending_dip) {
-          pending_dip = false;
-          ++stats.safe_zone_saves;
-          record_event(SimEvent::Kind::kSafeZoneSave);
-          return true;
-        }
-        // Timer interrupt: re-arm sensing (Algorithm 1 lines 33-37).
-        if (reg == RegFlag::kIdle &&
-            t - last_sense_done >= sense_interval_at(energy) - kTimeEps) {
-          reg = RegFlag::kSense;
-          return true;
-        }
-        // State entries (Algorithm 1 lines 6-11), gated on thresholds.
-        if (reg == RegFlag::kSense && thresholds_.can_sense(energy)) {
-          state = NodeState::kSense;
-          const double se =
-              rng.jitter(config_.sense_energy, config_.op_jitter);
-          start_operation(se, se / config_.sense_power);
-          return true;
-        }
-        if (reg == RegFlag::kCompute &&
-            step_idx < static_cast<int>(program_.size()) &&
-            energy >= step_need(static_cast<std::size_t>(step_idx))) {
-          state = NodeState::kCompute;
-          start_compute_step();
-          return true;
-        }
-        if (reg == RegFlag::kTransmit && thresholds_.can_transmit(energy)) {
-          state = NodeState::kTransmit;
-          start_packet();
-          return true;
-        }
-        return false;
-      }
-
-      case NodeState::kSense:
-      case NodeState::kCompute:
-      case NodeState::kTransmit: {
-        // Exit the active state when energy falls below Th_Safe
-        // (Algorithm 1 lines 17/27).  The in-flight atomic operation is
-        // lost.  Safe-zone designs wait in Sleep for recovery; the others
-        // conservatively back up immediately.
-        if (energy < thresholds_.safe) {
-          if (state == NodeState::kCompute) ++stats.task_aborts;
-          op_ = Operation{};
-          if (safe_zone) {
-            pending_dip = true;
-            state = NodeState::kSleep;
-          } else if (!backed_up) {
-            begin_backup();
-          } else {
-            state = NodeState::kSleep;
-          }
-          return true;
-        }
-        return false;
-      }
-    }
-    return false;
-  };
+  // Crossing-bisection iterations this run; exported to the obs metrics
+  // side channel only — never part of RunStats.
+  std::uint64_t bisections = 0;
 
   // Advances the stored energy and the accounting over [t, t+h) given the
   // harvest power over the interval.  The caller guarantees no regime
@@ -505,7 +134,7 @@ RunStats SystemSimulator::run_event() {
   // open interval.
   auto integrate = [&](double h, double ph) {
     const double in = eta * ph;
-    const double load = load_power();
+    const double load = m.load_power();
     const double out = leak + load;
     if (energy >= e_cap * (1.0 - 1e-12) && in >= out) {
       // Pinned at E_MAX: the inflow covers the outflow; the surplus is
@@ -525,12 +154,12 @@ RunStats SystemSimulator::run_event() {
       stats.energy_consumed += load * h;
       energy = std::clamp(energy + (in - out) * h, 0.0, e_cap);
     }
-    if (op_.active) {
-      const double slice = std::min(h, op_.time_left);
-      op_.energy_left -= op_.power() * slice;
-      op_.time_left -= slice;
+    if (op.active) {
+      const double slice = std::min(h, op.time_left);
+      op.energy_left -= op.power() * slice;
+      op.time_left -= slice;
     }
-    switch (state) {
+    switch (m.state()) {
       case NodeState::kSleep: stats.time_sleep += h; break;
       case NodeState::kOff: stats.time_off += h; break;
       case NodeState::kBackup:
@@ -539,44 +168,19 @@ RunStats SystemSimulator::run_event() {
     }
   };
 
-  // Decision thresholds that could fire in the current machine state.
-  auto collect_targets = [&](double (&cand)[8]) -> int {
-    int n = 0;
-    cand[n++] = thresholds_.off;
-    cand[n++] = thresholds_.backup;
-    cand[n++] = thresholds_.safe;
-    cand[n++] = thresholds_.sense;
-    cand[n++] = thresholds_.compute;
-    cand[n++] = thresholds_.transmit;
-    if (state == NodeState::kOff) {
-      cand[n++] = thresholds_.safe + 1.25 * design_->restore_energy();
-    }
-    if (state == NodeState::kSleep && reg == RegFlag::kCompute &&
-        step_idx < static_cast<int>(program_.size())) {
-      cand[n++] = step_need(static_cast<std::size_t>(step_idx));
-    }
-    return n;
-  };
-
   // Earliest decision threshold in the travel direction, as a time offset
   // from t (infinity when none applies).
   auto next_crossing = [&](double net) -> double {
     if (net == 0) return kInf;
-    double cand[8];
-    const int n = collect_targets(cand);
     if (net > 0) {
-      double target = e_cap;  // saturation regime boundary
-      for (int i = 0; i < n; ++i) {
-        if (cand[i] > energy && cand[i] < target) target = cand[i];
-      }
+      // Bounded by the saturation regime boundary.
+      const double target = m.next_level(energy, true, e_cap);
       if (target >= e_cap && energy >= e_cap * (1.0 - 1e-12)) return kInf;
       const double overshoot = target < e_cap ? kCrossEps : 0.0;
       return (target - energy + overshoot) / net;
     }
-    double target = 0.0;  // empty regime boundary
-    for (int i = 0; i < n; ++i) {
-      if (cand[i] < energy && cand[i] > target) target = cand[i];
-    }
+    // Bounded by the empty regime boundary.
+    const double target = m.next_level(energy, false, 0.0);
     if (target <= 0.0 && energy <= kCrossEps) return kInf;
     const double overshoot = target > 0.0 ? kCrossEps : 0.0;
     return (energy - target + overshoot) / -net;
@@ -604,29 +208,21 @@ RunStats SystemSimulator::run_event() {
     const double e_end = energy_after(horizon, drain);
     if (e_end == energy) return kInf;
     const bool rising = e_end > energy;
-    double cand[8];
-    const int n = collect_targets(cand);
     double goal;
     if (rising) {
-      double target = e_cap;  // saturation regime boundary
-      for (int i = 0; i < n; ++i) {
-        if (cand[i] > energy && cand[i] < target) target = cand[i];
-      }
+      const double target = m.next_level(energy, true, e_cap);
       if (target >= e_cap && energy >= e_cap * (1.0 - 1e-12)) return kInf;
       goal = target + (target < e_cap ? kCrossEps : 0.0);
       if (e_end < goal) return kInf;
     } else {
-      double target = 0.0;  // empty regime boundary
-      for (int i = 0; i < n; ++i) {
-        if (cand[i] < energy && cand[i] > target) target = cand[i];
-      }
+      const double target = m.next_level(energy, false, 0.0);
       if (target <= 0.0 && energy <= kCrossEps) return kInf;
       goal = target - (target > 0.0 ? kCrossEps : 0.0);
       if (e_end > goal) return kInf;
     }
     double lo = 0.0, hi = horizon;  // goal is reached within (lo, hi]
     for (int i = 0; i < 200 && hi - lo > 1.0e-12; ++i) {
-      ++bisections_;
+      ++bisections;
       const double mid = 0.5 * (lo + hi);
       const double e_mid = energy_after(mid, drain);
       const bool passed = rising ? e_mid >= goal : e_mid <= goal;
@@ -642,36 +238,31 @@ RunStats SystemSimulator::run_event() {
     }
     // --- zero-time work due at t ---------------------------------------
     if (options_.record_trace && t >= next_trace - kTimeEps) {
-      trace_.push_back({t, energy, source_->power_at(t), state});
+      trace_.push_back({t, energy, source_->power_at(t), m.state()});
       next_trace += options_.trace_interval;
       continue;
     }
-    if (op_.active && op_.time_left <= kOpEps) {
-      if (complete_operation()) return stats;
+    if (op.finished()) {
+      if (m.complete_operation(t, energy)) break;  // workload target reached
       continue;
     }
-    if (resolve()) continue;
+    if (m.resolve(t, energy)) continue;
 
     // --- pick the horizon ----------------------------------------------
-    const bool closed_form =
-        !pwc &&
-        options_.continuous_advance == ContinuousAdvance::kClosedForm;
     const double ph = source_->power_at(t);
     double te = options_.max_time;
-    // Source breakpoint (bumped past the edge so power_at sees the new
-    // level); continuous sources under the quantum path advance at most
-    // one quantum.
+    // Source breakpoint, bumped past the edge so power_at sees the new
+    // level.
     te = std::min(te, source_->next_change(t) + kTimeEps);
-    if (!pwc && !closed_form) te = std::min(te, t + options_.continuous_step);
     if (options_.record_trace) te = std::min(te, next_trace);
-    if (op_.active) te = std::min(te, t + op_.time_left);
-    if (state == NodeState::kSleep && reg == RegFlag::kIdle) {
-      const double due = last_sense_done + sense_interval_at(energy);
+    if (op.active) te = std::min(te, t + op.time_left);
+    if (m.timer_armed()) {
+      const double due = m.sense_due(energy);
       if (due > t) te = std::min(te, due);
     }
-    const double drain = leak + load_power();
+    const double drain = leak + m.load_power();
 
-    if (closed_form) {
+    if (!pwc) {
       // Cap the window at the envelope's crossing of the break-even
       // level: on (t, te) the net power then has constant sign, so the
       // energy trajectory is monotone (and a storage pinned at E_MAX
@@ -697,314 +288,16 @@ RunStats SystemSimulator::run_event() {
 
     double h = std::max(te - t, 1e-12);
     h = std::min(h, options_.max_time - t);
-
-    // --- advance --------------------------------------------------------
-    // Continuous sources on the quantum path: integrate with the midpoint
-    // power so the ramp tracks the envelope to second order.
-    integrate(h, pwc ? ph : source_->power_at(t + 0.5 * h));
+    integrate(h, ph);
     t += h;
   }
 
   stats.makespan = t;
   stats.workload_completed =
       stats.instances_completed >= options_.target_instances;
-  return stats;
-}
-
-// ---------------------------------------------------------------------------
-// Fixed-dt reference engine (the seed implementation): integrates every
-// dt.  Kept verbatim for differential testing of the event engine; note
-// that sub-dt operation durations are quantized up to one dt here.
-// ---------------------------------------------------------------------------
-RunStats SystemSimulator::run_stepped() {
-  RunStats stats;
-  SplitMix64 rng(options_.seed);
-  Capacitor cap(options_.capacitance, options_.voltage);
-  cap.set_energy(options_.initial_energy_fraction * cap.e_max());
-  cap.set_charge_efficiency(options_.charge_efficiency);
-  cap.set_leakage_power(options_.storage_leakage);
-
-  const int total_packets = static_cast<int>(
-      std::ceil(config_.transmit_energy / config_.transmit_packet_energy));
-  const bool safe_zone = uses_safe_zone(design_->scheme);
-
-  // --- machine state -----------------------------------------------------
-  NodeState state = NodeState::kSleep;
-  RegFlag reg = RegFlag::kIdle;
-  int step_idx = 0;    // next compute step
-  int packet_idx = 0;  // next transmit packet
-  double last_sense_done = -config_.sense_interval;  // timer fires at t=0
-  bool backed_up = false;
-  struct Captured {
-    RegFlag reg = RegFlag::kIdle;
-    int step = 0;
-    int packet = 0;
-  } captured;
-  bool pending_dip = false;   // inside the safe zone without a backup yet
-  double next_trace = 0;
-
-  op_ = Operation{};
-
-  auto record_event = [&](SimEvent::Kind kind, double t) {
-    events_.push_back({kind, t});
-  };
-
-  auto begin_backup = [&](double t) {
-    op_ = Operation{};
-    state = NodeState::kBackup;
-    start_operation(design_->backup_energy(), design_->backup_time());
-    record_event(SimEvent::Kind::kPowerInterrupt, t);
-    ++stats.power_interrupts;
-  };
-
-  double t = 0;
-  for (; t < options_.max_time; t += options_.dt) {
-    // 1) Harvest.
-    const double ph = source_->power_at(t);
-    const double offered = ph * options_.dt;
-    const double stored = cap.charge(offered);
-    stats.energy_harvested += stored;
-    stats.energy_wasted += offered - stored + cap.self_discharge(options_.dt);
-
-    // 2) Trace sampling.
-    if (options_.record_trace && t >= next_trace) {
-      trace_.push_back({t, cap.energy(), ph, state});
-      next_trace += options_.trace_interval;
-    }
-
-    const double e = cap.energy();
-
-    // 3) Deep outage: volatile state is lost below Th_Off.
-    if (e < thresholds_.off && state != NodeState::kOff) {
-      state = NodeState::kOff;
-      op_ = Operation{};
-      ++stats.deep_outages;
-      record_event(SimEvent::Kind::kShutdown, t);
-      pending_dip = false;
-    }
-
-    switch (state) {
-      case NodeState::kOff: {
-        stats.time_off += options_.dt;
-        // Recover once there is enough energy to pay for the restore and
-        // land above the safe zone.
-        const double need =
-            thresholds_.safe + 1.25 * design_->restore_energy();
-        if (e >= need) {
-          state = NodeState::kRestore;
-          start_operation(design_->restore_energy(), design_->restore_time());
-        }
-        break;
-      }
-
-      case NodeState::kRestore: {
-        stats.time_backup += options_.dt;
-        if (advance_operation(cap, options_.dt, stats)) {
-          ++stats.restores;
-          stats.nvm_bits_written += 0;  // restore is a read
-          // Roll back to the recovery point of the captured state.
-          reg = captured.reg;
-          packet_idx = captured.packet;
-          const int resume = program_.resume_after_loss(captured.step);
-          if (captured.step > resume) {
-            stats.tasks_reexecuted += captured.step - resume;
-            stats.reexec_energy += prefix_energy(resume, captured.step);
-          }
-          step_idx = resume;
-          backed_up = true;  // NVM still holds the captured state
-          state = NodeState::kSleep;
-          record_event(SimEvent::Kind::kRestore, t);
-        }
-        break;
-      }
-
-      case NodeState::kBackup: {
-        stats.time_backup += options_.dt;
-        if (advance_operation(cap, options_.dt, stats)) {
-          ++stats.backups;
-          ++stats.nvm_writes;
-          stats.nvm_bits_written += design_->backup_bits();
-          // After the backup the node drops to the low standby drain,
-          // which sacrifices volatile state.  Checkpoint schemes hold
-          // everything in NVM, so they resume in place; DIAC schemes roll
-          // back to the last commit point and re-execute the tail.
-          const int resume = program_.resume_after_loss(step_idx);
-          if (step_idx > resume) {
-            stats.tasks_reexecuted += step_idx - resume;
-            stats.reexec_energy += prefix_energy(resume, step_idx);
-            step_idx = resume;
-          }
-          captured = {reg, step_idx, packet_idx};
-          backed_up = true;
-          pending_dip = false;
-          state = NodeState::kSleep;
-          record_event(SimEvent::Kind::kBackup, t);
-        }
-        break;
-      }
-
-      case NodeState::kSleep: {
-        stats.time_sleep += options_.dt;
-        const double standby =
-            backed_up ? config_.sleep_power_backed_up : config_.sleep_power;
-        stats.energy_consumed += cap.draw(standby * options_.dt);
-
-        // Power interrupt (Algorithm 1 line 38): below Th_Bk every design
-        // must back up — unless the NVM already holds this progress.
-        if (e < thresholds_.backup) {
-          if (!backed_up) begin_backup(t);
-          break;
-        }
-
-        // Between Th_Bk and Th_Safe: a design *with* the safe zone holds
-        // in Sleep hoping to recover; a design without it cannot tell a
-        // brief dip from an outage and conservatively backs up now.
-        if (e < thresholds_.safe) {
-          if (!backed_up) {
-            if (safe_zone) {
-              pending_dip = true;
-            } else {
-              begin_backup(t);
-            }
-          }
-          break;
-        }
-
-        // Recovered above Th_Safe: a pending dip that never needed a
-        // backup is a saved NVM write (Fig. 4 region 5).
-        if (pending_dip) {
-          pending_dip = false;
-          ++stats.safe_zone_saves;
-          record_event(SimEvent::Kind::kSafeZoneSave, t);
-        }
-
-        // Timer interrupt: re-arm sensing.  With adaptive sensing the
-        // sampling rate backs off while stored energy is scarce
-        // (Algorithm 1 line 34).
-        double interval = config_.sense_interval;
-        if (config_.adaptive_sensing && e < thresholds_.compute) {
-          interval *= config_.adaptive_slowdown;
-        }
-        if (reg == RegFlag::kIdle && t - last_sense_done >= interval) {
-          reg = RegFlag::kSense;
-        }
-
-        // State entries (Algorithm 1 lines 6-11), gated on thresholds.
-        if (reg == RegFlag::kSense && thresholds_.can_sense(e)) {
-          state = NodeState::kSense;
-          const double se = rng.jitter(config_.sense_energy, config_.op_jitter);
-          start_operation(se, se / config_.sense_power);
-        } else if (reg == RegFlag::kCompute &&
-                   step_idx < static_cast<int>(program_.size()) &&
-                   e >= step_need(static_cast<std::size_t>(step_idx))) {
-          state = NodeState::kCompute;
-          const TaskStep& s = program_.steps()[static_cast<std::size_t>(step_idx)];
-          const double te = config_.dispatch_energy +
-                            rng.jitter(s.energy, config_.op_jitter) +
-                            s.persist_energy;
-          const double tt = config_.dispatch_time + s.duration + s.persist_time;
-          start_operation(te, tt);
-        } else if (reg == RegFlag::kTransmit && thresholds_.can_transmit(e)) {
-          state = NodeState::kTransmit;
-          const double pe =
-              rng.jitter(config_.transmit_packet_energy, config_.op_jitter);
-          start_operation(pe, pe / config_.transmit_power);
-        }
-        break;
-      }
-
-      case NodeState::kSense:
-      case NodeState::kCompute:
-      case NodeState::kTransmit: {
-        stats.time_active += options_.dt;
-
-        // Exit the active state when energy falls below Th_Safe
-        // (Algorithm 1 lines 17/27).  The in-flight atomic operation is
-        // lost.  Safe-zone designs wait in Sleep for recovery; the others
-        // conservatively back up immediately.
-        if (e < thresholds_.safe) {
-          if (state == NodeState::kCompute) ++stats.task_aborts;
-          op_ = Operation{};
-          if (safe_zone) {
-            pending_dip = true;
-            state = NodeState::kSleep;
-          } else if (!backed_up) {
-            begin_backup(t);
-          } else {
-            state = NodeState::kSleep;
-          }
-          break;
-        }
-
-        if (!advance_operation(cap, options_.dt, stats)) break;
-
-        // Operation completed.
-        if (state == NodeState::kSense) {
-          last_sense_done = t;
-          reg = RegFlag::kCompute;
-          backed_up = false;
-          state = NodeState::kSleep;
-        } else if (state == NodeState::kCompute) {
-          const TaskStep& s = program_.steps()[static_cast<std::size_t>(step_idx)];
-          ++stats.tasks_executed;
-          if (s.persist) {
-            ++stats.nvm_writes;
-            ++stats.nvm_boundary_writes;
-            stats.nvm_bits_written += s.persist_bits;
-          }
-          ++step_idx;
-          // A persisted step is itself a fresh resume point; only steps
-          // whose data lives in volatile registers invalidate the backup.
-          backed_up = false;
-          if (step_idx == static_cast<int>(program_.size())) {
-            reg = RegFlag::kTransmit;
-            state = NodeState::kSleep;
-          } else if (e >= step_need(static_cast<std::size_t>(step_idx))) {
-            // Stay in Compute (Algorithm 1's inner while loop): chain the
-            // next task without bouncing through Sleep.
-            const TaskStep& nx =
-                program_.steps()[static_cast<std::size_t>(step_idx)];
-            const double te = config_.dispatch_energy +
-                              rng.jitter(nx.energy, config_.op_jitter) +
-                              nx.persist_energy;
-            const double tt = config_.dispatch_time + nx.duration + nx.persist_time;
-            start_operation(te, tt);
-          } else {
-            state = NodeState::kSleep;
-          }
-        } else {  // Transmit
-          ++packet_idx;
-          backed_up = false;
-          if (packet_idx >= total_packets) {
-            ++stats.instances_completed;
-            record_event(SimEvent::Kind::kInstanceDone, t);
-            reg = RegFlag::kIdle;
-            packet_idx = 0;
-            step_idx = 0;
-            state = NodeState::kSleep;
-            if (stats.instances_completed >= options_.target_instances) {
-              stats.makespan = t;
-              stats.workload_completed = true;
-              return stats;
-            }
-          } else if (e >= thresholds_.safe +
-                              config_.entry_margin *
-                                  config_.transmit_packet_energy) {
-            const double pe = rng.jitter(config_.transmit_packet_energy,
-                                         config_.op_jitter);
-            start_operation(pe, pe / config_.transmit_power);
-          } else {
-            state = NodeState::kSleep;
-          }
-        }
-        break;
-      }
-    }
-  }
-
-  stats.makespan = t;
-  stats.workload_completed =
-      stats.instances_completed >= options_.target_instances;
+#if !defined(DIAC_OBS_DISABLED)
+  record_run_metrics(events_, bisections);
+#endif
   return stats;
 }
 

@@ -7,51 +7,29 @@
 // quantity (the +-10% operation energies) comes from a seeded stream so
 // runs are reproducible and schemes can be compared on identical traces.
 //
-// Two integration engines share the same FSM semantics:
-//
-//  - kEventDriven (default): between events the net power is piecewise
-//    constant (HarvestSource::next_change() exposes the source's own
-//    breakpoints), so the stored energy is a closed-form linear ramp.  The
-//    simulator jumps directly to the earliest of {next source change,
-//    threshold crossing, operation completion, sense-timer expiry, trace
-//    sample} instead of ticking every dt.  Sources whose power varies
-//    continuously (SolarSource) advance by the closed-form sine-envelope
-//    solver by default — exact integrals via energy_between() plus
-//    break-even-level crossings via next_power_crossing(), with threshold
-//    crossings bisected on the exact energy trajectory — or, when
-//    ContinuousAdvance::kQuantum is selected (kept for differential
-//    testing), in `continuous_step` quanta with midpoint power sampling.
-//  - kStepped: the original fixed-dt reference loop, kept for differential
-//    testing; operation durations are quantized up to one dt.
+// SystemSimulator is the event integrator around the one Algorithm-1
+// machine (runtime/node_machine.hpp).  Between events the net power is
+// piecewise constant (HarvestSource::next_change() exposes the source's
+// own breakpoints), so the stored energy is a closed-form linear ramp: the
+// simulator jumps directly to the earliest of {next source change,
+// threshold crossing, operation completion, sense-timer expiry, trace
+// sample} instead of ticking every dt.  Sources whose power varies
+// continuously (SolarSource) advance by the closed-form sine-envelope
+// solver — exact integrals via energy_between() plus break-even-level
+// crossings via next_power_crossing(), with threshold crossings bisected
+// on the exact energy trajectory.  A fixed-dt reference integrator driving
+// the same machine lives with the tests (tests/oracle/).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "power/capacitor.hpp"
 #include "power/harvester.hpp"
 #include "runtime/executor.hpp"
+#include "runtime/node_machine.hpp"
 #include "runtime/stats.hpp"
 
 namespace diac {
-
-enum class SimMode : std::uint8_t {
-  kEventDriven,  // closed-form advance to the next event
-  kStepped,      // fixed-dt reference integration
-};
-
-const char* to_string(SimMode mode);
-
-// How the event engine advances across a continuous-envelope source
-// (SolarSource): the closed-form crossing solver (default), or bounded
-// quanta with midpoint power sampling — the historical path, kept for
-// differential testing of the solver.
-enum class ContinuousAdvance : std::uint8_t {
-  kClosedForm,
-  kQuantum,
-};
-
-const char* to_string(ContinuousAdvance advance);
 
 struct SimulatorOptions {
   double capacitance = 2.0e-3;  // F  (paper: 2 mF)
@@ -65,14 +43,6 @@ struct SimulatorOptions {
   int target_instances = 12;    // sense->compute->transmit cycles to finish
   double max_time = 50000.0;    // s, safety stop
 
-  SimMode mode = SimMode::kEventDriven;
-  double dt = 1.0e-3;           // s, integration step (kStepped only)
-  ContinuousAdvance continuous_advance = ContinuousAdvance::kClosedForm;
-  // Event-driven advance quantum for sources whose power varies
-  // continuously between breakpoints (SolarSource's diurnal envelope);
-  // used only under ContinuousAdvance::kQuantum.
-  double continuous_step = 0.05;  // s
-
   std::uint64_t seed = 0xD1AC;  // operation-jitter stream
 
   bool record_trace = false;    // sample (t, E, P_harvest, state)
@@ -85,21 +55,6 @@ struct TracePoint {
   double harvest_power = 0;  // W
   NodeState state = NodeState::kSleep;
 };
-
-struct SimEvent {
-  enum class Kind {
-    kBackup,
-    kRestore,
-    kSafeZoneSave,
-    kShutdown,
-    kInstanceDone,
-    kPowerInterrupt,
-  };
-  Kind kind;
-  double t = 0;
-};
-
-const char* to_string(SimEvent::Kind kind);
 
 class SystemSimulator {
  public:
@@ -126,38 +81,8 @@ class SystemSimulator {
   Thresholds thresholds_;
   double e_max_;
 
-  // --- helpers ---------------------------------------------------------
-  struct Operation {
-    double energy_left = 0;
-    double time_left = 0;
-    bool active = false;
-    double power() const {
-      return time_left > 0 ? energy_left / time_left : 0;
-    }
-  };
-
-  Operation op_;  // the in-flight atomic operation, if any
-
-  // Arms op_ for `duration` seconds.  The stepped engine quantizes the
-  // duration up to one dt (its integration cannot subdivide a step); the
-  // event engine honors the true duration.
-  void start_operation(double energy, double duration);
-  // Consumes one dt of the current operation; returns true when finished.
-  bool advance_operation(Capacitor& cap, double dt, RunStats& stats);
-
-  RunStats run_stepped();
-  RunStats run_event();
-
-  double step_need(std::size_t idx) const;  // entry energy for compute step
-  double prefix_energy(int from, int to) const;  // sum of step energies
-
-  std::vector<double> step_prefix_;  // prefix sums of step energies
   std::vector<TracePoint> trace_;
   std::vector<SimEvent> events_;
-
-  // Crossing-bisection iterations this run; exported to the obs metrics
-  // side channel only — never part of RunStats.
-  std::uint64_t bisections_ = 0;
 };
 
 }  // namespace diac

@@ -13,6 +13,7 @@
 #include "netlist/generators.hpp"
 #include "netlist/logic_sim.hpp"
 #include "netlist/suite.hpp"
+#include "oracle/reference_logic_sim.hpp"
 #include "util/rng.hpp"
 
 namespace diac {

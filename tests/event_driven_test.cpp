@@ -1,15 +1,18 @@
-// Differential validation of the event-driven simulation core against the
-// fixed-dt reference engine: on identical designs, sources and seeds the
-// two must produce the same event sequence and the same RunStats up to
-// integration-error tolerance (the reference loop quantizes time at dt
-// and operation durations up to one dt, so bit-equality is not expected).
+// Differential validation of the event integrator (SystemSimulator)
+// against the fixed-dt reference integrator in tests/oracle/: both drive
+// the same NodeMachine, so on identical designs, sources and seeds they
+// must produce the same event sequence and the same RunStats up to
+// integration-error tolerance (the reference quantizes time at dt and
+// operation durations up to one dt, so bit-equality is not expected).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <list>
+#include <utility>
 
 #include "diac/synthesizer.hpp"
 #include "netlist/suite.hpp"
+#include "oracle/stepped_integrator.hpp"
 #include "runtime/simulator.hpp"
 
 namespace diac {
@@ -34,14 +37,12 @@ struct Pair {
 Pair run_both(const IntermittentDesign& design, const HarvestSource& source,
               SimulatorOptions options, FsmConfig config = {}) {
   Pair p;
-  options.mode = SimMode::kEventDriven;
   SystemSimulator se(design, source, config, options);
   p.event = se.run();
   p.event_log = se.events();
-  options.mode = SimMode::kStepped;
-  SystemSimulator ss(design, source, config, options);
-  p.stepped = ss.run();
-  p.stepped_log = ss.events();
+  SteppedRun ss = run_stepped(design, source, config, options);
+  p.stepped = ss.stats;
+  p.stepped_log = std::move(ss.events);
   return p;
 }
 
@@ -111,32 +112,6 @@ TEST(EventDriven, MatchesSteppedOnSolarAllSchemes) {
     opt.max_time = 20000;
     expect_equivalent(run_both(r.design, source, opt),
                       std::string("solar/") + to_string(scheme));
-  }
-}
-
-TEST(EventDriven, SolarClosedFormMatchesQuantumAllSchemes) {
-  // Satellite: the closed-form sine-envelope crossing solver replaces the
-  // bounded-quantum advance as the default; the quantum path is kept
-  // exactly for this differential check.  Same design, source and seed —
-  // the two continuous-advance strategies must tell the same story.
-  for (Scheme scheme : {Scheme::kNvBased, Scheme::kNvClustering,
-                        Scheme::kDiac, Scheme::kDiacOptimized}) {
-    const auto r = synth("s820", scheme);
-    const SolarSource source(5);
-    SimulatorOptions opt;
-    opt.target_instances = 4;
-    opt.max_time = 20000;
-    opt.mode = SimMode::kEventDriven;
-    Pair p;
-    opt.continuous_advance = ContinuousAdvance::kClosedForm;
-    SystemSimulator closed(r.design, source, FsmConfig{}, opt);
-    p.event = closed.run();
-    p.event_log = closed.events();
-    opt.continuous_advance = ContinuousAdvance::kQuantum;
-    SystemSimulator quantum(r.design, source, FsmConfig{}, opt);
-    p.stepped = quantum.run();
-    p.stepped_log = quantum.events();
-    expect_equivalent(p, std::string("solar-closed-form/") + to_string(scheme));
   }
 }
 
@@ -256,9 +231,9 @@ TEST(EventDriven, DeterministicAcrossRuns) {
 }
 
 TEST(EventDriven, HonorsSubDtOperationDurations) {
-  // Satellite fix: the stepped engine stretches sub-dt operations to one
-  // full dt (documented quantization); the event engine must honor the
-  // true duration.  Crank the operation powers so sense takes 0.5 ms and
+  // The stepped reference spends at least one full dt tick on every
+  // sub-dt operation (documented quantization); the event integrator must
+  // honor the true duration.  Crank the operation powers so sense takes 0.5 ms and
   // each transmit packet 33 us — far below the 1 ms step.
   const auto r = synth("s344", Scheme::kDiac);
   const ConstantSource source(10.0e-3);

@@ -3,6 +3,7 @@
 #include "netlist/bench_format.hpp"
 #include "netlist/generators.hpp"
 #include "netlist/logic_sim.hpp"
+#include "oracle/reference_logic_sim.hpp"
 #include "util/rng.hpp"
 
 namespace diac {

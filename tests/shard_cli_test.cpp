@@ -120,5 +120,23 @@ TEST(ShardCli, RejectsBadShardCounts) {
       run_cli("mc s344 --runs 4 --shards -2", "shardcli_neg").exit_code, 0);
 }
 
+TEST(ShardCli, RejectsOutOfRangeSimulatorOptions) {
+  // Options the simulator cannot honor fail the command with a located
+  // message instead of printing a report for some other workload, in
+  // process and sharded alike.
+  for (const std::string args :
+       {"mc s344 --instances 0", "mc s344 --instances -3",
+        "search s344 --max-time nan --random 2",
+        "mc s344 --instances 0 --shards 2"}) {
+    const CliRun run = run_cli(args, "shardcli_badopt");
+    EXPECT_NE(run.exit_code, 0) << args;
+    EXPECT_TRUE(run.out.empty()) << args << ": " << run.out;
+    const std::string err = slurp(fs::path(::testing::TempDir()) /
+                                  "shardcli_badopt.out.err");
+    EXPECT_NE(err.find("error: SystemSimulator:"), std::string::npos)
+        << args << ": " << err;
+  }
+}
+
 }  // namespace
 }  // namespace diac

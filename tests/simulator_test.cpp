@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <list>
 
 #include "diac/synthesizer.hpp"
@@ -223,15 +224,34 @@ TEST(Simulator, RejectsBadOptions) {
     EXPECT_THROW(SystemSimulator(r.design, source, FsmConfig{}, opt),
                  std::invalid_argument);
   };
-  rejects([](SimulatorOptions& o) { o.dt = 0; });
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  rejects([](SimulatorOptions& o) { o.target_instances = 0; });
+  rejects([](SimulatorOptions& o) { o.target_instances = -3; });
   rejects([](SimulatorOptions& o) { o.max_time = -1; });
+  rejects([](SimulatorOptions& o) { o.max_time = 0; });
+  rejects([&](SimulatorOptions& o) { o.max_time = nan; });
+  rejects([&](SimulatorOptions& o) { o.max_time = inf; });
+  rejects([](SimulatorOptions& o) { o.capacitance = 0; });
+  rejects([&](SimulatorOptions& o) { o.capacitance = nan; });
+  rejects([&](SimulatorOptions& o) { o.capacitance = inf; });
+  rejects([](SimulatorOptions& o) { o.voltage = -5; });
+  rejects([&](SimulatorOptions& o) { o.voltage = nan; });
+  rejects([&](SimulatorOptions& o) { o.voltage = inf; });
+  rejects([](SimulatorOptions& o) { o.initial_energy_fraction = -0.1; });
+  rejects([](SimulatorOptions& o) { o.initial_energy_fraction = 1.5; });
+  rejects([&](SimulatorOptions& o) { o.initial_energy_fraction = nan; });
   rejects([](SimulatorOptions& o) { o.charge_efficiency = 0; });
   rejects([](SimulatorOptions& o) { o.charge_efficiency = 1.5; });
   rejects([](SimulatorOptions& o) { o.charge_efficiency = -0.2; });
+  rejects([&](SimulatorOptions& o) { o.charge_efficiency = nan; });
   rejects([](SimulatorOptions& o) { o.storage_leakage = -1e-6; });
+  rejects([&](SimulatorOptions& o) { o.storage_leakage = nan; });
+  rejects([&](SimulatorOptions& o) { o.storage_leakage = inf; });
   rejects([](SimulatorOptions& o) { o.trace_interval = 0; });
   rejects([](SimulatorOptions& o) { o.trace_interval = -2; });
-  rejects([](SimulatorOptions& o) { o.continuous_step = 0; });
+  rejects([&](SimulatorOptions& o) { o.trace_interval = nan; });
+  rejects([&](SimulatorOptions& o) { o.trace_interval = inf; });
 }
 
 TEST(Simulator, ValidationIsIndependentOfTraceRecording) {

@@ -7,6 +7,7 @@
 
 #include "diac/synthesizer.hpp"
 #include "netlist/suite.hpp"
+#include "oracle/stepped_integrator.hpp"
 #include "power/trace_io.hpp"
 #include "runtime/simulator.hpp"
 
@@ -122,8 +123,8 @@ TEST(TraceIo, RoundTripReproducesSourcesOnTheGrid) {
 }
 
 TEST(TraceIo, ReplayedTraceAgreesAcrossSimModes) {
-  // A replayed measured trace drives the event-driven and the stepped
-  // engine to the same structural outcome — the differential contract
+  // A replayed measured trace drives the event integrator and the stepped
+  // reference to the same structural outcome — the differential contract
   // extends to traces that came in from disk.
   const std::string path = ::testing::TempDir() + "diac_trace_modes.csv";
   {
@@ -142,12 +143,10 @@ TEST(TraceIo, ReplayedTraceAgreesAcrossSimModes) {
   SimulatorOptions options;
   options.target_instances = 3;
   options.max_time = 4000;
-  options.mode = SimMode::kEventDriven;
   SystemSimulator event(sr.design, trace, FsmConfig{}, options);
   const RunStats e = event.run();
-  options.mode = SimMode::kStepped;
-  SystemSimulator stepped(sr.design, trace, FsmConfig{}, options);
-  const RunStats s = stepped.run();
+  const RunStats s =
+      run_stepped(sr.design, trace, FsmConfig{}, options).stats;
 
   EXPECT_EQ(e.instances_completed, s.instances_completed);
   EXPECT_EQ(e.workload_completed, s.workload_completed);
