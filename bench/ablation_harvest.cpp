@@ -5,7 +5,6 @@
 // The (source × scheme) grid goes through the experiment engine: jobs fan
 // out over every core and results come back in deterministic order.
 #include <iostream>
-#include <memory>
 
 #include "diac/synthesizer.hpp"
 #include "exp/experiment.hpp"
@@ -64,15 +63,11 @@ int main() {
   SimulatorOptions opt;
   opt.target_instances = 8;
   opt.max_time = 30000;
-  std::vector<std::unique_ptr<HarvestSource>> materialized;
   std::vector<SimulationJob> jobs;
   for (const auto& s : sources) {
-    materialized.push_back(
-        make_source(clamp_scenario_horizon(s.scenario, opt.max_time)));
     for (Scheme scheme : kAllSchemes) {
       jobs.push_back({&designs[static_cast<std::size_t>(scheme)].design,
-                      s.scenario, materialized.back().get(), FsmConfig{},
-                      opt});
+                      s.scenario, FsmConfig{}, opt});
     }
   }
   ExperimentRunner runner;  // all cores

@@ -10,6 +10,7 @@
 #include <list>
 
 #include "diac/synthesizer.hpp"
+#include "exp/trace_library.hpp"
 #include "serve/cache.hpp"
 #include "metrics/montecarlo.hpp"
 #include "metrics/trace_sweep.hpp"
@@ -272,6 +273,30 @@ void BM_TraceReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceReplay)->Name("trace_replay")->Arg(1)->Arg(0)
     ->Unit(benchmark::kMillisecond);
+
+// BM_TraceParse: single-threaded CSV ingestion throughput of the
+// trace_replay library — load_trace_csv over its 100 files (read + parse
+// + PiecewiseTrace build), reported as MB of CSV per second.
+// tools/run_bench.sh gates the MB_per_s counter.
+void BM_TraceParse(benchmark::State& state) {
+  namespace fs = std::filesystem;
+  const std::vector<std::string> files = list_trace_files(trace_library_dir());
+  std::uintmax_t bytes = 0;
+  for (const std::string& path : files) bytes += fs::file_size(path);
+  std::size_t segments = 0;
+  for (auto _ : state) {
+    segments = 0;
+    for (const std::string& path : files) {
+      segments += load_trace_csv(path).segments().size();
+    }
+    benchmark::DoNotOptimize(segments);
+  }
+  state.counters["MB_per_s"] =
+      benchmark::Counter(static_cast<double>(bytes) / 1e6,
+                         benchmark::Counter::kIsIterationInvariantRate);
+  state.counters["segments"] = static_cast<double>(segments);
+}
+BENCHMARK(BM_TraceParse)->Unit(benchmark::kMillisecond);
 
 // design_search: grid-to-front wall time of a full design-space search on
 // b12 — synthesize the whole default candidate grid (72 candidates, one

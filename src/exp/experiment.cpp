@@ -30,13 +30,6 @@ RunStats run_simulation(const SimulationJob& job) {
   }
   const SimulatorOptions simulator =
       clamp_to_measurement(job.simulator, job.scenario);
-  if (job.source != nullptr) {
-    SystemSimulator sim(*job.design, *job.source, job.fsm, simulator);
-    return sim.run();
-  }
-  // The stochastic sources precompute their trace out to `horizon`, which
-  // defaults to 50 000 s — a large fraction of short-job cost now that
-  // the event engine made the simulation itself cheap.
   const std::unique_ptr<HarvestSource> source =
       make_source(clamp_scenario_horizon(job.scenario, simulator.max_time));
   SystemSimulator sim(*job.design, *source, job.fsm, simulator);

@@ -4,9 +4,10 @@
 /// A SimulationJob is pure data: a pre-synthesized design (non-owning —
 /// synthesis is deterministic and shared across seeds, so callers
 /// synthesize once per scheme), a copyable ScenarioSpec the job
-/// materializes locally, and the FSM/simulator configuration.  Each job is
-/// self-contained and explicitly seeded, which is what makes fan-out
-/// results bit-identical at any thread count.
+/// materializes locally (construction is O(1) for every seeded kind, and
+/// kTrace specs share their loaded trace), and the FSM/simulator
+/// configuration.  Each job is self-contained and explicitly seeded, which
+/// is what makes fan-out results bit-identical at any thread count.
 #pragma once
 
 #include <vector>
@@ -22,20 +23,15 @@ namespace diac {
 struct SimulationJob {
   const IntermittentDesign* design = nullptr;  // non-owning, must outlive run
   ScenarioSpec scenario;
-  /// Optional pre-materialized source (non-owning, must outlive the run).
-  /// HarvestSource is immutable after construction, so jobs that share a
-  /// scenario (the four schemes of one seed) can share one source instead
-  /// of each regenerating the same seeded trace.  When null, the job
-  /// materializes `scenario` locally.
-  const HarvestSource* source = nullptr;
   FsmConfig fsm;
   SimulatorOptions simulator;
 };
 
-/// Truncates the stochastic sources' precomputed-trace horizon to the
-/// simulated window: the generated prefix is bit-identical (the seeded
-/// generation loop just stops earlier) and the simulator never reads past
-/// max_time, so this only removes construction cost.
+/// Truncates the stochastic sources' trace horizon to the simulated
+/// window: the generated prefix is bit-identical (the seeded generator
+/// just stops earlier) and the simulator never reads past max_time, so
+/// this only bounds the work of solar cloud precomputation and of any
+/// random-access materialization of an RFID trace.
 ScenarioSpec clamp_scenario_horizon(ScenarioSpec scenario, double max_time);
 
 /// Replayed measurements end at their last logged sample: a PiecewiseTrace
@@ -48,8 +44,7 @@ ScenarioSpec clamp_scenario_horizon(ScenarioSpec scenario, double max_time);
 SimulatorOptions clamp_to_measurement(SimulatorOptions options,
                                       const ScenarioSpec& scenario);
 
-/// Materializes the job's harvest source (unless one was supplied) and
-/// runs the simulator.
+/// Materializes the job's harvest source and runs the simulator.
 RunStats run_simulation(const SimulationJob& job);
 
 /// Fans the jobs out over the runner; results[i] corresponds to jobs[i].

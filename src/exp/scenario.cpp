@@ -19,6 +19,7 @@ class SharedTraceSource final : public HarvestSource {
   double next_change(double t) const override {
     return trace_->next_change(t);
   }
+  SupplyCursor cursor() const override { return trace_->cursor(); }
 
  private:
   std::shared_ptr<const PiecewiseTrace> trace_;

@@ -1,8 +1,12 @@
 #include "exp/trace_library.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <filesystem>
 #include <stdexcept>
+
+#include "exp/runner.hpp"
+#include "obs/obs.hpp"
 
 namespace diac {
 
@@ -25,9 +29,25 @@ std::vector<std::string> list_trace_files(const std::string& dir) {
 }
 
 TraceLibrary load_trace_library(const std::string& dir) {
+  ExperimentRunner serial(1);
+  return load_trace_library(dir, serial);
+}
+
+TraceLibrary load_trace_library(const std::string& dir,
+                                ExperimentRunner& runner) {
+  DIAC_TRACE_SPAN("trace_library.load", "exp");
+  const std::vector<std::string> files = list_trace_files(dir);
+  if (files.empty()) {
+    throw std::runtime_error("trace library: no .csv traces in " + dir);
+  }
   TraceLibrary library;
-  for (const std::string& path : list_trace_files(dir)) {
-    TraceLibrary::Entry entry;
+  library.entries.resize(files.size());
+  // Each job fills its own slot; errors are kept per file so the one
+  // reported does not depend on which thread failed first.
+  std::vector<std::exception_ptr> errors(files.size());
+  runner.parallel_for(files.size(), [&](std::size_t i) {
+    const std::string& path = files[i];
+    TraceLibrary::Entry& entry = library.entries[i];
     entry.name = fs::path(path).stem().string();
     entry.path = path;
     try {
@@ -35,13 +55,12 @@ TraceLibrary load_trace_library(const std::string& dir) {
     } catch (const std::exception& e) {
       // Name the file; load_trace_csv's open errors already do.
       const std::string msg = e.what();
-      throw std::runtime_error(
-          msg.find(path) == std::string::npos ? path + ": " + msg : msg);
+      errors[i] = std::make_exception_ptr(std::runtime_error(
+          msg.find(path) == std::string::npos ? path + ": " + msg : msg));
     }
-    library.entries.push_back(std::move(entry));
-  }
-  if (library.entries.empty()) {
-    throw std::runtime_error("trace library: no .csv traces in " + dir);
+  });
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
   }
   return library;
 }

@@ -17,6 +17,8 @@
 
 namespace diac {
 
+class ExperimentRunner;
+
 struct TraceLibrary {
   struct Entry {
     std::string name;       // file stem, used as the result label
@@ -34,5 +36,12 @@ std::vector<std::string> list_trace_files(const std::string& dir);
 /// into kTrace scenarios, sorted by path.  Parse errors are rethrown with
 /// the offending file's path prepended; an empty library throws.
 TraceLibrary load_trace_library(const std::string& dir);
+
+/// The same library, with the files parsed in parallel on `runner`.
+/// Entries and errors are those of the serial load at any thread count:
+/// entries stay in sorted-path order, and when several files fail, the
+/// first failing path in that order is the one reported.
+TraceLibrary load_trace_library(const std::string& dir,
+                                ExperimentRunner& runner);
 
 }  // namespace diac

@@ -33,13 +33,12 @@ std::vector<std::size_t> contiguous_runs(std::size_t first, std::size_t count) {
 
 McSweepJobs::McSweepJobs(const Netlist& nl, const CellLibrary& lib,
                          const EvaluationOptions& options, std::size_t first,
-                         std::size_t count, ExperimentRunner& runner)
-    : McSweepJobs(nl, lib, options, contiguous_runs(first, count), runner) {}
+                         std::size_t count, ExperimentRunner&)
+    : McSweepJobs(nl, lib, options, contiguous_runs(first, count)) {}
 
 McSweepJobs::McSweepJobs(const Netlist& nl, const CellLibrary& lib,
                          const EvaluationOptions& options,
-                         const std::vector<std::size_t>& runs,
-                         ExperimentRunner& runner) {
+                         const std::vector<std::size_t>& runs) {
   if (!is_seeded(options.scenario.kind)) {
     // A deterministic trace would yield N identical samples reported as
     // zero-variance statistics.
@@ -53,27 +52,16 @@ McSweepJobs::McSweepJobs(const Netlist& nl, const CellLibrary& lib,
   // harvest seed, so all runs share them.
   designs_ = synthesize_all_schemes(nl, lib, options.synthesis);
 
-  // Materialize one source per seed (in parallel — trace generation is
-  // the dominant cost of short jobs); the four schemes of a seed share
-  // it.  The seed is a function of the global run index, never of the
-  // run window or list.
-  sources_.resize(runs.size());
-  runner.parallel_for(runs.size(), [&](std::size_t k) {
-    sources_[k] = make_source(clamp_scenario_horizon(
-        options.scenario.with_seed(
-            derive_seed(options.scenario.seed, static_cast<int>(runs[k]))),
-        options.simulator.max_time));
-  });
-
-  // One job per (scheme × seed); jobs[k * kSchemeCount + s].
+  // One job per (scheme × seed); jobs[k * kSchemeCount + s].  The seed
+  // is a function of the global run index, never of the run window or
+  // list.
   jobs_.reserve(runs.size() * kSchemeCount);
   for (std::size_t k = 0; k < runs.size(); ++k) {
     const ScenarioSpec scenario = options.scenario.with_seed(
         derive_seed(options.scenario.seed, static_cast<int>(runs[k])));
     for (Scheme s : kAllSchemes) {
       jobs_.push_back({&designs_[static_cast<std::size_t>(s)].design,
-                       scenario, sources_[k].get(), options.fsm,
-                       options.simulator});
+                       scenario, options.fsm, options.simulator});
     }
   }
 }

@@ -5,7 +5,6 @@
 
 #include <array>
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "metrics/pdp.hpp"
@@ -36,18 +35,20 @@ struct MonteCarloResult {
 };
 
 // The (scheme × seed) job set for runs [first, first + count) of a
-// Monte-Carlo sweep: all four schemes synthesized once, one shared
-// harvest source per run, jobs in run-major kAllSchemes order.  Seeds
-// derive from the *global* run index, so any contiguous range builds
-// jobs identical to the same range of the full sweep — this single
-// builder serves evaluate_monte_carlo and the mc shard worker, which
-// makes sharded sweeps bit-identical with the in-process path by
-// construction.  Non-copyable/non-movable: the jobs point into the
-// designs and sources it owns.
+// Monte-Carlo sweep: all four schemes synthesized once, jobs in run-major
+// kAllSchemes order, each materializing its own (O(1), lazily generated)
+// harvest source when it runs.  Seeds derive from the *global* run index,
+// so any contiguous range builds jobs identical to the same range of the
+// full sweep — this single builder serves evaluate_monte_carlo and the mc
+// shard worker, which makes sharded sweeps bit-identical with the
+// in-process path by construction.  Non-copyable/non-movable: the jobs point into the
+// designs it owns.
 class McSweepJobs {
  public:
   // Throws std::invalid_argument on a non-seeded scenario kind (a
-  // deterministic trace would yield `count` identical samples).
+  // deterministic trace would yield `count` identical samples).  The
+  // runner is not used (building a job is O(1)); the parameter keeps
+  // existing callers compiling.
   McSweepJobs(const Netlist& nl, const CellLibrary& lib,
               const EvaluationOptions& options, std::size_t first,
               std::size_t count, ExperimentRunner& runner);
@@ -59,7 +60,7 @@ class McSweepJobs {
   // fully computed one.
   McSweepJobs(const Netlist& nl, const CellLibrary& lib,
               const EvaluationOptions& options,
-              const std::vector<std::size_t>& runs, ExperimentRunner& runner);
+              const std::vector<std::size_t>& runs);
   McSweepJobs(const McSweepJobs&) = delete;
   McSweepJobs& operator=(const McSweepJobs&) = delete;
 
@@ -67,7 +68,6 @@ class McSweepJobs {
 
  private:
   std::array<SynthesisResult, kSchemeCount> designs_;
-  std::vector<std::unique_ptr<HarvestSource>> sources_;
   std::vector<SimulationJob> jobs_;
 };
 

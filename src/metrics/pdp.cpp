@@ -35,16 +35,14 @@ BenchmarkResult evaluate_circuit(const Netlist& nl, const CellLibrary& lib,
   result.gate_count = nl.logic_gate_count();
 
   // Synthesize every scheme up front, then fan the simulations out.  All
-  // four schemes see the same trace, so they share one source.
+  // four schemes see the same seeded trace.
   const std::array<SynthesisResult, kSchemeCount> designs =
       synthesize_all_schemes(nl, lib, options.synthesis);
-  const std::unique_ptr<HarvestSource> source = make_source(
-      clamp_scenario_horizon(options.scenario, options.simulator.max_time));
   std::vector<SimulationJob> jobs;
   jobs.reserve(kSchemeCount);
   for (const SynthesisResult& design : designs) {
-    jobs.push_back({&design.design, options.scenario, source.get(),
-                    options.fsm, options.simulator});
+    jobs.push_back(
+        {&design.design, options.scenario, options.fsm, options.simulator});
   }
   const std::vector<RunStats> stats = run_simulations(runner, jobs);
   for (std::size_t i = 0; i < kSchemeCount; ++i) result.stats[i] = stats[i];

@@ -23,8 +23,7 @@ ReplaySweepJobs::ReplaySweepJobs(const Netlist& nl, const CellLibrary& lib,
     for (Scheme s : kAllSchemes) {
       // run_simulation clamps each replay to its trace's last sample.
       jobs_.push_back({&designs_[static_cast<std::size_t>(s)].design,
-                       scenario, scenario.trace.get(), options.fsm,
-                       options.simulator});
+                       scenario, options.fsm, options.simulator});
     }
   }
 }

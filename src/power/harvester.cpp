@@ -39,6 +39,32 @@ double HarvestSource::next_power_crossing(double, double, double) const {
   return kInf;  // pwc sources only move at next_change breakpoints
 }
 
+SupplyCursor HarvestSource::cursor() const { return SupplyCursor(*this); }
+
+SupplyCursor::SupplyCursor(const HarvestSource& source) : source_(&source) {}
+
+SupplyCursor::SupplyCursor(const PiecewiseTrace& trace)
+    : segment_(trace.segments().data()),
+      end_(trace.segments().data() + trace.segments().size()) {
+  pull();
+}
+
+SupplyCursor::SupplyCursor(RfidBurstSource::Generator generator)
+    : generator_(std::move(generator)) {
+  pull();
+}
+
+void SupplyCursor::generate() {
+  PiecewiseTrace::Segment s;
+  if (generator_->next(s)) {
+    next_ = s.start;
+    pending_power_ = s.power;
+    ++generated_;
+  } else {
+    next_ = kInf;
+  }
+}
+
 ConstantSource::ConstantSource(double watts) : watts_(watts) {
   if (watts < 0) throw std::invalid_argument("ConstantSource: negative power");
 }
@@ -98,40 +124,64 @@ double PiecewiseTrace::next_change(double t) const {
   return it == segments_.end() ? kInf : it->start;
 }
 
+SupplyCursor PiecewiseTrace::cursor() const { return SupplyCursor(*this); }
+
 RfidBurstSource::RfidBurstSource(std::uint64_t seed)
     : RfidBurstSource(seed, Options{}) {}
 
-RfidBurstSource::RfidBurstSource(std::uint64_t seed, Options options) {
+RfidBurstSource::Generator::Generator(std::uint64_t seed,
+                                      const Options& options)
+    : rng_(seed), options_(options), on_(rng_.chance(0.5)) {}
+
+bool RfidBurstSource::Generator::next(PiecewiseTrace::Segment& out) {
+  if (done_) return false;
+  if (!(t_ < options_.horizon)) {
+    out = {options_.horizon, 0.0};
+    done_ = true;
+    return true;
+  }
+  const double mean = on_ ? options_.mean_on : options_.mean_off;
+  // Exponential duration via inverse transform, clamped for sanity.
+  const double u = std::max(1e-9, rng_.uniform());
+  double dur = std::clamp(-mean * std::log(u), 0.05 * mean, 8.0 * mean);
+  // Occasional droughts: a reader moving out of range for much longer
+  // than a burst gap.  These are what exercise backups, rollbacks, deep
+  // outages and the safe zone.
+  if (!on_ && rng_.chance(0.12)) dur *= 5.0;
+  const double p =
+      on_ ? rng_.uniform(options_.min_power, options_.max_power) : 0.0;
+  out = {t_, p};
+  t_ += dur;
+  on_ = !on_;
+  return true;
+}
+
+RfidBurstSource::RfidBurstSource(std::uint64_t seed, Options options)
+    : seed_(seed), options_(options) {
   if (options.mean_on <= 0 || options.mean_off <= 0 || options.horizon <= 0 ||
       options.min_power < 0 || options.max_power < options.min_power) {
     throw std::invalid_argument("RfidBurstSource: invalid options");
   }
-  SplitMix64 rng(seed);
-  std::vector<PiecewiseTrace::Segment> segs;
-  double t = 0;
-  bool on = rng.chance(0.5);
-  while (t < options.horizon) {
-    const double mean = on ? options.mean_on : options.mean_off;
-    // Exponential duration via inverse transform, clamped for sanity.
-    const double u = std::max(1e-9, rng.uniform());
-    double dur = std::clamp(-mean * std::log(u), 0.05 * mean, 8.0 * mean);
-    // Occasional droughts: a reader moving out of range for much longer
-    // than a burst gap.  These are what exercise backups, rollbacks, deep
-    // outages and the safe zone.
-    if (!on && rng.chance(0.12)) dur *= 5.0;
-    const double p =
-        on ? rng.uniform(options.min_power, options.max_power) : 0.0;
-    segs.push_back({t, p});
-    t += dur;
-    on = !on;
-  }
-  segs.push_back({options.horizon, 0.0});
-  trace_ = std::make_unique<PiecewiseTrace>(std::move(segs));
 }
 
-double RfidBurstSource::power_at(double t) const { return trace_->power_at(t); }
+const PiecewiseTrace& RfidBurstSource::trace() const {
+  std::call_once(materialized_, [this] {
+    Generator generator(seed_, options_);
+    std::vector<PiecewiseTrace::Segment> segs;
+    PiecewiseTrace::Segment s;
+    while (generator.next(s)) segs.push_back(s);
+    trace_ = std::make_unique<const PiecewiseTrace>(std::move(segs));
+  });
+  return *trace_;
+}
+
+double RfidBurstSource::power_at(double t) const { return trace().power_at(t); }
 double RfidBurstSource::next_change(double t) const {
-  return trace_->next_change(t);
+  return trace().next_change(t);
+}
+
+SupplyCursor RfidBurstSource::cursor() const {
+  return SupplyCursor(Generator(seed_, options_));
 }
 
 SolarSource::SolarSource(std::uint64_t seed)

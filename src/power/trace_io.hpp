@@ -7,6 +7,7 @@
 // or solar traces.
 #pragma once
 
+#include <iosfwd>
 #include <string>
 
 #include "power/harvester.hpp"
@@ -14,11 +15,19 @@
 namespace diac {
 
 // Loads a two-column CSV (time, power) into a step-function trace.
-// Accepts exactly one optional header row, '#' comment lines, and blank
-// lines.  Times must be non-decreasing; a sample repeating the previous
-// timestamp replaces it (last sample wins — loggers often emit a final
-// reading twice on shutdown).  Any other malformed line throws
-// std::runtime_error with its line number.
+// Grammar, per line (LF or CRLF):
+//   - everything from a '#' on is a comment; blank lines are skipped;
+//   - a sample row is exactly two comma-separated fields, each a decimal
+//     or scientific number with optional surrounding blanks (space, tab)
+//     and an optional leading '+';
+//   - exactly one header row is tolerated, before the first sample: a
+//     row with a field that does not start with a number.
+// Samples must be finite, powers non-negative, and times non-decreasing;
+// a sample repeating the previous timestamp replaces it (last sample
+// wins — loggers often emit a final reading twice on shutdown).  Any
+// other line — trailing characters after a number (`1.5abc`), `nan` or
+// `inf`, a missing or third column — throws std::runtime_error naming
+// its line ("trace csv line N: ...").
 PiecewiseTrace load_trace_csv(const std::string& path);
 PiecewiseTrace parse_trace_csv(std::istream& in);
 

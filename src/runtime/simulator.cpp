@@ -122,6 +122,9 @@ RunStats SystemSimulator::run() {
   const double leak = options_.storage_leakage;
   double energy = options_.initial_energy_fraction * e_cap;
   const bool pwc = source_->piecewise_constant();
+  // The harvest power and its next breakpoint at t: the event loop's t
+  // only moves forward, so one cursor reads the whole run.
+  SupplyCursor supply = source_->cursor();
   double next_trace = 0;
   double t = 0;
   // Crossing-bisection iterations this run; exported to the obs metrics
@@ -238,7 +241,8 @@ RunStats SystemSimulator::run() {
     }
     // --- zero-time work due at t ---------------------------------------
     if (options_.record_trace && t >= next_trace - kTimeEps) {
-      trace_.push_back({t, energy, source_->power_at(t), m.state()});
+      supply.seek(t);
+      trace_.push_back({t, energy, supply.power(), m.state()});
       next_trace += options_.trace_interval;
       continue;
     }
@@ -249,11 +253,12 @@ RunStats SystemSimulator::run() {
     if (m.resolve(t, energy)) continue;
 
     // --- pick the horizon ----------------------------------------------
-    const double ph = source_->power_at(t);
+    supply.seek(t);
+    const double ph = supply.power();
     double te = options_.max_time;
-    // Source breakpoint, bumped past the edge so power_at sees the new
-    // level.
-    te = std::min(te, source_->next_change(t) + kTimeEps);
+    // Source breakpoint, bumped past the edge so the next seek sees the
+    // new level.
+    te = std::min(te, supply.next_change() + kTimeEps);
     if (options_.record_trace) te = std::min(te, next_trace);
     if (op.active) te = std::min(te, t + op.time_left);
     if (m.timer_armed()) {
@@ -297,6 +302,7 @@ RunStats SystemSimulator::run() {
       stats.instances_completed >= options_.target_instances;
 #if !defined(DIAC_OBS_DISABLED)
   record_run_metrics(events_, bisections);
+  DIAC_OBS_COUNT("power.source_segments", supply.segments_generated());
 #endif
   return stats;
 }

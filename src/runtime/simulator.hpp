@@ -9,15 +9,16 @@
 //
 // SystemSimulator is the event integrator around the one Algorithm-1
 // machine (runtime/node_machine.hpp).  Between events the net power is
-// piecewise constant (HarvestSource::next_change() exposes the source's
-// own breakpoints), so the stored energy is a closed-form linear ramp: the
-// simulator jumps directly to the earliest of {next source change,
-// threshold crossing, operation completion, sense-timer expiry, trace
-// sample} instead of ticking every dt.  Sources whose power varies
-// continuously (SolarSource) advance by the closed-form sine-envelope
-// solver — exact integrals via energy_between() plus break-even-level
-// crossings via next_power_crossing(), with threshold crossings bisected
-// on the exact energy trajectory.  A fixed-dt reference integrator driving
+// piecewise constant (a forward SupplyCursor, owned by run(), reads the
+// source's power and its next breakpoint as t advances), so the stored
+// energy is a closed-form linear ramp: the simulator jumps directly to the
+// earliest of {next source change, threshold crossing, operation
+// completion, sense-timer expiry, trace sample} instead of ticking every
+// dt.  Sources whose power varies continuously (SolarSource) advance by
+// the closed-form sine-envelope solver — exact integrals via
+// energy_between() plus break-even-level crossings via
+// next_power_crossing(), with threshold crossings bisected on the exact
+// energy trajectory.  A fixed-dt reference integrator driving
 // the same machine lives with the tests (tests/oracle/).
 #pragma once
 

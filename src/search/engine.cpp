@@ -145,12 +145,6 @@ SearchResult run_search(const Netlist& nl, const CellLibrary& lib,
     DIAC_OBS_COUNT("search.unique_designs", synthesized.size());
   }
 
-  // --- one materialized source per scenario ----------------------------
-  // Every candidate sees the identical trace; HarvestSource is immutable
-  // after construction, so the pool threads share one instance.
-  const std::unique_ptr<HarvestSource> source = make_source(
-      clamp_scenario_horizon(options.scenario, options.simulator.max_time));
-
   // --- batched fan-out with between-batch pruning ----------------------
   ParetoFront front(options.objectives.size());
   std::size_t next = 0;
@@ -166,9 +160,9 @@ SearchResult run_search(const Netlist& nl, const CellLibrary& lib,
         ++next;
         continue;
       }
+      // Every candidate sees the identical seeded trace.
       jobs.push_back({&synthesized[design_of[next]].design, options.scenario,
-                      source.get(), c.point.fsm_config(options.fsm),
-                      options.simulator});
+                      c.point.fsm_config(options.fsm), options.simulator});
       who.push_back(next);
       ++next;
     }

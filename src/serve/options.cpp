@@ -10,6 +10,7 @@
 #include "netlist/suite.hpp"
 #include "netlist/transforms.hpp"
 #include "netlist/verilog_format.hpp"
+#include "obs/obs.hpp"
 
 namespace diac::serve {
 
@@ -24,6 +25,7 @@ std::string option_or(const OptionMap& options, const std::string& key,
 }
 
 Netlist load_target(const std::string& target) {
+  DIAC_TRACE_SPAN("netlist.load", "netlist");
   if (target.size() > 6 &&
       target.compare(target.size() - 6, 6, ".bench") == 0) {
     return cleanup(parse_bench_file(target));

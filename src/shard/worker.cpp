@@ -89,7 +89,7 @@ void run_mc_shard(std::ostream& out, const Netlist& nl, const CellLibrary& lib,
     std::vector<std::size_t> miss_runs;
     miss_runs.reserve(misses.size());
     for (std::size_t k : misses) miss_runs.push_back(first + k);
-    const McSweepJobs sweep(nl, lib, options, miss_runs, runner);
+    const McSweepJobs sweep(nl, lib, options, miss_runs);
     const std::vector<RunStats> stats = run_simulations(runner, sweep.jobs());
     for (std::size_t m = 0; m < misses.size(); ++m) {
       rows[misses[m]] = scheme_row_tokens(stats, m);

@@ -9,6 +9,7 @@
 
 #include "exp/experiment.hpp"
 #include "metrics/montecarlo.hpp"
+#include "netlist/suite.hpp"
 
 namespace diac {
 namespace {
@@ -184,6 +185,27 @@ TEST(Experiment, EvaluateCircuitMatchesAcrossRunners) {
   const BenchmarkResult fanned = evaluate_circuit(nl, lib(), opt, parallel);
   for (Scheme s : kAllSchemes) {
     expect_identical(serial.of(s), fanned.of(s));
+  }
+}
+
+TEST(Experiment, McJobsCarryTheirSeedAndBuildTheirOwnSource) {
+  // No source is shared: each job holds the run's seeded scenario, and
+  // running it equals simulating the clamped source built directly.
+  const Netlist nl = build_benchmark("s344");
+  EvaluationOptions opt;
+  opt.simulator.target_instances = 3;
+  opt.simulator.max_time = 6000;
+  ExperimentRunner runner(1);
+  const McSweepJobs sweep(nl, lib(), opt, 5, 3, runner);
+  ASSERT_EQ(sweep.jobs().size(), 3 * kSchemeCount);
+  for (std::size_t j = 0; j < sweep.jobs().size(); ++j) {
+    const SimulationJob& job = sweep.jobs()[j];
+    const int run = 5 + static_cast<int>(j / kSchemeCount);
+    EXPECT_EQ(job.scenario.seed, derive_seed(opt.scenario.seed, run));
+    const auto source = make_source(
+        clamp_scenario_horizon(job.scenario, opt.simulator.max_time));
+    SystemSimulator sim(*job.design, *source, job.fsm, job.simulator);
+    expect_identical(run_simulation(job), sim.run());
   }
 }
 

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "obs/json.hpp"
+#include "power/trace_io.hpp"
 
 #ifndef DIAC_CLI_PATH
 #error "DIAC_CLI_PATH must point at the diac CLI binary"
@@ -216,6 +217,54 @@ TEST(ObsCli, SweepsBuildEachTreeOncePerPolicy) {
   EXPECT_EQ(search_counters->find("synth.tree_builds")->as_u64(), 1u);
   EXPECT_EQ(search_counters->find("synth.policy_trees")->as_u64(), 3u);
   EXPECT_EQ(search_counters->find("synth.runs")->as_u64(), 36u);
+#endif
+}
+
+TEST(ObsCli, SupplyCountersAndLibraryLoadSpan) {
+  // power.trace_rows counts the sample rows replay parsed,
+  // power.source_segments the RFID segments mc's cursors generated, and
+  // the library load is one trace_library.load span.
+  const fs::path dir = fs::path(::testing::TempDir()) / "obscli_supply_lib";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  for (int i = 0; i < 3; ++i) {
+    const ConstantSource source(2e-3 * (i + 1));
+    save_trace_csv((dir / ("t" + std::to_string(i) + ".csv")).string(),
+                   source, 600.0, 2.0);  // 300 rows each
+  }
+  const fs::path replay_metrics = temp_file("obscli_supply_replay.json");
+  const fs::path replay_trace = temp_file("obscli_supply_trace.json");
+  ASSERT_EQ(run_cli("replay s344 --trace " + dir.string() +
+                        " --instances 2 --metrics-out " +
+                        replay_metrics.string() + " --trace-out " +
+                        replay_trace.string(),
+                    "obscli_supply_replay")
+                .exit_code,
+            0);
+  const fs::path mc_metrics = temp_file("obscli_supply_mc.json");
+  ASSERT_EQ(run_cli("mc s344 --runs 4 --instances 3 --metrics-out " +
+                        mc_metrics.string(),
+                    "obscli_supply_mc")
+                .exit_code,
+            0);
+  fs::remove_all(dir);
+#if !defined(DIAC_OBS_DISABLED)
+  const obs::JsonValue r = obs::parse_json(slurp(replay_metrics));
+  EXPECT_EQ(r.find("counters")->find("power.trace_rows")->as_u64(), 900u);
+  std::size_t load_spans = 0;
+  const obs::JsonValue t = obs::parse_json(slurp(replay_trace));
+  for (const obs::JsonValue& ev : t.find("traceEvents")->items) {
+    const obs::JsonValue* name = ev.find("name");
+    if (name != nullptr && name->text == "trace_library.load") ++load_spans;
+  }
+  EXPECT_EQ(load_spans, 1u);
+  // 16 runs each read a short prefix of their 50 000 s supply: far
+  // fewer segments than materializing the sources would build.
+  const obs::JsonValue m = obs::parse_json(slurp(mc_metrics));
+  const std::uint64_t segments =
+      m.find("counters")->find("power.source_segments")->as_u64();
+  EXPECT_GT(segments, 16u);
+  EXPECT_LT(segments, 16u * 1000u);
 #endif
 }
 

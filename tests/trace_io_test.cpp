@@ -3,10 +3,14 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "diac/synthesizer.hpp"
 #include "netlist/suite.hpp"
+#include "oracle/reference_trace_parser.hpp"
 #include "oracle/stepped_integrator.hpp"
 #include "power/trace_io.hpp"
 #include "runtime/simulator.hpp"
@@ -76,6 +80,169 @@ TEST(TraceIo, ToleratesExactlyOneHeaderRow) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
         << e.what();
   }
+}
+
+PiecewiseTrace parse(const std::string& text) {
+  std::istringstream in(text);
+  return parse_trace_csv(in);
+}
+
+// The message parse_trace_csv throws for `text`, or "" when it parses.
+std::string parse_error(const std::string& text) {
+  try {
+    parse(text);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TraceIo, AcceptsEveryDocumentedForm) {
+  // One leading header row, '#' comments (whole-line and trailing),
+  // blank and blank-only lines, CRLF endings, blanks around fields, a
+  // leading '+', scientific notation, and last-wins duplicate timestamps.
+  const PiecewiseTrace trace = parse(
+      "# logged by node 7\r\n"
+      "\r\n"
+      "time_s,power_W\r\n"
+      "  \t \r\n"
+      "0,1e-3\r\n"
+      " 5 ,\t+2.5e-3 \r\n"
+      "+7.5,0.004 # a note\r\n"
+      "7.5,3E-3\n"
+      "10,0");
+  ASSERT_EQ(trace.segments().size(), 4u);
+  EXPECT_EQ(trace.segments()[0].start, 0.0);
+  EXPECT_EQ(trace.segments()[0].power, 1e-3);
+  EXPECT_EQ(trace.segments()[1].start, 5.0);
+  EXPECT_EQ(trace.segments()[1].power, 2.5e-3);
+  EXPECT_EQ(trace.segments()[2].start, 7.5);
+  EXPECT_EQ(trace.segments()[2].power, 3e-3);  // the later duplicate wins
+  EXPECT_EQ(trace.segments()[3].start, 10.0);
+  EXPECT_EQ(trace.segments()[3].power, 0.0);
+}
+
+TEST(TraceIo, RejectsMalformedFieldsWithTheirLine) {
+  // Each case: a bad field on line 3 after a header and one good sample.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"nan,0.001", "non-finite"},
+      {"5,nan", "non-finite"},
+      {"inf,0.001", "non-finite"},
+      {"5,inf", "non-finite"},
+      {"5,-inf", "non-finite"},
+      {"5,1e999", "non-finite"},
+      {"1.5abc,0.001", "trailing characters"},
+      {"5,0.002abc", "trailing characters"},
+      {"5,0.002 7", "trailing characters"},
+      {"5,0.002,9", "two comma-separated columns"},
+      {"5", "two comma-separated columns"},
+      {"5,", "two comma-separated columns"},
+      {"5,+-1", "non-numeric"},
+      {"5,0x10", "trailing characters"},
+      {"x,0.001", "non-numeric"},
+  };
+  for (const auto& [row, what] : cases) {
+    const std::string err = parse_error("time_s,power_W\n0,0.001\n" + row +
+                                        "\n");
+    EXPECT_NE(err.find("trace csv line 3: "), std::string::npos)
+        << row << " -> " << err;
+    EXPECT_NE(err.find(what), std::string::npos) << row << " -> " << err;
+  }
+  // A non-finite or junk-suffixed first row is a bad sample, not a header.
+  EXPECT_NE(parse_error("nan,0.001\n").find("line 1: non-finite"),
+            std::string::npos);
+  EXPECT_NE(parse_error("0,1.5abc\n").find("line 1: trailing"),
+            std::string::npos);
+}
+
+std::string read_text(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+// Applies `edit` to every line of `text` (without its newline) and joins
+// the results with `eol`.
+std::string map_lines(const std::string& text, const std::string& eol,
+                      const std::function<std::string(const std::string&,
+                                                       std::size_t)>& edit) {
+  std::istringstream in(text);
+  std::string out, line;
+  for (std::size_t i = 0; std::getline(in, line); ++i) {
+    out += edit(line, i) + eol;
+  }
+  return out;
+}
+
+void expect_same_segments(const PiecewiseTrace& got,
+                          const PiecewiseTrace& want, const std::string& tag) {
+  ASSERT_EQ(got.segments().size(), want.segments().size()) << tag;
+  for (std::size_t i = 0; i < want.segments().size(); ++i) {
+    // Bitwise: the production parser must round exactly as stod does.
+    ASSERT_EQ(got.segments()[i].start, want.segments()[i].start)
+        << tag << " segment " << i;
+    ASSERT_EQ(got.segments()[i].power, want.segments()[i].power)
+        << tag << " segment " << i;
+  }
+}
+
+TEST(TraceIo, ParserMatchesStodReferenceBitForBit) {
+  const std::string path = ::testing::TempDir() + "diac_trace_diff.csv";
+  const double horizon = 1500.0;
+  RfidBurstSource::Options ro;
+  ro.horizon = horizon;
+  const RfidBurstSource rfid(0xC0FFEE, ro);
+  SolarSource::Options so;
+  so.horizon = horizon;
+  const SolarSource solar(0xC0FFEE, so);
+  const PiecewiseTrace fig4 = fig4_trace();
+  const std::vector<std::pair<const char*, const HarvestSource*>> sources = {
+      {"rfid", &rfid}, {"solar", &solar}, {"fig4", &fig4}};
+  for (const auto& [name, source] : sources) {
+    save_trace_csv(path, *source, horizon, 0.37);
+    const std::string saved = read_text(path);
+    const std::vector<std::pair<std::string, std::string>> variants = {
+        {"saved", saved},
+        {"crlf", map_lines(saved, "\r\n",
+                           [](const std::string& l, std::size_t) { return l; })},
+        {"blanks", map_lines(saved, "\n",
+                             [](const std::string& l, std::size_t) {
+                               const std::size_t c = l.find(',');
+                               return " \t" + l.substr(0, c) + " , " +
+                                      l.substr(c + 1) + "\t ";
+                             })},
+        {"comments", map_lines(saved, "\n",
+                               [](const std::string& l, std::size_t i) {
+                                 return i % 7 == 0 ? "# note\n\n" + l +
+                                                         " # tail"
+                                                   : l;
+                               })},
+        {"plus", map_lines(saved, "\n",
+                           [](const std::string& l, std::size_t i) {
+                             return i % 2 == 1 ? "+" + l : l;
+                           })},
+        {"headerless", saved.substr(saved.find('\n') + 1)},
+        {"duplicates", map_lines(saved, "\n",
+                                 [](const std::string& l, std::size_t i) {
+                                   // Repeat the timestamp with a power
+                                   // the real sample then overwrites.
+                                   if (i % 5 != 3) return l;
+                                   return l.substr(0, l.find(',')) +
+                                          ",0.123\n" + l;
+                                 })},
+    };
+    for (const auto& [variant, text] : variants) {
+      const std::string tag = std::string(name) + "/" + variant;
+      std::istringstream in(text);
+      expect_same_segments(parse(text), reference_parse_trace_csv(in), tag);
+    }
+    std::ifstream file(path);
+    expect_same_segments(load_trace_csv(path),
+                         reference_parse_trace_csv(file),
+                         std::string(name) + "/load");
+  }
+  std::remove(path.c_str());
 }
 
 TEST(TraceIo, SaveUsesIndexBasedSampleGrid) {

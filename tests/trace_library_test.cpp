@@ -8,6 +8,7 @@
 #include <fstream>
 
 #include "exp/experiment.hpp"
+#include "exp/runner.hpp"
 #include "exp/trace_library.hpp"
 #include "metrics/trace_sweep.hpp"
 #include "netlist/suite.hpp"
@@ -96,6 +97,53 @@ TEST(TraceLibrary, LoadsEachTraceOnceAndShares) {
     EXPECT_EQ(copy.trace.get(), entry.scenario.trace.get());
   }
   EXPECT_EQ(library.entries[0].name, "node_00");
+  fs::remove_all(dir);
+}
+
+TEST(TraceLibrary, RunnerLoadEqualsSerialLoad) {
+  const std::string dir = make_library_dir("diac_lib_runner", 9, 400.0);
+  const TraceLibrary serial = load_trace_library(dir);
+  for (const int threads : {1, 4}) {
+    ExperimentRunner runner(threads);
+    const TraceLibrary fanned = load_trace_library(dir, runner);
+    ASSERT_EQ(fanned.entries.size(), serial.entries.size()) << threads;
+    for (std::size_t i = 0; i < serial.entries.size(); ++i) {
+      const TraceLibrary::Entry& a = serial.entries[i];
+      const TraceLibrary::Entry& b = fanned.entries[i];
+      EXPECT_EQ(b.name, a.name);
+      EXPECT_EQ(b.path, a.path);
+      EXPECT_EQ(b.scenario.kind, SourceKind::kTrace);
+      EXPECT_EQ(b.scenario.trace_path, a.scenario.trace_path);
+      const auto& sa = a.scenario.trace->segments();
+      const auto& sb = b.scenario.trace->segments();
+      ASSERT_EQ(sb.size(), sa.size()) << a.name;
+      for (std::size_t k = 0; k < sa.size(); ++k) {
+        ASSERT_EQ(sb[k].start, sa[k].start) << a.name << " " << k;
+        ASSERT_EQ(sb[k].power, sa[k].power) << a.name << " " << k;
+      }
+    }
+  }
+  fs::remove_all(dir);
+}
+
+TEST(TraceLibrary, RunnerLoadReportsTheFirstBadFileInOrder) {
+  // Several broken files: the error names the first in sorted order at
+  // any thread count, as the serial load does.
+  const std::string dir = make_library_dir("diac_lib_runner_bad", 6, 100.0);
+  for (const char* name : {"node_02.csv", "node_04.csv", "node_05.csv"}) {
+    std::ofstream(fs::path(dir) / name) << "0,0.001\n1,nan\n";
+  }
+  for (const int threads : {1, 4}) {
+    ExperimentRunner runner(threads);
+    try {
+      load_trace_library(dir, runner);
+      FAIL() << "expected load failure";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("node_02.csv"), std::string::npos) << what;
+      EXPECT_NE(what.find("line 2: non-finite"), std::string::npos) << what;
+    }
+  }
   fs::remove_all(dir);
 }
 

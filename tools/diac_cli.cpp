@@ -511,7 +511,7 @@ int cmd_replay(const Args& a) {
   ExperimentRunner runner(threads_option(a));
 
   if (std::filesystem::is_directory(trace)) {
-    const TraceLibrary library = load_trace_library(trace);
+    const TraceLibrary library = load_trace_library(trace, runner);
     const std::vector<BenchmarkResult> results =
         evaluate_trace_library(nl, lib, eo, library, runner);
     std::cout << nl.name() << ": " << results.size()

@@ -117,6 +117,14 @@ assert warm > 0 and cold / warm >= 5.0, \
     f"= {cold / warm:.1f}x (< 5x)"
 print(f"BM_CacheWarmSweep: cold {cold:.1f} ms -> warm {warm:.1f} ms "
       f"({cold / warm:.1f}x)")
+# The trace-ingestion gate (power/trace_io): load_trace_csv over the
+# trace_replay library must sustain at least 100 MB/s single-threaded.
+parse = [b for b in doc["benchmarks"] if b["name"] == "BM_TraceParse"]
+assert parse, f"missing BM_TraceParse entry: {kernels}"
+mb_per_s = parse[0]["MB_per_s"]
+assert mb_per_s >= 100.0, \
+    f"trace parsing too slow: {mb_per_s:.1f} MB/s (< 100 MB/s)"
+print(f"BM_TraceParse: {mb_per_s:.1f} MB/s")
 print(f"BENCH_micro.json OK: {len(kernels)} kernels timed")
 EOF
 fi
