@@ -28,12 +28,13 @@ int raw_boundary_signals(const TaskNode& node) {
 }
 
 int IntermittentDesign::boundary_bits(TaskId id) const {
-  const TaskNode& node = tree.node(id);
   if (uses_commit_points(scheme)) {
-    return node.has_nvm ? node.nvm_bits : 0;
+    const NvmAnnotation& a = tree.annotation(id);
+    return a.has_nvm ? a.nvm_bits : 0;
   }
-  const int full = std::min(raw_boundary_signals(node), kBoundaryBitsCap) +
-                   kBoundaryControlBits;
+  const int full =
+      std::min(raw_boundary_signals(tree.node(id)), kBoundaryBitsCap) +
+      kBoundaryControlBits;
   if (scheme != Scheme::kNvClustering) return full;
   // LE-FF clustering covers boundary data *and* control state with fewer
   // logic-embedded elements.
@@ -80,30 +81,27 @@ int nv_based_state_bits(const Netlist& nl) {
 int nv_clustering_state_bits(const Netlist& nl) {
   // One LE-FF per distinct cone feeding state (a DFF D-pin or an output
   // port).  State fed by the same cone shares one element.
-  std::vector<GateId> cone_of(nl.size(), kNullGate);
-  for (const Cone& cone : fanout_free_cones(nl)) {
-    for (GateId g : cone.members) cone_of[g] = cone.root;
-  }
-  std::vector<GateId> clusters;  // deduplicated below via sort+unique
-  auto driver_cluster = [&](GateId state_gate) {
-    const Gate& g = nl.gate(state_gate);
-    if (g.fanin.empty()) return;
-    const GateId d = g.fanin[0];
-    clusters.push_back(cone_of[d] != kNullGate ? cone_of[d] : d);
-  };
-  for (GateId ff : nl.dffs()) driver_cluster(ff);
-  for (GateId out : nl.outputs()) driver_cluster(out);
-  std::sort(clusters.begin(), clusters.end());
-  clusters.erase(std::unique(clusters.begin(), clusters.end()),
-                 clusters.end());
-  return static_cast<int>(clusters.size()) + kControlStateBits;
+  return state_driver_cones(nl, cone_roots(nl, topological_order(nl))) +
+         kControlStateBits;
 }
 
-double le_ff_clustering_ratio(const Netlist& nl) {
+namespace {
+
+double clustering_ratio(const Netlist& nl, int clustered_bits) {
   const double base = nv_based_state_bits(nl);
-  const double clustered = nv_clustering_state_bits(nl);
   if (base <= 0) return 1.0;
-  return std::clamp(clustered / base, 0.35, 0.70);
+  return std::clamp(clustered_bits / base, 0.35, 0.70);
+}
+
+}  // namespace
+
+double le_ff_clustering_ratio(const Netlist& nl) {
+  return clustering_ratio(nl, nv_clustering_state_bits(nl));
+}
+
+double le_ff_clustering_ratio(const TaskTree& tree) {
+  return clustering_ratio(tree.netlist(),
+                          tree.facts().state_clusters + kControlStateBits);
 }
 
 namespace {
@@ -118,13 +116,10 @@ IntermittentDesign make_checkpoint_design(Scheme scheme, TaskTree tree,
   d.scale = scale;
   d.system_factor = system_factor;
   if (scheme == Scheme::kNvClustering) {
-    d.clustering_ratio = le_ff_clustering_ratio(tree.netlist());
+    d.clustering_ratio = le_ff_clustering_ratio(tree);
   }
   // Boundary persistence covers every task; no DIAC commit points.
-  for (std::size_t i = 0; i < tree.size(); ++i) {
-    tree.node(static_cast<TaskId>(i)).has_nvm = false;
-    tree.node(static_cast<TaskId>(i)).nvm_bits = 0;
-  }
+  tree.clear_annotations();
   d.tree = std::move(tree);
   return d;
 }

@@ -19,6 +19,9 @@ int nv_clustering_state_bits(const Netlist& nl);
 // [0.35, 0.70] — the fraction of boundary elements NV-Clustering persists
 // relative to NV-Based.
 double le_ff_clustering_ratio(const Netlist& nl);
+// The same ratio from the cone facts `tree` shares with every tree over
+// its netlist, without recomputing the cones.
+double le_ff_clustering_ratio(const TaskTree& tree);
 
 // Builds the NV-Based / NV-Clustering designs over `tree` (which should be
 // the same policy-transformed tree used for DIAC so that task granularity

@@ -114,11 +114,12 @@ std::string generate_verilog(const IntermittentDesign& design,
   if (options.annotate_tasks) {
     for (TaskId t : design.tree.schedule()) {
       const TaskNode& node = design.tree.node(t);
+      const bool commit = design.tree.annotation(t).has_nvm;
       os << "  // --- task " << node.label << " (level " << node.dict.level
          << ", " << node.gates.size() << " gates"
-         << (node.has_nvm ? ", NVM commit point" : "") << ") ---\n";
+         << (commit ? ", NVM commit point" : "") << ") ---\n";
       for (GateId g : node.gates) emit_gate(g);
-      if (node.has_nvm) {
+      if (commit) {
         // Shadow NVM registers for every boundary signal of the commit.
         int bit = 0;
         for (GateId g : node.gates) {

@@ -73,7 +73,7 @@ struct IntermittentDesign {
   Scheme scheme = Scheme::kDiac;
   NvmTechnology technology = NvmTechnology::kMram;
   NvmParameters nvm;             // characterization of `technology`
-  TaskTree tree;                 // policy-transformed; has_nvm set for DIAC
+  TaskTree tree;                 // policy-transformed; annotated for DIAC
   double scale = 1.0;            // per-evaluation -> instance energy scale
   double system_factor = kDefaultSystemFactor;
   double system_time_factor = kDefaultSystemTimeFactor;

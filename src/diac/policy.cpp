@@ -1,9 +1,11 @@
 #include "diac/policy.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <map>
+#include <cstdint>
+#include <span>
 #include <stdexcept>
+
+#include "tree/energy_model.hpp"
 
 namespace diac {
 
@@ -24,8 +26,8 @@ TaskTree split_large_nodes(const TaskTree& tree, const PolicyLimits& limits) {
     return limits.scaled(node.dict.energy()) > limits.upper &&
            node.gates.size() >= 2;
   };
-  if (std::none_of(tree.nodes().begin(), tree.nodes().end(), splits)) {
-    return tree;  // rebuilding the identical partition would change nothing
+  if (std::ranges::none_of(tree.nodes(), splits)) {
+    return tree;  // a copy shares the structure; a rebuild would match it
   }
   const Netlist& nl = tree.netlist();
   const CellLibrary& lib = tree.library();
@@ -46,7 +48,7 @@ TaskTree split_large_nodes(const TaskTree& tree, const PolicyLimits& limits) {
     // Cut member gates along topological order into chunks whose scaled
     // switching energy stays below chunk_cap.  Chunk edges can only point
     // forward in topological order, so the partition stays acyclic.
-    std::vector<GateId> ordered = node.gates;
+    std::vector<GateId> ordered(node.gates.begin(), node.gates.end());
     std::sort(ordered.begin(), ordered.end(),
               [pos](GateId a, GateId b) { return pos[a] < pos[b]; });
     double acc = 0.0;
@@ -94,19 +96,163 @@ class UnionFind {
   std::vector<TaskId> parent_;
 };
 
+// The merge stage's coarse graph: one entry per group of the input tree's
+// nodes, holding what a packing pass reads (energy, schedule).  Each
+// contraction maps groups onto coarser ones.  A group that absorbed
+// another is recosted with operand_cost over the union of its gates, the
+// same cost a rebuild computes; summing member energies instead could
+// flip a decision near a limit.  Edges come from the input tree's edges
+// through the group map, and the schedule is Kahn's order as
+// TaskTree::build computes it, so every decision equals the one a rebuild
+// per contraction would make.  The fine tree is rebuilt once, from the
+// composed map (partition()).
+class Quotient {
+ public:
+  explicit Quotient(const TaskTree& tree)
+      : tree_(&tree),
+        group_(tree.size()),
+        energy_(tree.size()),
+        arrival_(tree.netlist().size(), -1.0) {
+    for (std::size_t t = 0; t < tree.size(); ++t) {
+      group_[t] = static_cast<int>(t);
+      energy_[t] = tree.nodes()[t].dict.energy();
+    }
+  }
+
+  std::size_t size() const { return groups_; }
+  double energy(TaskId g) const { return energy_[g]; }
+  const std::vector<TaskId>& schedule() const { return schedule_; }
+
+  // Maps group g onto to[g], dense in [0, groups).  `rescan` recosts the
+  // merged groups and reschedules; the last contraction skips both.
+  void contract(const std::vector<int>& to, int groups, bool rescan) {
+    const std::size_t k = static_cast<std::size_t>(groups);
+    std::vector<int> absorbed(k, 0);  // old groups per new group
+    std::vector<double> energy(k);
+    for (std::size_t g = 0; g < to.size(); ++g) {
+      const auto j = static_cast<std::size_t>(to[g]);
+      if (absorbed[j]++ == 0 && rescan) energy[j] = energy_[g];
+    }
+    for (int& g : group_) g = to[static_cast<std::size_t>(g)];
+    groups_ = k;
+    schedule_.clear();
+    if (!rescan) {
+      energy_.clear();
+      return;
+    }
+
+    // Member tasks of each new group, ascending (counting sort).
+    const std::span<const TaskNode> nodes = tree_->nodes();
+    std::vector<std::uint32_t> begin(k + 1, 0);
+    for (int g : group_) ++begin[static_cast<std::size_t>(g) + 1];
+    for (std::size_t j = 0; j < k; ++j) begin[j + 1] += begin[j];
+    std::vector<TaskId> members(group_.size());
+    {
+      std::vector<std::uint32_t> fill(begin.begin(), begin.end() - 1);
+      for (TaskId t = 0; t < group_.size(); ++t) {
+        members[fill[static_cast<std::size_t>(group_[t])]++] = t;
+      }
+    }
+
+    const Netlist& nl = tree_->netlist();
+    std::vector<GateId> gates;
+    for (std::size_t j = 0; j < k; ++j) {
+      if (absorbed[j] < 2) continue;
+      gates.clear();
+      for (std::uint32_t m = begin[j]; m < begin[j + 1]; ++m) {
+        const std::span<const GateId> g = nodes[members[m]].gates;
+        gates.insert(gates.end(), g.begin(), g.end());
+      }
+      energy[j] = operand_cost(nl, gates, tree_->library(),
+                               tree_->topo_positions(), arrival_, ordered_)
+                      .energy();
+    }
+    energy_ = std::move(energy);
+
+    // Sorted-unique preds per group; succs are their inverse, pushed in
+    // ascending group order so each list comes out sorted.
+    std::vector<std::uint32_t> pred_begin(k + 1, 0);
+    std::vector<TaskId> preds;
+    std::vector<std::uint32_t> succ_begin(k + 1, 0);
+    std::vector<int> seen(k, -1);
+    for (std::size_t j = 0; j < k; ++j) {
+      const auto row = preds.size();
+      for (std::uint32_t m = begin[j]; m < begin[j + 1]; ++m) {
+        for (TaskId p : nodes[members[m]].preds) {
+          const int q = group_[p];
+          if (q == static_cast<int>(j) || seen[q] == static_cast<int>(j)) {
+            continue;
+          }
+          seen[q] = static_cast<int>(j);
+          preds.push_back(static_cast<TaskId>(q));
+          ++succ_begin[static_cast<std::size_t>(q) + 1];
+        }
+      }
+      std::sort(preds.begin() + static_cast<std::ptrdiff_t>(row), preds.end());
+      pred_begin[j + 1] = static_cast<std::uint32_t>(preds.size());
+    }
+    for (std::size_t j = 0; j < k; ++j) succ_begin[j + 1] += succ_begin[j];
+    std::vector<TaskId> succs(preds.size());
+    {
+      std::vector<std::uint32_t> fill(succ_begin.begin(), succ_begin.end() - 1);
+      for (std::size_t j = 0; j < k; ++j) {
+        for (std::uint32_t e = pred_begin[j]; e < pred_begin[j + 1]; ++e) {
+          succs[fill[preds[e]]++] = static_cast<TaskId>(j);
+        }
+      }
+    }
+
+    // Kahn's order: ready groups seeded in index order, FIFO.
+    std::vector<std::uint32_t> pending(k);
+    schedule_.reserve(k);
+    for (std::size_t j = 0; j < k; ++j) {
+      pending[j] = pred_begin[j + 1] - pred_begin[j];
+      if (pending[j] == 0) schedule_.push_back(static_cast<TaskId>(j));
+    }
+    for (std::size_t head = 0; head < schedule_.size(); ++head) {
+      const TaskId j = schedule_[head];
+      for (std::uint32_t e = succ_begin[j]; e < succ_begin[j + 1]; ++e) {
+        if (--pending[succs[e]] == 0) schedule_.push_back(succs[e]);
+      }
+    }
+    if (schedule_.size() != k) {
+      throw std::invalid_argument(
+          "TaskTree: partition induces a cyclic node graph");
+    }
+  }
+
+  // The composed gate->group map.
+  std::vector<int> partition() const {
+    std::vector<int> part = tree_->partition();
+    for (int& p : part) {
+      if (p != kNoNode) p = group_[static_cast<std::size_t>(p)];
+    }
+    return part;
+  }
+
+ private:
+  const TaskTree* tree_;
+  std::vector<int> group_;  // input task -> current group
+  std::size_t groups_ = 0;
+  std::vector<double> energy_;  // unscaled dict.energy() per group
+  std::vector<TaskId> schedule_;
+  std::vector<double> arrival_;  // operand_cost scratch, all -1.0
+  std::vector<GateId> ordered_;  // operand_cost scratch
+};
+
 }  // namespace
 
 TaskTree merge_small_nodes(const TaskTree& tree, const PolicyLimits& limits) {
   if (limits.lower <= 0 || limits.upper < limits.lower) {
     throw std::invalid_argument("merge_small_nodes: need 0 < lower <= upper");
   }
-  const Netlist& nl = tree.netlist();
-  const std::size_t n = tree.size();
+  const std::span<const TaskNode> nodes = tree.nodes();
+  const std::size_t n = nodes.size();
 
   UnionFind uf(n);
   std::vector<double> group_energy(n);
   for (std::size_t i = 0; i < n; ++i) {
-    group_energy[i] = limits.scaled(tree.node(static_cast<TaskId>(i)).dict.energy());
+    group_energy[i] = limits.scaled(nodes[i].dict.energy());
   }
   auto energy_of = [&](TaskId id) { return group_energy[uf.find(id)]; };
   auto merge_groups = [&](TaskId a, TaskId b) {
@@ -122,30 +268,66 @@ TaskTree merge_small_nodes(const TaskTree& tree, const PolicyLimits& limits) {
   // edges), so any same-level grouping is acyclic; identical-successor
   // grouping additionally preserves the communication structure — this is
   // the rule that merges F5..F8 (all feeding the output node) into F13.
-  std::map<std::pair<int, std::vector<TaskId>>, std::vector<TaskId>> buckets;
-  for (std::size_t i = 0; i < n; ++i) {
-    const TaskNode& node = tree.node(static_cast<TaskId>(i));
-    if (limits.scaled(node.dict.energy()) >= limits.lower) continue;
-    buckets[{node.dict.level, node.succs}].push_back(static_cast<TaskId>(i));
+  // Buckets are runs of the small nodes sorted on (level, succs, id).
+  // Equal successor sets share their first successor, so a counting sort
+  // on it (sinks last) leaves small classes to sort.  Buckets are
+  // disjoint, so their order does not change the result.
+  std::vector<std::uint32_t> class_begin(n + 2, 0);
+  std::vector<std::uint32_t> class_of(n);
+  std::size_t small_count = 0;
+  for (TaskId i = 0; i < n; ++i) {
+    if (group_energy[i] >= limits.lower) continue;
+    const std::span<const TaskId> succs = nodes[i].succs;
+    class_of[i] = succs.empty() ? static_cast<std::uint32_t>(n) : succs[0];
+    ++class_begin[class_of[i] + 1];
+    ++small_count;
   }
-  for (auto& [key, ids] : buckets) {
-    if (ids.size() < 2) continue;
+  for (std::size_t c = 0; c <= n; ++c) class_begin[c + 1] += class_begin[c];
+  std::vector<TaskId> small(small_count);
+  {
+    std::vector<std::uint32_t> fill(class_begin.begin(), class_begin.end() - 1);
+    for (TaskId i = 0; i < n; ++i) {
+      if (group_energy[i] < limits.lower) small[fill[class_of[i]]++] = i;
+    }
+  }
+  auto same_bucket = [&nodes](TaskId a, TaskId b) {
+    return nodes[a].dict.level == nodes[b].dict.level &&
+           std::ranges::equal(nodes[a].succs, nodes[b].succs);
+  };
+  for (std::size_t c = 0; c <= n; ++c) {
+    const auto first = small.begin() + class_begin[c];
+    const auto last = small.begin() + class_begin[c + 1];
+    if (last - first < 2) continue;
+    std::sort(first, last, [&nodes](TaskId a, TaskId b) {
+      const TaskNode& x = nodes[a];
+      const TaskNode& y = nodes[b];
+      if (x.dict.level != y.dict.level) return x.dict.level < y.dict.level;
+      if (!std::ranges::equal(x.succs, y.succs)) {
+        return std::ranges::lexicographical_compare(x.succs, y.succs);
+      }
+      return a < b;
+    });
+  }
+  for (std::size_t b = 0; b < small.size();) {
+    std::size_t e = b + 1;
+    while (e < small.size() && same_bucket(small[b], small[e])) ++e;
     // Greedy packing: add members while the group stays within upper.
-    TaskId head = ids[0];
-    for (std::size_t k = 1; k < ids.size(); ++k) {
-      if (energy_of(head) + energy_of(ids[k]) <= limits.upper) {
-        merge_groups(head, ids[k]);
+    TaskId head = small[b];
+    for (std::size_t k = b + 1; k < e; ++k) {
+      if (energy_of(head) + energy_of(small[k]) <= limits.upper) {
+        merge_groups(head, small[k]);
       } else {
-        head = ids[k];
+        head = small[k];
       }
     }
+    b = e;
   }
 
   // Rule (b): absorb single-pred chains.  If v's only predecessor is u (or
   // u's only successor is v), every path into v passes through u, so the
   // merge cannot create a cycle.  Applied only while both sides are small.
   for (TaskId v = 0; v < n; ++v) {
-    const TaskNode& node = tree.node(v);
+    const TaskNode& node = nodes[v];
     if (node.preds.size() != 1) continue;
     const TaskId u = node.preds[0];
     if (uf.find(u) == uf.find(v)) continue;
@@ -157,41 +339,26 @@ TaskTree merge_small_nodes(const TaskTree& tree, const PolicyLimits& limits) {
     merge_groups(u, v);
   }
 
-  // Rebuild the partition from the union-find groups.  Merged groups keep
-  // a joined label (capped at three member names, the paper's F13 style).
+  // Number the union-find groups by first appearance.
   std::vector<int> group_index(n, -1);
   int next = 0;
-  std::vector<int> part(nl.size(), kNoNode);
-  std::vector<std::string> labels;
-  auto append_label = [&labels](int group, const std::string& member) {
-    std::string& l = labels[static_cast<std::size_t>(group)];
-    if (l.empty()) {
-      l = member;
-    } else if (l.size() >= 3 && l.compare(l.size() - 3, 3, "+..") == 0) {
-      // already elided
-    } else if (std::count(l.begin(), l.end(), '+') < 3) {
-      l += "+" + member;
-    } else {
-      l += "+..";
-    }
-  };
+  std::vector<int> to(n);
   for (TaskId id = 0; id < n; ++id) {
     const TaskId root = uf.find(id);
-    if (group_index[root] < 0) {
-      group_index[root] = next++;
-      labels.emplace_back();
-    }
-    append_label(group_index[root], tree.node(id).label);
-    for (GateId g : tree.node(id).gates) part[g] = group_index[root];
+    if (group_index[root] < 0) group_index[root] = next++;
+    to[id] = group_index[root];
   }
-  TaskTree merged = tree.repartition(part, next, labels);
-  if (limits.structural_only) return merged;
+  Quotient merged(tree);
+  merged.contract(to, next, !limits.structural_only);
 
   // Stage (c): pack topologically-contiguous runs of small nodes.  A
   // contiguous segment of a topological order only has forward edges to
   // later segments, so any such packing is acyclic.  This coarsens the
   // many tiny cones of large netlists into operand-sized tasks.
-  for (int pass = 0; pass < 4; ++pass) {
+  constexpr int kPackingPasses = 4;
+  bool packed = false;
+  for (int pass = 0; pass < kPackingPasses && !limits.structural_only;
+       ++pass) {
     bool changed = false;
     const std::size_t m = merged.size();
     std::vector<int> seg_of(m, -1);
@@ -199,9 +366,8 @@ TaskTree merge_small_nodes(const TaskTree& tree, const PolicyLimits& limits) {
     double acc = 0;
     bool open = false;
     for (TaskId id : merged.schedule()) {
-      const double e = limits.scaled(merged.node(id).dict.energy());
-      const bool small = e < limits.lower;
-      if (!small) {
+      const double e = limits.scaled(merged.energy(id));
+      if (e >= limits.lower) {
         // Large nodes stand alone; close any open run first.
         if (open) {
           ++seg;
@@ -222,17 +388,39 @@ TaskTree merge_small_nodes(const TaskTree& tree, const PolicyLimits& limits) {
       acc += e;
     }
     if (!changed) break;
-    std::vector<int> part2(nl.size(), kNoNode);
-    std::vector<int> dense(seg + 1, -1);
-    int next2 = 0;
-    for (TaskId id = 0; id < m; ++id) {
-      const int s = seg_of[id];
-      if (dense[s] < 0) dense[s] = next2++;
-      for (GateId g : merged.node(id).gates) part2[g] = dense[s];
+    // Number the segments by first appearance in group order.
+    std::vector<int> dense(static_cast<std::size_t>(seg) + 1, -1);
+    std::vector<int> to_seg(m);
+    int next_seg = 0;
+    for (std::size_t id = 0; id < m; ++id) {
+      const auto s = static_cast<std::size_t>(seg_of[id]);
+      if (dense[s] < 0) dense[s] = next_seg++;
+      to_seg[id] = dense[s];
     }
-    merged = merged.repartition(part2, next2);
+    merged.contract(to_seg, next_seg, pass + 1 < kPackingPasses);
+    packed = true;
   }
-  return merged;
+  if (packed) {  // packed nodes fall back to "F<i+1>" labels
+    return tree.repartition(merged.partition(),
+                            static_cast<int>(merged.size()));
+  }
+  // Merged groups keep a joined label (capped at three member names, the
+  // paper's F13 style).
+  std::vector<std::string> labels(static_cast<std::size_t>(next));
+  for (TaskId id = 0; id < n; ++id) {
+    std::string& l = labels[static_cast<std::size_t>(to[id])];
+    const std::string& member = nodes[id].label;
+    if (l.empty()) {
+      l = member;
+    } else if (l.size() >= 3 && l.compare(l.size() - 3, 3, "+..") == 0) {
+      // already elided
+    } else if (std::count(l.begin(), l.end(), '+') < 3) {
+      l += "+" + member;
+    } else {
+      l += "+..";
+    }
+  }
+  return tree.repartition(merged.partition(), next, labels);
 }
 
 TaskTree apply_policy(const TaskTree& tree, PolicyKind kind,
@@ -242,10 +430,8 @@ TaskTree apply_policy(const TaskTree& tree, PolicyKind kind,
       return split_large_nodes(tree, limits);
     case PolicyKind::kPolicy2:
       return merge_small_nodes(tree, limits);
-    case PolicyKind::kPolicy3: {
-      const TaskTree split = split_large_nodes(tree, limits);
-      return merge_small_nodes(split, limits);
-    }
+    case PolicyKind::kPolicy3:
+      return merge_small_nodes(split_large_nodes(tree, limits), limits);
   }
   throw std::logic_error("apply_policy: unknown policy");
 }

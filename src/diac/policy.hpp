@@ -19,6 +19,11 @@
 //  - merging combines (a) same-level nodes with identical successor sets
 //    (this is what turns F5..F8 into F13) and (b) single-pred/single-succ
 //    chains; both rules provably preserve acyclicity.
+//
+// Merging contracts a quotient graph of the input's nodes (multilevel
+// coarsening): rules (a)+(b) and every packing pass act on the groups,
+// merged groups are recosted over the union of their gates, and the tree
+// is rebuilt once from the composed gate->group map.
 #pragma once
 
 #include "tree/task_tree.hpp"

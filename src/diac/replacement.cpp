@@ -13,24 +13,21 @@ ReplacementResult insert_nvm(TaskTree& tree, const ReplacementOptions& options) 
   }
 
   // Reset any previous plan.
-  for (std::size_t i = 0; i < tree.size(); ++i) {
-    TaskNode& n = tree.node(static_cast<TaskId>(i));
-    n.has_nvm = false;
-    n.nvm_bits = 0;
-    n.accumulated_energy = 0;
-  }
+  tree.clear_annotations();
 
   ReplacementResult result;
-  auto commit = [&](TaskNode& n, TaskId id) {
-    if (n.has_nvm) return;
-    n.has_nvm = true;
+  auto commit = [&](TaskId id) {
+    NvmAnnotation& a = tree.annotation(id);
+    if (a.has_nvm) return;
+    a.has_nvm = true;
     // One write event persists the node's boundary signals (capped at the
     // register-file width) plus control state (criterion III: all fanout
     // signals consolidate into this one commit).
-    n.nvm_bits = std::min(std::max(1, n.dict.fanout), options.bits_cap) +
-                 options.control_bits;
+    a.nvm_bits =
+        std::min(std::max(1, tree.node(id).dict.fanout), options.bits_cap) +
+        options.control_bits;
     result.points.push_back(id);
-    result.total_bits += n.nvm_bits;
+    result.total_bits += a.nvm_bits;
   };
 
   // Leaves -> roots traversal along the topological schedule.  P_total
@@ -54,11 +51,12 @@ ReplacementResult insert_nvm(TaskTree& tree, const ReplacementOptions& options) 
     std::size_t best_pos = crossing;
     for (std::size_t j = lo; j <= crossing; ++j) {
       const TaskNode& cand = tree.node(schedule[j]);
-      if (cand.has_nvm) continue;  // already a commit point
+      const NvmAnnotation& mark = tree.annotation(schedule[j]);
+      if (mark.has_nvm) continue;  // already a commit point
       const double fan = cand.dict.fanin + cand.dict.fanout;
       const double score =
           options.w_level * (static_cast<double>(cand.dict.level) / max_level) +
-          options.w_power * (cand.accumulated_energy / options.budget) +
+          options.w_power * (mark.accumulated_energy / options.budget) +
           options.w_fan * std::min(1.0, fan / options.bits_cap);
       if (score > best) {
         best = score;
@@ -109,15 +107,16 @@ ReplacementResult insert_nvm(TaskTree& tree, const ReplacementOptions& options) 
     std::vector<std::size_t> cuts;
     for (std::size_t j = n; j > 0; j = prev[j]) cuts.push_back(j - 1);
     for (auto it = cuts.rbegin(); it != cuts.rend(); ++it) {
-      commit(tree.node(schedule[*it]), schedule[*it]);
+      commit(schedule[*it]);
     }
     // Exposure bookkeeping: accumulated energy resets at each commit.
     double acc_dp = 0;
     for (std::size_t i = 0; i < n; ++i) {
       acc_dp += options.scale * tree.node(schedule[i]).dict.energy();
-      tree.node(schedule[i]).accumulated_energy = acc_dp;
+      NvmAnnotation& a = tree.annotation(schedule[i]);
+      a.accumulated_energy = acc_dp;
       result.max_exposed_energy = std::max(result.max_exposed_energy, acc_dp);
-      if (tree.node(schedule[i]).has_nvm) acc_dp = 0;
+      if (a.has_nvm) acc_dp = 0;
     }
     return result;
   }
@@ -125,9 +124,8 @@ ReplacementResult insert_nvm(TaskTree& tree, const ReplacementOptions& options) 
   double acc = 0;
   for (std::size_t i = 0; i < schedule.size(); ++i) {
     const TaskId id = schedule[i];
-    TaskNode& n = tree.node(id);
-    acc += options.scale * n.dict.energy();
-    n.accumulated_energy = acc;
+    acc += options.scale * tree.node(id).dict.energy();
+    tree.annotation(id).accumulated_energy = acc;
     result.max_exposed_energy = std::max(result.max_exposed_energy, acc);
 
     // The final task always commits when commit_roots is set: the commit
@@ -140,7 +138,7 @@ ReplacementResult insert_nvm(TaskTree& tree, const ReplacementOptions& options) 
       if (options.strategy == InsertionStrategy::kScored && !is_last) {
         pos = scored_commit(i);
       }
-      commit(tree.node(schedule[pos]), schedule[pos]);
+      commit(schedule[pos]);
       // Tasks after the chosen position start the next period.
       acc = 0;
       for (std::size_t j = pos + 1; j <= i; ++j) {
@@ -157,12 +155,13 @@ CommitCost per_pass_commit_cost(const TaskTree& tree, const NvmParameters& nvm,
                                 double controller_event_energy,
                                 double system_time_factor) {
   CommitCost cost;
-  for (const TaskNode& n : tree.nodes()) {
-    if (!n.has_nvm) continue;
+  for (TaskId id = 0; id < tree.size(); ++id) {
+    const NvmAnnotation& a = tree.annotation(id);
+    if (!a.has_nvm) continue;
     ++cost.writes;
     cost.energy +=
-        controller_event_energy + system_factor * nvm.write_energy(n.nvm_bits);
-    cost.time += system_time_factor * nvm.write_time(n.nvm_bits);
+        controller_event_energy + system_factor * nvm.write_energy(a.nvm_bits);
+    cost.time += system_time_factor * nvm.write_time(a.nvm_bits);
   }
   return cost;
 }

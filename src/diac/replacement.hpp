@@ -97,7 +97,8 @@ struct ReplacementResult {
 };
 
 // Inserts NVM commit points into `tree` (sets has_nvm / nvm_bits /
-// accumulated_energy on its nodes) and returns the plan summary.
+// accumulated_energy in its NvmAnnotations; other copies of the tree keep
+// their own) and returns the plan summary.
 // Throws std::invalid_argument on non-positive budget/scale.
 ReplacementResult insert_nvm(TaskTree& tree, const ReplacementOptions& options);
 

@@ -50,11 +50,12 @@ SynthesisResult DiacSynthesizer::synthesize_scheme(Scheme scheme) const {
   return synthesize_scheme(scheme, transformed_tree());
 }
 
-SynthesisResult DiacSynthesizer::synthesize_scheme(Scheme scheme,
-                                                   TaskTree tree) const {
+SynthesisResult DiacSynthesizer::synthesize_scheme(
+    Scheme scheme, const TaskTree& policy_tree) const {
   DIAC_TRACE_SPAN("synthesize", "synth");
   DIAC_OBS_COUNT("synth.runs", 1);
   SynthesisResult result;
+  TaskTree tree = policy_tree;
 
   const double total = tree.total_energy();
   const double scale = options_.instance_rho * options_.e_max / total;

@@ -76,8 +76,11 @@ class DiacSynthesizer {
   TaskTree policy_tree(const TaskTree& initial) const;
   // Steps 5-6 (replacement): the `scheme` design over `policy_tree`, which
   // must come from policy_tree() of a synthesizer that agrees with this one
-  // on the policy-tree fields above.
-  SynthesisResult synthesize_scheme(Scheme scheme, TaskTree policy_tree) const;
+  // on the policy-tree fields above.  The design holds its own copy of the
+  // tree, which shares the tree's structure and copies only its NVM
+  // annotations.
+  SynthesisResult synthesize_scheme(Scheme scheme,
+                                    const TaskTree& policy_tree) const;
 
   // The policy-transformed tree (before NVM insertion), for inspection:
   // policy_tree(initial_tree()).

@@ -97,13 +97,12 @@ double critical_path_delay(const Netlist& nl, const CellLibrary& lib) {
   return cpd;
 }
 
-std::vector<Cone> fanout_free_cones(const Netlist& nl) {
+std::vector<GateId> cone_roots(const Netlist& nl,
+                               std::span<const GateId> order) {
   // A combinational gate merges into its consumer's cone iff it has exactly
   // one fanout and that fanout is a combinational gate.  Otherwise it is a
   // cone root.  Union-find towards the root.
-  const std::size_t n = nl.size();
-  std::vector<GateId> root(n, kNullGate);
-  const auto order = topological_order(nl);
+  std::vector<GateId> root(nl.size(), kNullGate);
   // Process in reverse topological order so consumers resolve first.
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const GateId id = *it;
@@ -116,12 +115,17 @@ std::vector<Cone> fanout_free_cones(const Netlist& nl) {
       root[id] = id;
     }
   }
-  std::vector<std::vector<GateId>> members(n);
-  for (GateId id = 0; id < n; ++id) {
+  return root;
+}
+
+std::vector<Cone> fanout_free_cones(const Netlist& nl) {
+  const std::vector<GateId> root = cone_roots(nl, topological_order(nl));
+  std::vector<std::vector<GateId>> members(nl.size());
+  for (GateId id = 0; id < nl.size(); ++id) {
     if (root[id] != kNullGate) members[root[id]].push_back(id);
   }
   std::vector<Cone> cones;
-  for (GateId id = 0; id < n; ++id) {
+  for (GateId id = 0; id < nl.size(); ++id) {
     if (!members[id].empty()) {
       Cone c;
       c.root = id;
@@ -130,6 +134,22 @@ std::vector<Cone> fanout_free_cones(const Netlist& nl) {
     }
   }
   return cones;
+}
+
+int state_driver_cones(const Netlist& nl, std::span<const GateId> cone_root) {
+  std::vector<GateId> clusters;  // deduplicated below via sort+unique
+  auto driver_cluster = [&](GateId state_gate) {
+    const Gate& g = nl.gate(state_gate);
+    if (g.fanin.empty()) return;
+    const GateId d = g.fanin[0];
+    clusters.push_back(cone_root[d] != kNullGate ? cone_root[d] : d);
+  };
+  for (GateId ff : nl.dffs()) driver_cluster(ff);
+  for (GateId out : nl.outputs()) driver_cluster(out);
+  std::sort(clusters.begin(), clusters.end());
+  clusters.erase(std::unique(clusters.begin(), clusters.end()),
+                 clusters.end());
+  return static_cast<int>(clusters.size());
 }
 
 NetlistStats analyze(const Netlist& nl, const CellLibrary& lib) {

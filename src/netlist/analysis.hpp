@@ -4,6 +4,7 @@
 // the DIAC tree generator).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "cell/cell_library.hpp"
@@ -46,6 +47,17 @@ struct Cone {
 
 // Maps each combinational gate to a cone; returns cones ordered by root id.
 std::vector<Cone> fanout_free_cones(const Netlist& nl);
+
+// The same cones as a flat map over an already computed
+// topological_order(nl): root[g] is the root of g's cone, kNullGate for
+// gates outside every cone (ports, constants, DFFs).
+std::vector<GateId> cone_roots(const Netlist& nl,
+                               std::span<const GateId> order);
+
+// Distinct cones driving state (a DFF D-pin or an output port), given
+// cone_roots(): the LE-FF cluster count of NV-Clustering.  A driver
+// outside every cone counts as its own cluster.
+int state_driver_cones(const Netlist& nl, std::span<const GateId> cone_root);
 
 // Summary statistics used by reports and tests.
 struct NetlistStats {

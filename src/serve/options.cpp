@@ -1,7 +1,10 @@
 #include "serve/options.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 
 #include "exp/trace_library.hpp"
@@ -22,6 +25,86 @@ std::string option_or(const OptionMap& options, const std::string& key,
                       const std::string& dflt) {
   auto it = options.find(key);
   return it == options.end() ? dflt : it->second;
+}
+
+namespace {
+
+// Upper bound of the count options (--runs, --instances, --random).
+constexpr long long kMaxCount = 1'000'000;
+
+[[noreturn]] void bad_value(const std::string& key, const std::string& what,
+                            const std::string& value) {
+  throw std::runtime_error("--" + key + ": expected " + what + ", got '" +
+                           value + "'");
+}
+
+// Full-match std::from_chars: true when the whole of `text` parses.
+template <typename T>
+bool parse_all(const std::string& text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end && !text.empty();
+}
+
+}  // namespace
+
+long long int_option(const OptionMap& options, const std::string& key,
+                     long long dflt, long long lo, long long hi) {
+  const auto it = options.find(key);
+  if (it == options.end()) return dflt;
+  long long v = 0;
+  if (!parse_all(it->second, v) || v < lo || v > hi) {
+    bad_value(key,
+              "an integer in [" + std::to_string(lo) + ", " +
+                  std::to_string(hi) + "]",
+              it->second);
+  }
+  return v;
+}
+
+std::uint64_t uint64_option(const OptionMap& options, const std::string& key,
+                            std::uint64_t dflt) {
+  const auto it = options.find(key);
+  if (it == options.end()) return dflt;
+  std::uint64_t v = 0;
+  if (!parse_all(it->second, v)) {
+    bad_value(key, "an unsigned 64-bit integer", it->second);
+  }
+  return v;
+}
+
+double positive_option(const OptionMap& options, const std::string& key,
+                       double dflt, double hi) {
+  const auto it = options.find(key);
+  if (it == options.end()) return dflt;
+  double v = 0;
+  if (!parse_all(it->second, v) || !std::isfinite(v) || v <= 0 || v > hi) {
+    std::ostringstream what;
+    what << "a finite number in (0, " << hi << "]";
+    bad_value(key, what.str(), it->second);
+  }
+  return v;
+}
+
+std::size_t choice_option(const OptionMap& options, const std::string& key,
+                          const std::string& dflt,
+                          std::initializer_list<std::string_view> names) {
+  const std::string value = option_or(options, key, dflt);
+  std::size_t i = 0;
+  for (std::string_view name : names) {
+    if (value == name) return i;
+    ++i;
+  }
+  std::string what;
+  for (std::string_view name : names) {
+    if (!what.empty()) what += '|';
+    what += name;
+  }
+  bad_value(key, what, value);
+}
+
+int instances_option(const OptionMap& options, int dflt) {
+  return static_cast<int>(int_option(options, "instances", dflt, 1, kMaxCount));
 }
 
 Netlist load_target(const std::string& target) {
@@ -45,30 +128,29 @@ Netlist load_target(const std::string& target) {
 
 SynthesisOptions synth_options(const OptionMap& options) {
   SynthesisOptions so;
-  const std::string policy = option_or(options, "policy", "3");
-  so.policy = policy == "1"   ? PolicyKind::kPolicy1
-              : policy == "2" ? PolicyKind::kPolicy2
-                              : PolicyKind::kPolicy3;
-  so.budget_fraction = std::stod(option_or(options, "budget", "0.25"));
-  const std::string nvm = option_or(options, "nvm", "mram");
-  so.technology = nvm == "reram"   ? NvmTechnology::kReram
-                  : nvm == "feram" ? NvmTechnology::kFeram
-                  : nvm == "pcm"   ? NvmTechnology::kPcm
-                                   : NvmTechnology::kMram;
+  constexpr PolicyKind kPolicies[] = {PolicyKind::kPolicy1,
+                                      PolicyKind::kPolicy2,
+                                      PolicyKind::kPolicy3};
+  so.policy = kPolicies[choice_option(options, "policy", "3", {"1", "2", "3"})];
+  so.budget_fraction = positive_option(options, "budget", 0.25, 1.0e6);
+  constexpr NvmTechnology kTechnologies[] = {
+      NvmTechnology::kMram, NvmTechnology::kReram, NvmTechnology::kFeram,
+      NvmTechnology::kPcm};
+  so.technology = kTechnologies[choice_option(
+      options, "nvm", "mram", {"mram", "reram", "feram", "pcm"})];
   return so;
 }
 
 ScenarioSpec scenario_options(const OptionMap& options) {
   ScenarioSpec spec = scenario_from_name(option_or(options, "source", "rfid"));
-  spec.seed = std::stoull(option_or(options, "seed", "60247"));
+  spec.seed = uint64_option(options, "seed", 60247);
   return spec;
 }
 
 EvaluationOptions mc_eval_options(const OptionMap& options) {
   EvaluationOptions eo;
   eo.synthesis = synth_options(options);
-  eo.simulator.target_instances =
-      std::stoi(option_or(options, "instances", "6"));
+  eo.simulator.target_instances = instances_option(options, 6);
   eo.simulator.max_time = 20000;
   // evaluate_monte_carlo / run_mc_shard reject non-seeded sources.
   eo.scenario = scenario_options(options);
@@ -76,16 +158,13 @@ EvaluationOptions mc_eval_options(const OptionMap& options) {
 }
 
 int mc_runs(const OptionMap& options) {
-  const int runs = std::stoi(option_or(options, "runs", "32"));
-  if (runs <= 0) throw std::runtime_error("--runs must be positive");
-  return runs;
+  return static_cast<int>(int_option(options, "runs", 32, 1, kMaxCount));
 }
 
 EvaluationOptions replay_eval_options(const OptionMap& options) {
   EvaluationOptions eo;
   eo.synthesis = synth_options(options);
-  eo.simulator.target_instances =
-      std::stoi(option_or(options, "instances", "8"));
+  eo.simulator.target_instances = instances_option(options, 8);
   return eo;
 }
 
@@ -111,9 +190,8 @@ SearchOptions search_options(const OptionMap& options) {
   SearchOptions so;
   so.synthesis = synth_options(options);  // base values under the swept axes
   so.scenario = scenario_options(options);
-  so.simulator.target_instances =
-      std::stoi(option_or(options, "instances", "6"));
-  so.simulator.max_time = std::stod(option_or(options, "max-time", "30000"));
+  so.simulator.target_instances = instances_option(options, 6);
+  so.simulator.max_time = positive_option(options, "max-time", 30000, 1.0e12);
   so.objectives =
       SearchObjectives::parse(option_or(options, "objectives", "pdp,progress"));
   return so;
@@ -125,10 +203,9 @@ std::vector<DesignPoint> search_points(const OptionMap& options) {
     if (options.count("grid") != 0) {
       throw std::runtime_error("--grid and --random are mutually exclusive");
     }
-    const int n = std::stoi(option_or(options, "random", "8"));
-    if (n <= 0) throw std::runtime_error("--random must be positive");
+    const long long n = int_option(options, "random", 8, 1, kMaxCount);
     return space.sample(static_cast<std::size_t>(n),
-                        std::stoull(option_or(options, "sample-seed", "53715")));
+                        uint64_option(options, "sample-seed", 53715));
   }
   return space.grid();  // --grid is the default
 }

@@ -8,8 +8,11 @@
 /// local/remote byte-identity guarantees.
 #pragma once
 
+#include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "metrics/montecarlo.hpp"
@@ -28,6 +31,29 @@ bool is_flag_option(const std::string& name);
 /// `options[key]`, or `dflt` when absent.
 std::string option_or(const OptionMap& options, const std::string& key,
                       const std::string& dflt);
+
+/// Typed option readers, shared by the CLI, `shard-worker` and serve.
+/// int_option reads an integer in [lo, hi].
+/// Each reads `options[key]` (or `dflt` when absent) and parses the whole
+/// value: std::from_chars must consume every character, numbers must be
+/// finite and lie in the stated range, and a choice must be one of the
+/// listed names.  Anything else throws std::runtime_error
+/// "--<key>: expected <what>, got '<value>'".
+long long int_option(const OptionMap& options, const std::string& key,
+                     long long dflt, long long lo, long long hi);
+/// Any unsigned 64-bit integer.
+std::uint64_t uint64_option(const OptionMap& options, const std::string& key,
+                            std::uint64_t dflt);
+/// A finite number > 0 and <= hi.
+double positive_option(const OptionMap& options, const std::string& key,
+                       double dflt, double hi);
+/// The index of the value in `names`.
+std::size_t choice_option(const OptionMap& options, const std::string& key,
+                          const std::string& dflt,
+                          std::initializer_list<std::string_view> names);
+
+/// --instances in [1, 1000000].
+int instances_option(const OptionMap& options, int dflt);
 
 /// Loads a sweep target: a bundled benchmark name, or a path ending in
 /// .bench / .blif / .v.  Throws on unknown names/unreadable files.

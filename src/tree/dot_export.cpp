@@ -30,7 +30,7 @@ void write_dot(std::ostream& out, const TaskTree& tree,
           << ", " << n.gates.size() << " gates\\n"
           << units::as_mJ(options.energy_scale * n.dict.energy())
           << " mJ\"";
-      if (n.has_nvm) {
+      if (tree.annotation(id).has_nvm) {
         out << ", shape=doubleoctagon, style=filled, fillcolor=lightblue";
       }
       out << "];\n";

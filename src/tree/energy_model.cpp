@@ -8,8 +8,11 @@
 namespace diac {
 
 std::vector<std::uint32_t> topological_positions(const Netlist& nl) {
-  const auto order = topological_order(nl);
-  std::vector<std::uint32_t> pos(nl.size(), 0);
+  return topological_positions(topological_order(nl));
+}
+
+std::vector<std::uint32_t> topological_positions(std::span<const GateId> order) {
+  std::vector<std::uint32_t> pos(order.size(), 0);
   for (std::uint32_t i = 0; i < order.size(); ++i) pos[order[i]] = i;
   return pos;
 }
@@ -24,6 +27,15 @@ OperandCost operand_cost(const Netlist& nl, std::span<const GateId> members,
                          const CellLibrary& lib,
                          std::span<const std::uint32_t> topo_pos,
                          std::span<double> arrival) {
+  std::vector<GateId> ordered;
+  return operand_cost(nl, members, lib, topo_pos, arrival, ordered);
+}
+
+OperandCost operand_cost(const Netlist& nl, std::span<const GateId> members,
+                         const CellLibrary& lib,
+                         std::span<const std::uint32_t> topo_pos,
+                         std::span<double> arrival,
+                         std::vector<GateId>& ordered) {
   if (arrival.size() < nl.size()) {
     throw std::invalid_argument("operand_cost: arrival buffer too small");
   }
@@ -39,7 +51,7 @@ OperandCost operand_cost(const Netlist& nl, std::span<const GateId> members,
 
   // Members in global topological order so restricted arrivals resolve in
   // one pass.
-  std::vector<GateId> ordered(members.begin(), members.end());
+  ordered.assign(members.begin(), members.end());
   std::sort(ordered.begin(), ordered.end(), [&topo_pos](GateId a, GateId b) {
     return topo_pos[a] < topo_pos[b];
   });

@@ -47,8 +47,19 @@ OperandCost operand_cost(const Netlist& nl, std::span<const GateId> members,
                          std::span<const std::uint32_t> topo_pos,
                          std::span<double> arrival);
 
+// As above with a caller-owned buffer for the members' topological order,
+// so costing every node of a tree allocates nothing per node.
+OperandCost operand_cost(const Netlist& nl, std::span<const GateId> members,
+                         const CellLibrary& lib,
+                         std::span<const std::uint32_t> topo_pos,
+                         std::span<double> arrival,
+                         std::vector<GateId>& ordered);
+
 // Builds the position map for the overload above.
 std::vector<std::uint32_t> topological_positions(const Netlist& nl);
+
+// The same map from an already computed topological_order(nl).
+std::vector<std::uint32_t> topological_positions(std::span<const GateId> order);
 
 // Whole-netlist cost treated as one operand (used by reports and by the
 // paper's assumption-1 scaling, where a benchmark is re-run until its total

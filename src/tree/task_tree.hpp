@@ -40,19 +40,42 @@ struct FeatureDict {
   double energy() const { return dynamic_energy + static_energy; }
 };
 
+// One node of a tree.  The member gates and edges are read-only views
+// into the tree's shared structure (see TaskTree), so they stay valid as
+// long as any copy of the tree is alive.
 struct TaskNode {
-  std::string label;           // "F<id>"
-  std::vector<GateId> gates;   // member gates (logic gates only)
+  std::string label;                // "F<id>"
+  std::span<const GateId> gates;    // member gates (logic gates), ascending
   FeatureDict dict;
-  std::vector<TaskId> preds;   // dependency edges (deduplicated, sorted)
-  std::vector<TaskId> succs;
+  std::span<const TaskId> preds;    // dependency edges (deduplicated, sorted)
+  std::span<const TaskId> succs;
+};
 
-  // NVM insertion state (filled by the replacement engine).
+// NVM insertion state of one node (filled by the replacement engine).
+// The only per-copy part of a tree.
+struct NvmAnnotation {
   bool has_nvm = false;
-  int nvm_bits = 0;            // signals persisted when this node commits
+  int nvm_bits = 0;               // signals persisted when this node commits
   double accumulated_energy = 0;  // P_total bookkeeping from the traversal
 };
 
+// Facts about one netlist that every tree over it shares, computed once
+// when the first tree over the netlist is built and carried by
+// repartition.
+struct NetlistFacts {
+  // pos[g] = rank of gate g in topological_order(netlist); operand costs
+  // order members by it.
+  std::vector<std::uint32_t> topo_pos;
+  // cone_roots(): root of g's fanout-free cone, kNullGate off the cones.
+  std::vector<GateId> cone_root;
+  // state_driver_cones(): the LE-FF cluster count NV-Clustering sizes by.
+  int state_clusters = 0;
+};
+
+// A task tree is a shared, immutable structure plus per-copy NVM
+// annotations.  The structure (member gates, edges, dictionaries, labels,
+// schedule) lives in flat pools behind a shared_ptr, so copying a tree —
+// one per synthesized design — copies only the annotations.
 class TaskTree {
  public:
   // Builds a tree from a gate->node assignment.  `node_of_gate[g]` is the
@@ -68,30 +91,30 @@ class TaskTree {
                                  const std::vector<std::string>& labels = {});
 
   // from_partition over this tree's netlist and library, sharing this
-  // tree's topological position map instead of recomputing it: the
-  // rebuild step of every policy transform.
+  // tree's NetlistFacts instead of recomputing them: the rebuild step of
+  // every policy transform.
   TaskTree repartition(const std::vector<int>& node_of_gate, int num_nodes,
                        const std::vector<std::string>& labels = {}) const;
 
-  const Netlist& netlist() const { return *nl_; }
-  const CellLibrary& library() const { return *lib_; }
+  const Netlist& netlist() const { return *shape_->nl; }
+  const CellLibrary& library() const { return *shape_->lib; }
 
-  std::size_t size() const { return nodes_.size(); }
+  std::size_t size() const { return annotations_.size(); }
   const TaskNode& node(TaskId id) const;
-  TaskNode& node(TaskId id);
-  const std::vector<TaskNode>& nodes() const { return nodes_; }
+  std::span<const TaskNode> nodes() const;
 
   // The gate->node map this tree was built from.
-  const std::vector<int>& partition() const { return node_of_gate_; }
+  const std::vector<int>& partition() const { return shape_->node_of_gate; }
 
-  // pos[g] = rank of gate g in topological_order(netlist()); computed once
-  // per from_partition and shared by every tree repartitioned from it.
-  std::span<const std::uint32_t> topo_positions() const { return *topo_pos_; }
+  const NetlistFacts& facts() const { return *shape_->facts; }
+  std::span<const std::uint32_t> topo_positions() const {
+    return facts().topo_pos;
+  }
 
   // Topological order of nodes (sources first).
-  const std::vector<TaskId>& schedule() const { return schedule_; }
+  const std::vector<TaskId>& schedule() const { return shape_->schedule; }
 
-  int max_level() const { return max_level_; }
+  int max_level() const { return shape_->max_level; }
   std::vector<TaskId> nodes_at_level(int level) const;
 
   // Aggregates.
@@ -101,7 +124,10 @@ class TaskTree {
   double min_node_energy() const;
   double avg_node_energy() const;
 
-  // NVM plan accessors.
+  // NVM plan: this copy's annotations.
+  const NvmAnnotation& annotation(TaskId id) const;
+  NvmAnnotation& annotation(TaskId id);
+  void clear_annotations();
   std::vector<TaskId> nvm_points() const;
   int total_nvm_bits() const;
 
@@ -110,24 +136,41 @@ class TaskTree {
   // is used by tests.
   void validate() const;
 
-  // An empty tree (no netlist attached).  Only assignment and destruction
-  // are valid on a default-constructed tree; it exists so aggregates like
-  // IntermittentDesign can be built incrementally.
+  // An empty tree (no netlist attached).  Only assignment, destruction and
+  // size() are valid on a default-constructed tree; it exists so
+  // aggregates like IntermittentDesign can be built incrementally.
   TaskTree() = default;
 
  private:
+  friend TaskTree initial_tree(const Netlist& nl, const CellLibrary& lib);
+
+  // The shared, immutable part.  Nodes' spans point into the pools, so a
+  // Shape is never copied: build() fills it in place behind its
+  // shared_ptr.
+  struct Shape {
+    Shape() = default;
+    Shape(const Shape&) = delete;
+    Shape& operator=(const Shape&) = delete;
+
+    const Netlist* nl = nullptr;
+    const CellLibrary* lib = nullptr;
+    std::shared_ptr<const NetlistFacts> facts;
+    std::vector<int> node_of_gate;
+    std::vector<GateId> gate_pool;  // members of node i, node-major
+    std::vector<TaskId> pred_pool;
+    std::vector<TaskId> succ_pool;
+    std::vector<TaskNode> nodes;
+    std::vector<TaskId> schedule;
+    int max_level = 0;
+  };
+
   static TaskTree build(const Netlist& nl, const CellLibrary& lib,
-                        std::shared_ptr<const std::vector<std::uint32_t>> pos,
+                        std::shared_ptr<const NetlistFacts> facts,
                         const std::vector<int>& node_of_gate, int num_nodes,
                         const std::vector<std::string>& labels);
 
-  const Netlist* nl_ = nullptr;
-  const CellLibrary* lib_ = nullptr;
-  std::shared_ptr<const std::vector<std::uint32_t>> topo_pos_;
-  std::vector<TaskNode> nodes_;
-  std::vector<int> node_of_gate_;
-  std::vector<TaskId> schedule_;
-  int max_level_ = 0;
+  std::shared_ptr<const Shape> shape_;
+  std::vector<NvmAnnotation> annotations_;
 };
 
 // Builds the trivial partition: one node per fanout-free cone plus one node

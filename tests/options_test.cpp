@@ -1,0 +1,183 @@
+// Option parsing at every input boundary.  The option readers in
+// src/serve/options.* back the CLI, `shard-worker` and `diac serve`
+// alike, so the table below runs each bad value through them and
+// through the real `diac` binary (path injected by CMake as
+// DIAC_CLI_PATH): both must reject it with the same located message, and
+// the CLI must exit 1.
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <sstream>
+#include <string>
+
+#include <sys/wait.h>
+
+#include "serve/options.hpp"
+
+#ifndef DIAC_CLI_PATH
+#error "DIAC_CLI_PATH must point at the diac CLI binary"
+#endif
+
+namespace diac {
+namespace {
+
+namespace fs = std::filesystem;
+
+struct BadValue {
+  const char* command;  // the diac command the value is given to
+  const char* flag;     // without the leading dashes
+  const char* value;
+  const char* expected;  // the "expected ..." part of the message
+};
+
+// clang-format off
+const BadValue kBadValues[] = {
+    {"mc", "seed", "12abc", "an unsigned 64-bit integer"},
+    {"mc", "seed", "abc", "an unsigned 64-bit integer"},
+    {"mc", "seed", "-1", "an unsigned 64-bit integer"},
+    {"mc", "seed", "0x10", "an unsigned 64-bit integer"},
+    {"mc", "seed", "99999999999999999999", "an unsigned 64-bit integer"},
+    {"mc", "budget", "nan", "a finite number in (0, 1e+06]"},
+    {"mc", "budget", "inf", "a finite number in (0, 1e+06]"},
+    {"mc", "budget", "0", "a finite number in (0, 1e+06]"},
+    {"mc", "budget", "0.25x", "a finite number in (0, 1e+06]"},
+    {"mc", "instances", "1e9", "an integer in [1, 1000000]"},
+    {"mc", "instances", "0", "an integer in [1, 1000000]"},
+    {"mc", "instances", " 4", "an integer in [1, 1000000]"},
+    {"mc", "runs", "99999999999", "an integer in [1, 1000000]"},
+    {"mc", "runs", "", "an integer in [1, 1000000]"},
+    {"mc", "policy", "7", "1|2|3"},
+    {"mc", "policy", "3.0", "1|2|3"},
+    {"mc", "nvm", "flash", "mram|reram|feram|pcm"},
+    {"search", "random", "0", "an integer in [1, 1000000]"},
+    {"search", "max-time", "-5", "a finite number in (0, 1e+12]"},
+    {"search", "instances", "4.5", "an integer in [1, 1000000]"},
+};
+// clang-format on
+
+std::string message(const BadValue& bad) {
+  return std::string("--") + bad.flag + ": expected " + bad.expected +
+         ", got '" + bad.value + "'";
+}
+
+// Reads every option a request of `command` reads.
+std::function<void(const serve::OptionMap&)> read_options(
+    const std::string& command) {
+  if (command == "mc") {
+    return [](const serve::OptionMap& o) {
+      serve::mc_eval_options(o);
+      serve::mc_runs(o);
+    };
+  }
+  return [](const serve::OptionMap& o) {
+    serve::search_options(o);
+    serve::search_points(o);
+  };
+}
+
+TEST(Options, ReadersRejectBadValuesWithLocatedMessages) {
+  for (const BadValue& bad : kBadValues) {
+    const serve::OptionMap options{{bad.flag, bad.value}};
+    try {
+      read_options(bad.command)(options);
+      ADD_FAILURE() << "accepted --" << bad.flag << " '" << bad.value << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(e.what(), message(bad));
+    }
+  }
+}
+
+TEST(Options, ReadersAcceptWellFormedValues) {
+  const serve::OptionMap options{{"seed", "18446744073709551615"},
+                                 {"budget", "0.3"},
+                                 {"instances", "1000000"},
+                                 {"runs", "1"},
+                                 {"policy", "2"},
+                                 {"nvm", "pcm"}};
+  const EvaluationOptions eo = serve::mc_eval_options(options);
+  EXPECT_EQ(eo.scenario.seed, 18446744073709551615ULL);
+  EXPECT_EQ(eo.synthesis.budget_fraction, 0.3);
+  EXPECT_EQ(eo.simulator.target_instances, 1000000);
+  EXPECT_EQ(eo.synthesis.policy, PolicyKind::kPolicy2);
+  EXPECT_EQ(eo.synthesis.technology, NvmTechnology::kPcm);
+  EXPECT_EQ(serve::mc_runs(options), 1);
+  // Absent options read as their defaults.
+  const EvaluationOptions dflt = serve::mc_eval_options({});
+  EXPECT_EQ(dflt.scenario.seed, 60247u);
+  EXPECT_EQ(dflt.synthesis.policy, PolicyKind::kPolicy3);
+  EXPECT_EQ(dflt.synthesis.technology, NvmTechnology::kMram);
+  EXPECT_EQ(serve::mc_runs({}), 32);
+}
+
+struct CliRun {
+  int exit_code = -1;
+  std::string out;
+  std::string err;
+};
+
+std::string slurp(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+CliRun run_cli(const std::string& args, const std::string& tag) {
+  const fs::path out = fs::path(::testing::TempDir()) / (tag + ".out");
+  const fs::path err = fs::path(::testing::TempDir()) / (tag + ".err");
+  const std::string cmd = std::string(DIAC_CLI_PATH) + " " + args + " > " +
+                          out.string() + " 2> " + err.string();
+  const int status = std::system(cmd.c_str());
+  CliRun run;
+  run.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  run.out = slurp(out);
+  run.err = slurp(err);
+  return run;
+}
+
+TEST(Options, CliRejectsBadValuesWithExitOne) {
+  int i = 0;
+  for (const BadValue& bad : kBadValues) {
+    const CliRun run =
+        run_cli(std::string(bad.command) + " s27 --" + bad.flag + " '" +
+                    bad.value + "'",
+                "options_bad_" + std::to_string(i++));
+    EXPECT_EQ(run.exit_code, 1) << bad.flag << " " << bad.value;
+    EXPECT_EQ(run.err, "error: " + message(bad) + "\n");
+    EXPECT_EQ(run.out, "");
+  }
+}
+
+TEST(Options, CliRejectsBadTransportValues) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"--threads -1", "error: --threads: expected an integer in [0, 1024], "
+                       "got '-1'\n"},
+      {"--jobs 2x", "error: --jobs: expected an integer in [0, 1024], got "
+                    "'2x'\n"},
+      {"--shards 0", "error: --shards: expected an integer in [1, 1024], got "
+                     "'0'\n"},
+  };
+  int i = 0;
+  for (const auto& [flag, err] : cases) {
+    const CliRun run = run_cli(std::string("mc s27 --runs 2 ") + flag,
+                               "options_transport_" + std::to_string(i++));
+    EXPECT_EQ(run.exit_code, 1) << flag;
+    EXPECT_EQ(run.err, err);
+  }
+}
+
+TEST(Options, CommandHelpPrintsUsage) {
+  for (const char* args : {"synth s38417 --help", "mc --help", "search b14 -h",
+                           "mc s27 --runs 2 --help"}) {
+    const CliRun run = run_cli(args, "options_help");
+    EXPECT_EQ(run.exit_code, 0) << args;
+    EXPECT_EQ(run.out.rfind("usage: diac <command>", 0), 0u) << args;
+    EXPECT_EQ(run.err, "") << args;
+  }
+}
+
+}  // namespace
+}  // namespace diac

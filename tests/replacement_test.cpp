@@ -90,10 +90,11 @@ TEST(Replacement, BitsAreCappedPlusControl) {
   opt.bits_cap = 64;
   opt.control_bits = 8;
   insert_nvm(tree, opt);
-  for (const TaskNode& n : tree.nodes()) {
-    if (!n.has_nvm) continue;
-    EXPECT_GE(n.nvm_bits, 1 + opt.control_bits);
-    EXPECT_LE(n.nvm_bits, opt.bits_cap + opt.control_bits);
+  for (TaskId id = 0; id < tree.size(); ++id) {
+    const NvmAnnotation& a = tree.annotation(id);
+    if (!a.has_nvm) continue;
+    EXPECT_GE(a.nvm_bits, 1 + opt.control_bits);
+    EXPECT_LE(a.nvm_bits, opt.bits_cap + opt.control_bits);
   }
 }
 
@@ -123,6 +124,36 @@ TEST(Replacement, ReplanIsIdempotent) {
   EXPECT_EQ(r1.total_bits, r2.total_bits);
 }
 
+// A copy of a tree shares the original's structure but owns its NVM
+// annotations: planning either one leaves the other's plan as it was.
+TEST(Replacement, PlanOnCopyLeavesOriginalUntouched) {
+  TaskTree original = policy3_tree("s1238");
+  TaskTree copy = original;
+  ASSERT_EQ(&copy.node(0), &original.node(0));  // one shared structure
+  ReplacementOptions opt;
+  opt.scale = tree_scale(original);
+  opt.budget = 4.0e-3;
+  const ReplacementResult planned = insert_nvm(copy, opt);
+  ASSERT_FALSE(planned.points.empty());
+  EXPECT_TRUE(original.nvm_points().empty());
+  EXPECT_EQ(original.total_nvm_bits(), 0);
+  for (TaskId id = 0; id < original.size(); ++id) {
+    const NvmAnnotation& a = original.annotation(id);
+    EXPECT_FALSE(a.has_nvm) << id;
+    EXPECT_EQ(a.nvm_bits, 0) << id;
+    EXPECT_EQ(a.accumulated_energy, 0.0) << id;
+  }
+  const std::vector<TaskId> copy_points = copy.nvm_points();
+  EXPECT_EQ(copy_points.size(), planned.points.size());
+
+  // Planning the original under another budget keeps the copy's plan.
+  opt.budget = 8.0e-3;
+  const ReplacementResult other = insert_nvm(original, opt);
+  EXPECT_NE(other.points, planned.points);
+  EXPECT_EQ(copy.nvm_points(), copy_points);
+  EXPECT_EQ(copy.total_nvm_bits(), planned.total_bits);
+}
+
 TEST(Replacement, AccumulationResetsAfterCommit) {
   TaskTree tree = policy3_tree("s1238");
   ReplacementOptions opt;
@@ -133,11 +164,9 @@ TEST(Replacement, AccumulationResetsAfterCommit) {
   // successor must be below the pre-commit accumulation.
   const auto& sched = tree.schedule();
   for (std::size_t i = 0; i + 1 < sched.size(); ++i) {
-    const TaskNode& cur = tree.node(sched[i]);
-    const TaskNode& nxt = tree.node(sched[i + 1]);
-    if (cur.has_nvm) {
-      EXPECT_LE(nxt.accumulated_energy,
-                opt.scale * nxt.dict.energy() + 1e-12);
+    if (tree.annotation(sched[i]).has_nvm) {
+      EXPECT_LE(tree.annotation(sched[i + 1]).accumulated_energy,
+                opt.scale * tree.node(sched[i + 1]).dict.energy() + 1e-12);
     }
   }
 }

@@ -57,7 +57,8 @@ TEST_P(SynthesisSweep, CommitPlanInvariants) {
   ASSERT_FALSE(r.replacement.points.empty());
 
   // The final scheduled task commits (the instance result must survive).
-  EXPECT_TRUE(r.design.tree.node(r.design.tree.schedule().back()).has_nvm);
+  EXPECT_TRUE(
+      r.design.tree.annotation(r.design.tree.schedule().back()).has_nvm);
 
   // Exposure is bounded by budget + one (possibly oversized) task.
   const double budget =
@@ -70,7 +71,7 @@ TEST_P(SynthesisSweep, CommitPlanInvariants) {
 
   // Commit bits: between control-only and cap+control.
   for (TaskId p : r.replacement.points) {
-    const int bits = r.design.tree.node(p).nvm_bits;
+    const int bits = r.design.tree.annotation(p).nvm_bits;
     EXPECT_GE(bits, 9);
     EXPECT_LE(bits, kBoundaryBitsCap + 8);
   }
@@ -214,17 +215,17 @@ TEST(OptimalDpInsertion, BeatsGreedyOnItsOwnCostModel) {
   const auto rd = insert_nvm(optimal, dp);
   ASSERT_FALSE(rd.points.empty());
   // Final task commits under both.
-  EXPECT_TRUE(optimal.node(optimal.schedule().back()).has_nvm);
+  EXPECT_TRUE(optimal.annotation(optimal.schedule().back()).has_nvm);
 
   // Evaluate both plans under the DP's own cost model: the DP plan must
   // be at least as cheap.
   auto plan_cost = [&](const TaskTree& t) {
     double cost = 0, seg_e = 0;
     for (TaskId id : t.schedule()) {
-      const TaskNode& n = t.node(id);
-      seg_e += scale * n.dict.energy();
-      if (n.has_nvm) {
-        cost += dp.controller_event_energy + n.nvm_bits * dp.energy_per_bit;
+      const NvmAnnotation& a = t.annotation(id);
+      seg_e += scale * t.node(id).dict.energy();
+      if (a.has_nvm) {
+        cost += dp.controller_event_energy + a.nvm_bits * dp.energy_per_bit;
         cost += dp.failure_rate * (seg_e / dp.active_power) * (seg_e / 2.0);
         seg_e = 0;
       }

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <list>
 
 #include "diac/synthesizer.hpp"
 #include "netlist/suite.hpp"
+#include "obs/metrics.hpp"
 
 namespace diac {
 namespace {
@@ -139,6 +141,38 @@ TEST(Synthesizer, WorksAcrossSuites) {
   }
 }
 
+TEST(Synthesizer, PolicyTreeRebuildsTheTreeOnce) {
+#if defined(DIAC_OBS_DISABLED)
+  GTEST_SKIP() << "observability compiled out";
+#else
+  auto repartitions = [] {
+    const auto counters = obs::Registry::instance().counter_values();
+    const auto it = counters.find("synth.repartitions");
+    return it == counters.end() ? std::uint64_t{0} : it->second;
+  };
+  // The merge stage contracts a quotient graph and rebuilds once; at the
+  // default limits no node of these trees splits, so Policy1 rebuilds
+  // nothing and Policy3 adds no split rebuild.
+  for (const char* name : {"s38417", "b14"}) {
+    const Netlist& nl = circuit(name);
+    const TaskTree initial = DiacSynthesizer(nl, lib()).initial_tree();
+    for (PolicyKind policy : {PolicyKind::kPolicy1, PolicyKind::kPolicy2,
+                              PolicyKind::kPolicy3}) {
+      SynthesisOptions opt;
+      opt.policy = policy;
+      const std::uint64_t before = repartitions();
+      const TaskTree tree = DiacSynthesizer(nl, lib(), opt).policy_tree(initial);
+      const std::uint64_t expected = policy == PolicyKind::kPolicy1 ? 0 : 1;
+      EXPECT_EQ(repartitions() - before, expected)
+          << name << "/" << to_string(policy);
+      if (policy == PolicyKind::kPolicy1) {
+        EXPECT_EQ(tree.partition(), initial.partition()) << name;
+      }
+    }
+  }
+#endif
+}
+
 // Every design a sweep derives from shared stages (one initial tree per
 // circuit, one policy tree per policy) must equal, bit for bit, the design
 // the composed synthesize_scheme(scheme) builds from scratch.
@@ -151,10 +185,10 @@ void expect_same_design(const SynthesisResult& staged,
   for (TaskId id = 0; id < a.size(); ++id) {
     const TaskNode& x = a.node(id);
     const TaskNode& y = b.node(id);
-    ASSERT_EQ(x.gates, y.gates) << what << " node " << id;
+    ASSERT_TRUE(std::ranges::equal(x.gates, y.gates)) << what << " node " << id;
     ASSERT_EQ(x.label, y.label) << what << " node " << id;
-    ASSERT_EQ(x.preds, y.preds) << what << " node " << id;
-    ASSERT_EQ(x.succs, y.succs) << what << " node " << id;
+    ASSERT_TRUE(std::ranges::equal(x.preds, y.preds)) << what << " node " << id;
+    ASSERT_TRUE(std::ranges::equal(x.succs, y.succs)) << what << " node " << id;
     ASSERT_EQ(x.dict.fanin, y.dict.fanin) << what << " node " << id;
     ASSERT_EQ(x.dict.fanout, y.dict.fanout) << what << " node " << id;
     ASSERT_EQ(x.dict.level, y.dict.level) << what << " node " << id;
@@ -164,9 +198,11 @@ void expect_same_design(const SynthesisResult& staged,
         << what << " node " << id;
     ASSERT_EQ(x.dict.static_energy, y.dict.static_energy)
         << what << " node " << id;
-    ASSERT_EQ(x.has_nvm, y.has_nvm) << what << " node " << id;
-    ASSERT_EQ(x.nvm_bits, y.nvm_bits) << what << " node " << id;
-    ASSERT_EQ(x.accumulated_energy, y.accumulated_energy)
+    const NvmAnnotation& u = a.annotation(id);
+    const NvmAnnotation& v = b.annotation(id);
+    ASSERT_EQ(u.has_nvm, v.has_nvm) << what << " node " << id;
+    ASSERT_EQ(u.nvm_bits, v.nvm_bits) << what << " node " << id;
+    ASSERT_EQ(u.accumulated_energy, v.accumulated_energy)
         << what << " node " << id;
   }
   EXPECT_EQ(a.schedule(), b.schedule()) << what;

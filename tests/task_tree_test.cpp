@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "netlist/bench_format.hpp"
 #include "netlist/suite.hpp"
 #include "tree/task_tree.hpp"
@@ -77,6 +80,54 @@ TEST(TaskTree, FeatureDictCountsExternalSignals) {
   EXPECT_EQ(n0.dict.fanout, 1);  // g1 read by node 1
   EXPECT_EQ(n1.dict.fanin, 1);   // g1
   EXPECT_EQ(n1.dict.fanout, 1);  // g4 -> output port
+}
+
+// Recounts every node's fan-in, fan-out and edges from the netlist's
+// fanin *and* fanout lists, the definitions FeatureDict documents.
+void expect_brute_force_fans(const TaskTree& tree, const std::string& what) {
+  const Netlist& nl = tree.netlist();
+  const std::vector<int>& part = tree.partition();
+  for (TaskId id = 0; id < tree.size(); ++id) {
+    const TaskNode& node = tree.node(id);
+    const int self = static_cast<int>(id);
+    std::set<GateId> inputs;
+    std::set<TaskId> preds, succs;
+    int outputs = 0;
+    for (GateId g : node.gates) {
+      const Gate& gate = nl.gate(g);
+      for (GateId f : gate.fanin) {
+        if (part[f] == self) continue;
+        inputs.insert(f);
+        if (part[f] != kNoNode && gate.kind != GateKind::kDff) {
+          preds.insert(static_cast<TaskId>(part[f]));
+        }
+      }
+      bool read_outside = false;
+      for (GateId c : gate.fanout) {
+        if (part[c] == self) continue;
+        read_outside = true;
+        if (part[c] != kNoNode && nl.gate(c).kind != GateKind::kDff) {
+          succs.insert(static_cast<TaskId>(part[c]));
+        }
+      }
+      outputs += read_outside ? 1 : 0;
+    }
+    ASSERT_EQ(node.dict.fanin, static_cast<int>(inputs.size()))
+        << what << " node " << id;
+    ASSERT_EQ(node.dict.fanout, outputs) << what << " node " << id;
+    ASSERT_TRUE(std::ranges::equal(node.preds, preds))
+        << what << " node " << id;
+    ASSERT_TRUE(std::ranges::equal(node.succs, succs))
+        << what << " node " << id;
+  }
+}
+
+TEST(TaskTree, FanCountsMatchBruteForceOverSuite) {
+  for (const BenchmarkSpec& spec : benchmark_suite()) {
+    const Netlist nl = build_benchmark(spec.name);
+    expect_brute_force_fans(per_gate_tree(nl, lib()), spec.name + "/per_gate");
+    expect_brute_force_fans(initial_tree(nl, lib()), spec.name + "/initial");
+  }
 }
 
 TEST(TaskTree, RejectsCyclicPartition) {
@@ -160,12 +211,36 @@ TEST(TaskTree, NodesAtLevelSelects) {
   EXPECT_EQ(total, tree.size());
 }
 
+// Copies share one structure, which outlives the tree it was built for.
+TEST(TaskTree, CopiesShareStructureBeyondTheOriginal) {
+  const Netlist nl = build_benchmark("s344");
+  TaskTree copy;
+  EXPECT_EQ(copy.size(), 0u);
+  {
+    const TaskTree original = initial_tree(nl, lib());
+    copy = original;
+    EXPECT_EQ(copy.nodes().data(), original.nodes().data());
+  }
+  EXPECT_NO_THROW(copy.validate());
+  const TaskTree fresh = initial_tree(nl, lib());
+  ASSERT_EQ(copy.size(), fresh.size());
+  for (TaskId id = 0; id < copy.size(); ++id) {
+    ASSERT_TRUE(std::ranges::equal(copy.node(id).gates, fresh.node(id).gates));
+    ASSERT_TRUE(std::ranges::equal(copy.node(id).succs, fresh.node(id).succs));
+  }
+  // Every tree over one netlist shares its NetlistFacts.
+  const TaskTree rebuilt = fresh.repartition(fresh.partition(),
+                                             static_cast<int>(fresh.size()));
+  EXPECT_EQ(&rebuilt.facts(), &fresh.facts());
+  EXPECT_EQ(rebuilt.facts().cone_root.size(), nl.size());
+}
+
 TEST(TaskTree, NvmAccessors) {
   const Netlist nl = diamond();
   TaskTree tree = per_gate_tree(nl, lib());
   EXPECT_TRUE(tree.nvm_points().empty());
-  tree.node(0).has_nvm = true;
-  tree.node(0).nvm_bits = 12;
+  tree.annotation(0).has_nvm = true;
+  tree.annotation(0).nvm_bits = 12;
   EXPECT_EQ(tree.nvm_points().size(), 1u);
   EXPECT_EQ(tree.total_nvm_bits(), 12);
 }

@@ -53,6 +53,7 @@ struct Args {
   std::string command;
   std::string target;
   serve::OptionMap options;  // same map the serve protocol carries
+  bool help = false;         // --help / -h anywhere after the command
 };
 
 // Options that are bare flags (no value); shared with the serve
@@ -67,6 +68,12 @@ Args parse_args(int argc, char** argv) {
   int i = 2;
   if (i < argc && argv[i][0] != '-') args.target = argv[i++];
   while (i < argc) {
+    if (std::strcmp(argv[i], "--help") == 0 ||
+        std::strcmp(argv[i], "-h") == 0) {
+      args.help = true;
+      ++i;
+      continue;
+    }
     if (std::strncmp(argv[i], "--", 2) != 0) {
       throw std::runtime_error(std::string("expected option, got ") + argv[i]);
     }
@@ -90,6 +97,21 @@ std::string opt(const Args& a, const std::string& key, const std::string& dflt) 
   return serve::option_or(a.options, key, dflt);
 }
 
+// Upper bound of --threads / --jobs / --shards.
+constexpr long long kMaxThreads = 1024;
+
+int shard_index(const Args& a) {
+  return static_cast<int>(
+      serve::int_option(a.options, "shard-index", 0, 0, kMaxThreads - 1));
+}
+
+// --cache-limit-mb in bytes (0 = unbounded).
+std::uint64_t cache_limit_bytes(const Args& a) {
+  return static_cast<std::uint64_t>(serve::int_option(
+             a.options, "cache-limit-mb", 1024, 0, 1LL << 40))
+         << 20;
+}
+
 // Target loading and the sweep option builders live in serve/options.*,
 // shared verbatim with the serve protocol (docs/SERVE.md): a served
 // sweep and a standalone one can never disagree on what a flag means.
@@ -110,12 +132,8 @@ ScenarioSpec scenario_options(const Args& a) {
 // (--threads wins when both are given).  Results are bit-identical at
 // any thread count, so the default can afford to use the machine.
 int threads_option(const Args& a) {
-  const auto it = a.options.find("threads");
-  const std::string value =
-      it != a.options.end() ? it->second : opt(a, "jobs", "0");
-  const int threads = std::stoi(value);
-  if (threads < 0) throw std::runtime_error("--threads must be >= 0");
-  return threads;
+  const char* key = a.options.count("threads") != 0 ? "threads" : "jobs";
+  return static_cast<int>(serve::int_option(a.options, key, 0, 0, kMaxThreads));
 }
 
 // --shards N (>= 1) routes mc/replay/search through N `diac` worker
@@ -125,9 +143,8 @@ int threads_option(const Args& a) {
 // evaluate exhaustively so no report field depends on pruning order.
 int shards_option(const Args& a) {
   if (a.options.count("shards") == 0) return 0;
-  const int shards = std::stoi(opt(a, "shards", "1"));
-  if (shards < 1) throw std::runtime_error("--shards must be >= 1");
-  return shards;
+  return static_cast<int>(
+      serve::int_option(a.options, "shards", 1, 1, kMaxThreads));
 }
 
 // --cache-dir <dir> [--cache-limit-mb <n>] -> on-disk result cache for
@@ -139,7 +156,7 @@ std::unique_ptr<serve::ResultCache> cache_option(const Args& a) {
   if (dir.empty()) return nullptr;
   serve::CacheConfig config;
   config.dir = dir;
-  config.limit_bytes = std::stoull(opt(a, "cache-limit-mb", "1024")) << 20;
+  config.limit_bytes = cache_limit_bytes(a);
   return std::make_unique<serve::ResultCache>(std::move(config));
 }
 
@@ -375,8 +392,9 @@ int cmd_check(const Args& a) {
   bool equivalent = true;
 
   verify::EquivalenceOptions eo;
-  eo.seq_cycles = std::stoi(opt(a, "seq-cycles", "8"));
-  eo.seed = std::stoull(opt(a, "seed", "60247"));
+  eo.seq_cycles = static_cast<int>(
+      serve::int_option(a.options, "seq-cycles", 8, 1, 1 << 20));
+  eo.seed = serve::uint64_option(a.options, "seed", 60247);
   const std::string match = opt(a, "match", "name");
   if (match != "name" && match != "order") {
     throw std::runtime_error("--match must be name|order");
@@ -417,7 +435,7 @@ int cmd_simulate(const Args& a) {
   const CellLibrary lib = CellLibrary::nominal_45nm();
   EvaluationOptions eo;
   eo.synthesis = synth_options(a);
-  eo.simulator.target_instances = std::stoi(opt(a, "instances", "8"));
+  eo.simulator.target_instances = serve::instances_option(a.options, 8);
   eo.scenario = scenario_options(a);
   ExperimentRunner runner(threads_option(a));
   const BenchmarkResult r = evaluate_circuit(nl, lib, eo, runner);
@@ -553,7 +571,7 @@ int cmd_fsm(const Args& a) {
   const ScenarioSpec scenario = scenario_options(a);
   const auto source = make_source(scenario);
   SimulatorOptions so;
-  so.target_instances = std::stoi(opt(a, "instances", "4"));
+  so.target_instances = serve::instances_option(a.options, 4);
   so.max_time = 40000;
   // A replayed measurement ends at its last logged sample.
   so = clamp_to_measurement(so, scenario);
@@ -726,8 +744,9 @@ int cmd_search(const Args& a) {
 int cmd_shard_worker(const Args& a) {
   const std::string kind = opt(a, "shard-cmd", "");
   ShardPlan plan;
-  plan.shards = std::stoul(opt(a, "shards", "1"));
-  plan.index = std::stoul(opt(a, "shard-index", "0"));
+  plan.shards = static_cast<std::size_t>(
+      serve::int_option(a.options, "shards", 1, 1, kMaxThreads));
+  plan.index = static_cast<std::size_t>(shard_index(a));
   plan.validate();
   const std::string out_path = opt(a, "shard-out", "");
   if (out_path.empty()) {
@@ -772,7 +791,7 @@ int cmd_serve(const Args& a) {
     throw std::runtime_error("serve requires --socket <path>");
   }
   so.cache_dir = opt(a, "cache-dir", "");
-  so.cache_limit_bytes = std::stoull(opt(a, "cache-limit-mb", "1024")) << 20;
+  so.cache_limit_bytes = cache_limit_bytes(a);
   so.threads = threads_option(a);
   return serve::serve_forever(so);
 }
@@ -911,7 +930,7 @@ int usage() {
 }
 
 int run_command(const Args& args) {
-  if (args.command == "help" || args.command == "--help" ||
+  if (args.help || args.command == "help" || args.command == "--help" ||
       args.command == "-h") {
     print_usage(std::cout);
     return 0;
@@ -947,7 +966,7 @@ void export_local_obs(const Args& a) {
     obs::TraceMeta meta;
     std::string err;
     if (worker) {
-      meta.pid = std::stoi(opt(a, "shard-index", "0"));
+      meta.pid = shard_index(a);
       meta.process_name = "shard " + opt(a, "shard-index", "0") + "/" +
                           opt(a, "shards", "1") + " (" +
                           opt(a, "shard-cmd", "?") + ")";
@@ -965,7 +984,7 @@ void export_local_obs(const Args& a) {
   if (!metrics_out.empty()) {
     obs::MetricsMeta meta;
     meta.command = worker ? opt(a, "shard-cmd", "?") : a.command;
-    if (worker) meta.shard_index = std::stoi(opt(a, "shard-index", "0"));
+    if (worker) meta.shard_index = shard_index(a);
     std::string err;
     if (!obs::write_metrics_file(metrics_out, meta, &err)) {
       throw std::runtime_error("metrics-out: " + err);
