@@ -54,6 +54,13 @@ BENCHMARK_CAPTURE(BM_BuildBenchmark, s1238, std::string("s1238"));
 BENCHMARK_CAPTURE(BM_BuildBenchmark, b14, std::string("b14"));
 BENCHMARK_CAPTURE(BM_BuildBenchmark, s38417, std::string("s38417"));
 
+// The one structural check every load runs (seal() calls it once).
+void BM_NetlistValidate(benchmark::State& state, const std::string& name) {
+  const Netlist& nl = circuit(name);
+  for (auto _ : state) nl.validate();
+}
+BENCHMARK_CAPTURE(BM_NetlistValidate, s38417, std::string("s38417"));
+
 void BM_InitialTree(benchmark::State& state, const std::string& name) {
   const Netlist& nl = circuit(name);
   for (auto _ : state) {

@@ -9,7 +9,7 @@ namespace diac {
 namespace {
 
 // Verilog-safe identifier: replace characters outside [A-Za-z0-9_].
-std::string vname(const std::string& raw) {
+std::string vname(std::string_view raw) {
   std::string out = "w_";
   for (char c : raw) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
@@ -54,7 +54,7 @@ std::string generate_verilog(const IntermittentDesign& design,
 
   // Wires.
   for (GateId id : nl.all_ids()) {
-    const Gate& g = nl.gate(id);
+    const Gate g = nl.gate(id);
     if (g.kind == GateKind::kInput || g.kind == GateKind::kOutput) continue;
     os << (g.kind == GateKind::kDff ? "  reg " : "  wire ") << vname(g.name)
        << ";\n";
@@ -64,7 +64,7 @@ std::string generate_verilog(const IntermittentDesign& design,
   // Gates, grouped by task for annotation.
   const auto& part = design.tree.partition();
   auto emit_gate = [&](GateId id) {
-    const Gate& g = nl.gate(id);
+    const Gate g = nl.gate(id);
     const std::string lhs = vname(g.name);
     switch (g.kind) {
       case GateKind::kInput:

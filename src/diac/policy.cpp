@@ -55,7 +55,7 @@ TaskTree split_large_nodes(const TaskTree& tree, const PolicyLimits& limits) {
     bool chunk_open = false;
     int chunk_idx = 0;
     for (GateId g : ordered) {
-      const Gate& gate = nl.gate(g);
+      const Gate gate = nl.gate(g);
       const double e =
           limits.scaled(lib.switching_energy(gate.kind, gate.fanin_count()));
       if (chunk_open && acc + e > chunk_cap) {

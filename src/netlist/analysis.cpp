@@ -19,8 +19,8 @@ std::vector<GateId> topological_order(const Netlist& nl) {
   std::vector<GateId> ready;
   ready.reserve(n);
   for (GateId id = 0; id < n; ++id) {
-    const Gate& g = nl.gate(id);
-    const int deps = cuts_paths(g.kind) ? 0 : g.fanin_count();
+    const int deps =
+        cuts_paths(nl.kind(id)) ? 0 : static_cast<int>(nl.fanin(id).size());
     pending[id] = deps;
     if (deps == 0) ready.push_back(id);
   }
@@ -29,8 +29,8 @@ std::vector<GateId> topological_order(const Netlist& nl) {
   for (std::size_t head = 0; head < ready.size(); ++head) {
     const GateId id = ready[head];
     order.push_back(id);
-    for (GateId consumer : nl.gate(id).fanout) {
-      if (cuts_paths(nl.gate(consumer).kind)) continue;  // already a source
+    for (GateId consumer : nl.fanout(id)) {
+      if (cuts_paths(nl.kind(consumer))) continue;  // already a source
       if (--pending[consumer] == 0) ready.push_back(consumer);
     }
   }
@@ -44,7 +44,7 @@ std::vector<GateId> topological_order(const Netlist& nl) {
 std::vector<int> levelize(const Netlist& nl) {
   std::vector<int> level(nl.size(), 0);
   for (GateId id : topological_order(nl)) {
-    const Gate& g = nl.gate(id);
+    const Gate g = nl.gate(id);
     if (cuts_paths(g.kind) || g.fanin.empty()) {
       level[id] = 0;
       continue;
@@ -67,7 +67,7 @@ int depth(const Netlist& nl) {
 std::vector<double> arrival_times(const Netlist& nl, const CellLibrary& lib) {
   std::vector<double> at(nl.size(), 0.0);
   for (GateId id : topological_order(nl)) {
-    const Gate& g = nl.gate(id);
+    const Gate g = nl.gate(id);
     if (cuts_paths(g.kind) || g.fanin.empty()) {
       at[id] = 0.0;
       continue;
@@ -83,7 +83,7 @@ double critical_path_delay(const Netlist& nl, const CellLibrary& lib) {
   const auto at = arrival_times(nl, lib);
   double cpd = 0.0;
   for (GateId id = 0; id < nl.size(); ++id) {
-    const Gate& g = nl.gate(id);
+    const Gate g = nl.gate(id);
     if (g.kind == GateKind::kOutput) {
       cpd = std::max(cpd, at[id]);
     } else if (g.kind == GateKind::kDff) {
@@ -106,11 +106,11 @@ std::vector<GateId> cone_roots(const Netlist& nl,
   // Process in reverse topological order so consumers resolve first.
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const GateId id = *it;
-    const Gate& g = nl.gate(id);
-    if (!is_combinational(g.kind)) continue;
-    if (g.fanout.size() == 1 && is_combinational(nl.gate(g.fanout[0]).kind)) {
-      root[id] = root[g.fanout[0]];
-      if (root[id] == kNullGate) root[id] = g.fanout[0];
+    if (!is_combinational(nl.kind(id))) continue;
+    const std::span<const GateId> fanout = nl.fanout(id);
+    if (fanout.size() == 1 && is_combinational(nl.kind(fanout[0]))) {
+      root[id] = root[fanout[0]];
+      if (root[id] == kNullGate) root[id] = fanout[0];
     } else {
       root[id] = id;
     }
@@ -139,9 +139,9 @@ std::vector<Cone> fanout_free_cones(const Netlist& nl) {
 int state_driver_cones(const Netlist& nl, std::span<const GateId> cone_root) {
   std::vector<GateId> clusters;  // deduplicated below via sort+unique
   auto driver_cluster = [&](GateId state_gate) {
-    const Gate& g = nl.gate(state_gate);
-    if (g.fanin.empty()) return;
-    const GateId d = g.fanin[0];
+    const std::span<const GateId> fanin = nl.fanin(state_gate);
+    if (fanin.empty()) return;
+    const GateId d = fanin[0];
     clusters.push_back(cone_root[d] != kNullGate ? cone_root[d] : d);
   };
   for (GateId ff : nl.dffs()) driver_cluster(ff);
@@ -161,8 +161,10 @@ NetlistStats analyze(const Netlist& nl, const CellLibrary& lib) {
   s.depth = depth(nl);
   s.critical_path = critical_path_delay(nl, lib);
   for (GateId id = 0; id < nl.size(); ++id) {
-    const Gate& g = nl.gate(id);
-    if (is_logic(g.kind)) s.total_area += lib.area(g.kind, g.fanin_count());
+    const GateKind kind = nl.kind(id);
+    if (is_logic(kind)) {
+      s.total_area += lib.area(kind, static_cast<int>(nl.fanin(id).size()));
+    }
   }
   return s;
 }

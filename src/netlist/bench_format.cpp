@@ -47,6 +47,12 @@ GateKind function_kind(const std::string& fn, int line) {
   fail(line, "unknown function '" + fn + "'");
 }
 
+// A port declaration: signal name and the line it was declared on.
+struct Port {
+  std::string name;
+  int line;
+};
+
 struct PendingGate {
   std::string name;
   GateKind kind;
@@ -57,8 +63,8 @@ struct PendingGate {
 }  // namespace
 
 Netlist parse_bench(std::istream& in, const std::string& name) {
-  std::vector<std::string> input_names;
-  std::vector<std::string> output_names;
+  std::vector<Port> input_names;
+  std::vector<Port> output_names;
   std::vector<PendingGate> defs;
 
   std::string raw;
@@ -81,11 +87,11 @@ Netlist parse_bench(std::istream& in, const std::string& name) {
     };
 
     if (u.rfind("INPUT", 0) == 0 && line.find('=') == std::string::npos) {
-      input_names.push_back(parse_port(5));
+      input_names.push_back({parse_port(5), line_no});
       continue;
     }
     if (u.rfind("OUTPUT", 0) == 0 && line.find('=') == std::string::npos) {
-      output_names.push_back(parse_port(6));
+      output_names.push_back({parse_port(6), line_no});
       continue;
     }
 
@@ -116,7 +122,12 @@ Netlist parse_bench(std::istream& in, const std::string& name) {
   Netlist nl(name);
   // Signal name -> driver gate.  OUTPUT() ports become kOutput gates named
   // "<signal>$out" so the signal name itself stays bound to the driver.
-  for (const auto& in_name : input_names) nl.add(GateKind::kInput, in_name);
+  for (const auto& port : input_names) {
+    if (nl.contains(port.name)) {
+      fail(port.line, "duplicate definition of '" + port.name + "'");
+    }
+    nl.add(GateKind::kInput, port.name);
+  }
   for (const auto& def : defs) {
     if (nl.contains(def.name)) fail(def.line, "duplicate definition of '" + def.name + "'");
     nl.add(def.kind, def.name);
@@ -137,15 +148,19 @@ Netlist parse_bench(std::istream& in, const std::string& name) {
     }
     nl.set_fanin(nl.find(def.name), std::move(fanin));
   }
-  for (const auto& out_name : output_names) {
-    const GateId src = nl.find(out_name);
+  for (const auto& out : output_names) {
+    const GateId src = nl.find(out.name);
     if (src == kNullGate) {
-      throw std::runtime_error("bench parse error: OUTPUT(" + out_name +
+      throw std::runtime_error("bench parse error: OUTPUT(" + out.name +
                                ") has no driver");
     }
-    nl.add(GateKind::kOutput, out_name + "$out", {src});
+    const std::string port = out.name + "$out";
+    if (nl.contains(port)) {
+      fail(out.line, "duplicate OUTPUT(" + out.name + ")");
+    }
+    nl.add(GateKind::kOutput, port, {src});
   }
-  nl.validate();
+  nl.seal();
   return nl;
 }
 
@@ -171,14 +186,14 @@ void write_bench(std::ostream& out, const Netlist& nl) {
   out << "# " << nl.name() << " — written by diac\n";
   for (GateId id : nl.inputs()) out << "INPUT(" << nl.gate(id).name << ")\n";
   for (GateId id : nl.outputs()) {
-    const Gate& g = nl.gate(id);
+    const Gate g = nl.gate(id);
     // Strip the "$out" suffix the parser appends so files round-trip.
-    std::string sig = nl.gate(g.fanin.at(0)).name;
+    const std::string_view sig = nl.gate_name(g.fanin[0]);
     out << "OUTPUT(" << sig << ")\n";
   }
   out << '\n';
   for (GateId id : nl.all_ids()) {
-    const Gate& g = nl.gate(id);
+    const Gate g = nl.gate(id);
     if (g.kind == GateKind::kInput || g.kind == GateKind::kOutput) continue;
     out << g.name << " = ";
     switch (g.kind) {

@@ -29,6 +29,12 @@ struct Cover {
   int line = 0;
 };
 
+// A port signal and the line that declared it.
+struct Port {
+  std::string name;
+  int line = 0;
+};
+
 struct Latch {
   std::string input;
   std::string output;
@@ -39,8 +45,8 @@ struct Latch {
 
 Netlist parse_blif(std::istream& in) {
   std::string model = "top";
-  std::vector<std::string> inputs;
-  std::vector<std::string> outputs;
+  std::vector<Port> inputs;
+  std::vector<Port> outputs;
   std::vector<Cover> covers;
   std::vector<Latch> latches;
 
@@ -78,9 +84,13 @@ Netlist parse_blif(std::istream& in) {
       in_model = true;
       if (toks.size() > 1) model = toks[1];
     } else if (head == ".inputs") {
-      inputs.insert(inputs.end(), toks.begin() + 1, toks.end());
+      for (auto t = toks.begin() + 1; t != toks.end(); ++t) {
+        inputs.push_back({*t, line_no});
+      }
     } else if (head == ".outputs") {
-      outputs.insert(outputs.end(), toks.begin() + 1, toks.end());
+      for (auto t = toks.begin() + 1; t != toks.end(); ++t) {
+        outputs.push_back({*t, line_no});
+      }
     } else if (head == ".names") {
       if (toks.size() < 2) fail(line_no, ".names needs at least an output");
       covers.push_back({{toks.begin() + 1, toks.end()}, {}, line_no});
@@ -117,17 +127,21 @@ Netlist parse_blif(std::istream& in) {
 
   // --- build the netlist ---------------------------------------------------
   Netlist nl(model);
-  for (const auto& name : inputs) nl.add(GateKind::kInput, name);
+  const auto declare = [&nl](GateKind kind, const std::string& name, int line) {
+    if (nl.contains(name)) fail(line, "duplicate definition of '" + name + "'");
+    nl.add(kind, name);
+  };
+  for (const auto& port : inputs) {
+    declare(GateKind::kInput, port.name, port.line);
+  }
   // Declare latch outputs first (they may be used before definition).
-  for (const auto& l : latches) nl.add(GateKind::kDff, l.output);
+  for (const auto& l : latches) declare(GateKind::kDff, l.output, l.line);
   // Declare cover outputs (kBuf placeholders whose kind is finalized
   // during synthesis below, via set_fanin on a replacement gate).  To keep
   // ids stable we synthesize cover bodies after all outputs exist, using
   // auxiliary gates and a final BUF from body to the named signal.
   for (const auto& c : covers) {
-    const std::string& out = c.signals.back();
-    if (nl.contains(out)) fail(c.line, "duplicate definition of '" + out + "'");
-    nl.add(GateKind::kBuf, out);
+    declare(GateKind::kBuf, c.signals.back(), c.line);
   }
 
   auto resolve = [&](const std::string& name, int line) {
@@ -192,15 +206,19 @@ Netlist parse_blif(std::istream& in) {
   for (const auto& l : latches) {
     nl.set_fanin(resolve(l.output, l.line), {resolve(l.input, l.line)});
   }
-  for (const auto& out_name : outputs) {
-    const GateId src = nl.find(out_name);
+  for (const auto& out : outputs) {
+    const GateId src = nl.find(out.name);
     if (src == kNullGate) {
       throw std::runtime_error("blif parse error: .outputs signal '" +
-                               out_name + "' has no driver");
+                               out.name + "' has no driver");
     }
-    nl.add(GateKind::kOutput, out_name + "$out", {src});
+    const std::string port = out.name + "$out";
+    if (nl.contains(port)) {
+      fail(out.line, "duplicate .outputs signal '" + out.name + "'");
+    }
+    nl.add(GateKind::kOutput, port, {src});
   }
-  nl.validate();
+  nl.seal();
   return nl;
 }
 
@@ -281,16 +299,16 @@ void write_blif(std::ostream& out, const Netlist& nl) {
   out << '\n';
   out << ".outputs";
   for (GateId id : nl.outputs()) {
-    out << ' ' << nl.gate(nl.gate(id).fanin.at(0)).name;
+    out << ' ' << nl.gate_name(nl.fanin(id)[0]);
   }
   out << '\n';
   for (GateId id : nl.dffs()) {
-    const Gate& g = nl.gate(id);
-    out << ".latch " << nl.gate(g.fanin.at(0)).name << ' ' << g.name
+    const Gate g = nl.gate(id);
+    out << ".latch " << nl.gate_name(g.fanin[0]) << ' ' << g.name
         << " 0\n";
   }
   for (GateId id : nl.all_ids()) {
-    const Gate& g = nl.gate(id);
+    const Gate g = nl.gate(id);
     if (!is_combinational(g.kind) && g.kind != GateKind::kConst0 &&
         g.kind != GateKind::kConst1) {
       continue;

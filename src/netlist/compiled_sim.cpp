@@ -44,29 +44,24 @@ SimOp select_op(GateKind kind, std::size_t fanins) {
 CompiledNetlist::CompiledNetlist(const Netlist& nl) {
   const std::size_t n = nl.size();
   kind_.resize(n);
-  fanin_offset_.resize(n + 1, 0);
-  std::size_t total_fanins = 0;
-  for (GateId id = 0; id < n; ++id) total_fanins += nl.gate(id).fanin.size();
-  fanin_.reserve(total_fanins);
-  for (GateId id = 0; id < n; ++id) {
-    const Gate& g = nl.gate(id);
-    kind_[id] = g.kind;
-    fanin_offset_[id] = static_cast<std::uint32_t>(fanin_.size());
-    fanin_.insert(fanin_.end(), g.fanin.begin(), g.fanin.end());
-  }
-  fanin_offset_[n] = static_cast<std::uint32_t>(fanin_.size());
+  for (GateId id = 0; id < n; ++id) kind_[id] = nl.kind(id);
+  // The sealed netlist already holds its fanins as a CSR.
+  const std::span<const std::uint32_t> offsets = nl.fanin_offsets();
+  fanin_offset_.assign(offsets.begin(), offsets.end());
+  fanin_.assign(nl.fanin_pool().begin(), nl.fanin_pool().end());
 
   inputs_.assign(nl.inputs().begin(), nl.inputs().end());
   outputs_.assign(nl.outputs().begin(), nl.outputs().end());
   dffs_.assign(nl.dffs().begin(), nl.dffs().end());
   dff_d_.reserve(dffs_.size());
   for (GateId ff : dffs_) {
-    const Gate& g = nl.gate(ff);
-    if (g.fanin.size() != 1) {
-      throw std::invalid_argument("CompiledNetlist: DFF '" + g.name +
+    const std::span<const GateId> d = fanin(ff);
+    if (d.size() != 1) {
+      throw std::invalid_argument("CompiledNetlist: DFF '" +
+                                  std::string(nl.gate_name(ff)) +
                                   "' must have exactly 1 fanin");
     }
-    dff_d_.push_back(g.fanin[0]);
+    dff_d_.push_back(d[0]);
   }
 
   // Levelized schedule: a topological order of the evaluable gates,
@@ -81,7 +76,7 @@ CompiledNetlist::CompiledNetlist(const Netlist& nl) {
   std::vector<GateId> sched_ids;
   sched_ids.reserve(n);
   for (GateId id : topo) {
-    switch (nl.gate(id).kind) {
+    switch (kind_[id]) {
       case GateKind::kInput:
       case GateKind::kDff:
         break;  // externally assigned / copied from state
@@ -114,11 +109,11 @@ CompiledNetlist::CompiledNetlist(const Netlist& nl) {
   schedule_.reserve(sched_ids.size());
   level_begin_.assign(static_cast<std::size_t>(depth_) + 2, 0);
   for (GateId id : sched_ids) {
-    const Gate& g = nl.gate(id);
-    const auto [lo, hi] = arity(g.kind);
-    const int fc = g.fanin_count();
-    if (fc < lo || (hi >= 0 && fc > hi) || g.fanin.size() > 0xFFFF) {
-      throw std::invalid_argument("CompiledNetlist: gate '" + g.name +
+    const auto [lo, hi] = arity(kind_[id]);
+    const auto fc = static_cast<int>(fanin(id).size());
+    if (fc < lo || (hi >= 0 && fc > hi) || fc > 0xFFFF) {
+      throw std::invalid_argument("CompiledNetlist: gate '" +
+                                  std::string(nl.gate_name(id)) +
                                   "' has invalid fanin count " +
                                   std::to_string(fc));
     }
@@ -126,7 +121,7 @@ CompiledNetlist::CompiledNetlist(const Netlist& nl) {
     node.out = id;
     node.fanin_begin = fanin_offset_[id];
     node.fanin_count = static_cast<std::uint16_t>(fc);
-    node.op = select_op(g.kind, g.fanin.size());
+    node.op = select_op(kind_[id], static_cast<std::size_t>(fc));
     schedule_.push_back(node);
     ++level_begin_[static_cast<std::size_t>(level[id]) + 1];
   }

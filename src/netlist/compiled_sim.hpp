@@ -1,8 +1,9 @@
 /// Compiled structure-of-arrays logic-simulation kernel.
 ///
-/// `CompiledNetlist` lowers a `Netlist` once into flat, cache-friendly
-/// arrays — a dense `GateKind` byte array, CSR fanin connectivity
-/// (`uint32_t` offsets into one contiguous `GateId` array), a levelized
+/// `CompiledNetlist` lowers a sealed `Netlist` once into flat,
+/// cache-friendly arrays — a dense `GateKind` byte array, the netlist's
+/// own CSR fanin connectivity (`uint32_t` offsets into one contiguous
+/// `GateId` array, copied as is), a levelized
 /// evaluation schedule of packed `SimNode` records, and precomputed DFF
 /// D-pin / port index tables.  No strings and no per-gate heap blocks
 /// appear anywhere on the evaluation path, and the whole object is
@@ -97,8 +98,9 @@ struct AndStep {
 /// across simulators to pay levelization/layout cost exactly once.
 class CompiledNetlist {
  public:
-  /// Compiles `nl`.  Throws `std::runtime_error` on combinational cycles
-  /// and `std::invalid_argument` on arity violations (the same conditions
+  /// Compiles `nl`, which must be sealed (std::logic_error otherwise).
+  /// Throws `std::runtime_error` on combinational cycles and
+  /// `std::invalid_argument` on arity violations (the same conditions
   /// `Netlist::validate()` reports).  `nl` itself is not retained.
   explicit CompiledNetlist(const Netlist& nl);
 

@@ -12,7 +12,7 @@ namespace {
 GateId sample_signal(const Netlist& nl, SplitMix64& rng) {
   for (;;) {
     const GateId id = static_cast<GateId>(rng.below(nl.size()));
-    if (nl.gate(id).kind != GateKind::kOutput) return id;
+    if (nl.kind(id) != GateKind::kOutput) return id;
   }
 }
 
@@ -97,10 +97,13 @@ void grow_to(Netlist& nl, std::size_t target, SplitMix64& rng, const GateMix& mi
   // over k dangling signals costs exactly k-1 gates, so the growth loop
   // keeps `logic + (dangling-1) <= target` as its invariant.
   auto count_dangling = [&nl] {
+    std::vector<char> read(nl.size(), 0);
+    for (GateId id = 0; id < nl.size(); ++id) {
+      for (GateId f : nl.fanin(id)) read[f] = 1;
+    }
     std::vector<GateId> d;
     for (GateId id = 0; id < nl.size(); ++id) {
-      const Gate& g = nl.gate(id);
-      if (is_logic(g.kind) && g.fanout.empty()) d.push_back(id);
+      if (is_logic(nl.kind(id)) && !read[id]) d.push_back(id);
     }
     return d;
   };
@@ -114,6 +117,7 @@ void grow_to(Netlist& nl, std::size_t target, SplitMix64& rng, const GateMix& mi
                                 " gates, target " + std::to_string(target));
   }
   if (logic == target && dangling.empty()) return;
+  nl.reserve(nl.size() + (target - logic) + 1);  // + the closing OUTPUT
 
   auto take_dangling = [&]() -> GateId {
     const std::size_t i = rng.below(dangling.size());
@@ -137,7 +141,6 @@ void grow_to(Netlist& nl, std::size_t target, SplitMix64& rng, const GateMix& mi
     // Keep the dangling set small so the closing tree stays cheap.
     const bool prefer_dangling = dangling.size() > 12 || budget < 4;
 
-    std::vector<GateId> fanin;
     bool consumed = false;
     auto operand = [&]() -> GateId {
       const bool want_dangling =
@@ -149,23 +152,23 @@ void grow_to(Netlist& nl, std::size_t target, SplitMix64& rng, const GateMix& mi
       return sample_signal(nl, rng);
     };
 
+    std::size_t width = 2;
     switch (kind) {
       case GateKind::kNot:
       case GateKind::kDff:
-        fanin = {operand()};
+        width = 1;
         break;
       case GateKind::kMux:
-        fanin = {operand(), operand(), operand()};
+        width = 3;
         break;
-      default: {
+      default:
         // 2-input mostly; occasionally 3-4 wide.
-        int n = 2;
-        if (rng.chance(0.15)) n = 3;
-        if (rng.chance(0.05)) n = 4;
-        for (int i = 0; i < n; ++i) fanin.push_back(operand());
-      }
+        if (rng.chance(0.15)) width = 3;
+        if (rng.chance(0.05)) width = 4;
     }
-    dangling.push_back(nl.add(kind, std::move(fanin)));
+    GateId fanin[4];
+    for (std::size_t i = 0; i < width; ++i) fanin[i] = operand();
+    dangling.push_back(nl.add(kind, std::span<const GateId>(fanin, width)));
     ++logic;
   }
 
@@ -174,7 +177,7 @@ void grow_to(Netlist& nl, std::size_t target, SplitMix64& rng, const GateMix& mi
     const GateId root = xor_reduce(nl, std::move(dangling));
     nl.add(GateKind::kOutput, nl.name() + "_grow_obs$out", {root});
   }
-  nl.validate();
+  nl.seal();
 }
 
 Netlist random_logic(const std::string& name, int inputs, int outputs,
@@ -252,7 +255,7 @@ Netlist array_multiplier(const std::string& name, int bits) {
              {acc[static_cast<std::size_t>(k)]});
     }
   }
-  nl.validate();
+  nl.seal();
   return nl;
 }
 
@@ -286,7 +289,7 @@ Netlist pld(const std::string& name, int inputs, int product_terms, int outputs,
     const GateId sum = nl.add(GateKind::kOr, std::move(fanin));
     nl.add(GateKind::kOutput, "f" + std::to_string(o) + "$out", {sum});
   }
-  nl.validate();
+  nl.seal();
   return nl;
 }
 
@@ -333,7 +336,7 @@ Netlist fsm_circuit(const std::string& name, int state_bits, int input_bits,
     const GateId dec = nl.add(GateKind::kNand, {x, y});
     nl.add(GateKind::kOutput, "out" + std::to_string(o) + "$out", {dec});
   }
-  nl.validate();
+  nl.seal();
   return nl;
 }
 
@@ -367,7 +370,7 @@ Netlist majority_voter(const std::string& name, int voters) {
     layer = std::move(next);
   }
   nl.add(GateKind::kOutput, "maj$out", {layer[0]});
-  nl.validate();
+  nl.seal();
   return nl;
 }
 
@@ -399,7 +402,7 @@ Netlist serial_converter(const std::string& name, int width, std::uint64_t seed)
     out_prev = nl.add(GateKind::kDff, "sho" + std::to_string(i), {d});
   }
   nl.add(GateKind::kOutput, "dout$out", {out_prev});
-  nl.validate();
+  nl.seal();
   return nl;
 }
 
@@ -439,7 +442,7 @@ Netlist xor_cipher(const std::string& name, int width, int rounds,
   for (int i = 0; i < width; ++i) {
     nl.add(GateKind::kOutput, "ct" + std::to_string(i) + "$out", {cur[i]});
   }
-  nl.validate();
+  nl.seal();
   return nl;
 }
 
@@ -501,7 +504,7 @@ Netlist comparator_tree(const std::string& name, int width, int count) {
     nl.add(GateKind::kOutput, "max" + std::to_string(i) + "$out", {maxw[i]});
     nl.add(GateKind::kOutput, "min" + std::to_string(i) + "$out", {minw[i]});
   }
-  nl.validate();
+  nl.seal();
   return nl;
 }
 
@@ -539,7 +542,7 @@ Netlist alu_datapath(const std::string& name, int width, std::uint64_t seed) {
     nl.add(GateKind::kOutput, "res" + std::to_string(i) + "$out", {rr});
   }
   nl.add(GateKind::kOutput, "cout$out", {carry});
-  nl.validate();
+  nl.seal();
   return nl;
 }
 
@@ -585,7 +588,7 @@ Netlist bus_controller(const std::string& name, int masters, int width,
     const GateId bff = nl.add(GateKind::kDff, {bus});
     nl.add(GateKind::kOutput, "bus" + std::to_string(b) + "$out", {bff});
   }
-  nl.validate();
+  nl.seal();
   return nl;
 }
 

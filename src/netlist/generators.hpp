@@ -37,13 +37,13 @@ GateMix mix_datapath();    // MUX heavy
 // Grows `nl` with random logic until `nl.logic_gate_count() == target`,
 // then XOR-reduces all dangling signals into one extra OUTPUT.  Throws
 // std::invalid_argument if the netlist already exceeds the target (the
-// closing XOR tree is budgeted in).  No-op when the netlist already has
-// exactly `target` logic gates and nothing dangling.
+// closing XOR tree is budgeted in).  Seals the grown netlist; a no-op
+// when it already has exactly `target` logic gates and nothing dangling.
 void grow_to(Netlist& nl, std::size_t target, SplitMix64& rng,
              const GateMix& mix = mix_generic());
 
 // --- kernels ----------------------------------------------------------------
-// Each returns a small validated netlist; pass to grow_to for exact sizing.
+// Each returns a small sealed netlist; pass to grow_to for exact sizing.
 
 // Layered random logic (class "Logic").
 Netlist random_logic(const std::string& name, int inputs, int outputs,

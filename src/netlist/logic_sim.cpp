@@ -25,18 +25,18 @@ void LogicSimulator::set_input(GateId input, Word v) {
   sim_.set_input(input, v);
 }
 
-void LogicSimulator::set_input(const std::string& name, Word v) {
+void LogicSimulator::set_input(std::string_view name, Word v) {
   const GateId id = nl_->find(name);
   if (id == kNullGate) {
-    throw std::invalid_argument("LogicSimulator::set_input: no gate '" + name + "'");
+    throw std::invalid_argument("LogicSimulator::set_input: no gate '" + std::string(name) + "'");
   }
   set_input(id, v);
 }
 
-Word LogicSimulator::value(const std::string& name) const {
+Word LogicSimulator::value(std::string_view name) const {
   const GateId id = nl_->find(name);
   if (id == kNullGate) {
-    throw std::invalid_argument("LogicSimulator::value: no gate '" + name + "'");
+    throw std::invalid_argument("LogicSimulator::value: no gate '" + std::string(name) + "'");
   }
   return sim_.value(id);
 }

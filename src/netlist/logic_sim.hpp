@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "netlist/compiled_sim.hpp"
@@ -37,7 +38,7 @@ class LogicSimulator {
 
   // Assigns an input pattern word (one bit per lane).
   void set_input(GateId input, Word value);
-  void set_input(const std::string& name, Word value);
+  void set_input(std::string_view name, Word value);
 
   // Combinational settle: recompute every gate value from inputs and the
   // current DFF state.
@@ -50,7 +51,7 @@ class LogicSimulator {
   void run(int cycles) { sim_.run(cycles); }
 
   Word value(GateId gate) const { return sim_.value(gate); }
-  Word value(const std::string& name) const;
+  Word value(std::string_view name) const;
 
   // Snapshot of the sequential state (one word per DFF, in dff order).
   std::vector<Word> state() const { return sim_.state(); }

@@ -9,6 +9,10 @@ namespace diac {
 
 namespace {
 
+// The transforms below build their result without sealing it, so that
+// cleanup() chains them and validates once; `nl` need not be sealed
+// except for propagate(), which walks fanouts.
+
 // Rebuilds a netlist keeping only gates where keep[id], remapping fanins
 // through `redirect` (applied transitively) first.  `redirect[id]` points
 // a consumed gate at its replacement (kNullGate = keep as is).
@@ -28,24 +32,23 @@ Netlist rebuild(const Netlist& nl, const std::vector<char>& keep,
   // feedback makes a single topological pass impossible in general.
   for (GateId id = 0; id < nl.size(); ++id) {
     if (!keep[id]) continue;
-    new_id[id] = out.add(nl.gate(id).kind, nl.gate(id).name);
+    new_id[id] = out.add(nl.kind(id), nl.gate_name(id));
   }
+  std::vector<GateId> fanin;
   for (GateId id = 0; id < nl.size(); ++id) {
     if (!keep[id]) continue;
-    std::vector<GateId> fanin;
-    fanin.reserve(nl.gate(id).fanin.size());
-    for (GateId f : nl.gate(id).fanin) {
+    fanin.clear();
+    for (GateId f : nl.fanin(id)) {
       const GateId src = resolve(f);
       if (new_id[src] == kNullGate) {
         throw std::logic_error("transforms: kept gate reads a swept gate ('" +
-                               nl.gate(id).name + "' reads '" +
-                               nl.gate(src).name + "')");
+                               std::string(nl.gate_name(id)) + "' reads '" +
+                               std::string(nl.gate_name(src)) + "')");
       }
       fanin.push_back(new_id[src]);
     }
-    out.set_fanin(new_id[id], std::move(fanin));
+    out.set_fanin(new_id[id], fanin);
   }
-  out.validate();
   return out;
 }
 
@@ -53,14 +56,17 @@ std::vector<GateId> no_redirect(const Netlist& nl) {
   return std::vector<GateId>(nl.size(), kNullGate);
 }
 
-}  // namespace
+Netlist sealed(Netlist nl) {
+  nl.seal();
+  return nl;
+}
 
-Netlist sweep_dead_gates(const Netlist& nl, TransformStats* stats) {
+Netlist sweep(const Netlist& nl, TransformStats* stats) {
   // Mark everything reachable *backwards* from outputs and DFFs.
   std::vector<char> live(nl.size(), 0);
   std::vector<GateId> work;
   for (GateId id = 0; id < nl.size(); ++id) {
-    const GateKind k = nl.gate(id).kind;
+    const GateKind k = nl.kind(id);
     if (k == GateKind::kOutput || k == GateKind::kDff ||
         k == GateKind::kInput) {
       live[id] = 1;
@@ -70,7 +76,7 @@ Netlist sweep_dead_gates(const Netlist& nl, TransformStats* stats) {
   while (!work.empty()) {
     const GateId id = work.back();
     work.pop_back();
-    for (GateId f : nl.gate(id).fanin) {
+    for (GateId f : nl.fanin(id)) {
       if (!live[f]) {
         live[f] = 1;
         work.push_back(f);
@@ -79,13 +85,13 @@ Netlist sweep_dead_gates(const Netlist& nl, TransformStats* stats) {
   }
   std::size_t removed = 0;
   for (GateId id = 0; id < nl.size(); ++id) {
-    if (!live[id] && is_logic(nl.gate(id).kind)) ++removed;
+    if (!live[id] && is_logic(nl.kind(id))) ++removed;
   }
   if (stats) stats->removed_dead += removed;
   return rebuild(nl, live, no_redirect(nl));
 }
 
-Netlist propagate_constants(const Netlist& nl, TransformStats* stats) {
+Netlist propagate(const Netlist& nl, TransformStats* stats) {
   // Constant value per gate: nullopt = not constant.  Constants are
   // computed first, then materialized into a fresh netlist where constant
   // logic gates become kConst0/kConst1.
@@ -97,13 +103,13 @@ Netlist propagate_constants(const Netlist& nl, TransformStats* stats) {
     // Kahn over combinational edges (DFFs are sources).
     std::vector<int> pending(nl.size(), 0);
     for (GateId id = 0; id < nl.size(); ++id) {
-      const Gate& g = nl.gate(id);
+      const Gate g = nl.gate(id);
       pending[id] = g.kind == GateKind::kDff ? 0 : g.fanin_count();
       if (pending[id] == 0) topo.push_back(id);
     }
     for (std::size_t head = 0; head < topo.size(); ++head) {
-      for (GateId c : nl.gate(topo[head]).fanout) {
-        if (nl.gate(c).kind == GateKind::kDff) continue;
+      for (GateId c : nl.fanout(topo[head])) {
+        if (nl.kind(c) == GateKind::kDff) continue;
         if (--pending[c] == 0) topo.push_back(c);
       }
     }
@@ -115,7 +121,7 @@ Netlist propagate_constants(const Netlist& nl, TransformStats* stats) {
   while (changed) {
     changed = false;
     for (GateId id : order) {
-      const Gate& g = nl.gate(id);
+      const Gate g = nl.gate(id);
       if (value[id].has_value()) continue;
       std::optional<bool> v;
       switch (g.kind) {
@@ -189,7 +195,7 @@ Netlist propagate_constants(const Netlist& nl, TransformStats* stats) {
   std::vector<GateId> new_id(nl.size(), kNullGate);
   std::size_t folded = 0;
   for (GateId id = 0; id < nl.size(); ++id) {
-    const Gate& g = nl.gate(id);
+    const Gate g = nl.gate(id);
     GateKind kind = g.kind;
     if (is_logic(kind) && kind != GateKind::kDff && value[id].has_value()) {
       kind = *value[id] ? GateKind::kConst1 : GateKind::kConst0;
@@ -199,40 +205,51 @@ Netlist propagate_constants(const Netlist& nl, TransformStats* stats) {
     }
     new_id[id] = out.add(kind, g.name);
   }
+  std::vector<GateId> fanin;
   for (GateId id = 0; id < nl.size(); ++id) {
-    const Gate& g = nl.gate(id);
-    if (out.gate(new_id[id]).kind == GateKind::kConst0 ||
-        out.gate(new_id[id]).kind == GateKind::kConst1) {
+    const Gate g = nl.gate(id);
+    if (out.kind(new_id[id]) == GateKind::kConst0 ||
+        out.kind(new_id[id]) == GateKind::kConst1) {
       continue;  // constants have no fanin
     }
-    std::vector<GateId> fanin;
+    fanin.clear();
     for (GateId f : g.fanin) fanin.push_back(new_id[f]);
-    out.set_fanin(new_id[id], std::move(fanin));
+    out.set_fanin(new_id[id], fanin);
   }
-  out.validate();
   if (stats) stats->folded_constants += folded;
   return out;
 }
 
-Netlist elide_buffers(const Netlist& nl, TransformStats* stats) {
+Netlist elide(const Netlist& nl, TransformStats* stats) {
   std::vector<char> keep(nl.size(), 1);
   std::vector<GateId> redirect(nl.size(), kNullGate);
   std::size_t elided = 0;
   for (GateId id = 0; id < nl.size(); ++id) {
-    const Gate& g = nl.gate(id);
-    if (g.kind != GateKind::kBuf) continue;
+    if (nl.kind(id) != GateKind::kBuf) continue;
     keep[id] = 0;
-    redirect[id] = g.fanin.at(0);
+    redirect[id] = nl.fanin(id)[0];
     ++elided;
   }
   if (stats) stats->elided_buffers += elided;
   return rebuild(nl, keep, redirect);
 }
 
+}  // namespace
+
+Netlist sweep_dead_gates(const Netlist& nl, TransformStats* stats) {
+  return sealed(sweep(nl, stats));
+}
+
+Netlist propagate_constants(const Netlist& nl, TransformStats* stats) {
+  return sealed(propagate(nl, stats));
+}
+
+Netlist elide_buffers(const Netlist& nl, TransformStats* stats) {
+  return sealed(elide(nl, stats));
+}
+
 Netlist cleanup(const Netlist& nl, TransformStats* stats) {
-  Netlist a = propagate_constants(nl, stats);
-  Netlist b = elide_buffers(a, stats);
-  return sweep_dead_gates(b, stats);
+  return sealed(sweep(elide(propagate(nl, stats), stats), stats));
 }
 
 }  // namespace diac

@@ -259,7 +259,7 @@ VerilogModule parse_structural_verilog(std::istream& in) {
     }
     nl.add(GateKind::kOutput, name + "$port", {src});
   }
-  nl.validate();
+  nl.seal();
   return result;
 }
 

@@ -57,22 +57,23 @@ OperandCost operand_cost(const Netlist& nl, std::span<const GateId> members,
   });
 
   for (GateId id : ordered) {
-    const Gate& g = nl.gate(id);
-    const int n = g.fanin_count();
-    const double d = lib.delay(g.kind, n);
+    const GateKind kind = nl.kind(id);
+    const std::span<const GateId> fanin = nl.fanin(id);
+    const auto n = static_cast<int>(fanin.size());
+    const double d = lib.delay(kind, n);
 
     // Dynamic energy: 2 * delay * dynamic_power per member evaluation.
-    cost.dynamic_energy += 2.0 * d * lib.dynamic_power(g.kind, n);
+    cost.dynamic_energy += 2.0 * d * lib.dynamic_power(kind, n);
 
-    const double st = lib.static_power(g.kind, n);
+    const double st = lib.static_power(kind, n);
     sum_static += st;
     max_static = std::max(max_static, st);
 
     // Restricted arrival: external fanins (and DFF Q values, which are
     // ready at node start) arrive at t = 0.
     double at = 0.0;
-    if (g.kind != GateKind::kDff) {
-      for (GateId f : g.fanin) {
+    if (kind != GateKind::kDff) {
+      for (GateId f : fanin) {
         if (arrival[f] >= 0.0) at = std::max(at, arrival[f]);
       }
     }
@@ -96,7 +97,7 @@ OperandCost netlist_cost(const Netlist& nl, const CellLibrary& lib) {
   std::vector<GateId> members;
   members.reserve(nl.size());
   for (GateId id = 0; id < nl.size(); ++id) {
-    if (is_logic(nl.gate(id).kind)) members.push_back(id);
+    if (is_logic(nl.kind(id))) members.push_back(id);
   }
   return operand_cost(nl, members, lib);
 }

@@ -61,17 +61,19 @@ TaskTree TaskTree::build(const Netlist& nl, const CellLibrary& lib,
   std::vector<std::uint32_t> gate_begin(n_nodes + 1, 0);
   for (GateId g = 0; g < nl.size(); ++g) {
     const int n = node_of_gate[g];
-    const bool logic = is_logic(nl.gate(g).kind);
+    const bool logic = is_logic(nl.kind(g));
     if (n == kNoNode) {
       if (logic) {
-        throw std::invalid_argument("TaskTree: logic gate '" + nl.gate(g).name +
+        throw std::invalid_argument("TaskTree: logic gate '" +
+                                    std::string(nl.gate_name(g)) +
                                     "' not assigned to a node");
       }
       continue;
     }
     if (!logic) {
       throw std::invalid_argument("TaskTree: port/constant gate '" +
-                                  nl.gate(g).name + "' assigned to a node");
+                                  std::string(nl.gate_name(g)) +
+                                  "' assigned to a node");
     }
     if (n < 0 || n >= num_nodes) {
       throw std::invalid_argument("TaskTree: node index out of range");
@@ -120,8 +122,8 @@ TaskTree TaskTree::build(const Netlist& nl, const CellLibrary& lib,
     const int self = static_cast<int>(i);
     const auto row = static_cast<std::ptrdiff_t>(s.pred_pool.size());
     for (GateId g : gates_of(i)) {
-      const Gate& gate = nl.gate(g);
-      for (GateId f : gate.fanin) {
+      const GateKind kind = nl.kind(g);
+      for (GateId f : nl.fanin(g)) {
         const int src_node = node_of_gate[f];
         if (src_node == self) continue;
         external[f] = 1;
@@ -129,7 +131,7 @@ TaskTree TaskTree::build(const Netlist& nl, const CellLibrary& lib,
           last_reader[f] = self;
           ++dicts[i].fanin;
         }
-        if (src_node != kNoNode && gate.kind != GateKind::kDff &&
+        if (src_node != kNoNode && kind != GateKind::kDff &&
             last_pred[static_cast<std::size_t>(src_node)] != self) {
           last_pred[static_cast<std::size_t>(src_node)] = self;
           s.pred_pool.push_back(static_cast<TaskId>(src_node));
@@ -141,7 +143,7 @@ TaskTree TaskTree::build(const Netlist& nl, const CellLibrary& lib,
   }
   for (GateId g = 0; g < nl.size(); ++g) {
     if (node_of_gate[g] != kNoNode) continue;
-    for (GateId f : nl.gate(g).fanin) external[f] = 1;
+    for (GateId f : nl.fanin(g)) external[f] = 1;
   }
   // Succs are the inverse of preds, filled in ascending node order so each
   // row comes out sorted.
@@ -354,7 +356,7 @@ TaskTree per_gate_tree(const Netlist& nl, const CellLibrary& lib) {
   std::vector<int> part(nl.size(), kNoNode);
   int next = 0;
   for (GateId g = 0; g < nl.size(); ++g) {
-    if (is_logic(nl.gate(g).kind)) part[g] = next++;
+    if (is_logic(nl.kind(g))) part[g] = next++;
   }
   if (next == 0) {
     throw std::invalid_argument("per_gate_tree: netlist has no logic gates");

@@ -89,7 +89,7 @@ Netlist fig2_netlist() {
   const GateId r2 = nl.add(GateKind::kXor, "R_g1", {f7, f8});
   const GateId r3 = nl.add(GateKind::kXor, "R_g2", {r1, r2});
   nl.add(GateKind::kOutput, "y$out", {r3});
-  nl.validate();
+  nl.seal();
   return nl;
 }
 
@@ -100,11 +100,9 @@ TaskTree fig2_tree(const Netlist& nl, const CellLibrary& lib) {
   std::vector<std::string> labels;
   int next = 0;
   for (GateId id = 0; id < nl.size(); ++id) {
-    const Gate& g = nl.gate(id);
+    const Gate g = nl.gate(id);
     if (!is_logic(g.kind)) continue;
-    const auto us = g.name.find('_');
-    const std::string label =
-        us == std::string::npos ? g.name : g.name.substr(0, us);
+    const std::string label(g.name.substr(0, g.name.find('_')));
     auto [it, inserted] = block_index.emplace(label, next);
     if (inserted) {
       ++next;

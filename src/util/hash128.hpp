@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace diac {
@@ -44,7 +45,7 @@ class Fnv128 {
   }
 
   // Hashes the token's length, then its bytes (unambiguous framing).
-  void update_token(const std::string& token) {
+  void update_token(std::string_view token) {
     const std::uint64_t n = token.size();
     update(&n, sizeof(n));
     update(token.data(), token.size());

@@ -7,10 +7,16 @@
 namespace diac::verify {
 namespace {
 
+// The gate's kind, name and fanin.  DRC also runs on netlists that are
+// not sealed (seal() validates through it), so the view has no fanout.
+Gate view(const Netlist& nl, GateId id) {
+  return Gate{nl.kind(id), nl.gate_name(id), nl.fanin(id), {}};
+}
+
 // Quotes a gate for a message: 'name' (kind).
 std::string describe(const Netlist& nl, GateId id) {
-  const Gate& g = nl.gate(id);
-  return "'" + g.name + "' (" + to_string(g.kind) + ")";
+  return "'" + std::string(nl.gate_name(id)) + "' (" + to_string(nl.kind(id)) +
+         ")";
 }
 
 void emit(std::vector<DrcFinding>& out, DrcRule rule, DrcSeverity severity,
@@ -19,51 +25,34 @@ void emit(std::vector<DrcFinding>& out, DrcRule rule, DrcSeverity severity,
   f.rule = rule;
   f.severity = severity;
   f.gate = gate;
-  if (gate != kNullGate) f.gate_name = nl.gate(gate).name;
+  if (gate != kNullGate) f.gate_name = nl.gate_name(gate);
   f.message = std::move(message);
   out.push_back(std::move(f));
 }
 
-// N1: every fanin id in range, no OUTPUT used as a driver, and the
-// fanout bookkeeping consistent with the fanin lists (the mutable
-// `Gate&` accessor lets callers desynchronize them).
+// N1: every fanin id in range and no OUTPUT used as a driver.  (Fanout
+// is derived from the fanins at seal(), so the two cannot disagree.)
 void check_links(const Netlist& nl, std::vector<DrcFinding>& out) {
   const std::size_t n = nl.size();
-  std::vector<std::vector<GateId>> consumers(n);  // from the fanin side
   for (GateId id = 0; id < n; ++id) {
-    const Gate& g = nl.gate(id);
-    for (GateId f : g.fanin) {
+    for (GateId f : nl.fanin(id)) {
       if (f >= n) {
         emit(out, DrcRule::kLinks, DrcSeverity::kError, id, nl,
-             "gate '" + g.name + "' has out-of-range fanin id " +
-                 std::to_string(f));
-        continue;
-      }
-      consumers[f].push_back(id);
-      if (nl.gate(f).kind == GateKind::kOutput) {
+             "gate '" + std::string(nl.gate_name(id)) +
+                 "' has out-of-range fanin id " + std::to_string(f));
+      } else if (nl.kind(f) == GateKind::kOutput) {
         emit(out, DrcRule::kLinks, DrcSeverity::kError, id, nl,
-             "OUTPUT '" + nl.gate(f).name + "' drives gate '" + g.name + "'");
+             "OUTPUT '" + std::string(nl.gate_name(f)) + "' drives gate '" +
+                 std::string(nl.gate_name(id)) + "'");
       }
     }
-  }
-  for (GateId id = 0; id < n; ++id) {
-    std::vector<GateId> recorded(nl.gate(id).fanout.begin(),
-                                 nl.gate(id).fanout.end());
-    std::sort(recorded.begin(), recorded.end());
-    std::sort(consumers[id].begin(), consumers[id].end());
-    if (recorded == consumers[id]) continue;
-    emit(out, DrcRule::kLinks, DrcSeverity::kError, id, nl,
-         "fanout list of '" + nl.gate(id).name +
-             "' is inconsistent with the fanin lists (" +
-             std::to_string(recorded.size()) + " recorded, " +
-             std::to_string(consumers[id].size()) + " actual references)");
   }
 }
 
 // N2: fan-in count within the GateKind's arity bounds.
 void check_arity(const Netlist& nl, std::vector<DrcFinding>& out) {
   for (GateId id = 0; id < nl.size(); ++id) {
-    const Gate& g = nl.gate(id);
+    const Gate g = view(nl, id);
     const auto [lo, hi] = arity(g.kind);
     const int fi = g.fanin_count();
     if (fi < lo || (hi >= 0 && fi > hi)) {
@@ -89,7 +78,7 @@ void check_cycles(const Netlist& nl, std::vector<DrcFinding>& out) {
     mark[root] = Mark::kGrey;
     while (!stack.empty()) {
       auto& [id, next] = stack.back();
-      const Gate& g = nl.gate(id);
+      const Gate g = view(nl, id);
       const bool traverse = g.kind != GateKind::kDff;
       if (traverse && next < g.fanin.size()) {
         const GateId child = g.fanin[next++];
@@ -101,9 +90,9 @@ void check_cycles(const Netlist& nl, std::vector<DrcFinding>& out) {
           while (start < stack.size() && stack[start].first != child) ++start;
           std::string path = "combinational cycle:";
           for (std::size_t s = start; s < stack.size(); ++s) {
-            path += " '" + nl.gate(stack[s].first).name + "' ->";
+            path += " '" + std::string(nl.gate_name(stack[s].first)) + "' ->";
           }
-          path += " '" + nl.gate(child).name + "'";
+          path += " '" + std::string(nl.gate_name(child)) + "'";
           emit(out, DrcRule::kCycle, DrcSeverity::kError, child, nl, path);
           continue;
         }
@@ -134,7 +123,7 @@ void check_floating(const Netlist& nl, std::vector<DrcFinding>& out) {
   while (!work.empty()) {
     const GateId id = work.back();
     work.pop_back();
-    for (GateId f : nl.gate(id).fanin) {
+    for (GateId f : view(nl, id).fanin) {
       if (f >= n || reached[f]) continue;
       reached[f] = 1;
       work.push_back(f);
@@ -142,10 +131,10 @@ void check_floating(const Netlist& nl, std::vector<DrcFinding>& out) {
   }
   for (GateId id = 0; id < n; ++id) {
     if (reached[id]) continue;
-    const Gate& g = nl.gate(id);
+    const Gate g = view(nl, id);
     if (g.kind == GateKind::kInput) {
       emit(out, DrcRule::kFloating, DrcSeverity::kWarning, id, nl,
-           "input '" + g.name + "' reaches no output port");
+           "input '" + std::string(g.name) + "' reaches no output port");
     } else {
       emit(out, DrcRule::kFloating, DrcSeverity::kWarning, id, nl,
            "unreachable gate " + describe(nl, id) +
@@ -161,8 +150,8 @@ void check_floating(const Netlist& nl, std::vector<DrcFinding>& out) {
 void check_names(const Netlist& nl, std::vector<DrcFinding>& out) {
   // Mirror of codegen's vname() sanitization (without the "w_" prefix,
   // which is collision-neutral).
-  const auto sanitize = [](const std::string& raw) {
-    std::string s = raw;
+  const auto sanitize = [](std::string_view raw) {
+    std::string s(raw);
     for (char& c : s) {
       const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                       (c >= '0' && c <= '9') || c == '_';
@@ -172,17 +161,17 @@ void check_names(const Netlist& nl, std::vector<DrcFinding>& out) {
   };
   std::map<std::string, std::vector<GateId>> by_sanitized;
   for (GateId id = 0; id < nl.size(); ++id) {
-    const Gate& g = nl.gate(id);
-    if (g.name.empty()) {
+    const std::string_view name = nl.gate_name(id);
+    if (name.empty()) {
       emit(out, DrcRule::kNames, DrcSeverity::kError, id, nl,
            "gate " + std::to_string(id) + " has an empty name");
       continue;
     }
-    const std::string clean = sanitize(g.name);
-    if (clean != g.name) {
+    const std::string clean = sanitize(name);
+    if (clean != name) {
       emit(out, DrcRule::kNames, DrcSeverity::kWarning, id, nl,
-           "name '" + g.name + "' needs sanitization for codegen ('w_" +
-               clean + "')");
+           "name '" + std::string(name) +
+               "' needs sanitization for codegen ('w_" + clean + "')");
     }
     by_sanitized[clean].push_back(id);
   }
@@ -190,8 +179,9 @@ void check_names(const Netlist& nl, std::vector<DrcFinding>& out) {
     if (ids.size() < 2) continue;
     for (std::size_t i = 1; i < ids.size(); ++i) {
       emit(out, DrcRule::kNames, DrcSeverity::kError, ids[i], nl,
-           "sanitized name 'w_" + clean + "' of '" + nl.gate(ids[i]).name +
-               "' collides with gate '" + nl.gate(ids[0]).name + "'");
+           "sanitized name 'w_" + clean + "' of '" +
+               std::string(nl.gate_name(ids[i])) + "' collides with gate '" +
+               std::string(nl.gate_name(ids[0])) + "'");
     }
   }
 }
@@ -201,11 +191,11 @@ void check_names(const Netlist& nl, std::vector<DrcFinding>& out) {
 void check_degenerate(const Netlist& nl, std::vector<DrcFinding>& out) {
   const std::size_t n = nl.size();
   const auto is_const = [&](GateId f) {
-    return f < n && (nl.gate(f).kind == GateKind::kConst0 ||
-                     nl.gate(f).kind == GateKind::kConst1);
+    return f < n && (view(nl, f).kind == GateKind::kConst0 ||
+                     view(nl, f).kind == GateKind::kConst1);
   };
   for (GateId id = 0; id < n; ++id) {
-    const Gate& g = nl.gate(id);
+    const Gate g = view(nl, id);
     if (g.fanin.empty()) continue;
     const bool fanins_valid = std::all_of(
         g.fanin.begin(), g.fanin.end(), [&](GateId f) { return f < n; });
@@ -214,22 +204,25 @@ void check_degenerate(const Netlist& nl, std::vector<DrcFinding>& out) {
         std::all_of(g.fanin.begin(), g.fanin.end(), is_const);
     switch (g.kind) {
       case GateKind::kDff: {
-        const Gate& d = nl.gate(g.fanin[0]);
+        const Gate d = view(nl, g.fanin[0]);
         if (d.kind == GateKind::kDff) {
           emit(out, DrcRule::kDegenerate, DrcSeverity::kWarning, id, nl,
-               "DFF '" + g.name + "' captures DFF '" + d.name +
+               "DFF '" + std::string(g.name) + "' captures DFF '" +
+                   std::string(d.name) +
                    "' directly (no combinational logic between stages)");
         } else if (is_const(g.fanin[0])) {
           emit(out, DrcRule::kDegenerate, DrcSeverity::kWarning, id, nl,
-               "DFF '" + g.name + "' captures constant '" + d.name + "'");
+               "DFF '" + std::string(g.name) + "' captures constant '" +
+                   std::string(d.name) + "'");
         }
         break;
       }
       case GateKind::kOutput:
         if (is_const(g.fanin[0])) {
           emit(out, DrcRule::kDegenerate, DrcSeverity::kWarning, id, nl,
-               "output port '" + g.name + "' is driven by constant '" +
-                   nl.gate(g.fanin[0]).name + "'");
+               "output port '" + std::string(g.name) +
+                   "' is driven by constant '" +
+                   std::string(nl.gate_name(g.fanin[0])) + "'");
         }
         break;
       case GateKind::kMux:
@@ -239,8 +232,8 @@ void check_degenerate(const Netlist& nl, std::vector<DrcFinding>& out) {
                    " computes a constant (all fanins constant)");
         } else if (is_const(g.fanin[0])) {
           emit(out, DrcRule::kDegenerate, DrcSeverity::kWarning, id, nl,
-               "MUX '" + g.name + "' has a constant select '" +
-                   nl.gate(g.fanin[0]).name + "'");
+               "MUX '" + std::string(g.name) + "' has a constant select '" +
+                   std::string(nl.gate_name(g.fanin[0])) + "'");
         }
         break;
       case GateKind::kAnd:
@@ -263,13 +256,13 @@ void check_degenerate(const Netlist& nl, std::vector<DrcFinding>& out) {
             g.kind == GateKind::kOr || g.kind == GateKind::kNor;
         if (!and_like && !or_like) break;
         for (GateId f : g.fanin) {
-          const GateKind fk = nl.gate(f).kind;
+          const GateKind fk = view(nl, f).kind;
           if ((and_like && fk == GateKind::kConst0) ||
               (or_like && fk == GateKind::kConst1)) {
             emit(out, DrcRule::kDegenerate, DrcSeverity::kWarning, id, nl,
                  "gate " + describe(nl, id) +
                      " is forced constant by dominating fanin '" +
-                     nl.gate(f).name + "'");
+                     std::string(nl.gate_name(f)) + "'");
             break;
           }
         }
@@ -300,8 +293,7 @@ const char* to_string(DrcRule rule) {
 const char* rule_summary(DrcRule rule) {
   switch (rule) {
     case DrcRule::kLinks:
-      return "fanin ids in range, no OUTPUT drivers, fanout lists "
-             "consistent with fanin lists";
+      return "fanin ids in range, no OUTPUT drivers";
     case DrcRule::kArity:
       return "fan-in count within the GateKind's arity bounds";
     case DrcRule::kCycle:

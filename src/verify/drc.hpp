@@ -8,7 +8,7 @@
 ///
 /// Severities follow the same split diac-lint uses for code: *errors*
 /// are structural facts that break downstream consumers (the compiled
-/// kernel, codegen, equivalence checking) — inconsistent links (N1),
+/// kernel, codegen, equivalence checking) — invalid links (N1),
 /// arity violations (N2), combinational cycles (N3), and post-sanitize
 /// name collisions that would merge two Verilog wires (N5) — while
 /// *warnings* flag suspicious-but-simulable shapes: unreachable logic
@@ -33,7 +33,7 @@ namespace diac::verify {
 
 /// DRC rule identifiers (stable, printed as "N1".."N6").
 enum class DrcRule : std::uint8_t {
-  kLinks = 0,       ///< N1: invalid / inconsistent fanin-fanout links
+  kLinks = 0,       ///< N1: out-of-range fanin id or an OUTPUT driving a gate
   kArity = 1,       ///< N2: fan-in count outside the GateKind's arity
   kCycle = 2,       ///< N3: combinational cycle (path through no DFF)
   kFloating = 3,    ///< N4: gate with no path to any output / unused input
@@ -100,7 +100,9 @@ struct DrcReport {
 
 /// Runs the selected DRC rules over `nl` and collects every violation.
 /// Never throws on netlist content (only on allocation failure); a
-/// malformed netlist yields findings, not exceptions.
+/// malformed netlist yields findings, not exceptions.  Reads only kinds,
+/// names and fanins, so `nl` need not be sealed (seal() validates
+/// through it).
 DrcReport run_drc(const Netlist& nl, const DrcOptions& options = {});
 
 /// Writes the report in the diac-lint style, one line per finding

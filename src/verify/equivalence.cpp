@@ -28,10 +28,10 @@ bool match_by_name(const Netlist& a, const Netlist& b,
                    std::span<const GateId> b_ports, const char* what,
                    std::vector<GateId>& out_a, std::vector<GateId>& out_b,
                    std::vector<std::string>& out_names, std::string& why) {
-  std::map<std::string, GateId> b_by_name;
-  for (GateId id : b_ports) b_by_name.emplace(b.gate(id).name, id);
+  std::map<std::string, GateId, std::less<>> b_by_name;
+  for (GateId id : b_ports) b_by_name.emplace(b.gate_name(id), id);
   for (GateId id : a_ports) {
-    const std::string& name = a.gate(id).name;
+    const std::string name(a.gate_name(id));
     const auto it = b_by_name.find(name);
     if (it == b_by_name.end()) {
       why = std::string(what) + " '" + name + "' of '" + a.name() +
@@ -69,8 +69,8 @@ PortMatch match_ports(const Netlist& a, const Netlist& b, bool by_order) {
     m.b_in.assign(b.inputs().begin(), b.inputs().end());
     m.a_out.assign(a.outputs().begin(), a.outputs().end());
     m.b_out.assign(b.outputs().begin(), b.outputs().end());
-    for (GateId id : m.a_in) m.in_names.push_back(a.gate(id).name);
-    for (GateId id : m.a_out) m.out_names.push_back(a.gate(id).name);
+    for (GateId id : m.a_in) m.in_names.emplace_back(a.gate_name(id));
+    for (GateId id : m.a_out) m.out_names.emplace_back(a.gate_name(id));
     return m;
   }
   if (!match_by_name(a, b, a.inputs(), b.inputs(), "input", m.a_in, m.b_in,

@@ -16,6 +16,7 @@ Netlist chain3() {
   const GateId n2 = nl.add(GateKind::kNot, "n2", {n1});
   const GateId n3 = nl.add(GateKind::kNot, "n3", {n2});
   nl.add(GateKind::kOutput, "y$out", {n3});
+  nl.seal();
   return nl;
 }
 
@@ -26,7 +27,7 @@ TEST(Analysis, TopologicalOrderRespectsDeps) {
   std::vector<std::size_t> pos(nl.size());
   for (std::size_t i = 0; i < order.size(); ++i) pos[order[i]] = i;
   for (GateId id = 0; id < nl.size(); ++id) {
-    const Gate& g = nl.gate(id);
+    const Gate g = nl.gate(id);
     if (g.kind == GateKind::kDff) continue;
     for (GateId f : g.fanin) {
       EXPECT_LT(pos[f], pos[id]) << nl.gate(id).name;
@@ -70,6 +71,7 @@ TEST(Analysis, CriticalPathPicksLongestBranch) {
   }
   const GateId j = nl.add(GateKind::kAnd, "j", {s, l});
   nl.add(GateKind::kOutput, "y$out", {j});
+  nl.seal();
   const CellLibrary lib = CellLibrary::nominal_45nm();
   const double expect =
       3 * lib.delay(GateKind::kNot, 1) + lib.delay(GateKind::kAnd, 2);
@@ -104,6 +106,7 @@ TEST(Analysis, MultiFanoutSplitsCones) {
   const GateId v = nl.add(GateKind::kNot, "v", {shared});
   nl.add(GateKind::kOutput, "y1$out", {u});
   nl.add(GateKind::kOutput, "y2$out", {v});
+  nl.seal();
   const auto cones = fanout_free_cones(nl);
   EXPECT_EQ(cones.size(), 3u);  // shared, u, v
 }
@@ -143,7 +146,7 @@ q = DFF(w2)
 y = XOR(q, w1)
 )");
   for (const auto& cone : fanout_free_cones(nl)) {
-    const Gate& root = nl.gate(cone.root);
+    const Gate root = nl.gate(cone.root);
     const bool multi = root.fanout.size() != 1;
     const bool feeds_noncomb =
         root.fanout.size() == 1 &&

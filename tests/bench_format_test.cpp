@@ -106,6 +106,27 @@ TEST(BenchFormat, ErrorsCarryLineNumbers) {
   }
 }
 
+// The message a parse of `text` throws ("" when it parses).
+std::string parse_error(const std::string& text) {
+  try {
+    parse_bench_string(text);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(BenchFormat, DuplicateNamesCarryLineNumbers) {
+  EXPECT_EQ(parse_error("INPUT(a)\nINPUT(a)\nOUTPUT(z)\nz = NOT(a)\n"),
+            "bench parse error at line 2: duplicate definition of 'a'");
+  EXPECT_EQ(parse_error("INPUT(a)\nOUTPUT(z)\n\nOUTPUT(z)\nz = NOT(a)\n"),
+            "bench parse error at line 4: duplicate OUTPUT(z)");
+  EXPECT_EQ(parse_error("INPUT(a)\nx = NOT(a)\nx = BUF(a)\n"),
+            "bench parse error at line 3: duplicate definition of 'x'");
+  EXPECT_EQ(parse_error("INPUT(a)\na = NOT(a)\n"),
+            "bench parse error at line 2: duplicate definition of 'a'");
+}
+
 TEST(BenchFormat, RoundTripPreservesStructure) {
   const Netlist original = parse_bench_string(kS27Like, "rt");
   const std::string text = to_bench_string(original);

@@ -134,6 +134,34 @@ TEST(Blif, ErrorsCarryLineNumbers) {
   }
 }
 
+// The message a parse of `text` throws ("" when it parses).
+std::string parse_error(const std::string& text) {
+  try {
+    parse_blif_string(text);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Blif, DuplicateNamesCarryLineNumbers) {
+  EXPECT_EQ(parse_error(".model d\n.inputs a\n.inputs a\n.outputs z\n"
+                        ".names a z\n0 1\n.end\n"),
+            "blif parse error at line 3: duplicate definition of 'a'");
+  EXPECT_EQ(parse_error(".model d\n.inputs a b a\n.outputs z\n"
+                        ".names a z\n0 1\n.end\n"),
+            "blif parse error at line 2: duplicate definition of 'a'");
+  EXPECT_EQ(parse_error(".model d\n.inputs a\n.outputs z\n.outputs z\n"
+                        ".names a z\n0 1\n.end\n"),
+            "blif parse error at line 4: duplicate .outputs signal 'z'");
+  EXPECT_EQ(parse_error(".model d\n.inputs a\n.outputs q\n"
+                        ".latch a q 0\n.latch a q 0\n.end\n"),
+            "blif parse error at line 5: duplicate definition of 'q'");
+  EXPECT_EQ(parse_error(".model d\n.inputs a\n.outputs a\n"
+                        ".names a\n1\n.end\n"),
+            "blif parse error at line 4: duplicate definition of 'a'");
+}
+
 TEST(Blif, WriterRoundTripsFunctionally) {
   // Emit a structurally rich circuit to BLIF, re-parse, and compare
   // behaviour on the logic simulator.

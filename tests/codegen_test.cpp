@@ -35,7 +35,7 @@ TEST(Codegen, DeclaresAllPorts) {
   const Netlist& nl = r.design.tree.netlist();
   const std::string v = generate_verilog(r.design);
   for (GateId in : nl.inputs()) {
-    EXPECT_NE(v.find("input wire w_" + nl.gate(in).name), std::string::npos)
+    EXPECT_NE(v.find("input wire w_" + std::string(nl.gate_name(in))), std::string::npos)
         << nl.gate(in).name;
   }
   EXPECT_EQ(static_cast<std::size_t>(

@@ -99,7 +99,7 @@ TEST(CompiledSim, DifferentialEveryGateKind) {
   nl.add(GateKind::kOutput, "y5", {nand2});
   nl.add(GateKind::kOutput, "y6", {zero});
   nl.add(GateKind::kOutput, "y7", {one});
-  nl.validate();
+  nl.seal();
 
   ReferenceSimulator ref(nl);
   CompiledSimulator cs(nl);

@@ -90,7 +90,7 @@ TEST(DeterminismOrder, TaskFanCountsIgnoreDeclarationOrder) {
   const TaskTree ts = per_gate_tree(shf, lib());
   for (GateId id = 0; id < fwd.size(); ++id) {
     if (!is_logic(fwd.gate(id).kind)) continue;
-    const std::string& name = fwd.gate(id).name;
+    const std::string_view name = fwd.gate_name(id);
     const int nf = tf.partition()[id];
     const int ns = ts.partition()[shf.find(name)];
     ASSERT_GE(nf, 0);

@@ -40,25 +40,48 @@ TEST(Drc, CleanNetlistHasNoFindings) {
   EXPECT_EQ(r.first_error(), nullptr);
 }
 
-TEST(Drc, N1OutOfRangeFanin) {
-  Netlist nl = clean_netlist();
-  // The mutable accessor can bypass add()/set_fanin() range checks.
-  nl.gate(nl.find("n")).fanin.push_back(1000);
-  const DrcReport r = run_drc(nl);
-  EXPECT_FALSE(r.clean());
-  EXPECT_EQ(r.count(DrcRule::kLinks), 1u);
-  EXPECT_NE(r.first_error()->message.find("out-of-range"),
-            std::string::npos);
-  EXPECT_THROW(nl.validate(), std::runtime_error);
+// Expects `f` to throw std::invalid_argument with exactly `message`.
+template <typename F>
+void expect_invalid_argument(F&& f, const std::string& message) {
+  try {
+    f();
+    ADD_FAILURE() << "expected std::invalid_argument: " << message;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), message);
+  }
 }
 
-TEST(Drc, N1FanoutBookkeepingMismatch) {
+// An out-of-range fanin cannot enter the netlist: add() and set_fanin()
+// reject it with their messages before storing anything, so the netlist
+// stays clean.  N1 keeps the range check for completeness.
+TEST(Drc, N1OutOfRangeFanin) {
   Netlist nl = clean_netlist();
-  nl.gate(nl.find("a")).fanout.push_back(nl.find("y"));
-  const DrcReport r = run_drc(nl);
-  EXPECT_EQ(r.count(DrcRule::kLinks), 1u);
-  EXPECT_EQ(r.findings[0].gate_name, "a");
-  EXPECT_NE(r.findings[0].message.find("inconsistent"), std::string::npos);
+  const GateId n = nl.find("n");
+  expect_invalid_argument([&] { nl.add(GateKind::kNot, "bad", {1000}); },
+                          "Netlist: fanin id out of range for 'bad'");
+  expect_invalid_argument([&] { nl.set_fanin(n, {nl.find("q"), 1000}); },
+                          "Netlist::set_fanin: fanin id out of range");
+  expect_invalid_argument([&] { nl.set_fanin(1000, {n}); },
+                          "Netlist::set_fanin: gate id out of range");
+  EXPECT_FALSE(nl.contains("bad"));
+  EXPECT_EQ(nl.size(), 6u);
+  ASSERT_EQ(nl.fanin(n).size(), 2u);
+  EXPECT_EQ(nl.fanin(n)[1], nl.find("a"));
+  EXPECT_TRUE(run_drc(nl).clean());
+  EXPECT_NO_THROW(nl.seal());
+}
+
+// Fanout is derived from the fanins, so the one N1 error a re-linked
+// gate can still produce is reading an OUTPUT port.
+TEST(Drc, N1RelinkedGateReadsOutput) {
+  Netlist nl = clean_netlist();
+  nl.set_fanin(nl.find("n"), {nl.find("q"), nl.find("y")});
+  const DrcReport r = run_drc(nl, DrcOptions::structural());
+  ASSERT_EQ(r.count(DrcRule::kLinks), 1u);
+  EXPECT_EQ(r.findings[0].gate_name, "n");
+  EXPECT_EQ(r.findings[0].message, "OUTPUT 'y' drives gate 'n'");
+  EXPECT_THROW(nl.seal(), std::runtime_error);
+  EXPECT_FALSE(nl.sealed());
 }
 
 TEST(Drc, N1OutputUsedAsDriver) {
@@ -194,10 +217,18 @@ TEST(Drc, StructuralOptionsSkipAdvisoryRules) {
 }
 
 TEST(Drc, ReportIsDeterministicAndOrdered) {
+  // Advisory findings on several gates: N4 (unused input, unreachable
+  // gate), N5 (unsafe names) and N6 (constant-driven DFF).
   Netlist nl = clean_netlist();
   nl.add(GateKind::kInput, "dead$in");
-  nl.gate(nl.find("a")).fanout.push_back(nl.find("y"));
+  const GateId c = nl.add(GateKind::kConst0, "zero");
+  nl.add(GateKind::kDff, "stuck.q", {c});
   const DrcReport r1 = run_drc(nl);
+  EXPECT_TRUE(r1.clean());
+  EXPECT_GE(r1.warnings, 4u);
+  EXPECT_GT(r1.count(DrcRule::kFloating), 0u);
+  EXPECT_GT(r1.count(DrcRule::kNames), 0u);
+  EXPECT_GT(r1.count(DrcRule::kDegenerate), 0u);
   const DrcReport r2 = run_drc(nl);
   std::ostringstream s1, s2;
   verify::write_drc_report(s1, r1, nl.name());

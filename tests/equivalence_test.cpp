@@ -34,6 +34,7 @@ Netlist and_direct() {
   const GateId a = nl.add(GateKind::kInput, "a");
   const GateId b = nl.add(GateKind::kInput, "b");
   nl.add(GateKind::kOutput, "y", {nl.add(GateKind::kAnd, "g", {a, b})});
+  nl.seal();
   return nl;
 }
 
@@ -46,6 +47,7 @@ Netlist and_demorgan() {
   const GateId nb = nl.add(GateKind::kNot, "nb", {b});
   nl.add(GateKind::kOutput, "y",
          {nl.add(GateKind::kNor, "nr", {na, nb})});
+  nl.seal();
   return nl;
 }
 
@@ -55,6 +57,7 @@ Netlist or_direct() {
   const GateId a = nl.add(GateKind::kInput, "a");
   const GateId b = nl.add(GateKind::kInput, "b");
   nl.add(GateKind::kOutput, "y", {nl.add(GateKind::kOr, "g", {a, b})});
+  nl.seal();
   return nl;
 }
 
@@ -68,6 +71,7 @@ Netlist delay_line(bool invert_d) {
   const GateId q1 = nl.add(GateKind::kDff, "q1", {d});
   const GateId q2 = nl.add(GateKind::kDff, "q2", {q1});
   nl.add(GateKind::kOutput, "y", {q2});
+  nl.seal();
   return nl;
 }
 
@@ -107,6 +111,7 @@ TEST(Equivalence, InterfaceMismatchIsReportedNotThrown) {
   const GateId q = other.add(GateKind::kInput, "q");
   other.add(GateKind::kOutput, "y",
             {other.add(GateKind::kAnd, "g", {p, q})});
+  other.seal();
   const EquivalenceResult r = check_equivalence(renamed, other);
   EXPECT_EQ(r.status, EquivalenceStatus::kInterfaceMismatch);
   EXPECT_FALSE(r.equivalent());
@@ -187,6 +192,17 @@ GateKind inverted(GateKind k) {
   }
 }
 
+// A copy of `nl` with gate `target` re-typed to `kind`; a netlist has no
+// in-place kind setter.
+Netlist retyped(const Netlist& nl, GateId target, GateKind kind) {
+  Netlist out(nl.name());
+  for (GateId id = 0; id < nl.size(); ++id) {
+    out.add(id == target ? kind : nl.kind(id), nl.gate_name(id));
+  }
+  for (GateId id = 0; id < nl.size(); ++id) out.set_fanin(id, nl.fanin(id));
+  return out;
+}
+
 // Applies `m` to a copy of `nl`; returns false when the netlist has no
 // applicable site (e.g. no MUX with distinct arms).
 bool apply_mutation(Netlist& nl, Mutation m) {
@@ -200,9 +216,9 @@ bool apply_mutation(Netlist& nl, Mutation m) {
     }
     case Mutation::kInvertedPolarity: {
       for (GateId id = 0; id < nl.size(); ++id) {
-        const GateKind k = nl.gate(id).kind;
+        const GateKind k = nl.kind(id);
         if (inverted(k) != k) {
-          nl.gate(id).kind = inverted(k);
+          nl = retyped(nl, id, inverted(k));
           return true;
         }
       }
@@ -210,7 +226,7 @@ bool apply_mutation(Netlist& nl, Mutation m) {
     }
     case Mutation::kSwappedMuxArms: {
       for (GateId id = 0; id < nl.size(); ++id) {
-        const Gate& g = nl.gate(id);
+        const Gate g = nl.gate(id);
         if (g.kind == GateKind::kMux && g.fanin[1] != g.fanin[2]) {
           nl.set_fanin(id, {g.fanin[0], g.fanin[2], g.fanin[1]});
           return true;
@@ -222,11 +238,12 @@ bool apply_mutation(Netlist& nl, Mutation m) {
       // Bypass the last wide gate: its consumers see fanin[0] instead
       // of the computed function.
       for (GateId id = static_cast<GateId>(nl.size()); id-- > 0;) {
-        const Gate& g = nl.gate(id);
+        const Gate g = nl.gate(id);
         if (is_combinational(g.kind) && g.fanin.size() >= 2 &&
             g.kind != GateKind::kMux) {
-          nl.gate(id).kind = GateKind::kBuf;
-          nl.set_fanin(id, {g.fanin[0]});
+          const GateId first = g.fanin[0];
+          nl = retyped(nl, id, GateKind::kBuf);
+          nl.set_fanin(id, {first});
           return true;
         }
       }
@@ -245,7 +262,7 @@ TEST_P(MutationCatching, FaultIsCaughtWithValidCounterexample) {
   Netlist mutant = original;
   ASSERT_TRUE(apply_mutation(mutant, mutation))
       << name << " has no site for " << to_string(mutation);
-  mutant.validate();  // every mutant stays structurally legal
+  mutant.seal();  // every mutant stays structurally legal
   EquivalenceOptions opts;
   const EquivalenceResult r = check_equivalence(original, mutant, opts);
   ASSERT_EQ(r.status, EquivalenceStatus::kNotEquivalent)

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "netlist/netlist.hpp"
 
 namespace diac {
@@ -11,6 +13,7 @@ Netlist tiny_and() {
   const GateId b = nl.add(GateKind::kInput, "b");
   const GateId g = nl.add(GateKind::kAnd, "g", {a, b});
   nl.add(GateKind::kOutput, "y$out", {g});
+  nl.seal();
   return nl;
 }
 
@@ -55,7 +58,7 @@ TEST(Netlist, AutoNamesAreUnique) {
   const GateId a = nl.add(GateKind::kInput, "pi");
   const GateId g1 = nl.add(GateKind::kNot, {a});
   const GateId g2 = nl.add(GateKind::kNot, {a});
-  EXPECT_NE(nl.gate(g1).name, nl.gate(g2).name);
+  EXPECT_NE(nl.gate_name(g1), nl.gate_name(g2));
 }
 
 TEST(Netlist, SetFaninRewiresFanout) {
@@ -63,8 +66,11 @@ TEST(Netlist, SetFaninRewiresFanout) {
   const GateId a = nl.add(GateKind::kInput, "a");
   const GateId b = nl.add(GateKind::kInput, "b");
   const GateId g = nl.add(GateKind::kNot, "g", {a});
+  nl.seal();
   EXPECT_EQ(nl.gate(a).fanout.size(), 1u);
   nl.set_fanin(g, {b});
+  EXPECT_FALSE(nl.sealed());
+  nl.seal();
   EXPECT_EQ(nl.gate(a).fanout.size(), 0u);
   EXPECT_EQ(nl.gate(b).fanout.size(), 1u);
 }
@@ -140,7 +146,7 @@ TEST(Netlist, WideGatesAllowed) {
   }
   const GateId g = nl.add(GateKind::kNand, "wide", ins);
   nl.add(GateKind::kOutput, "y$out", {g});
-  EXPECT_NO_THROW(nl.validate());
+  EXPECT_NO_THROW(nl.seal());
   EXPECT_EQ(nl.gate(g).fanin_count(), 6);
 }
 
@@ -154,6 +160,80 @@ TEST(Netlist, AllIdsDense) {
 TEST(Netlist, GateAccessorBoundsChecked) {
   const Netlist nl = tiny_and();
   EXPECT_THROW(nl.gate(999), std::out_of_range);
+  EXPECT_THROW(nl.kind(999), std::out_of_range);
+  EXPECT_THROW(nl.fanin(999), std::out_of_range);
+  EXPECT_THROW(nl.gate_name(999), std::out_of_range);
+}
+
+TEST(Netlist, FanoutNeedsSeal) {
+  Netlist nl;
+  const GateId a = nl.add(GateKind::kInput, "a");
+  const GateId n = nl.add(GateKind::kNot, "n", {a});
+  // The building accessors work before seal(); gate() and fanout() do not.
+  EXPECT_EQ(nl.kind(n), GateKind::kNot);
+  EXPECT_EQ(nl.gate_name(n), "n");
+  ASSERT_EQ(nl.fanin(n).size(), 1u);
+  EXPECT_THROW(nl.gate(a), std::logic_error);
+  EXPECT_THROW(nl.fanout(a), std::logic_error);
+  EXPECT_THROW(nl.fanin_offsets(), std::logic_error);
+  nl.seal();
+  ASSERT_EQ(nl.fanout(a).size(), 1u);
+  nl.add(GateKind::kOutput, "y", {n});  // any change unseals
+  EXPECT_FALSE(nl.sealed());
+  EXPECT_THROW(nl.fanout(a), std::logic_error);
+  nl.seal();
+  EXPECT_EQ(nl.fanout(n).size(), 1u);
+}
+
+TEST(Netlist, FanoutKeepsLinkOrder) {
+  // Consumers appear in the order their fanin was last set, once per
+  // fanin occurrence.
+  Netlist nl;
+  const GateId a = nl.add(GateKind::kInput, "a");
+  const GateId b = nl.add(GateKind::kInput, "b");
+  const GateId g1 = nl.add(GateKind::kAnd, "g1", {a, b});
+  const GateId g2 = nl.add(GateKind::kAnd, "g2", {a, a});
+  const GateId g3 = nl.add(GateKind::kOr, "g3", {b, a});
+  nl.set_fanin(g1, {b, a});  // g1 re-linked last
+  nl.seal();
+  const auto fanout = [&nl](GateId id) {
+    return std::vector<GateId>(nl.fanout(id).begin(), nl.fanout(id).end());
+  };
+  EXPECT_EQ(fanout(a), (std::vector<GateId>{g2, g2, g3, g1}));
+  EXPECT_EQ(fanout(b), (std::vector<GateId>{g3, g1}));
+}
+
+TEST(Netlist, SealCompactsFaninIntoCsr) {
+  Netlist nl;
+  const GateId a = nl.add(GateKind::kInput, "a");
+  const GateId b = nl.add(GateKind::kInput, "b");
+  const GateId g = nl.add(GateKind::kAnd, "g", {a, b});
+  const GateId h = nl.add(GateKind::kXor, "h", {a, b});
+  nl.set_fanin(g, {a, b, h});  // grows: moves g's slice to the pool's end
+  nl.set_fanin(h, {b, a});     // fits: rewritten in place
+  nl.seal();
+  const std::vector<std::uint32_t> offsets(nl.fanin_offsets().begin(),
+                                           nl.fanin_offsets().end());
+  EXPECT_EQ(offsets, (std::vector<std::uint32_t>{0, 0, 0, 3, 5}));
+  const std::vector<GateId> pool(nl.fanin_pool().begin(),
+                                 nl.fanin_pool().end());
+  EXPECT_EQ(pool, (std::vector<GateId>{a, b, h, b, a}));
+}
+
+TEST(Netlist, NameIndexSurvivesGrowthAndSelfReference) {
+  Netlist nl;
+  for (int i = 0; i < 5000; ++i) {
+    nl.add(GateKind::kInput, "in" + std::to_string(i));
+  }
+  for (int i = 0; i < 5000; ++i) {
+    ASSERT_EQ(nl.find("in" + std::to_string(i)), static_cast<GateId>(i));
+  }
+  // A name that views the netlist's own name storage.
+  const GateId id = nl.add(GateKind::kInput, nl.gate_name(4321).substr(2));
+  EXPECT_EQ(nl.gate_name(id), "4321");
+  EXPECT_EQ(nl.find("4321"), id);
+  EXPECT_EQ(nl.find("in4"), 4u);
+  EXPECT_THROW(nl.add(GateKind::kInput, nl.gate_name(7)), std::invalid_argument);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -265,6 +266,49 @@ TEST(ObsCli, SupplyCountersAndLibraryLoadSpan) {
       m.find("counters")->find("power.source_segments")->as_u64();
   EXPECT_GT(segments, 16u);
   EXPECT_LT(segments, 16u * 1000u);
+#endif
+}
+
+// Span names of one --trace-out file, with their counts.
+std::map<std::string, int> span_counts(const fs::path& trace) {
+  std::map<std::string, int> counts;
+  const obs::JsonValue t = obs::parse_json(slurp(trace));
+  for (const obs::JsonValue& ev : t.find("traceEvents")->items) {
+    const obs::JsonValue* name = ev.find("name");
+    if (name != nullptr && name->text.rfind("netlist.", 0) == 0) {
+      ++counts[name->text];
+    }
+  }
+  return counts;
+}
+
+TEST(ObsCli, NetlistLoadSplitsIntoGenerateOrParseAndOneValidate) {
+  // A "Logic" suite circuit is generated and sealed once (one grown from
+  // a kernel also shows the small kernel's seal); a .bench file is
+  // parsed (sealed once) and then cleaned up (sealed once more).
+  const fs::path suite_trace = temp_file("obscli_load_suite.json");
+  ASSERT_EQ(run_cli("stats s27 --trace-out " + suite_trace.string(),
+                    "obscli_load_suite")
+                .exit_code,
+            0);
+  const fs::path bench = temp_file("obscli_load.bench");
+  std::ofstream(bench) << "INPUT(a)\nINPUT(b)\nOUTPUT(z)\n"
+                          "z = NAND(y, a)\ny = AND(a, b)\n";
+  const fs::path file_trace = temp_file("obscli_load_file.json");
+  ASSERT_EQ(run_cli("stats " + bench.string() + " --trace-out " +
+                        file_trace.string(),
+                    "obscli_load_file")
+                .exit_code,
+            0);
+#if !defined(DIAC_OBS_DISABLED)
+  EXPECT_EQ(span_counts(suite_trace),
+            (std::map<std::string, int>{{"netlist.generate", 1},
+                                        {"netlist.load", 1},
+                                        {"netlist.validate", 1}}));
+  EXPECT_EQ(span_counts(file_trace),
+            (std::map<std::string, int>{{"netlist.load", 1},
+                                        {"netlist.parse", 1},
+                                        {"netlist.validate", 2}}));
 #endif
 }
 

@@ -47,7 +47,7 @@ ReferenceSimulator::ReferenceSimulator(const Netlist& nl)
   dff_d_.reserve(nl.dffs().size());
   for (std::size_t i = 0; i < nl.dffs().size(); ++i) {
     dff_index_[nl.dffs()[i]] = i;
-    dff_d_.push_back(nl.gate(nl.dffs()[i]).fanin.at(0));
+    dff_d_.push_back(nl.fanin(nl.dffs()[i])[0]);
   }
 }
 
@@ -71,7 +71,7 @@ void ReferenceSimulator::set_input(const std::string& name, Word v) {
 void ReferenceSimulator::settle() {
   std::vector<Word> operands;
   for (GateId id : order_) {
-    const Gate& g = nl_->gate(id);
+    const Gate g = nl_->gate(id);
     switch (g.kind) {
       case GateKind::kInput:
         break;  // externally assigned

@@ -94,7 +94,7 @@ void expect_brute_force_fans(const TaskTree& tree, const std::string& what) {
     std::set<TaskId> preds, succs;
     int outputs = 0;
     for (GateId g : node.gates) {
-      const Gate& gate = nl.gate(g);
+      const Gate gate = nl.gate(g);
       for (GateId f : gate.fanin) {
         if (part[f] == self) continue;
         inputs.insert(f);

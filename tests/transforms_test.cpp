@@ -42,6 +42,7 @@ TEST(Transforms, SweepRemovesDeadLogic) {
   // Dead chain: reads a, feeds nothing.
   const GateId d1 = nl.add(GateKind::kNot, "d1", {a});
   nl.add(GateKind::kAnd, "d2", {d1, a});
+  nl.seal();
   TransformStats stats;
   const Netlist swept = sweep_dead_gates(nl, &stats);
   EXPECT_EQ(stats.removed_dead, 2u);
