@@ -63,11 +63,14 @@ int main() {
   SimulatorOptions opt;
   opt.target_instances = 8;
   opt.max_time = 30000;
+  EvaluationOptions eval;
+  eval.simulator = opt;
+  const auto plans = compile_plans(designs, eval);
   std::vector<SimulationJob> jobs;
   for (const auto& s : sources) {
     for (Scheme scheme : kAllSchemes) {
-      jobs.push_back({&designs[static_cast<std::size_t>(scheme)].design,
-                      s.scenario, FsmConfig{}, opt});
+      jobs.push_back({plans[static_cast<std::size_t>(scheme)], s.scenario,
+                      opt});
     }
   }
   ExperimentRunner runner;  // all cores

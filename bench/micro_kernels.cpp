@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <list>
+#include <memory>
 
 #include "diac/synthesizer.hpp"
 #include "exp/trace_library.hpp"
@@ -307,6 +308,43 @@ void BM_TraceParse(benchmark::State& state) {
   state.counters["segments"] = static_cast<double>(segments);
 }
 BENCHMARK(BM_TraceParse)->Unit(benchmark::kMillisecond);
+
+// BM_TraceWrite: single-threaded CSV writing throughput — save_trace_csv
+// of the trace_replay library's 100 RFID sources (2000 s at 0.5 s, full
+// double precision) into a temporary directory, reported as MB of CSV per
+// second.  The sources are built (and their lazily generated traces
+// materialized) once, outside the timed loop.  tools/run_bench.sh gates
+// the MB_per_s counter.
+void BM_TraceWrite(benchmark::State& state) {
+  namespace fs = std::filesystem;
+  const fs::path root = fs::temp_directory_path() / "diac_bench_trace_write";
+  fs::remove_all(root);
+  fs::create_directories(root);
+  RfidBurstSource::Options options;
+  options.horizon = 2000.0;
+  std::vector<std::unique_ptr<RfidBurstSource>> sources;
+  std::vector<std::string> paths;
+  for (int i = 0; i < 100; ++i) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "trace_%03d.csv", i);
+    sources.push_back(std::make_unique<RfidBurstSource>(0x7AACE + i, options));
+    paths.push_back((root / name).string());
+    benchmark::DoNotOptimize(sources.back()->power_at(options.horizon));
+  }
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      save_trace_csv(paths[i], *sources[i], options.horizon, 0.5);
+    }
+  }
+  std::uintmax_t bytes = 0;
+  for (const std::string& path : paths) bytes += fs::file_size(path);
+  state.counters["MB_per_s"] =
+      benchmark::Counter(static_cast<double>(bytes) / 1e6,
+                         benchmark::Counter::kIsIterationInvariantRate);
+  state.counters["traces"] = static_cast<double>(sources.size());
+  fs::remove_all(root);
+}
+BENCHMARK(BM_TraceWrite)->Unit(benchmark::kMillisecond);
 
 // design_search: grid-to-front wall time of a full design-space search on
 // b12 — synthesize the whole default candidate grid (72 candidates, one

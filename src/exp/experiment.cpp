@@ -25,14 +25,14 @@ SimulatorOptions clamp_to_measurement(SimulatorOptions options,
 }
 
 RunStats run_simulation(const SimulationJob& job) {
-  if (job.design == nullptr) {
-    throw std::invalid_argument("run_simulation: job has no design");
+  if (!job.plan) {
+    throw std::invalid_argument("run_simulation: job has no plan");
   }
   const SimulatorOptions simulator =
       clamp_to_measurement(job.simulator, job.scenario);
   const std::unique_ptr<HarvestSource> source =
       make_source(clamp_scenario_horizon(job.scenario, simulator.max_time));
-  SystemSimulator sim(*job.design, *source, job.fsm, simulator);
+  SystemSimulator sim(*job.plan, *source, simulator);
   return sim.run();
 }
 

@@ -1,15 +1,17 @@
 /// The experiment engine: (design × scenario) simulation jobs fanned out
 /// over an ExperimentRunner.
 ///
-/// A SimulationJob is pure data: a pre-synthesized design (non-owning —
-/// synthesis is deterministic and shared across seeds, so callers
-/// synthesize once per scheme), a copyable ScenarioSpec the job
-/// materializes locally (construction is O(1) for every seeded kind, and
-/// kTrace specs share their loaded trace), and the FSM/simulator
-/// configuration.  Each job is self-contained and explicitly seeded, which
+/// A SimulationJob is pure data: a shared, read-only SimPlan (the
+/// pre-synthesized design compiled once under its FSM configuration and
+/// storage — synthesis and compilation are deterministic and shared
+/// across seeds, so callers build one plan per scheme), a copyable
+/// ScenarioSpec the job materializes locally (construction is O(1) for
+/// every seeded kind, and kTrace specs share their loaded trace), and the
+/// simulator options.  Each job is self-contained and explicitly seeded, which
 /// is what makes fan-out results bit-identical at any thread count.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "diac/design.hpp"
@@ -21,9 +23,10 @@
 namespace diac {
 
 struct SimulationJob {
-  const IntermittentDesign* design = nullptr;  // non-owning, must outlive run
+  // The plan's design must outlive the run; `simulator` must describe
+  // the storage the plan was compiled for.
+  std::shared_ptr<const SimPlan> plan;
   ScenarioSpec scenario;
-  FsmConfig fsm;
   SimulatorOptions simulator;
 };
 

@@ -52,6 +52,9 @@ McSweepJobs::McSweepJobs(const Netlist& nl, const CellLibrary& lib,
   // harvest seed, so all runs share them.
   designs_ = synthesize_all_schemes(nl, lib, options.synthesis);
 
+  const std::array<std::shared_ptr<const SimPlan>, kSchemeCount> plans =
+      compile_plans(designs_, options);
+
   // One job per (scheme × seed); jobs[k * kSchemeCount + s].  The seed
   // is a function of the global run index, never of the run window or
   // list.
@@ -60,8 +63,8 @@ McSweepJobs::McSweepJobs(const Netlist& nl, const CellLibrary& lib,
     const ScenarioSpec scenario = options.scenario.with_seed(
         derive_seed(options.scenario.seed, static_cast<int>(runs[k])));
     for (Scheme s : kAllSchemes) {
-      jobs_.push_back({&designs_[static_cast<std::size_t>(s)].design,
-                       scenario, options.fsm, options.simulator});
+      jobs_.push_back({plans[static_cast<std::size_t>(s)], scenario,
+                       options.simulator});
     }
   }
 }

@@ -27,6 +27,17 @@ std::array<SynthesisResult, kSchemeCount> synthesize_all_schemes(
   return designs;
 }
 
+std::array<std::shared_ptr<const SimPlan>, kSchemeCount> compile_plans(
+    const std::array<SynthesisResult, kSchemeCount>& designs,
+    const EvaluationOptions& options) {
+  std::array<std::shared_ptr<const SimPlan>, kSchemeCount> plans;
+  for (std::size_t i = 0; i < kSchemeCount; ++i) {
+    plans[i] = std::make_shared<const SimPlan>(designs[i].design, options.fsm,
+                                               options.simulator);
+  }
+  return plans;
+}
+
 BenchmarkResult evaluate_circuit(const Netlist& nl, const CellLibrary& lib,
                                  const EvaluationOptions& options,
                                  ExperimentRunner& runner) {
@@ -40,9 +51,9 @@ BenchmarkResult evaluate_circuit(const Netlist& nl, const CellLibrary& lib,
       synthesize_all_schemes(nl, lib, options.synthesis);
   std::vector<SimulationJob> jobs;
   jobs.reserve(kSchemeCount);
-  for (const SynthesisResult& design : designs) {
-    jobs.push_back(
-        {&design.design, options.scenario, options.fsm, options.simulator});
+  for (const std::shared_ptr<const SimPlan>& plan :
+       compile_plans(designs, options)) {
+    jobs.push_back({plan, options.scenario, options.simulator});
   }
   const std::vector<RunStats> stats = run_simulations(runner, jobs);
   for (std::size_t i = 0; i < kSchemeCount; ++i) result.stats[i] = stats[i];

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,13 @@ struct BenchmarkResult {
 // derived from one policy tree, built once rather than once per scheme.
 std::array<SynthesisResult, kSchemeCount> synthesize_all_schemes(
     const Netlist& nl, const CellLibrary& lib, const SynthesisOptions& options);
+
+// One SimPlan per scheme design under options.fsm and the storage of
+// options.simulator, for every job of a sweep to share.  The plans point
+// into `designs`, which must outlive them.
+std::array<std::shared_ptr<const SimPlan>, kSchemeCount> compile_plans(
+    const std::array<SynthesisResult, kSchemeCount>& designs,
+    const EvaluationOptions& options);
 
 // Synthesizes all four schemes for `nl` and simulates each on the same
 // seeded harvest trace, fanning the four simulations out over `runner`.

@@ -10,6 +10,8 @@ ReplaySweepJobs::ReplaySweepJobs(const Netlist& nl, const CellLibrary& lib,
   // Synthesis is independent of the supply: once per scheme, shared by
   // every trace.
   designs_ = synthesize_all_schemes(nl, lib, options.synthesis);
+  const std::array<std::shared_ptr<const SimPlan>, kSchemeCount> plans =
+      compile_plans(designs_, options);
 
   // One job per (trace × scheme), pointing at the scenario's shared
   // in-memory trace — each file was read exactly once, at load time.
@@ -22,8 +24,8 @@ ReplaySweepJobs::ReplaySweepJobs(const Netlist& nl, const CellLibrary& lib,
     }
     for (Scheme s : kAllSchemes) {
       // run_simulation clamps each replay to its trace's last sample.
-      jobs_.push_back({&designs_[static_cast<std::size_t>(s)].design,
-                       scenario, options.fsm, options.simulator});
+      jobs_.push_back({plans[static_cast<std::size_t>(s)], scenario,
+                       options.simulator});
     }
   }
 }

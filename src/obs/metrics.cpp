@@ -10,6 +10,11 @@
 
 namespace diac::obs {
 
+std::size_t Counter::assign_stripe() {
+  static std::atomic<std::size_t> next{0};
+  return next.fetch_add(1, std::memory_order_relaxed) % kStripes;
+}
+
 void Histogram::record(std::uint64_t sample) {
   const auto width = static_cast<std::size_t>(std::bit_width(sample));
   const std::size_t bucket = width < kBuckets ? width : kBuckets - 1;

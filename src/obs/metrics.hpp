@@ -24,16 +24,43 @@ namespace diac::obs {
 
 struct JsonValue;
 
-/// Monotonic event counter.  Updates are relaxed atomic adds; integer
-/// addition is associative, so totals are thread-count invariant.
+/// Monotonic event counter, striped to keep threads off each other's
+/// cache lines: each thread adds into its own cache-line-aligned cell
+/// (threads beyond kStripes share cells round-robin) and value() sums the
+/// cells.  Updates are relaxed atomic adds and integer addition is
+/// associative, so totals are exact and thread-count invariant.
 class Counter {
  public:
-  void add(std::uint64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
+  static constexpr std::size_t kStripes = 16;
+
+  void add(std::uint64_t n) {
+    cells_[stripe()].value.fetch_add(n, std::memory_order_relaxed);
+  }
   void inc() { add(1); }
-  std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+  std::uint64_t value() const {
+    std::uint64_t total = 0;
+    for (const Cell& cell : cells_) {
+      total += cell.value.load(std::memory_order_relaxed);
+    }
+    return total;
+  }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  struct alignas(64) Cell {
+    std::atomic<std::uint64_t> value{0};
+  };
+
+  /// This thread's cell index, assigned on the thread's first add.
+  static std::size_t stripe() {
+    if (thread_stripe_ == kUnassigned) thread_stripe_ = assign_stripe();
+    return thread_stripe_;
+  }
+  static std::size_t assign_stripe();
+
+  static constexpr std::size_t kUnassigned = ~std::size_t{0};
+  static inline thread_local std::size_t thread_stripe_ = kUnassigned;
+
+  std::array<Cell, kStripes> cells_{};
 };
 
 /// Last-written level value (e.g. configured thread count).  Shard

@@ -157,17 +157,28 @@ void save_trace_csv(const std::string& path, const HarvestSource& source,
   if (horizon <= 0 || interval <= 0) {
     throw std::invalid_argument("save_trace_csv: horizon/interval must be positive");
   }
-  CsvWriter csv(path, {"time_s", "power_W"});
+  std::ofstream out(path);
+  if (!out) throw std::runtime_error("save_trace_csv: cannot open " + path);
+  // The whole file is formatted into one buffer and written in one call.
   // Index-based grid: accumulating `t += interval` drifts after thousands
   // of additions and can emit or drop the sample nearest `horizon`.
   // Samples are written at max_digits10 so load_trace_csv reproduces the
   // source's power_at bit-exactly on the grid.
+  constexpr int kDigits = std::numeric_limits<double>::max_digits10;
+  std::string text = "time_s,power_W\n";
+  const double rows = std::ceil(horizon / interval);
+  if (rows < 1.0e7) text.reserve(static_cast<std::size_t>(rows) * 40 + 16);
   for (std::int64_t i = 0;; ++i) {
     const double t = static_cast<double>(i) * interval;
     if (t >= horizon) break;
-    csv.add_row(std::vector<double>{t, source.power_at(t)},
-                std::numeric_limits<double>::max_digits10);
+    append_double(text, t, kDigits);
+    text += ',';
+    append_double(text, source.power_at(t), kDigits);
+    text += '\n';
   }
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  out.close();
+  if (!out) throw std::runtime_error("save_trace_csv: cannot write " + path);
 }
 
 }  // namespace diac

@@ -36,18 +36,18 @@ TaskProgram::TaskProgram(const IntermittentDesign& design,
   for (std::size_t i = 0; i < steps_.size(); ++i) {
     step_prefix_[i + 1] = step_prefix_[i] + steps_[i].energy;
   }
+  // Execution resumes just after the last persisted step strictly before
+  // the captured one.  For the checkpoint schemes every step persists, so
+  // resume_[k] = k; for DIAC it rewinds to the last commit point.
+  resume_.assign(steps_.size() + 1, 0);
+  for (std::size_t k = 1; k <= steps_.size(); ++k) {
+    resume_[k] = steps_[k - 1].persist ? static_cast<int>(k) : resume_[k - 1];
+  }
 }
 
 int TaskProgram::resume_after_loss(int captured_step) const {
   const int n = static_cast<int>(steps_.size());
-  const int next = std::clamp(captured_step, 0, n);
-  // Rewind to just after the last persisted step strictly before `next`.
-  // For the checkpoint schemes every step persists, so this returns `next`
-  // itself; for DIAC it rewinds to the last commit point.
-  for (int i = next - 1; i >= 0; --i) {
-    if (steps_[static_cast<std::size_t>(i)].persist) return i + 1;
-  }
-  return 0;
+  return resume_[static_cast<std::size_t>(std::clamp(captured_step, 0, n))];
 }
 
 double TaskProgram::steps_energy(int from, int to) const {

@@ -52,7 +52,8 @@ class TaskProgram {
   double max_step_energy() const { return max_step_energy_; }
 
   // Resume step after volatile loss when `captured_step` was the next
-  // unexecuted step at backup time.
+  // unexecuted step at backup time (clamped to [0, size()]; a table
+  // lookup).
   int resume_after_loss(int captured_step) const;
 
   // Summed (unjittered) energy of steps [from, to), clamped to the
@@ -63,6 +64,7 @@ class TaskProgram {
   Scheme scheme_;
   std::vector<TaskStep> steps_;
   std::vector<double> step_prefix_;  // prefix sums of step energies
+  std::vector<int> resume_;          // resume_after_loss over [0, size()]
   double instance_energy_ = 0;
   double instance_duration_ = 0;
   double max_step_energy_ = 0;

@@ -11,15 +11,17 @@
 // It owns no energy model.  An integrator advances stored energy and time
 // between decisions and hands the machine the current (t, E) whenever a
 // decision may be due; the machine writes its counters into the caller's
-// RunStats and its events into the caller's SimEvent log.
+// RunStats and its events into the caller's SimEvent log.  Every
+// design-derived constant it reads (program steps, thresholds, entry
+// levels, resume points, backup/restore costs) comes from a SimPlan.
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
-#include "runtime/executor.hpp"
+#include "runtime/sim_plan.hpp"
 #include "runtime/stats.hpp"
 #include "util/rng.hpp"
 
@@ -63,12 +65,12 @@ class NodeMachine {
   };
 
   // All references must outlive the machine.
-  NodeMachine(const IntermittentDesign& design, const TaskProgram& program,
-              const FsmConfig& config, const Thresholds& thresholds,
-              int target_instances, std::uint64_t seed, RunStats& stats,
-              std::vector<SimEvent>& events);
+  NodeMachine(const SimPlan& plan, int target_instances, std::uint64_t seed,
+              RunStats& stats, std::vector<SimEvent>& events);
 
   NodeState state() const { return state_; }
+  RegFlag reg() const { return reg_; }
+  int step_index() const { return step_idx_; }  // next compute step
   Operation& op() { return op_; }
 
   // Power the node draws from storage in its current state.
@@ -80,32 +82,29 @@ class NodeMachine {
     }
   }
 
-  // The decision level nearest to stored energy `e` in the travel
-  // direction — the lowest level above `e` when `rising`, else the highest
-  // below it — or `bound` (the regime boundary: E_MAX rising, 0 falling)
-  // when no level lies between.  Levels are the threshold stack plus the
-  // restore level while Off and the next step's entry level while waiting
-  // to compute.
-  double next_level(double e, bool rising, double bound) const {
-    double target = bound;
-    auto consider = [&](double level) {
-      if (rising ? level > e && level < target : level < e && level > target) {
-        target = level;
-      }
-    };
+  // The decision levels an integrator must stop at are the threshold
+  // stack plus one state-dependent level: the restore level while Off,
+  // the next step's entry level while waiting to compute.  level_above
+  // returns the lowest level above stored energy `e` (or `bound`, the
+  // regime boundary E_MAX, when none lies between); level_below the
+  // highest level below `e` (or `bound`, 0).  Each level is one select
+  // over a min/max, with no data-dependent branch; a NaN state level
+  // (none applies) compares false and never wins.
+  double level_above(double e, double bound) const {
     const Thresholds& th = *thresholds_;
-    consider(th.off);
-    consider(th.backup);
-    consider(th.safe);
-    consider(th.sense);
-    consider(th.compute);
-    consider(th.transmit);
-    if (state_ == NodeState::kOff) {
-      consider(th.safe + 1.25 * design_->restore_energy());
+    double target = bound;
+    for (const double level : {th.off, th.backup, th.safe, th.sense,
+                               th.compute, th.transmit, state_level()}) {
+      target = level > e ? std::min(target, level) : target;
     }
-    if (state_ == NodeState::kSleep && reg_ == RegFlag::kCompute &&
-        step_idx_ < static_cast<int>(program_->size())) {
-      consider(step_need(static_cast<std::size_t>(step_idx_)));
+    return target;
+  }
+  double level_below(double e, double bound) const {
+    const Thresholds& th = *thresholds_;
+    double target = bound;
+    for (const double level : {th.off, th.backup, th.safe, th.sense,
+                               th.compute, th.transmit, state_level()}) {
+      target = level < e ? std::max(target, level) : target;
     }
     return target;
   }
@@ -142,10 +141,16 @@ class NodeMachine {
     return interval;
   }
   // Entry energy for compute step `idx`.
-  double step_need(std::size_t idx) const {
-    const TaskStep& s = program_->steps()[idx];
-    const double e = config_->dispatch_energy + s.energy + s.persist_energy;
-    return thresholds_->safe + config_->entry_margin * e;
+  double step_need(std::size_t idx) const { return plan_->step_need(idx); }
+  int program_size() const { return static_cast<int>(steps_->size()); }
+  // The state-dependent decision level, NaN when none applies.
+  double state_level() const {
+    if (state_ == NodeState::kOff) return plan_->restore_level();
+    if (state_ == NodeState::kSleep && reg_ == RegFlag::kCompute &&
+        step_idx_ < program_size()) {
+      return step_need(static_cast<std::size_t>(step_idx_));
+    }
+    return std::numeric_limits<double>::quiet_NaN();
   }
 
   void start_operation(double energy, double duration);
@@ -157,8 +162,8 @@ class NodeMachine {
   }
 
   // --- wiring ----------------------------------------------------------
-  const IntermittentDesign* design_;
-  const TaskProgram* program_;
+  const SimPlan* plan_;
+  const std::vector<TaskStep>* steps_;
   const FsmConfig* config_;
   const Thresholds* thresholds_;
   int target_instances_;
@@ -190,25 +195,23 @@ class NodeMachine {
 
 // The construction and transitions are defined inline: integrators call
 // them once per step, and inlining lets the compiler keep the whole
-// machine in registers.
-inline NodeMachine::NodeMachine(const IntermittentDesign& design,
-                                const TaskProgram& program,
-                                const FsmConfig& config,
-                                const Thresholds& thresholds,
-                                int target_instances, std::uint64_t seed,
-                                RunStats& stats, std::vector<SimEvent>& events)
-    : design_(&design),
-      program_(&program),
-      config_(&config),
-      thresholds_(&thresholds),
+// machine in registers.  The two transitions are forced inline because
+// the event loop is instantiated four times, and past the first copy the
+// compiler's size heuristics would otherwise call them out of line.
+inline NodeMachine::NodeMachine(const SimPlan& plan, int target_instances,
+                                std::uint64_t seed, RunStats& stats,
+                                std::vector<SimEvent>& events)
+    : plan_(&plan),
+      steps_(&plan.program().steps()),
+      config_(&plan.config()),
+      thresholds_(&plan.thresholds()),
       target_instances_(target_instances),
-      total_packets_(static_cast<int>(
-          std::ceil(config.transmit_energy / config.transmit_packet_energy))),
-      safe_zone_(uses_safe_zone(design.scheme)),
+      total_packets_(plan.total_packets()),
+      safe_zone_(plan.safe_zone()),
       stats_(&stats),
       events_(&events),
       rng_(seed),
-      last_sense_done_(-config.sense_interval) {}
+      last_sense_done_(-plan.config().sense_interval) {}
 
 inline void NodeMachine::start_operation(double energy, double duration) {
   // Zero-duration operations complete immediately.
@@ -218,7 +221,7 @@ inline void NodeMachine::start_operation(double energy, double duration) {
 }
 
 inline void NodeMachine::start_compute_step() {
-  const TaskStep& s = program_->steps()[static_cast<std::size_t>(step_idx_)];
+  const TaskStep& s = (*steps_)[static_cast<std::size_t>(step_idx_)];
   const double te = config_->dispatch_energy +
                     rng_.jitter(s.energy, config_->op_jitter) +
                     s.persist_energy;
@@ -235,12 +238,13 @@ inline void NodeMachine::start_packet() {
 inline void NodeMachine::begin_backup(double t) {
   op_ = Operation{};
   state_ = NodeState::kBackup;
-  start_operation(design_->backup_energy(), design_->backup_time());
+  start_operation(plan_->backup_energy(), plan_->backup_time());
   record_event(SimEvent::Kind::kPowerInterrupt, t);
   ++stats_->power_interrupts;
 }
 
-inline bool NodeMachine::complete_operation(double t, double& energy) {
+[[gnu::always_inline]] inline bool NodeMachine::complete_operation(
+    double t, double& energy) {
   RunStats& stats = *stats_;
   const double residue = std::clamp(op_.energy_left, 0.0, energy);
   energy -= residue;
@@ -253,10 +257,11 @@ inline bool NodeMachine::complete_operation(double t, double& energy) {
       // Roll back to the recovery point of the captured state.
       reg_ = captured_.reg;
       packet_idx_ = captured_.packet;
-      const int resume = program_->resume_after_loss(captured_.step);
+      const int resume = plan_->program().resume_after_loss(captured_.step);
       if (captured_.step > resume) {
         stats.tasks_reexecuted += captured_.step - resume;
-        stats.reexec_energy += program_->steps_energy(resume, captured_.step);
+        stats.reexec_energy +=
+            plan_->program().steps_energy(resume, captured_.step);
       }
       step_idx_ = resume;
       backed_up_ = true;  // NVM still holds the captured state
@@ -267,14 +272,14 @@ inline bool NodeMachine::complete_operation(double t, double& energy) {
     case NodeState::kBackup: {
       ++stats.backups;
       ++stats.nvm_writes;
-      stats.nvm_bits_written += design_->backup_bits();
+      stats.nvm_bits_written += plan_->backup_bits();
       // After the backup the node drops to the low standby drain, which
       // sacrifices volatile state: DIAC schemes roll back to the last
       // commit point and re-execute the tail.
-      const int resume = program_->resume_after_loss(step_idx_);
+      const int resume = plan_->program().resume_after_loss(step_idx_);
       if (step_idx_ > resume) {
         stats.tasks_reexecuted += step_idx_ - resume;
-        stats.reexec_energy += program_->steps_energy(resume, step_idx_);
+        stats.reexec_energy += plan_->program().steps_energy(resume, step_idx_);
         step_idx_ = resume;
       }
       captured_ = {reg_, step_idx_, packet_idx_};
@@ -292,8 +297,7 @@ inline bool NodeMachine::complete_operation(double t, double& energy) {
       break;
     }
     case NodeState::kCompute: {
-      const TaskStep& s =
-          program_->steps()[static_cast<std::size_t>(step_idx_)];
+      const TaskStep& s = (*steps_)[static_cast<std::size_t>(step_idx_)];
       ++stats.tasks_executed;
       if (s.persist) {
         ++stats.nvm_writes;
@@ -304,7 +308,7 @@ inline bool NodeMachine::complete_operation(double t, double& energy) {
       // A persisted step is itself a fresh resume point; only steps
       // whose data lives in volatile registers invalidate the backup.
       backed_up_ = false;
-      if (step_idx_ == static_cast<int>(program_->size())) {
+      if (step_idx_ == program_size()) {
         reg_ = RegFlag::kTransmit;
         state_ = NodeState::kSleep;
       } else if (energy >= step_need(static_cast<std::size_t>(step_idx_))) {
@@ -341,7 +345,8 @@ inline bool NodeMachine::complete_operation(double t, double& energy) {
   return false;
 }
 
-inline bool NodeMachine::resolve(double t, double energy) {
+[[gnu::always_inline]] inline bool NodeMachine::resolve(double t,
+                                                        double energy) {
   const Thresholds& th = *thresholds_;
   // Deep outage: volatile state is lost below Th_Off.
   if (energy < th.off && state_ != NodeState::kOff) {
@@ -357,10 +362,9 @@ inline bool NodeMachine::resolve(double t, double energy) {
     case NodeState::kOff: {
       // Recover once there is enough energy to pay for the restore and
       // land above the safe zone.
-      const double need = th.safe + 1.25 * design_->restore_energy();
-      if (energy >= need) {
+      if (energy >= plan_->restore_level()) {
         state_ = NodeState::kRestore;
-        start_operation(design_->restore_energy(), design_->restore_time());
+        start_operation(plan_->restore_energy(), plan_->restore_time());
         return true;
       }
       return false;
@@ -421,7 +425,7 @@ inline bool NodeMachine::resolve(double t, double energy) {
         return true;
       }
       if (reg_ == RegFlag::kCompute &&
-          step_idx_ < static_cast<int>(program_->size()) &&
+          step_idx_ < program_size() &&
           energy >= step_need(static_cast<std::size_t>(step_idx_))) {
         state_ = NodeState::kCompute;
         start_compute_step();

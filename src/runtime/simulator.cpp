@@ -1,7 +1,6 @@
 #include "runtime/simulator.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -18,67 +17,25 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // the continuous trajectory would an instant after the crossing.
 constexpr double kCrossEps = 1.0e-15;  // J
 constexpr double kTimeEps = NodeMachine::kTimeEps;
-
-bool positive_finite(double v) { return std::isfinite(v) && v > 0; }
-
-void validate_options(const SimulatorOptions& o) {
-  if (o.target_instances < 1) {
-    throw std::invalid_argument(
-        "SystemSimulator: target_instances must be at least 1");
-  }
-  if (!positive_finite(o.max_time)) {
-    throw std::invalid_argument(
-        "SystemSimulator: max_time must be positive and finite");
-  }
-  if (!positive_finite(o.capacitance) || !positive_finite(o.voltage)) {
-    throw std::invalid_argument(
-        "SystemSimulator: capacitance and voltage must be positive and "
-        "finite");
-  }
-  if (!(o.initial_energy_fraction >= 0 && o.initial_energy_fraction <= 1)) {
-    throw std::invalid_argument(
-        "SystemSimulator: initial_energy_fraction must be in [0, 1]");
-  }
-  if (!(o.charge_efficiency > 0 && o.charge_efficiency <= 1)) {
-    throw std::invalid_argument(
-        "SystemSimulator: charge_efficiency must be in (0, 1]");
-  }
-  if (!(std::isfinite(o.storage_leakage) && o.storage_leakage >= 0)) {
-    throw std::invalid_argument(
-        "SystemSimulator: storage_leakage must be non-negative and finite");
-  }
-  if (!positive_finite(o.trace_interval)) {
-    throw std::invalid_argument(
-        "SystemSimulator: trace_interval must be positive and finite");
-  }
-}
+// Relative slack of the crossing gate in run_loop (see there).
+constexpr double kGateSlack = 1.0 + 1.0e-12;
+constexpr double kMinNormal = std::numeric_limits<double>::min();
 
 #if !defined(DIAC_OBS_DISABLED)
-// Flushes one run's event mix into the obs metrics side channel.  This
-// reads the already-recorded event list after the fact; RunStats is
-// computed independently, so obs can never perturb results (rule D6).
-void record_run_metrics(const std::vector<SimEvent>& events,
+// Flushes one run's work counts into the obs metrics side channel.  The
+// event counts are read from RunStats after the run, and the loop only
+// counts into locals, so obs can never perturb results (rule D6).
+void record_run_metrics(const RunStats& stats, std::uint64_t iterations,
                         std::uint64_t bisections) {
-  std::uint64_t backups = 0, restores = 0, saves = 0, shutdowns = 0,
-                done = 0, interrupts = 0;
-  for (const SimEvent& e : events) {
-    switch (e.kind) {
-      case SimEvent::Kind::kBackup: ++backups; break;
-      case SimEvent::Kind::kRestore: ++restores; break;
-      case SimEvent::Kind::kSafeZoneSave: ++saves; break;
-      case SimEvent::Kind::kShutdown: ++shutdowns; break;
-      case SimEvent::Kind::kInstanceDone: ++done; break;
-      case SimEvent::Kind::kPowerInterrupt: ++interrupts; break;
-    }
-  }
   DIAC_OBS_COUNT("sim.runs", 1);
+  DIAC_OBS_COUNT("sim.loop_iterations", iterations);
   DIAC_OBS_COUNT("sim.threshold_bisections", bisections);
-  DIAC_OBS_COUNT("sim.events.backup", backups);
-  DIAC_OBS_COUNT("sim.events.restore", restores);
-  DIAC_OBS_COUNT("sim.events.safe_zone_save", saves);
-  DIAC_OBS_COUNT("sim.events.shutdown", shutdowns);
-  DIAC_OBS_COUNT("sim.events.instance_done", done);
-  DIAC_OBS_COUNT("sim.events.power_interrupt", interrupts);
+  DIAC_OBS_COUNT("sim.events.backup", stats.backups);
+  DIAC_OBS_COUNT("sim.events.restore", stats.restores);
+  DIAC_OBS_COUNT("sim.events.safe_zone_save", stats.safe_zone_saves);
+  DIAC_OBS_COUNT("sim.events.shutdown", stats.deep_outages);
+  DIAC_OBS_COUNT("sim.events.instance_done", stats.instances_completed);
+  DIAC_OBS_COUNT("sim.events.power_interrupt", stats.power_interrupts);
 }
 #endif  // !DIAC_OBS_DISABLED
 
@@ -87,15 +44,33 @@ void record_run_metrics(const std::vector<SimEvent>& events,
 SystemSimulator::SystemSimulator(const IntermittentDesign& design,
                                  const HarvestSource& source, FsmConfig config,
                                  SimulatorOptions options)
-    : design_(&design),
+    : owned_plan_(std::make_unique<const SimPlan>(design, config, options)),
+      plan_(owned_plan_.get()),
       source_(&source),
-      config_(config),
-      options_(options),
-      program_(design, config),
-      e_max_(0.5 * options.capacitance * options.voltage * options.voltage) {
-  validate_options(options_);
-  thresholds_ = thresholds_for(config_, e_max_, design.backup_energy(),
-                               program_.max_step_energy());
+      options_(options) {}
+
+SystemSimulator::SystemSimulator(const SimPlan& plan,
+                                 const HarvestSource& source,
+                                 SimulatorOptions options)
+    : plan_(&plan), source_(&source), options_(options) {
+  validate_simulator_options(options_);
+  if (storage_capacity(options_) != plan.e_max()) {
+    throw std::invalid_argument(
+        "SystemSimulator: options describe a different storage size than "
+        "the plan was compiled for");
+  }
+}
+
+RunStats SystemSimulator::run() {
+  DIAC_TRACE_SPAN("simulate", "sim");
+  trace_.clear();
+  events_.clear();
+  if (source_->piecewise_constant()) {
+    return options_.record_trace ? run_loop<true, true>()
+                                 : run_loop<true, false>();
+  }
+  return options_.record_trace ? run_loop<false, true>()
+                               : run_loop<false, false>();
 }
 
 // ---------------------------------------------------------------------------
@@ -106,22 +81,21 @@ SystemSimulator::SystemSimulator(const IntermittentDesign& design,
 // closed form (continuous sources), the load is either the standby drain
 // or the in-flight operation's constant power, and leakage is constant.
 // NodeMachine's decisions are made exactly at the crossing / completion
-// instants.
+// instants.  The loop is instantiated once per {source kind, trace
+// recording}, so neither is re-tested per iteration.
 // ---------------------------------------------------------------------------
-RunStats SystemSimulator::run() {
-  DIAC_TRACE_SPAN("simulate", "sim");
-  trace_.clear();
-  events_.clear();
+template <bool kPiecewiseConstant, bool kRecordTrace>
+RunStats SystemSimulator::run_loop() {
   RunStats stats;
-  NodeMachine m(*design_, program_, config_, thresholds_,
-                options_.target_instances, options_.seed, stats, events_);
+  NodeMachine m(*plan_, options_.target_instances, options_.seed, stats,
+                events_);
   NodeMachine::Operation& op = m.op();
 
-  const double e_cap = e_max_;
+  const double e_cap = plan_->e_max();
   const double eta = options_.charge_efficiency;
   const double leak = options_.storage_leakage;
+  const double max_time = options_.max_time;
   double energy = options_.initial_energy_fraction * e_cap;
-  const bool pwc = source_->piecewise_constant();
   // The harvest power and its next breakpoint at t: the event loop's t
   // only moves forward, so one cursor reads the whole run.
   SupplyCursor supply = source_->cursor();
@@ -132,12 +106,11 @@ RunStats SystemSimulator::run() {
   std::uint64_t bisections = 0;
 
   // Advances the stored energy and the accounting over [t, t+h) given the
-  // harvest power over the interval.  The caller guarantees no regime
-  // boundary (empty/full) and no decision threshold is crossed inside the
-  // open interval.
-  auto integrate = [&](double h, double ph) {
+  // harvest power over the interval and the node's load over it.  The
+  // caller guarantees no regime boundary (empty/full) and no decision
+  // threshold is crossed inside the open interval.
+  auto integrate = [&](double h, double ph, double load) {
     const double in = eta * ph;
-    const double load = m.load_power();
     const double out = leak + load;
     if (energy >= e_cap * (1.0 - 1e-12) && in >= out) {
       // Pinned at E_MAX: the inflow covers the outflow; the surplus is
@@ -171,24 +144,6 @@ RunStats SystemSimulator::run() {
     }
   };
 
-  // Earliest decision threshold in the travel direction, as a time offset
-  // from t (infinity when none applies).
-  auto next_crossing = [&](double net) -> double {
-    if (net == 0) return kInf;
-    if (net > 0) {
-      // Bounded by the saturation regime boundary.
-      const double target = m.next_level(energy, true, e_cap);
-      if (target >= e_cap && energy >= e_cap * (1.0 - 1e-12)) return kInf;
-      const double overshoot = target < e_cap ? kCrossEps : 0.0;
-      return (target - energy + overshoot) / net;
-    }
-    // Bounded by the empty regime boundary.
-    const double target = m.next_level(energy, false, 0.0);
-    if (target <= 0.0 && energy <= kCrossEps) return kInf;
-    const double overshoot = target > 0.0 ? kCrossEps : 0.0;
-    return (energy - target + overshoot) / -net;
-  };
-
   // --- closed-form advance over a continuous envelope -------------------
   // The stored energy after h seconds, with the harvest integrated
   // exactly (energy_between is the source's closed form) and the drain
@@ -213,12 +168,12 @@ RunStats SystemSimulator::run() {
     const bool rising = e_end > energy;
     double goal;
     if (rising) {
-      const double target = m.next_level(energy, true, e_cap);
+      const double target = m.level_above(energy, e_cap);
       if (target >= e_cap && energy >= e_cap * (1.0 - 1e-12)) return kInf;
       goal = target + (target < e_cap ? kCrossEps : 0.0);
       if (e_end < goal) return kInf;
     } else {
-      const double target = m.next_level(energy, false, 0.0);
+      const double target = m.level_below(energy, 0.0);
       if (target <= 0.0 && energy <= kCrossEps) return kInf;
       goal = target - (target > 0.0 ? kCrossEps : 0.0);
       if (e_end > goal) return kInf;
@@ -234,17 +189,19 @@ RunStats SystemSimulator::run() {
     return t + hi;
   };
 
-  std::uint64_t guard = 0;
-  while (t < options_.max_time - kTimeEps) {
-    if (++guard > 100'000'000ULL) {
+  std::uint64_t iterations = 0;
+  while (t < max_time - kTimeEps) {
+    if (++iterations > 100'000'000ULL) {
       throw std::runtime_error("SystemSimulator: event loop stalled");
     }
     // --- zero-time work due at t ---------------------------------------
-    if (options_.record_trace && t >= next_trace - kTimeEps) {
-      supply.seek(t);
-      trace_.push_back({t, energy, supply.power(), m.state()});
-      next_trace += options_.trace_interval;
-      continue;
+    if constexpr (kRecordTrace) {
+      if (t >= next_trace - kTimeEps) {
+        supply.seek(t);
+        trace_.push_back({t, energy, supply.power(), m.state()});
+        next_trace += options_.trace_interval;
+        continue;
+      }
     }
     if (op.finished()) {
       if (m.complete_operation(t, energy)) break;  // workload target reached
@@ -255,19 +212,20 @@ RunStats SystemSimulator::run() {
     // --- pick the horizon ----------------------------------------------
     supply.seek(t);
     const double ph = supply.power();
-    double te = options_.max_time;
+    double te = max_time;
     // Source breakpoint, bumped past the edge so the next seek sees the
     // new level.
     te = std::min(te, supply.next_change() + kTimeEps);
-    if (options_.record_trace) te = std::min(te, next_trace);
+    if constexpr (kRecordTrace) te = std::min(te, next_trace);
     if (op.active) te = std::min(te, t + op.time_left);
     if (m.timer_armed()) {
       const double due = m.sense_due(energy);
       if (due > t) te = std::min(te, due);
     }
-    const double drain = leak + m.load_power();
+    const double load = m.load_power();
+    const double drain = leak + load;
 
-    if (!pwc) {
+    if constexpr (!kPiecewiseConstant) {
       // Cap the window at the envelope's crossing of the break-even
       // level: on (t, te) the net power then has constant sign, so the
       // energy trajectory is monotone (and a storage pinned at E_MAX
@@ -279,29 +237,65 @@ RunStats SystemSimulator::run() {
       if (t_cross < te) te = t_cross;
 
       double h = std::max(te - t, 1e-12);
-      h = std::min(h, options_.max_time - t);
+      h = std::min(h, max_time - t);
       // The mean power over the window reproduces the exact integral, so
       // the stored energy lands on the closed-form trajectory.
-      integrate(h, source_->energy_between(t, t + h) / h);
+      integrate(h, source_->energy_between(t, t + h) / h, load);
       t += h;
       continue;
+    } else {
+      // Earliest decision threshold in the travel direction: the ramp
+      // covers distance d at `rate` and crosses at t + fl(d / rate).
+      const double net = eta * ph - drain;
+      if (net != 0) {
+        const bool rising = net > 0;
+        double d;
+        bool bounded;  // false: pinned at the regime boundary, no crossing
+        if (rising) {
+          // Bounded by the saturation regime boundary.
+          const double target = m.level_above(energy, e_cap);
+          bounded = !(target >= e_cap && energy >= e_cap * (1.0 - 1e-12));
+          d = target - energy + (target < e_cap ? kCrossEps : 0.0);
+        } else {
+          // Bounded by the empty regime boundary.
+          const double target = m.level_below(energy, 0.0);
+          bounded = !(target <= 0.0 && energy <= kCrossEps);
+          d = energy - target + (target > 0.0 ? kCrossEps : 0.0);
+        }
+        const double rate = rising ? net : -net;
+        // The crossing gate.  Most advances end at a source change or an
+        // operation completion, not at a crossing, and then the division
+        // below cannot move te.  Skipping it is exact: with
+        //   s = fl(te - t),  p = fl(rate * s) >= DBL_MIN (normal),
+        //   d >= R = fl(p * fl(1 + 1e-12)),
+        // each rounding costs at most a factor (1 - u), u = 2^-53, so
+        //   d / rate >= (te - t) (1 - u)^3 (1 + 1e-12 - u) > (te - t)
+        // and q = fl(d / rate) >= te - t: when q is normal its own
+        // rounding costs one more (1 - u), still > (te - t) since
+        // 1e-12 >> 5u; when q is subnormal, so is te - t, which is
+        // then an exact double and rounding is monotone.  So t + q >= te
+        // and, te being a double, fl(t + fl(d / rate)) >= te: the min
+        // keeps te.  Otherwise the crossing time is computed exactly as
+        // before.
+        const double p = rate * (te - t);
+        if (bounded && !(p >= kMinNormal && d >= p * kGateSlack)) {
+          const double t_cross = d / rate;
+          if (t_cross < kInf) te = std::min(te, t + t_cross);
+        }
+      }
+
+      double h = std::max(te - t, 1e-12);
+      h = std::min(h, max_time - t);
+      integrate(h, ph, load);
+      t += h;
     }
-
-    const double net = eta * ph - drain;
-    const double t_cross = next_crossing(net);
-    if (t_cross < kInf) te = std::min(te, t + t_cross);
-
-    double h = std::max(te - t, 1e-12);
-    h = std::min(h, options_.max_time - t);
-    integrate(h, ph);
-    t += h;
   }
 
   stats.makespan = t;
   stats.workload_completed =
       stats.instances_completed >= options_.target_instances;
 #if !defined(DIAC_OBS_DISABLED)
-  record_run_metrics(events_, bisections);
+  record_run_metrics(stats, iterations, bisections);
   DIAC_OBS_COUNT("power.source_segments", supply.segments_generated());
 #endif
   return stats;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <deque>
 #include <map>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <tuple>
@@ -100,6 +101,10 @@ SearchResult run_search(const Netlist& nl, const CellLibrary& lib,
   // below a design are shared too: DesignPoint never overlays `grouping`,
   // so every candidate starts from one initial tree, and policy trees are
   // memoized on exactly the fields DiacSynthesizer::policy_tree reads.
+  // Each (design, FSM configuration) is compiled once into the SimPlan
+  // its candidates' jobs share and their pruning floors read; the only
+  // runtime axis DesignPoint::fsm_config overlays is adaptive sensing,
+  // so that is the key beside the design.
   using SynthKey = std::tuple<PolicyKind, double, NvmTechnology, Scheme>;
   using PolicyKey =
       std::tuple<TreeGrouping, PolicyKind, double, double, double, double>;
@@ -108,6 +113,9 @@ SearchResult run_search(const Netlist& nl, const CellLibrary& lib,
   std::optional<TaskTree> initial;
   std::map<PolicyKey, TaskTree> policy_trees;
   std::vector<std::size_t> design_of(points.size());
+  std::map<std::pair<std::size_t, bool>, std::shared_ptr<const SimPlan>>
+      plans;
+  std::vector<std::shared_ptr<const SimPlan>> plan_of(points.size());
   {
     DIAC_TRACE_SPAN_ARG("search.synthesize", "search", "candidates",
                         points.size());
@@ -136,11 +144,16 @@ SearchResult run_search(const Netlist& nl, const CellLibrary& lib,
       c.point = p;
       c.tasks = sr.design.tree.size();
       c.commit_points = sr.replacement.points.size();
-      const TaskProgram program(sr.design, p.fsm_config(options.fsm));
-      c.optimistic =
-          optimistic_costs(options.objectives,
-                           instance_floors(program, p.fsm_config(options.fsm)),
-                           options.simulator);
+      std::shared_ptr<const SimPlan>& plan =
+          plans[{design_of[i], p.adaptive_sensing}];
+      if (!plan) {
+        plan = std::make_shared<const SimPlan>(
+            sr.design, p.fsm_config(options.fsm), options.simulator);
+      }
+      plan_of[i] = plan;
+      c.optimistic = optimistic_costs(
+          options.objectives, instance_floors(plan->program(), plan->config()),
+          options.simulator);
     }
     DIAC_OBS_COUNT("search.unique_designs", synthesized.size());
   }
@@ -161,8 +174,7 @@ SearchResult run_search(const Netlist& nl, const CellLibrary& lib,
         continue;
       }
       // Every candidate sees the identical seeded trace.
-      jobs.push_back({&synthesized[design_of[next]].design, options.scenario,
-                      c.point.fsm_config(options.fsm), options.simulator});
+      jobs.push_back({plan_of[next], options.scenario, options.simulator});
       who.push_back(next);
       ++next;
     }

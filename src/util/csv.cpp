@@ -1,7 +1,6 @@
 #include "util/csv.hpp"
 
-#include <iomanip>
-#include <sstream>
+#include <charconv>
 #include <stdexcept>
 
 namespace diac {
@@ -17,6 +16,25 @@ std::string csv_escape(const std::string& cell) {
   }
   out += '"';
   return out;
+}
+
+void append_double(std::string& out, double v, int precision) {
+  // to_chars with an explicit precision is specified as printf("%.*g") in
+  // the C locale, the conversion the ostream path performs.  %.*g output
+  // is at most precision + 7 characters ("-0.0000" + digits, or a sign,
+  // point and "e-308" around them).
+  const int digits = precision > 0 ? precision : 6;
+  char buf[64];
+  if (digits <= 48) {
+    const auto r = std::to_chars(buf, buf + sizeof buf, v,
+                                 std::chars_format::general, digits);
+    out.append(buf, r.ptr);
+    return;
+  }
+  std::string wide(static_cast<std::size_t>(digits) + 8, '\0');
+  const auto r = std::to_chars(wide.data(), wide.data() + wide.size(), v,
+                               std::chars_format::general, digits);
+  out.append(wide.data(), r.ptr);
 }
 
 CsvWriter::CsvWriter(const std::string& path,
@@ -40,15 +58,18 @@ void CsvWriter::add_row(const std::vector<std::string>& cells) {
 }
 
 void CsvWriter::add_row(const std::vector<double>& values, int precision) {
-  std::vector<std::string> cells;
-  cells.reserve(values.size());
-  for (double v : values) {
-    std::ostringstream os;
-    if (precision > 0) os << std::setprecision(precision);
-    os << v;
-    cells.push_back(os.str());
+  if (values.size() != columns_) {
+    throw std::invalid_argument("CsvWriter: wrong cell count for " + path_);
   }
-  add_row(cells);
+  // A formatted number never holds a comma, quote or newline, so cells
+  // need no escaping.
+  line_.clear();
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i) line_ += ',';
+    append_double(line_, values[i], precision);
+  }
+  line_ += '\n';
+  out_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
 }
 
 }  // namespace diac

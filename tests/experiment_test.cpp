@@ -204,7 +204,8 @@ TEST(Experiment, McJobsCarryTheirSeedAndBuildTheirOwnSource) {
     EXPECT_EQ(job.scenario.seed, derive_seed(opt.scenario.seed, run));
     const auto source = make_source(
         clamp_scenario_horizon(job.scenario, opt.simulator.max_time));
-    SystemSimulator sim(*job.design, *source, job.fsm, job.simulator);
+    SystemSimulator sim(job.plan->design(), *source, job.plan->config(),
+                        job.simulator);
     expect_identical(run_simulation(job), sim.run());
   }
 }

@@ -9,6 +9,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -83,6 +85,24 @@ TEST(Obs, CounterAndGaugeHoldValues) {
   Gauge g;
   g.set(-7);
   EXPECT_EQ(g.value(), -7);
+}
+
+TEST(Obs, StripedCounterSumsExactlyAcrossThreads) {
+  // Each thread adds into its own cell (more threads than stripes share
+  // cells); the read sums every cell, so the total is exact.
+  Counter c;
+  constexpr int kThreads = 8;
+  constexpr std::uint64_t kAdds = 100'000;
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&c, i] {
+      for (std::uint64_t k = 0; k < kAdds; ++k) c.add(i % 2 == 0 ? 1 : 3);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(c.value(), kThreads / 2 * kAdds * (1 + 3));
+  c.inc();
+  EXPECT_EQ(c.value(), kThreads / 2 * kAdds * (1 + 3) + 1);
 }
 
 TEST(Obs, HistogramBucketsByBitWidth) {

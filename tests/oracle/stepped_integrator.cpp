@@ -11,16 +11,13 @@ SteppedRun run_stepped(const IntermittentDesign& design,
                        const SimulatorOptions& options, double dt) {
   SteppedRun out;
   RunStats& stats = out.stats;
-  const TaskProgram program(design, config);
+  const SimPlan plan(design, config, options);
   Capacitor cap(options.capacitance, options.voltage);
   cap.set_energy(options.initial_energy_fraction * cap.e_max());
   cap.set_charge_efficiency(options.charge_efficiency);
   cap.set_leakage_power(options.storage_leakage);
-  const Thresholds thresholds =
-      thresholds_for(config, cap.e_max(), design.backup_energy(),
-                     program.max_step_energy());
-  NodeMachine m(design, program, config, thresholds, options.target_instances,
-                options.seed, stats, out.events);
+  NodeMachine m(plan, options.target_instances, options.seed, stats,
+                out.events);
   NodeMachine::Operation& op = m.op();
 
   double t = 0;

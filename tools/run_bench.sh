@@ -132,6 +132,15 @@ mb_per_s = parse[0]["MB_per_s"]
 assert mb_per_s >= 100.0, \
     f"trace parsing too slow: {mb_per_s:.1f} MB/s (< 100 MB/s)"
 print(f"BM_TraceParse: {mb_per_s:.1f} MB/s")
+# The trace-writing gate (power/trace_io): save_trace_csv of the same
+# 100-trace library must sustain at least 25 MB/s single-threaded (one
+# formatted buffer per file; the per-row ostream path managed ~7-10).
+write = [b for b in doc["benchmarks"] if b["name"] == "BM_TraceWrite"]
+assert write, f"missing BM_TraceWrite entry: {kernels}"
+write_mb_per_s = write[0]["MB_per_s"]
+assert write_mb_per_s >= 25.0, \
+    f"trace writing too slow: {write_mb_per_s:.1f} MB/s (< 25 MB/s)"
+print(f"BM_TraceWrite: {write_mb_per_s:.1f} MB/s")
 print(f"BENCH_micro.json OK: {len(kernels)} kernels timed")
 EOF
 fi
