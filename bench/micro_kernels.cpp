@@ -349,9 +349,11 @@ BENCHMARK(BM_TraceWrite)->Unit(benchmark::kMillisecond);
 // design_search: grid-to-front wall time of a full design-space search on
 // b12 — synthesize the whole default candidate grid (72 candidates, one
 // synthesis per unique design), evaluate everything on one shared RFID
-// trace through the experiment engine, and maintain the Pareto front with
-// between-batch pruning; at 1 thread and at full hardware concurrency.
-// This is the headline workload the search subsystem exists for.
+// trace through the experiment engine (one simulation per design and
+// sensing mode that can matter: `simulations` counts them), and maintain
+// the Pareto front with between-batch pruning; at 1 thread and at full
+// hardware concurrency.  This is the headline workload the search
+// subsystem exists for.
 void BM_DesignSearch(benchmark::State& state) {
   const Netlist& nl = circuit("b12");
   const CandidateSpace space;
@@ -361,16 +363,18 @@ void BM_DesignSearch(benchmark::State& state) {
   opt.simulator.target_instances = 6;
   opt.simulator.max_time = 30000;
   ExperimentRunner runner(static_cast<int>(state.range(0)));
-  std::size_t front = 0, pruned = 0;
+  std::size_t front = 0, pruned = 0, simulations = 0;
   for (auto _ : state) {
     const SearchResult result = run_search(nl, lib(), points, opt, runner);
     front = result.front.size();
     pruned = result.pruned;
+    simulations = result.simulations;
     benchmark::DoNotOptimize(result);
   }
   state.counters["candidates"] = static_cast<double>(points.size());
   state.counters["front"] = static_cast<double>(front);
   state.counters["pruned"] = static_cast<double>(pruned);
+  state.counters["simulations"] = static_cast<double>(simulations);
   state.counters["jobs"] = static_cast<double>(runner.jobs());
 }
 BENCHMARK(BM_DesignSearch)->Name("design_search")->Arg(1)->Arg(0)

@@ -24,7 +24,8 @@ SimulatorOptions clamp_to_measurement(SimulatorOptions options,
   return options;
 }
 
-RunStats run_simulation(const SimulationJob& job) {
+RunStats run_simulation(const SimulationJob& job,
+                        bool* sensing_mode_mattered) {
   if (!job.plan) {
     throw std::invalid_argument("run_simulation: job has no plan");
   }
@@ -33,7 +34,11 @@ RunStats run_simulation(const SimulationJob& job) {
   const std::unique_ptr<HarvestSource> source =
       make_source(clamp_scenario_horizon(job.scenario, simulator.max_time));
   SystemSimulator sim(*job.plan, *source, simulator);
-  return sim.run();
+  RunStats stats = sim.run();
+  if (sensing_mode_mattered != nullptr) {
+    *sensing_mode_mattered = sim.sensing_mode_mattered();
+  }
+  return stats;
 }
 
 std::vector<RunStats> run_simulations(ExperimentRunner& runner,

@@ -47,8 +47,11 @@ ScenarioSpec clamp_scenario_horizon(ScenarioSpec scenario, double max_time);
 SimulatorOptions clamp_to_measurement(SimulatorOptions options,
                                       const ScenarioSpec& scenario);
 
-/// Materializes the job's harvest source and runs the simulator.
-RunStats run_simulation(const SimulationJob& job);
+/// Materializes the job's harvest source and runs the simulator.  When
+/// `sensing_mode_mattered` is set it receives the run's sensing witness
+/// (SystemSimulator::sensing_mode_mattered).
+RunStats run_simulation(const SimulationJob& job,
+                        bool* sensing_mode_mattered = nullptr);
 
 /// Fans the jobs out over the runner; results[i] corresponds to jobs[i].
 std::vector<RunStats> run_simulations(ExperimentRunner& runner,

@@ -110,10 +110,11 @@ MonteCarloResult evaluate_monte_carlo(const Netlist& nl,
 
   std::vector<BenchmarkResult> samples;
   samples.reserve(static_cast<std::size_t>(runs));
+  const std::size_t gates = nl.logic_gate_count();  // O(gates): once
   for (int r = 0; r < runs; ++r) {
     BenchmarkResult res;
     res.name = nl.name();
-    res.gate_count = nl.logic_gate_count();
+    res.gate_count = gates;
     for (Scheme s : kAllSchemes) {
       const auto i = static_cast<std::size_t>(s);
       res.stats[i] = stats[static_cast<std::size_t>(r) * kSchemeCount + i];

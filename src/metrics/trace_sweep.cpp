@@ -47,10 +47,11 @@ std::vector<BenchmarkResult> evaluate_trace_library(
 
   std::vector<BenchmarkResult> results;
   results.reserve(library.entries.size());
+  const std::size_t gates = nl.logic_gate_count();  // O(gates): once
   for (std::size_t e = 0; e < library.entries.size(); ++e) {
     BenchmarkResult res;
     res.name = library.entries[e].name;
-    res.gate_count = nl.logic_gate_count();
+    res.gate_count = gates;
     for (Scheme s : kAllSchemes) {
       const auto i = static_cast<std::size_t>(s);
       res.stats[i] = stats[e * kSchemeCount + i];

@@ -119,6 +119,30 @@ class NodeMachine {
   double sense_due(double e) const {
     return last_sense_done_ + sense_interval_at(e);
   }
+  // The integrator's horizon decision for the armed timer at (t, e):
+  // `te` capped at the timer's expiry when that lies ahead.
+  double timer_horizon(double t, double e, double te) {
+    const double cap = capped_at_due(t, sense_due(e), te);
+    if (e < thresholds_->compute &&
+        capped_at_due(t, last_sense_done_ + twin_sense_interval(), te) != cap) {
+      sensing_mode_mattered_ = true;
+    }
+    return cap;
+  }
+
+  // The sensing witness.  FsmConfig::adaptive_sensing is read only by
+  // sense_interval_at, whose value feeds exactly two decisions: the timer
+  // test in resolve() (D1) and the timer cap on the integrator's horizon
+  // (D2, timer_horizon).  Below Th_Compute, where the two modes'
+  // intervals differ, every D1 and D2 evaluation also takes the other
+  // mode's decision from the same state and sets this flag when the two
+  // disagree.  While it stays clear, a run under the other mode (the
+  // twin: the same plan but for adaptive_sensing, the same source and
+  // options) holds the identical state after every loop iteration, by
+  // induction: both start identical, every other decision reads state
+  // the two share, and D1/D2 agree.  So a run that ends with the flag
+  // clear *is* its twin's run: RunStats, events and trace, bit for bit.
+  bool sensing_mode_mattered() const { return sensing_mode_mattered_; }
 
   // Finishes the in-flight operation at time t: draws any residual from
   // `energy`, then applies the completion transition.  Returns true when
@@ -139,6 +163,19 @@ class NodeMachine {
       interval *= config_->adaptive_slowdown;
     }
     return interval;
+  }
+  // The other sensing mode's interval below Th_Compute.
+  double twin_sense_interval() const {
+    return config_->adaptive_sensing
+               ? config_->sense_interval
+               : config_->sense_interval * config_->adaptive_slowdown;
+  }
+  // D1: has the timer armed at last_sense_done_ expired at t?
+  bool timer_expired(double t, double interval) const {
+    return t - last_sense_done_ >= interval - kTimeEps;
+  }
+  static double capped_at_due(double t, double due, double te) {
+    return due > t ? std::min(te, due) : te;
   }
   // Entry energy for compute step `idx`.
   double step_need(std::size_t idx) const { return plan_->step_need(idx); }
@@ -191,6 +228,7 @@ class NodeMachine {
   } captured_;
   bool pending_dip_ = false;  // inside the safe zone without a backup yet
   Operation op_;              // the in-flight atomic operation, if any
+  bool sensing_mode_mattered_ = false;  // see sensing_mode_mattered()
 };
 
 // The construction and transitions are defined inline: integrators call
@@ -412,10 +450,16 @@ inline void NodeMachine::begin_backup(double t) {
       // Timer interrupt: re-arm sensing (Algorithm 1 lines 33-37).  With
       // adaptive sensing the sampling rate backs off while stored energy
       // is scarce (line 34).
-      if (reg_ == RegFlag::kIdle &&
-          t - last_sense_done_ >= sense_interval_at(energy) - kTimeEps) {
-        reg_ = RegFlag::kSense;
-        return true;
+      if (reg_ == RegFlag::kIdle) {
+        const bool expired = timer_expired(t, sense_interval_at(energy));
+        if (energy < th.compute &&
+            timer_expired(t, twin_sense_interval()) != expired) {
+          sensing_mode_mattered_ = true;
+        }
+        if (expired) {
+          reg_ = RegFlag::kSense;
+          return true;
+        }
       }
       // State entries (Algorithm 1 lines 6-11), gated on thresholds.
       if (reg_ == RegFlag::kSense && th.can_sense(energy)) {

@@ -65,6 +65,7 @@ RunStats SystemSimulator::run() {
   DIAC_TRACE_SPAN("simulate", "sim");
   trace_.clear();
   events_.clear();
+  sensing_mode_mattered_ = false;
   if (source_->piecewise_constant()) {
     return options_.record_trace ? run_loop<true, true>()
                                  : run_loop<true, false>();
@@ -218,10 +219,7 @@ RunStats SystemSimulator::run_loop() {
     te = std::min(te, supply.next_change() + kTimeEps);
     if constexpr (kRecordTrace) te = std::min(te, next_trace);
     if (op.active) te = std::min(te, t + op.time_left);
-    if (m.timer_armed()) {
-      const double due = m.sense_due(energy);
-      if (due > t) te = std::min(te, due);
-    }
+    if (m.timer_armed()) te = m.timer_horizon(t, energy, te);
     const double load = m.load_power();
     const double drain = leak + load;
 
@@ -291,6 +289,7 @@ RunStats SystemSimulator::run_loop() {
     }
   }
 
+  sensing_mode_mattered_ = m.sensing_mode_mattered();
   stats.makespan = t;
   stats.workload_completed =
       stats.instances_completed >= options_.target_instances;

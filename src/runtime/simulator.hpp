@@ -60,6 +60,10 @@ class SystemSimulator {
 
   const std::vector<TracePoint>& trace() const { return trace_; }
   const std::vector<SimEvent>& events() const { return events_; }
+  // The last run's sensing witness (NodeMachine::sensing_mode_mattered):
+  // false proves a run of the same plan under the other sensing mode
+  // would reproduce this run's RunStats, events and trace bit for bit.
+  bool sensing_mode_mattered() const { return sensing_mode_mattered_; }
   const Thresholds& thresholds() const { return plan_->thresholds(); }
   double e_max() const { return plan_->e_max(); }
 
@@ -77,6 +81,7 @@ class SystemSimulator {
 
   std::vector<TracePoint> trace_;
   std::vector<SimEvent> events_;
+  bool sensing_mode_mattered_ = false;
 };
 
 }  // namespace diac

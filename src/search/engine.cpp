@@ -1,6 +1,7 @@
 #include "search/engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <deque>
 #include <map>
@@ -101,10 +102,11 @@ SearchResult run_search(const Netlist& nl, const CellLibrary& lib,
   // below a design are shared too: DesignPoint never overlays `grouping`,
   // so every candidate starts from one initial tree, and policy trees are
   // memoized on exactly the fields DiacSynthesizer::policy_tree reads.
-  // Each (design, FSM configuration) is compiled once into the SimPlan
-  // its candidates' jobs share and their pruning floors read; the only
-  // runtime axis DesignPoint::fsm_config overlays is adaptive sensing,
-  // so that is the key beside the design.
+  // Each design is compiled into a SimPlan under its first candidate's
+  // FSM configuration.  The only runtime axis DesignPoint::fsm_config
+  // overlays is adaptive sensing, which the pruning floors never read, so
+  // a design's twins share that plan's floors; the other mode's plan is
+  // compiled only when a simulation needs it.
   using SynthKey = std::tuple<PolicyKind, double, NvmTechnology, Scheme>;
   using PolicyKey =
       std::tuple<TreeGrouping, PolicyKind, double, double, double, double>;
@@ -113,9 +115,15 @@ SearchResult run_search(const Netlist& nl, const CellLibrary& lib,
   std::optional<TaskTree> initial;
   std::map<PolicyKey, TaskTree> policy_trees;
   std::vector<std::size_t> design_of(points.size());
-  std::map<std::pair<std::size_t, bool>, std::shared_ptr<const SimPlan>>
-      plans;
-  std::vector<std::shared_ptr<const SimPlan>> plan_of(points.size());
+  // Per design, indexed by adaptive sensing: the compiled plans and the
+  // RunStats each sensing mode is known to produce.  Kept across batches,
+  // so twins a batch boundary splits still share one run.
+  struct DesignRuns {
+    std::size_t first = 0;  // the design's first candidate
+    std::array<std::shared_ptr<const SimPlan>, 2> plan;
+    std::array<std::optional<RunStats>, 2> stats;
+  };
+  std::vector<DesignRuns> runs;
   {
     DIAC_TRACE_SPAN_ARG("search.synthesize", "search", "candidates",
                         points.size());
@@ -136,6 +144,11 @@ SearchResult run_search(const Netlist& nl, const CellLibrary& lib,
                      .first;
         }
         synthesized.push_back(synth.synthesize_scheme(p.scheme, tree->second));
+        DesignRuns& r = runs.emplace_back();
+        r.first = i;
+        r.plan[p.adaptive_sensing] = std::make_shared<const SimPlan>(
+            synthesized.back().design, p.fsm_config(options.fsm),
+            options.simulator);
       }
       design_of[i] = it->second;
 
@@ -144,28 +157,61 @@ SearchResult run_search(const Netlist& nl, const CellLibrary& lib,
       c.point = p;
       c.tasks = sr.design.tree.size();
       c.commit_points = sr.replacement.points.size();
-      std::shared_ptr<const SimPlan>& plan =
-          plans[{design_of[i], p.adaptive_sensing}];
-      if (!plan) {
-        plan = std::make_shared<const SimPlan>(
-            sr.design, p.fsm_config(options.fsm), options.simulator);
+      const DesignRuns& r = runs[design_of[i]];
+      if (inserted) {
+        const SimPlan& plan = *r.plan[p.adaptive_sensing];
+        c.optimistic = optimistic_costs(
+            options.objectives, instance_floors(plan.program(), plan.config()),
+            options.simulator);
+      } else {
+        c.optimistic = result.candidates[r.first].optimistic;
       }
-      plan_of[i] = plan;
-      c.optimistic = optimistic_costs(
-          options.objectives, instance_floors(plan->program(), plan->config()),
-          options.simulator);
     }
     DIAC_OBS_COUNT("search.unique_designs", synthesized.size());
   }
 
+  // Simulates design `d` under sensing mode `mode` and records the
+  // outcome; when the run's witness proves the mode did not matter, the
+  // outcome is the other mode's too (NodeMachine::sensing_mode_mattered).
+  // Returns whether the witness fired.
+  const auto simulate = [&](std::size_t d, bool mode) {
+    DesignRuns& r = runs[d];
+    std::shared_ptr<const SimPlan>& plan = r.plan[mode];
+    if (!plan) {
+      DesignPoint p = points[r.first];
+      p.adaptive_sensing = mode;
+      plan = std::make_shared<const SimPlan>(synthesized[d].design,
+                                             p.fsm_config(options.fsm),
+                                             options.simulator);
+    }
+    bool mattered = false;
+    // Every candidate sees the identical seeded trace.
+    r.stats[mode] = run_simulation({plan, options.scenario, options.simulator},
+                                   &mattered);
+    if (!mattered && !r.stats[!mode]) r.stats[!mode] = r.stats[mode];
+    return mattered;
+  };
+
   // --- batched fan-out with between-batch pruning ----------------------
+  // A batch is a fixed slice of non-pruned candidates.  Its candidates
+  // whose outcome is still unknown are grouped by design into one runner
+  // job each: the job simulates the group's first candidate's mode, and
+  // the other mode only when a candidate of the group needs it and the
+  // first run's witness fired.
+  struct Group {
+    std::size_t design;
+    bool mode;                  // the first candidate's sensing mode
+    bool twin_needed = false;   // a candidate wants the other mode
+    std::size_t simulations = 0;
+  };
+  constexpr std::size_t kNoGroup = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> group_of(synthesized.size(), kNoGroup);
   ParetoFront front(options.objectives.size());
   std::size_t next = 0;
   while (next < points.size()) {
     DIAC_TRACE_SPAN("search.batch", "search");
-    std::vector<SimulationJob> jobs;
     std::vector<std::size_t> who;
-    while (next < points.size() && jobs.size() < batch) {
+    while (next < points.size() && who.size() < batch) {
       CandidateResult& c = result.candidates[next];
       if (options.prune && front.dominated(c.optimistic)) {
         c.pruned = true;
@@ -173,17 +219,38 @@ SearchResult run_search(const Netlist& nl, const CellLibrary& lib,
         ++next;
         continue;
       }
-      // Every candidate sees the identical seeded trace.
-      jobs.push_back({plan_of[next], options.scenario, options.simulator});
       who.push_back(next);
       ++next;
     }
-    const std::vector<RunStats> stats = run_simulations(runner, jobs);
-    for (std::size_t j = 0; j < who.size(); ++j) {
-      CandidateResult& c = result.candidates[who[j]];
-      c.stats = stats[j];
-      c.costs = options.objectives.costs(stats[j]);
-      front.insert(who[j], c.costs);
+    std::vector<Group> groups;
+    for (std::size_t i : who) {
+      const std::size_t d = design_of[i];
+      const bool mode = points[i].adaptive_sensing;
+      if (runs[d].stats[mode]) continue;
+      if (group_of[d] == kNoGroup) {
+        group_of[d] = groups.size();
+        groups.push_back({d, mode});
+      } else if (groups[group_of[d]].mode != mode) {
+        groups[group_of[d]].twin_needed = true;
+      }
+    }
+    runner.parallel_for(groups.size(), [&](std::size_t k) {
+      Group& g = groups[k];
+      g.simulations = 1;
+      if (simulate(g.design, g.mode) && g.twin_needed) {
+        simulate(g.design, !g.mode);
+        g.simulations = 2;
+      }
+    });
+    for (const Group& g : groups) {
+      group_of[g.design] = kNoGroup;
+      result.simulations += g.simulations;
+    }
+    for (std::size_t i : who) {
+      CandidateResult& c = result.candidates[i];
+      c.stats = *runs[design_of[i]].stats[points[i].adaptive_sensing];
+      c.costs = options.objectives.costs(c.stats);
+      front.insert(i, c.costs);
       ++result.evaluated;
     }
   }
@@ -191,6 +258,8 @@ SearchResult run_search(const Netlist& nl, const CellLibrary& lib,
   DIAC_OBS_COUNT("search.candidates", points.size());
   DIAC_OBS_COUNT("search.evaluated", result.evaluated);
   DIAC_OBS_COUNT("search.pruned", result.pruned);
+  DIAC_OBS_COUNT("search.simulations", result.simulations);
+  DIAC_OBS_COUNT("search.shared", result.evaluated - result.simulations);
 
   // --- rank the front ---------------------------------------------------
   result.front = ranked_front(front);

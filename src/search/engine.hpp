@@ -13,11 +13,23 @@
 ///      *optimistic* cost floor is already strictly dominated by a front
 ///      member — the floor is component-wise no worse than any outcome
 ///      the simulation could produce, so the skip is provably sound (the
-///      front with pruning on equals the front with pruning off).
+///      front with pruning on equals the front with pruning off),
+///   5. simulate each design once per sensing mode that can matter: a
+///      batch's candidates are grouped by design into one runner job,
+///      which simulates the first candidate's sensing mode and the other
+///      mode only when that run's witness fired.  A run whose witness
+///      stayed clear is its twin's run bit for bit: adaptive sensing
+///      feeds exactly two decisions (the timer test and the timer cap on
+///      the integrator's horizon), the witness checks both against the
+///      other mode's at every evaluation, and agreeing decisions keep the
+///      two runs in the identical state after every iteration, by
+///      induction (NodeMachine::sensing_mode_mattered).  Outcomes are
+///      memoized per design across batches.
 ///
 /// Determinism: batches are fixed slices of the candidate order, results
-/// are assembled in job order, and the front only changes between
-/// batches, so the entire search — including every pruning decision — is
+/// are assembled in candidate order, the witness is a pure function of
+/// the run, and the front only changes between batches, so the entire
+/// search — including every pruning and sharing decision — is
 /// bit-identical at any runner thread count.
 #pragma once
 
@@ -69,6 +81,10 @@ struct SearchResult {
   std::vector<std::size_t> front;
   std::size_t evaluated = 0;
   std::size_t pruned = 0;
+  /// Simulations run for the evaluated candidates; the rest of them
+  /// shared a sensing twin's run (0 in a result merged from shard
+  /// rows, which do not carry it).
+  std::size_t simulations = 0;
 };
 
 /// Runs the search; `points` is the candidate list in canonical order

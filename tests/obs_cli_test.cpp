@@ -250,6 +250,30 @@ TEST(ObsCli, SweepsBuildEachTreeOncePerPolicy) {
 #endif
 }
 
+TEST(ObsCli, SearchSimulatesSensingTwinsOnce) {
+  // The default b14 grid has 72 candidates over 36 designs; 27 twin
+  // pairs' witnesses stay clear, so 45 simulations cover all 72, at any
+  // thread count.
+  for (const int threads : {1, 2, 4}) {
+    const std::string name = "obscli_twins_" + std::to_string(threads);
+    const fs::path metrics = temp_file(name + ".json");
+    ASSERT_EQ(run_cli("search b14 --threads " + std::to_string(threads) +
+                          " --metrics-out " + metrics.string(),
+                      name)
+                  .exit_code,
+              0);
+#if !defined(DIAC_OBS_DISABLED)
+    const obs::JsonValue m = obs::parse_json(slurp(metrics));
+    const obs::JsonValue* counters = m.find("counters");
+    EXPECT_EQ(counters->find("search.evaluated")->as_u64(), 72u) << threads;
+    EXPECT_EQ(counters->find("search.simulations")->as_u64(), 45u)
+        << threads;
+    EXPECT_EQ(counters->find("search.shared")->as_u64(), 27u) << threads;
+    EXPECT_EQ(counters->find("sim.runs")->as_u64(), 45u) << threads;
+#endif
+  }
+}
+
 TEST(ObsCli, SupplyCountersAndLibraryLoadSpan) {
   // power.trace_rows counts the sample rows replay parsed,
   // power.source_segments the RFID segments mc's cursors generated, and

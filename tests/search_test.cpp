@@ -3,13 +3,22 @@
 // candidate-space enumeration/sampling, objective semantics, and the
 // SearchEngine's headline contracts — bit-identical fronts at any runner
 // thread count, every front member verifiably non-dominated by an
-// exhaustive re-check, and provably sound synthesis-time pruning.
+// exhaustive re-check, provably sound synthesis-time pruning, and
+// sensing twins sharing one simulation without changing any outcome.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <map>
+#include <memory>
+#include <optional>
 #include <set>
+#include <string>
+#include <tuple>
 
+#include "diac/synthesizer.hpp"
 #include "netlist/suite.hpp"
 #include "search/engine.hpp"
 
@@ -427,6 +436,241 @@ TEST(SearchEngine, AllIncompleteSweepYieldsNanFrontNotGarbageBest) {
     EXPECT_TRUE(std::isnan(c.costs[0])) << c.point.label();
   }
   EXPECT_TRUE(std::isnan(result.candidates[result.front[0]].costs[0]));
+}
+
+// Every RunStats field of a search outcome against the reference's, the
+// floating-point ones bit for bit.
+void expect_same_stats(const RunStats& got, const RunStats& want,
+                       const std::string& tag) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const std::pair<const char*, std::pair<double, double>> reals[] = {
+      {"makespan", {got.makespan, want.makespan}},
+      {"energy_consumed", {got.energy_consumed, want.energy_consumed}},
+      {"energy_harvested", {got.energy_harvested, want.energy_harvested}},
+      {"energy_wasted", {got.energy_wasted, want.energy_wasted}},
+      {"reexec_energy", {got.reexec_energy, want.reexec_energy}},
+      {"time_active", {got.time_active, want.time_active}},
+      {"time_sleep", {got.time_sleep, want.time_sleep}},
+      {"time_off", {got.time_off, want.time_off}},
+      {"time_backup", {got.time_backup, want.time_backup}},
+  };
+  for (const auto& [name, v] : reals) {
+    EXPECT_EQ(bits(v.first), bits(v.second)) << tag << " " << name;
+  }
+  const std::pair<const char*, std::pair<std::int64_t, std::int64_t>> ints[] =
+      {
+          {"instances_completed",
+           {got.instances_completed, want.instances_completed}},
+          {"workload_completed",
+           {got.workload_completed, want.workload_completed}},
+          {"backups", {got.backups, want.backups}},
+          {"restores", {got.restores, want.restores}},
+          {"safe_zone_saves", {got.safe_zone_saves, want.safe_zone_saves}},
+          {"deep_outages", {got.deep_outages, want.deep_outages}},
+          {"power_interrupts", {got.power_interrupts, want.power_interrupts}},
+          {"nvm_writes", {got.nvm_writes, want.nvm_writes}},
+          {"nvm_boundary_writes",
+           {got.nvm_boundary_writes, want.nvm_boundary_writes}},
+          {"nvm_bits_written", {got.nvm_bits_written, want.nvm_bits_written}},
+          {"tasks_executed", {got.tasks_executed, want.tasks_executed}},
+          {"tasks_reexecuted", {got.tasks_reexecuted, want.tasks_reexecuted}},
+          {"task_aborts", {got.task_aborts, want.task_aborts}},
+      };
+  for (const auto& [name, v] : ints) {
+    EXPECT_EQ(v.first, v.second) << tag << " " << name;
+  }
+}
+
+void expect_same_costs(const std::vector<double>& got,
+                       const std::vector<double>& want,
+                       const std::string& tag) {
+  ASSERT_EQ(got.size(), want.size()) << tag;
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k]),
+              std::bit_cast<std::uint64_t>(want[k]))
+        << tag << " objective " << k;
+  }
+}
+
+// The per-candidate reference for SensingTwinsMatchPerCandidateSimulation:
+// each candidate synthesized on its own (memoized per design only to save
+// time), compiled into its own plan and simulated by run_simulation.
+class PerCandidateReference {
+ public:
+  PerCandidateReference(const Netlist& nl, SearchOptions options)
+      : nl_(nl), options_(std::move(options)) {
+    options_.prune = false;
+  }
+
+  RunStats stats(const DesignPoint& p, const ScenarioSpec& scenario) {
+    const auto key = std::make_tuple(p.label(), scenario.kind);
+    auto it = stats_.find(key);
+    if (it == stats_.end()) {
+      const auto plan = std::make_shared<const SimPlan>(
+          design(p), p.fsm_config(options_.fsm), options_.simulator);
+      it = stats_.emplace(key, run_simulation({plan, scenario,
+                                               options_.simulator}))
+               .first;
+    }
+    return it->second;
+  }
+
+  // The synthesis-time floor, from a search of the candidate alone.
+  const std::vector<double>& optimistic(const DesignPoint& p) {
+    auto it = optimistic_.find(p.label());
+    if (it == optimistic_.end()) {
+      ExperimentRunner runner(1);
+      it = optimistic_
+               .emplace(p.label(), run_search(nl_, lib(), {p}, options_,
+                                              runner)
+                                       .candidates[0]
+                                       .optimistic)
+               .first;
+    }
+    return it->second;
+  }
+
+ private:
+  const IntermittentDesign& design(const DesignPoint& p) {
+    const auto key =
+        std::make_tuple(p.policy, p.budget_fraction, p.technology, p.scheme);
+    auto it = designs_.find(key);
+    if (it == designs_.end()) {
+      const DiacSynthesizer synth(nl_, lib(),
+                                  p.synthesis_options(options_.synthesis));
+      it = designs_.emplace(key, synth.synthesize_scheme(p.scheme)).first;
+    }
+    return it->second.design;
+  }
+
+  const Netlist& nl_;
+  SearchOptions options_;
+  std::map<std::tuple<PolicyKind, double, NvmTechnology, Scheme>,
+           SynthesisResult>
+      designs_;
+  std::map<std::tuple<std::string, SourceKind>, RunStats> stats_;
+  std::map<std::string, std::vector<double>> optimistic_;
+};
+
+TEST(SearchEngine, SensingTwinsMatchPerCandidateSimulation) {
+  // run_search simulates each design once per sensing mode that can
+  // matter and shares the run between twins whose witness stayed clear.
+  // Every CandidateResult and the front must equal a reference that
+  // simulates every candidate with its own plan and replays the batched
+  // pruning on the reference costs, over circuits, sources, grids, batch
+  // sizes (twins straddle batch boundaries at 1 and 3), pruning and
+  // thread counts.
+  const CandidateSpace space;
+  const std::vector<std::pair<std::vector<DesignPoint>, const char*>> grids =
+      {{space.grid(), "grid"},
+       {space.sample(20, 0x5A1), "sample20"},
+       {space.sample(33, 0x5A2), "sample33"}};
+  struct Config {
+    std::size_t batch;
+    bool prune;
+    int threads;
+  };
+  // Pairwise coverage: every (batch, pruning), (batch, threads) and
+  // (pruning, threads) pair occurs on the grid.
+  const std::vector<Config> full = {{1, true, 1},  {1, false, 4},
+                                    {3, true, 4},  {3, false, 1},
+                                    {16, true, 1}, {16, false, 4}};
+  const std::vector<Config> sampled = {
+      {1, true, 4}, {3, false, 1}, {16, true, 1}};
+  ExperimentRunner serial(1);
+  ExperimentRunner pool(4);
+
+  std::size_t pruned = 0;
+  for (const char* circuit : {"s344", "s1238", "b12"}) {
+    const Netlist nl = build_benchmark(circuit);
+    SearchOptions base;  // the CLI's search defaults
+    base.simulator.target_instances = 6;
+    base.simulator.max_time = 30000;
+    PerCandidateReference reference(nl, base);
+    for (SourceKind kind : {SourceKind::kRfid, SourceKind::kConstant,
+                            SourceKind::kSolar, SourceKind::kSquare}) {
+      SearchOptions options = base;
+      options.scenario.kind = kind;
+      for (const auto& [points, grid_name] : grids) {
+        std::vector<RunStats> want(points.size());
+        std::vector<std::vector<double>> want_costs(points.size());
+        for (std::size_t i = 0; i < points.size(); ++i) {
+          want[i] = reference.stats(points[i], options.scenario);
+          want_costs[i] = options.objectives.costs(want[i]);
+        }
+        const bool is_grid = points.size() == space.size();
+        std::optional<std::size_t> exhaustive_simulations;
+        for (const Config& cfg : is_grid ? full : sampled) {
+          options.batch = cfg.batch;
+          options.prune = cfg.prune;
+          const std::string tag =
+              std::string(circuit) + "/" + to_string(kind) + "/" + grid_name +
+              "/batch " + std::to_string(cfg.batch) +
+              (cfg.prune ? "/prune" : "/exhaustive") + "/threads " +
+              std::to_string(cfg.threads);
+          const SearchResult got = run_search(
+              nl, lib(), points, options, cfg.threads == 1 ? serial : pool);
+          ASSERT_EQ(got.candidates.size(), points.size()) << tag;
+
+          // Replay the batched pruning on the reference outcomes.
+          ParetoFront front(options.objectives.size());
+          std::size_t evaluated = 0, skipped = 0, next = 0;
+          while (next < points.size()) {
+            std::vector<std::size_t> batch;
+            while (next < points.size() && batch.size() < cfg.batch) {
+              if (cfg.prune &&
+                  front.dominated(reference.optimistic(points[next]))) {
+                EXPECT_TRUE(got.candidates[next].pruned)
+                    << tag << " " << points[next].label();
+                ++skipped;
+              } else {
+                batch.push_back(next);
+              }
+              ++next;
+            }
+            for (std::size_t i : batch) {
+              front.insert(i, want_costs[i]);
+              ++evaluated;
+            }
+          }
+          EXPECT_EQ(got.evaluated, evaluated) << tag;
+          EXPECT_EQ(got.pruned, skipped) << tag;
+          EXPECT_EQ(got.front, ranked_front(front)) << tag;
+          pruned += skipped;
+
+          for (std::size_t i = 0; i < points.size(); ++i) {
+            const CandidateResult& c = got.candidates[i];
+            const std::string who = tag + " " + points[i].label();
+            EXPECT_EQ(c.point.label(), points[i].label()) << who;
+            expect_same_costs(c.optimistic, reference.optimistic(points[i]),
+                              who + " optimistic");
+            if (c.pruned) {
+              EXPECT_TRUE(c.costs.empty()) << who;
+              continue;
+            }
+            expect_same_stats(c.stats, want[i], who);
+            expect_same_costs(c.costs, want_costs[i], who);
+          }
+
+          // Sharing is a pure function of the evaluated set: without
+          // pruning, every batch size and thread count simulates alike.
+          EXPECT_LE(got.simulations, got.evaluated) << tag;
+          if (!cfg.prune) {
+            if (!exhaustive_simulations) {
+              exhaustive_simulations = got.simulations;
+            }
+            EXPECT_EQ(got.simulations, *exhaustive_simulations) << tag;
+          }
+          // Not vacuous: the default grid under the paper's RFID supply
+          // shares runs between twins.
+          if (is_grid && kind == SourceKind::kRfid) {
+            EXPECT_LT(got.simulations, got.evaluated) << tag;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(pruned, 0u);  // the pruning replay is exercised too
 }
 
 }  // namespace

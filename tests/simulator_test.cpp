@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <list>
+#include <map>
+#include <memory>
 
 #include "diac/synthesizer.hpp"
+#include "metrics/pdp.hpp"
 #include "netlist/suite.hpp"
 #include "runtime/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace diac {
 namespace {
@@ -287,6 +293,136 @@ TEST(Simulator, AdaptiveSensingSlowsSamplingWhenScarce) {
   EXPECT_TRUE(stats_n.workload_completed);
   EXPECT_TRUE(stats_a.workload_completed);
   EXPECT_GE(stats_a.makespan, stats_n.makespan * 0.99);
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+// Every RunStats field, floating-point ones bit for bit.
+bool same_stats(const RunStats& a, const RunStats& b) {
+  return same_bits(a.makespan, b.makespan) &&
+         a.instances_completed == b.instances_completed &&
+         a.workload_completed == b.workload_completed &&
+         same_bits(a.energy_consumed, b.energy_consumed) &&
+         same_bits(a.energy_harvested, b.energy_harvested) &&
+         same_bits(a.energy_wasted, b.energy_wasted) &&
+         same_bits(a.reexec_energy, b.reexec_energy) &&
+         a.backups == b.backups && a.restores == b.restores &&
+         a.safe_zone_saves == b.safe_zone_saves &&
+         a.deep_outages == b.deep_outages &&
+         a.power_interrupts == b.power_interrupts &&
+         a.nvm_writes == b.nvm_writes &&
+         a.nvm_boundary_writes == b.nvm_boundary_writes &&
+         a.nvm_bits_written == b.nvm_bits_written &&
+         a.tasks_executed == b.tasks_executed &&
+         a.tasks_reexecuted == b.tasks_reexecuted &&
+         a.task_aborts == b.task_aborts &&
+         same_bits(a.time_active, b.time_active) &&
+         same_bits(a.time_sleep, b.time_sleep) &&
+         same_bits(a.time_off, b.time_off) &&
+         same_bits(a.time_backup, b.time_backup);
+}
+
+bool same_events(const std::vector<SimEvent>& a,
+                 const std::vector<SimEvent>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].kind != b[i].kind || !same_bits(a[i].t, b[i].t)) return false;
+  }
+  return true;
+}
+
+bool same_trace(const std::vector<TracePoint>& a,
+                const std::vector<TracePoint>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!same_bits(a[i].t, b[i].t) || !same_bits(a[i].energy, b[i].energy) ||
+        !same_bits(a[i].harvest_power, b[i].harvest_power) ||
+        a[i].state != b[i].state) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(Simulator, SensingWitnessImpliesIdenticalTwinRun) {
+  // A run whose sensing witness stays clear must be its twin's run (the
+  // same plan under the other sensing mode) bit for bit: RunStats, events
+  // and trace.  The witness is symmetric, so the twin's own witness must
+  // agree.  The seeded sweep varies circuit, scheme, source, seeds, the
+  // sense interval, the slowdown and the operation jitter, and must see
+  // both outcomes.
+  std::map<std::pair<std::string, Scheme>, SynthesisResult> designs;
+  SplitMix64 rng(0x5E45E);
+  const char* circuits[] = {"s27", "s344", "s1238"};
+  int clean = 0;
+  int fired = 0;
+  for (int i = 0; i < 240; ++i) {
+    const std::string circuit = circuits[i % 3];
+    const Scheme scheme =
+        kAllSchemes[static_cast<std::size_t>(i / 3) % kSchemeCount];
+    auto it = designs.find({circuit, scheme});
+    if (it == designs.end()) {
+      it = designs.emplace(std::make_pair(circuit, scheme),
+                           synth(circuit, scheme)).first;
+    }
+    const IntermittentDesign& design = it->second.design;
+
+    FsmConfig config;
+    config.sense_interval = rng.uniform(0.5, 60.0);
+    config.op_jitter = rng.uniform(0.0, 0.3);
+    config.adaptive_sensing = rng.chance(0.5);
+    config.adaptive_slowdown = rng.uniform(1.5, 8.0);
+    SimulatorOptions options;
+    options.target_instances = 12;
+    options.max_time = 20000;
+    options.seed = rng.next();
+    options.initial_energy_fraction = rng.uniform(0.1, 0.9);
+    options.record_trace = true;
+    options.trace_interval = rng.uniform(5.0, 50.0);
+    const std::uint64_t source_seed = rng.next();
+    std::unique_ptr<HarvestSource> source;
+    switch (i % 4) {
+      case 0: source = std::make_unique<RfidBurstSource>(source_seed); break;
+      case 1:
+        source = std::make_unique<ConstantSource>(rng.uniform(0.5e-3, 8e-3));
+        break;
+      case 2: {
+        SolarSource::Options solar;
+        solar.horizon = options.max_time;
+        source = std::make_unique<SolarSource>(source_seed, solar);
+        break;
+      }
+      default:
+        source = std::make_unique<SquareWaveSource>(
+            rng.uniform(4e-3, 12e-3), rng.uniform(5.0, 60.0),
+            rng.uniform(0.1, 0.9));
+        break;
+    }
+    FsmConfig twin_config = config;
+    twin_config.adaptive_sensing = !config.adaptive_sensing;
+
+    SystemSimulator sim(design, *source, config, options);
+    SystemSimulator twin(design, *source, twin_config, options);
+    const RunStats a = sim.run();
+    const RunStats b = twin.run();
+    const std::string tag = "case " + std::to_string(i) + " " + circuit +
+                            "/" + to_string(scheme);
+    ASSERT_EQ(sim.sensing_mode_mattered(), twin.sensing_mode_mattered())
+        << tag;
+    if (sim.sensing_mode_mattered()) {
+      ++fired;
+      continue;
+    }
+    ++clean;
+    ASSERT_TRUE(same_stats(a, b)) << tag;
+    ASSERT_TRUE(same_events(sim.events(), twin.events())) << tag;
+    ASSERT_FALSE(sim.trace().empty()) << tag;
+    ASSERT_TRUE(same_trace(sim.trace(), twin.trace())) << tag;
+  }
+  EXPECT_GT(clean, 0);
+  EXPECT_GT(fired, 0);
 }
 
 TEST(Simulator, NonIdealStorageSlowsEveryone) {
