@@ -350,9 +350,8 @@ BENCHMARK(BM_TraceWrite)->Unit(benchmark::kMillisecond);
 // b12 — synthesize the whole default candidate grid (72 candidates, one
 // synthesis per unique design), evaluate everything on one shared RFID
 // trace through the experiment engine (one simulation per design and
-// sensing mode that can matter: `simulations` counts them), and maintain
-// the Pareto front with between-batch pruning; at 1 thread and at full
-// hardware concurrency.  This is the headline workload the search
+// sensing mode that can matter: `simulations` counts them), and rank the
+// Pareto front; at 1 thread and at full hardware concurrency.  This is the headline workload the search
 // subsystem exists for.
 void BM_DesignSearch(benchmark::State& state) {
   const Netlist& nl = circuit("b12");
@@ -363,17 +362,15 @@ void BM_DesignSearch(benchmark::State& state) {
   opt.simulator.target_instances = 6;
   opt.simulator.max_time = 30000;
   ExperimentRunner runner(static_cast<int>(state.range(0)));
-  std::size_t front = 0, pruned = 0, simulations = 0;
+  std::size_t front = 0, simulations = 0;
   for (auto _ : state) {
     const SearchResult result = run_search(nl, lib(), points, opt, runner);
     front = result.front.size();
-    pruned = result.pruned;
     simulations = result.simulations;
     benchmark::DoNotOptimize(result);
   }
   state.counters["candidates"] = static_cast<double>(points.size());
   state.counters["front"] = static_cast<double>(front);
-  state.counters["pruned"] = static_cast<double>(pruned);
   state.counters["simulations"] = static_cast<double>(simulations);
   state.counters["jobs"] = static_cast<double>(runner.jobs());
 }
@@ -403,9 +400,10 @@ void BM_ShardSweep(benchmark::State& state) {
                    "--threads", "1"};
     launch.shards = shards;
     const ShardFileSet files = run_shard_workers(launch);
-    const auto payloads = merge_shard_rows(
-        files.paths, "mc", static_cast<std::size_t>(shards), kRuns);
-    const MonteCarloResult mc = merge_mc_shards(payloads, "s1238", 0);
+    const MonteCarloResult mc = merge_mc_rows(
+        decode_scheme_rows(merge_shard_rows(
+            files.paths, "mc", static_cast<std::size_t>(shards), kRuns)),
+        "s1238", 0);
     samples = mc.samples.size();
     benchmark::DoNotOptimize(mc);
   }
@@ -425,8 +423,8 @@ BENCHMARK(BM_ShardSweep)->Name("shard_sweep")->Arg(1)->Arg(4)
 // thread keeps the ratio independent of the host's cores.  The ratio is
 // the `--cache-dir` / `diac serve` value proposition; run_bench.sh
 // requires cold >= 5x warm and no miss on the warm path (`misses`
-// counts lookups that fell through to compute).  Rows go to a null
-// stream so only compute + cache traffic is timed.
+// counts lookups that fell through to compute).  Only compute + cache
+// traffic is timed: the typed rows are discarded.
 class MissCountingCache final : public RowCache {
  public:
   explicit MissCountingCache(RowCache& inner) : inner_(inner) {}
@@ -455,17 +453,13 @@ void BM_CacheWarmSweep(benchmark::State& state, bool warm) {
   constexpr int kRuns = 256;
   const fs::path root = fs::temp_directory_path() / "diac_bench_cache";
   ExperimentRunner runner(1);
-  struct NullBuf final : std::streambuf {
-    int overflow(int c) override { return c; }
-  } sink;
   if (warm) {
     // One untimed cold pass fills the store the timed passes hit.
     fs::remove_all(root);
     serve::CacheConfig config;
     config.dir = root.string();
     serve::ResultCache cache(config);
-    std::ostream out(&sink);
-    run_mc_shard(out, nl, lib(), opt, kRuns, ShardPlan{}, runner, &cache);
+    mc_rows(nl, lib(), opt, kRuns, ShardPlan{}, runner, &cache);
   }
   std::size_t misses = 0;
   for (auto _ : state) {
@@ -474,8 +468,8 @@ void BM_CacheWarmSweep(benchmark::State& state, bool warm) {
     config.dir = root.string();
     serve::ResultCache store(config);
     MissCountingCache cache(store);
-    std::ostream out(&sink);
-    run_mc_shard(out, nl, lib(), opt, kRuns, ShardPlan{}, runner, &cache);
+    benchmark::DoNotOptimize(
+        mc_rows(nl, lib(), opt, kRuns, ShardPlan{}, runner, &cache));
     misses += cache.misses;
   }
   fs::remove_all(root);

@@ -44,8 +44,8 @@ int main(int argc, char** argv) {
       run_search(nl, lib, space.grid(), options, runner);
 
   std::cout << space.size() << " candidates, " << result.evaluated
-            << " evaluated, " << result.pruned << " pruned by synthesis-time "
-            << "bounds, Pareto front " << result.front.size() << "\n\n";
+            << " evaluated in " << result.simulations
+            << " simulations, Pareto front " << result.front.size() << "\n\n";
   std::cout << search_front_table(result, options.objectives).str() << "\n";
 
   // "Best" = the front head by PDP.  When nothing ever completed an

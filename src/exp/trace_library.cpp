@@ -35,11 +35,16 @@ TraceLibrary load_trace_library(const std::string& dir) {
 
 TraceLibrary load_trace_library(const std::string& dir,
                                 ExperimentRunner& runner) {
-  DIAC_TRACE_SPAN("trace_library.load", "exp");
   const std::vector<std::string> files = list_trace_files(dir);
   if (files.empty()) {
     throw std::runtime_error("trace library: no .csv traces in " + dir);
   }
+  return load_trace_files(files, runner);
+}
+
+TraceLibrary load_trace_files(const std::vector<std::string>& files,
+                              ExperimentRunner& runner) {
+  DIAC_TRACE_SPAN("trace_library.load", "exp");
   TraceLibrary library;
   library.entries.resize(files.size());
   // Each job fills its own slot; errors are kept per file so the one

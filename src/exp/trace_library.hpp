@@ -44,4 +44,10 @@ TraceLibrary load_trace_library(const std::string& dir);
 TraceLibrary load_trace_library(const std::string& dir,
                                 ExperimentRunner& runner);
 
+/// Loads the listed CSV files, in list order, parsed in parallel on
+/// `runner` with the error rules of load_trace_library (which is this
+/// over list_trace_files(dir)).  An empty list yields an empty library.
+TraceLibrary load_trace_files(const std::vector<std::string>& files,
+                              ExperimentRunner& runner);
+
 }  // namespace diac

@@ -170,17 +170,12 @@ void write_search_csv(std::ostream& out, const SearchResult& result,
         << c.point.budget_fraction << ',' << to_string(c.point.technology)
         << ',' << to_string(c.point.scheme) << ','
         << (c.point.adaptive_sensing ? "adaptive" : "fixed") << ','
-        << (c.pruned ? "pruned" : on_front[i] ? "front" : "evaluated");
+        << (on_front[i] ? "front" : "evaluated");
     for (std::size_t k = 0; k < objectives.size(); ++k) {
       out << ',';
-      if (c.pruned) continue;  // no evaluation -> empty cells
       const double cost = c.costs[k];
       if (std::isnan(cost)) continue;
       out << objective_display(objectives.kinds[k], cost);
-    }
-    if (c.pruned) {
-      out << ",,,,,,\n";  // the six trailing run-stat columns stay empty
-      continue;
     }
     out << ',' << c.stats.instances_completed << ','
         << (c.stats.workload_completed ? 1 : 0) << ',' << c.stats.makespan

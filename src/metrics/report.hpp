@@ -38,7 +38,7 @@ Table search_front_table(const SearchResult& result,
                          const SearchObjectives& objectives);
 
 // Machine-readable dump of the whole search: one row per candidate (in
-// candidate order) with design axes, status (front/evaluated/pruned),
+// candidate order) with design axes, status (front/evaluated),
 // objective values, and the headline run statistics.
 void write_search_csv(std::ostream& out, const SearchResult& result,
                       const SearchObjectives& objectives);

@@ -1,8 +1,6 @@
 #include "search/engine.hpp"
 
-#include <algorithm>
 #include <array>
-#include <cmath>
 #include <deque>
 #include <map>
 #include <memory>
@@ -15,73 +13,18 @@
 
 namespace diac {
 
-namespace {
-
-// Per-instance energy/time floors a candidate cannot beat, derived from
-// the synthesized program and the FSM constants alone.  Operation
-// energies jitter by ±op_jitter at run time, so the floor scales by
-// (1 - op_jitter); durations are not jittered.  Backup/restore/boundary
-// overheads and re-execution only add on top, so these are true lower
-// bounds on energy_per_instance() and time_per_instance().
-struct InstanceFloors {
-  double energy = 0;  // J
-  double time = 0;    // s
-};
-
-InstanceFloors instance_floors(const TaskProgram& program,
-                               const FsmConfig& fsm) {
-  const double lo = std::max(0.0, 1.0 - fsm.op_jitter);
-  const double packets =
-      std::ceil(fsm.transmit_energy / fsm.transmit_packet_energy);
-  const double steps = static_cast<double>(program.size());
-  InstanceFloors f;
-  f.energy = lo * fsm.sense_energy + steps * fsm.dispatch_energy +
-             lo * program.instance_energy() +
-             packets * lo * fsm.transmit_packet_energy;
-  f.time = lo * fsm.sense_energy / fsm.sense_power +
-           steps * fsm.dispatch_time + program.instance_duration() +
-           packets * lo * fsm.transmit_packet_energy / fsm.transmit_power;
-  return f;
-}
-
-// The component-wise best cost any run of this candidate could achieve.
-// Soundness: if a front member strictly dominates this vector it
-// dominates every achievable cost vector, so the candidate can be
-// skipped without changing the front.
-std::vector<double> optimistic_costs(const SearchObjectives& objectives,
-                                     const InstanceFloors& floors,
-                                     const SimulatorOptions& simulator) {
-  std::vector<double> costs;
-  costs.reserve(objectives.size());
-  for (ObjectiveKind kind : objectives.kinds) {
-    switch (kind) {
-      case ObjectiveKind::kPdp:
-        costs.push_back(floors.energy * floors.time);
-        break;
-      case ObjectiveKind::kProgress:
-        costs.push_back(-1.0);  // nothing re-executed
-        break;
-      case ObjectiveKind::kNvmWrites:
-        // A run that never executes writes nothing, so no useful floor
-        // exists; pruning on this objective needs a zero-write front
-        // member.
-        costs.push_back(0.0);
-        break;
-      case ObjectiveKind::kCompletion:
-        costs.push_back(-static_cast<double>(simulator.target_instances));
-        break;
-      case ObjectiveKind::kEnergy:
-        costs.push_back(0.0);
-        break;
-      case ObjectiveKind::kMakespan:
-        costs.push_back(simulator.target_instances * floors.time);
-        break;
-    }
+SearchResult rank_candidates(std::vector<CandidateResult> candidates,
+                             const SearchObjectives& objectives) {
+  ParetoFront front(objectives.size());
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    front.insert(i, candidates[i].costs);
   }
-  return costs;
+  SearchResult result;
+  result.evaluated = candidates.size();
+  result.candidates = std::move(candidates);
+  result.front = ranked_front(front);
+  return result;
 }
-
-}  // namespace
 
 SearchResult run_search(const Netlist& nl, const CellLibrary& lib,
                         const std::vector<DesignPoint>& points,
@@ -90,10 +33,7 @@ SearchResult run_search(const Netlist& nl, const CellLibrary& lib,
   if (options.objectives.size() == 0) {
     throw std::invalid_argument("run_search: no objectives");
   }
-  const std::size_t batch = std::max<std::size_t>(options.batch, 1);
-
-  SearchResult result;
-  result.candidates.resize(points.size());
+  std::vector<CandidateResult> candidates(points.size());
 
   // --- synthesize every candidate once ---------------------------------
   // The runtime-knob axes don't change the synthesized design, so
@@ -103,10 +43,9 @@ SearchResult run_search(const Netlist& nl, const CellLibrary& lib,
   // so every candidate starts from one initial tree, and policy trees are
   // memoized on exactly the fields DiacSynthesizer::policy_tree reads.
   // Each design is compiled into a SimPlan under its first candidate's
-  // FSM configuration.  The only runtime axis DesignPoint::fsm_config
-  // overlays is adaptive sensing, which the pruning floors never read, so
-  // a design's twins share that plan's floors; the other mode's plan is
-  // compiled only when a simulation needs it.
+  // FSM configuration; the only runtime axis DesignPoint::fsm_config
+  // overlays is adaptive sensing, so the other mode's plan is compiled
+  // only when a simulation needs it.
   using SynthKey = std::tuple<PolicyKind, double, NvmTechnology, Scheme>;
   using PolicyKey =
       std::tuple<TreeGrouping, PolicyKind, double, double, double, double>;
@@ -116,10 +55,11 @@ SearchResult run_search(const Netlist& nl, const CellLibrary& lib,
   std::map<PolicyKey, TaskTree> policy_trees;
   std::vector<std::size_t> design_of(points.size());
   // Per design, indexed by adaptive sensing: the compiled plans and the
-  // RunStats each sensing mode is known to produce.  Kept across batches,
-  // so twins a batch boundary splits still share one run.
+  // RunStats each sensing mode is known to produce.
   struct DesignRuns {
-    std::size_t first = 0;  // the design's first candidate
+    std::size_t first = 0;      // the design's first candidate
+    bool twin_needed = false;   // a candidate wants the other mode
+    std::size_t simulations = 0;
     std::array<std::shared_ptr<const SimPlan>, 2> plan;
     std::array<std::optional<RunStats>, 2> stats;
   };
@@ -151,21 +91,15 @@ SearchResult run_search(const Netlist& nl, const CellLibrary& lib,
             options.simulator);
       }
       design_of[i] = it->second;
+      DesignRuns& r = runs[design_of[i]];
+      r.twin_needed = r.twin_needed ||
+                      p.adaptive_sensing != points[r.first].adaptive_sensing;
 
-      CandidateResult& c = result.candidates[i];
+      CandidateResult& c = candidates[i];
       const SynthesisResult& sr = synthesized[design_of[i]];
       c.point = p;
       c.tasks = sr.design.tree.size();
       c.commit_points = sr.replacement.points.size();
-      const DesignRuns& r = runs[design_of[i]];
-      if (inserted) {
-        const SimPlan& plan = *r.plan[p.adaptive_sensing];
-        c.optimistic = optimistic_costs(
-            options.objectives, instance_floors(plan.program(), plan.config()),
-            options.simulator);
-      } else {
-        c.optimistic = result.candidates[r.first].optimistic;
-      }
     }
     DIAC_OBS_COUNT("search.unique_designs", synthesized.size());
   }
@@ -192,77 +126,34 @@ SearchResult run_search(const Netlist& nl, const CellLibrary& lib,
     return mattered;
   };
 
-  // --- batched fan-out with between-batch pruning ----------------------
-  // A batch is a fixed slice of non-pruned candidates.  Its candidates
-  // whose outcome is still unknown are grouped by design into one runner
-  // job each: the job simulates the group's first candidate's mode, and
-  // the other mode only when a candidate of the group needs it and the
-  // first run's witness fired.
-  struct Group {
-    std::size_t design;
-    bool mode;                  // the first candidate's sensing mode
-    bool twin_needed = false;   // a candidate wants the other mode
-    std::size_t simulations = 0;
-  };
-  constexpr std::size_t kNoGroup = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> group_of(synthesized.size(), kNoGroup);
-  ParetoFront front(options.objectives.size());
-  std::size_t next = 0;
-  while (next < points.size()) {
-    DIAC_TRACE_SPAN("search.batch", "search");
-    std::vector<std::size_t> who;
-    while (next < points.size() && who.size() < batch) {
-      CandidateResult& c = result.candidates[next];
-      if (options.prune && front.dominated(c.optimistic)) {
-        c.pruned = true;
-        ++result.pruned;
-        ++next;
-        continue;
-      }
-      who.push_back(next);
-      ++next;
+  // --- one runner job per design ----------------------------------------
+  // The job simulates the design's first candidate's mode, and the other
+  // mode only when a candidate needs it and the first run's witness
+  // fired.  Each job touches only its own DesignRuns.
+  runner.parallel_for(runs.size(), [&](std::size_t d) {
+    DesignRuns& r = runs[d];
+    const bool mode = points[r.first].adaptive_sensing;
+    r.simulations = 1;
+    if (simulate(d, mode) && r.twin_needed) {
+      simulate(d, !mode);
+      r.simulations = 2;
     }
-    std::vector<Group> groups;
-    for (std::size_t i : who) {
-      const std::size_t d = design_of[i];
-      const bool mode = points[i].adaptive_sensing;
-      if (runs[d].stats[mode]) continue;
-      if (group_of[d] == kNoGroup) {
-        group_of[d] = groups.size();
-        groups.push_back({d, mode});
-      } else if (groups[group_of[d]].mode != mode) {
-        groups[group_of[d]].twin_needed = true;
-      }
-    }
-    runner.parallel_for(groups.size(), [&](std::size_t k) {
-      Group& g = groups[k];
-      g.simulations = 1;
-      if (simulate(g.design, g.mode) && g.twin_needed) {
-        simulate(g.design, !g.mode);
-        g.simulations = 2;
-      }
-    });
-    for (const Group& g : groups) {
-      group_of[g.design] = kNoGroup;
-      result.simulations += g.simulations;
-    }
-    for (std::size_t i : who) {
-      CandidateResult& c = result.candidates[i];
-      c.stats = *runs[design_of[i]].stats[points[i].adaptive_sensing];
-      c.costs = options.objectives.costs(c.stats);
-      front.insert(i, c.costs);
-      ++result.evaluated;
-    }
+  });
+  std::size_t simulations = 0;
+  for (const DesignRuns& r : runs) simulations += r.simulations;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    CandidateResult& c = candidates[i];
+    c.stats = *runs[design_of[i]].stats[points[i].adaptive_sensing];
+    c.costs = options.objectives.costs(c.stats);
   }
 
+  SearchResult result = rank_candidates(std::move(candidates),
+                                        options.objectives);
+  result.simulations = simulations;
   DIAC_OBS_COUNT("search.candidates", points.size());
   DIAC_OBS_COUNT("search.evaluated", result.evaluated);
-  DIAC_OBS_COUNT("search.pruned", result.pruned);
   DIAC_OBS_COUNT("search.simulations", result.simulations);
   DIAC_OBS_COUNT("search.shared", result.evaluated - result.simulations);
-
-  // --- rank the front ---------------------------------------------------
-  result.front = ranked_front(front);
   return result;
 }
 

@@ -7,7 +7,7 @@
 /// PDP with zero completed instances, makespan of a workload that never
 /// finished — and the comparators in search/pareto.hpp treat NaN as worse
 /// than every number (and equal to itself), so undefined outcomes can
-/// never dominate and are pruned by any defined one.
+/// never dominate and are dropped by any defined one.
 #pragma once
 
 #include <cstdint>

@@ -75,16 +75,6 @@ bool ParetoFront::insert(std::size_t candidate,
   return true;
 }
 
-bool ParetoFront::dominated(const std::vector<double>& costs) const {
-  if (costs.size() != arity_) {
-    throw std::invalid_argument("ParetoFront: cost arity mismatch");
-  }
-  for (const FrontEntry& e : entries_) {
-    if (dominates(e.costs, costs)) return true;
-  }
-  return false;
-}
-
 std::vector<std::size_t> ranked_front(const ParetoFront& front) {
   std::vector<FrontEntry> ranked = front.entries();
   std::sort(ranked.begin(), ranked.end(),

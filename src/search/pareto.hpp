@@ -1,4 +1,4 @@
-/// ParetoFront: incremental strict-dominance pruning over cost vectors.
+/// ParetoFront: incremental strict-dominance front over cost vectors.
 ///
 /// Costs are minimized on every coordinate (search/objectives.hpp negates
 /// maximized goals).  NaN means "undefined on this objective" and is
@@ -10,9 +10,9 @@
 /// insertion *set*, not the insertion order, except for one documented
 /// rule — exactly equal cost vectors are deduplicated to the lowest
 /// candidate index, which is what makes the front canonical when sweeps
-/// contain ties.  The search engine inserts results in candidate order
-/// between evaluation batches, so fronts (and the pruning decisions taken
-/// against them) are bit-identical at any runner thread count.
+/// contain ties.  The search engine inserts every candidate's result in
+/// candidate order once all are evaluated, so fronts are bit-identical at
+/// any runner thread count.
 #pragma once
 
 #include <cstddef>
@@ -52,11 +52,6 @@ class ParetoFront {
   /// index.  Throws std::invalid_argument on arity mismatch.
   bool insert(std::size_t candidate, const std::vector<double>& costs);
 
-  /// True when some entry strictly dominates `costs` (an exact tie is not
-  /// dominance).  This is the pruning test: a candidate whose *optimistic*
-  /// cost floor is already dominated can never reach the front.
-  bool dominated(const std::vector<double>& costs) const;
-
   const std::vector<FrontEntry>& entries() const { return entries_; }
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
@@ -68,8 +63,7 @@ class ParetoFront {
 
 /// The front's candidate indices in report order: ascending on the first
 /// objective (NaN-safe, so undefined outcomes rank last), ties by
-/// candidate index.  Shared by the search engine and the shard merge so
-/// both rank identically.
+/// candidate index.
 std::vector<std::size_t> ranked_front(const ParetoFront& front);
 
 }  // namespace diac

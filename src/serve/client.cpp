@@ -9,7 +9,7 @@
 #include <stdexcept>
 
 #include "obs/obs.hpp"
-#include "shard/codec.hpp"
+#include "shard/coordinator.hpp"
 
 namespace diac::serve {
 
@@ -86,36 +86,11 @@ std::vector<std::vector<std::string>> run_remote_sweep(
   }
 
   // The response body is exactly a 1-shard worker file; its mandatory
-  // `end` trailer is what catches a server killed mid-stream.
-  const ShardFile file =
-      read_shard_stream(in, "serve response from " + socket_path);
-  if (file.header.kind != request.kind) {
-    throw std::runtime_error("serve: response kind '" + file.header.kind +
-                             "' for a " + request.kind + " request");
-  }
-  if (file.header.jobs != expected_jobs) {
-    throw std::runtime_error(
-        "serve: response covers " + std::to_string(file.header.jobs) +
-        " job(s), expected " + std::to_string(expected_jobs));
-  }
-
-  std::vector<std::vector<std::string>> payloads(expected_jobs);
-  std::vector<bool> seen(expected_jobs, false);
-  for (const ShardRow& row : file.rows) {
-    if (row.job >= expected_jobs || seen[row.job]) {
-      throw std::runtime_error("serve: bad row index " +
-                               std::to_string(row.job));
-    }
-    seen[row.job] = true;
-    payloads[row.job] = row.tokens;
-  }
-  for (std::size_t j = 0; j < expected_jobs; ++j) {
-    if (!seen[j]) {
-      throw std::runtime_error("serve: response missing job " +
-                               std::to_string(j));
-    }
-  }
-  return payloads;
+  // `end` trailer is what catches a server killed mid-stream, and the
+  // shard merge checks its kind, job count and rows.
+  std::vector<ShardFile> files;
+  files.push_back(read_shard_stream(in, "serve response from " + socket_path));
+  return merge_shard_files(std::move(files), request.kind, expected_jobs);
 }
 
 }  // namespace diac::serve

@@ -156,7 +156,7 @@ EvaluationOptions mc_eval_options(const OptionMap& options) {
   eo.synthesis = synth_options(options);
   eo.simulator.target_instances = instances_option(options, 6);
   eo.simulator.max_time = 20000;
-  // evaluate_monte_carlo / run_mc_shard reject non-seeded sources.
+  // evaluate_monte_carlo / mc_rows reject non-seeded sources.
   eo.scenario = scenario_options(options);
   return eo;
 }
@@ -186,8 +186,12 @@ std::string replay_trace_arg(const OptionMap& options) {
 }
 
 std::vector<std::string> replay_trace_files(const std::string& trace) {
-  if (std::filesystem::is_directory(trace)) return list_trace_files(trace);
-  return {trace};
+  if (!std::filesystem::is_directory(trace)) return {trace};
+  std::vector<std::string> files = list_trace_files(trace);
+  if (files.empty()) {
+    throw std::runtime_error("trace library: no .csv traces in " + trace);
+  }
+  return files;
 }
 
 SearchOptions search_options(const OptionMap& options) {

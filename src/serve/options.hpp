@@ -82,7 +82,7 @@ std::string replay_trace_arg(const OptionMap& options);
 /// The global replay job list: the sorted CSVs of a library directory,
 /// or the single named file.  Every participant (CLI, worker, server)
 /// derives the identical list, which is what addresses a row's global
-/// job index.
+/// job index.  Throws on a directory without CSVs.
 std::vector<std::string> replay_trace_files(const std::string& trace);
 
 /// The search configuration (--objectives, --max-time, ...).

@@ -183,34 +183,9 @@ class Server {
     // rejects exactly like a killed shard worker.
     try {
       const SweepRequest request = parse_request(line);
-      const Netlist nl = load_target(request.target);
-      const CellLibrary lib = CellLibrary::nominal_45nm();
-      ShardPlan plan;
-      plan.shards = 1;
-      plan.index = 0;
-
-      if (request.kind == "mc") {
-        const EvaluationOptions eo = mc_eval_options(request.options);
-        const int runs = mc_runs(request.options);
-        out << ok_line() << "\n";
-        run_mc_shard(out, nl, lib, eo, runs, plan, runner_, cache_.get());
-      } else if (request.kind == "replay") {
-        const EvaluationOptions eo = replay_eval_options(request.options);
-        const std::vector<std::string> traces =
-            replay_trace_files(replay_trace_arg(request.options));
-        if (traces.empty()) {
-          throw std::runtime_error("trace library: no .csv traces");
-        }
-        out << ok_line() << "\n";
-        run_replay_shard(out, nl, lib, eo, traces, plan, runner_,
-                         cache_.get());
-      } else {
-        const SearchOptions so = search_options(request.options);
-        const std::vector<DesignPoint> points = search_points(request.options);
-        out << ok_line() << "\n";
-        run_search_shard(out, nl, lib, points, so, plan, runner_,
-                         cache_.get());
-      }
+      write_sweep_shard(out, request.kind, load_target(request.target),
+                        request.options, ShardPlan{}, runner_, cache_.get(),
+                        ok_line() + "\n");
       out.flush();
     } catch (const std::exception& e) {
       DIAC_OBS_COUNT("serve.request.error", 1);
@@ -227,6 +202,36 @@ class Server {
 };
 
 }  // namespace
+
+void write_sweep_shard(std::ostream& out, const std::string& kind,
+                       const Netlist& nl, const OptionMap& options,
+                       const ShardPlan& plan, ExperimentRunner& runner,
+                       RowCache* cache, const std::string& preamble) {
+  const CellLibrary lib = CellLibrary::nominal_45nm();
+  if (kind == "mc") {
+    const EvaluationOptions eo = mc_eval_options(options);
+    const int runs = mc_runs(options);
+    out << preamble;
+    write_shard(out, kind, plan, static_cast<std::size_t>(runs),
+                mc_rows(nl, lib, eo, runs, plan, runner, cache));
+  } else if (kind == "replay") {
+    const EvaluationOptions eo = replay_eval_options(options);
+    const std::vector<std::string> traces =
+        replay_trace_files(replay_trace_arg(options));
+    out << preamble;
+    write_shard(out, kind, plan, traces.size(),
+                replay_rows(nl, lib, eo, traces, plan, runner, cache));
+  } else if (kind == "search") {
+    const SearchOptions so = search_options(options);
+    const std::vector<DesignPoint> points = search_points(options);
+    out << preamble;
+    write_shard(out, kind, plan, points.size(),
+                search_rows(nl, lib, points, so, plan, runner, cache));
+  } else {
+    throw std::runtime_error("unknown sweep kind '" + kind +
+                             "' (expected mc|replay|search)");
+  }
+}
 
 int serve_forever(const ServerOptions& options) {
   g_stop = 0;

@@ -16,9 +16,27 @@
 #pragma once
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 
+#include "exp/runner.hpp"
+#include "serve/options.hpp"
+#include "shard/plan.hpp"
+#include "shard/row_cache.hpp"
+
 namespace diac::serve {
+
+/// Evaluates the plan's slice of the `kind` sweep ("mc" | "replay" |
+/// "search") that `options` describe over `nl` and writes it to `out` as
+/// a shard file: the body of every served request and of `diac
+/// shard-worker`.  `preamble` is written once the options are validated,
+/// before the sweep runs (serve's `ok` line).  Throws on bad options or
+/// an unknown kind (before the preamble) and on evaluation failures
+/// (after it: the missing `end` trailer marks the stream incomplete).
+void write_sweep_shard(std::ostream& out, const std::string& kind,
+                       const Netlist& nl, const OptionMap& options,
+                       const ShardPlan& plan, ExperimentRunner& runner,
+                       RowCache* cache, const std::string& preamble = "");
 
 /// Configuration of one server process.
 struct ServerOptions {

@@ -56,6 +56,7 @@ ShardFile read_shard_stream(std::istream& in, const std::string& name) {
   };
 
   ShardFile file;
+  file.name = name;
   std::string line;
   if (!std::getline(in, line)) throw fail("empty file");
   {
@@ -162,6 +163,26 @@ RunStats parse_run_stats(const std::vector<std::string>& tokens,
   s.time_off = decode_double(next());
   s.time_backup = decode_double(next());
   return s;
+}
+
+std::vector<std::string> encode_row(const SchemeRow& row) {
+  std::vector<std::string> tokens;
+  tokens.reserve(kSchemeCount * kRunStatsTokenCount);
+  for (const RunStats& stats : row) append_run_stats(tokens, stats);
+  return tokens;
+}
+
+SchemeRow decode_scheme_row(const std::vector<std::string>& tokens) {
+  if (tokens.size() != kSchemeCount * kRunStatsTokenCount) {
+    throw std::runtime_error("scheme row: " + std::to_string(tokens.size()) +
+                             " token(s), " +
+                             std::to_string(kSchemeCount * kRunStatsTokenCount) +
+                             " expected");
+  }
+  SchemeRow row;
+  std::size_t cursor = 0;
+  for (RunStats& stats : row) stats = parse_run_stats(tokens, cursor);
+  return row;
 }
 
 }  // namespace diac

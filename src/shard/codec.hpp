@@ -11,7 +11,11 @@
 /// (payload bits are not preserved; nothing in the sweep pipeline reads
 /// them).  Integers and bools are plain decimal.
 ///
-/// File layout (version 1):
+/// The codec runs only where rows leave the process or go to disk: the
+/// shard file, the serve socket and the cache entry.  In-process sweeps
+/// hand typed rows straight to the merge.
+///
+/// File layout (version 2):
 ///
 ///     diac-shard 1 <kind> <shards> <index> <jobs>
 ///     row <global_job_index> <token> <token> ...
@@ -29,12 +33,19 @@
 #include <string>
 #include <vector>
 
+#include <array>
+
+#include "diac/design.hpp"
 #include "runtime/stats.hpp"
 
 namespace diac {
 
-/// Bumped whenever the row payload of any sweep kind changes shape.
-inline constexpr int kShardFormatVersion = 1;
+/// Bumped whenever the row payload of any sweep kind changes shape
+/// (2: search rows dropped their optimistic-floor tokens).
+inline constexpr int kShardFormatVersion = 2;
+
+/// One mc or replay job's row: its four RunStats in kAllSchemes order.
+using SchemeRow = std::array<RunStats, kSchemeCount>;
 
 /// Encodes a double so decode_double reproduces it bit-for-bit (finite
 /// values and infinities; NaN encodes as "nan" and decodes to a quiet
@@ -67,11 +78,12 @@ struct ShardRow {
 
 /// A fully parsed shard result file.
 struct ShardFile {
+  std::string name;  ///< the path or stream name it was read from
   ShardHeader header;
   std::vector<ShardRow> rows;
 };
 
-/// Writes the version-1 header line.
+/// Writes the header line.
 void write_shard_header(std::ostream& out, const ShardHeader& header);
 /// Writes one "row <job> <tokens...>" line.
 void write_shard_row(std::ostream& out, std::size_t job,
@@ -99,5 +111,12 @@ void append_run_stats(std::vector<std::string>& tokens, const RunStats& stats);
 /// advances past them); throws std::runtime_error when fewer remain.
 RunStats parse_run_stats(const std::vector<std::string>& tokens,
                          std::size_t& cursor);
+
+/// A SchemeRow as kSchemeCount x kRunStatsTokenCount tokens.
+std::vector<std::string> encode_row(const SchemeRow& row);
+/// Inverse of encode_row; throws std::runtime_error on a wrong token
+/// count and std::invalid_argument / std::runtime_error on a malformed
+/// token.
+SchemeRow decode_scheme_row(const std::vector<std::string>& tokens);
 
 }  // namespace diac

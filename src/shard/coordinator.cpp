@@ -263,15 +263,26 @@ std::vector<std::vector<std::string>> merge_shard_rows(
                              " file(s) for " + std::to_string(shards) +
                              " shard(s)");
   }
+  std::vector<ShardFile> files;
+  files.reserve(paths.size());
+  for (const std::string& path : paths) files.push_back(read_shard_file(path));
+  auto payloads = merge_shard_files(std::move(files), kind, jobs);
+  DIAC_OBS_COUNT("shard.rows_merged", jobs);
+  return payloads;
+}
+
+std::vector<std::vector<std::string>> merge_shard_files(
+    std::vector<ShardFile> files, const std::string& kind, std::size_t jobs) {
+  const std::size_t shards = files.size();
   std::vector<std::vector<std::string>> payloads(jobs);
   std::vector<bool> seen(jobs, false);
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    ShardFile file = read_shard_file(paths[i]);
+  for (std::size_t i = 0; i < shards; ++i) {
+    ShardFile& file = files[i];
     const ShardHeader& h = file.header;
     if (h.kind != kind || h.shards != shards || h.index != i ||
         h.jobs != jobs) {
       throw std::runtime_error(
-          "shard merge: " + paths[i] + " header (" + h.kind + " " +
+          "shard merge: " + file.name + " header (" + h.kind + " " +
           std::to_string(h.shards) + "/" + std::to_string(h.index) + ", " +
           std::to_string(h.jobs) + " job(s)) does not match the sweep (" +
           kind + " " + std::to_string(shards) + "/" + std::to_string(i) +
@@ -280,7 +291,7 @@ std::vector<std::vector<std::string>> merge_shard_rows(
     const ShardPlan plan{shards, i};
     for (ShardRow& row : file.rows) {
       if (row.job >= jobs || !plan.owns(row.job, jobs)) {
-        throw std::runtime_error("shard merge: " + paths[i] +
+        throw std::runtime_error("shard merge: " + file.name +
                                  " contains job " + std::to_string(row.job) +
                                  " outside its slice");
       }
@@ -298,7 +309,6 @@ std::vector<std::vector<std::string>> merge_shard_rows(
                                std::to_string(j));
     }
   }
-  DIAC_OBS_COUNT("shard.rows_merged", jobs);
   return payloads;
 }
 

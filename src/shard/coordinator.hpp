@@ -23,6 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "shard/codec.hpp"
+
 namespace diac {
 
 /// Describes an N-way worker fan-out.
@@ -83,5 +85,10 @@ ShardFileSet run_shard_workers(const ShardLaunch& launch);
 std::vector<std::vector<std::string>> merge_shard_rows(
     const std::vector<std::string>& paths, const std::string& kind,
     std::size_t shards, std::size_t jobs);
+
+/// The same checks and splice over files already parsed: files[i] is
+/// shard i of a files.size()-way split (serve's response is one file).
+std::vector<std::vector<std::string>> merge_shard_files(
+    std::vector<ShardFile> files, const std::string& kind, std::size_t jobs);
 
 }  // namespace diac

@@ -1,19 +1,23 @@
 #include "shard/job_key.hpp"
 
 #include "exp/job_key.hpp"
-#include "shard/codec.hpp"
 
 namespace diac {
 
 namespace {
 
-// Every digest starts with the row-format version and the sweep kind:
-// a payload-shape bump or a kind collision can never alias entries.
+// Bumped when a key's inputs change meaning.  A row-shape change needs
+// no bump: entries are shard files, so a stale entry fails the format
+// version or arity check on lookup and is recomputed over.
+constexpr int kJobKeyVersion = 1;
+
+// Every digest starts with the key version and the sweep kind: a kind
+// collision can never alias entries.
 std::vector<std::string> key_prefix(const char* kind,
                                     const Hash128& netlist_fp) {
   std::vector<std::string> key;
   key.push_back("diac-job");
-  key.push_back(std::to_string(kShardFormatVersion));
+  key.push_back(std::to_string(kJobKeyVersion));
   key.push_back(kind);
   key.push_back(hash_hex(netlist_fp));
   return key;

@@ -11,8 +11,9 @@
 /// candidate set — a resumed or widened search — hits on the overlap.
 ///
 /// The builders reuse the exp/job_key appenders, so the digest is a
-/// pure function of option values; the row-format version is mixed in
-/// so a payload-shape change can never resurrect stale entries.
+/// pure function of option values.  Keys do not cover the row format:
+/// a stale entry fails the cache's format-version or arity check and is
+/// recomputed over.
 #pragma once
 
 #include "metrics/pdp.hpp"

@@ -1,99 +1,96 @@
 #include "shard/merge.hpp"
 
+#include <exception>
 #include <filesystem>
 #include <stdexcept>
 
-#include "shard/codec.hpp"
 #include "shard/search_row.hpp"
 
 namespace diac {
 
 namespace {
 
-void require_arity(const std::vector<std::string>& tokens, std::size_t want,
-                   const char* kind, std::size_t job) {
-  if (tokens.size() != want) {
-    throw std::runtime_error(std::string("shard merge: ") + kind + " job " +
-                             std::to_string(job) + " has " +
-                             std::to_string(tokens.size()) + " token(s), " +
-                             std::to_string(want) + " expected");
+// Decodes every payload with decode(tokens, row), naming the job of the
+// first failure.
+template <typename Row, typename Decode>
+std::vector<Row> decode_rows(const RowPayloads& payloads, const char* kind,
+                             Decode&& decode) {
+  std::vector<Row> rows(payloads.size());
+  for (std::size_t job = 0; job < payloads.size(); ++job) {
+    try {
+      decode(payloads[job], rows[job]);
+    } catch (const std::exception& e) {
+      throw std::runtime_error(std::string("shard merge: ") + kind + " job " +
+                               std::to_string(job) + ": " + e.what());
+    }
   }
+  return rows;
 }
 
-// Decodes one "4 x RunStats" payload into a labelled BenchmarkResult.
-BenchmarkResult decode_scheme_row(const std::vector<std::string>& tokens,
-                                  const std::string& name,
-                                  std::size_t gate_count, const char* kind,
-                                  std::size_t job) {
-  require_arity(tokens, kSchemeCount * kRunStatsTokenCount, kind, job);
+BenchmarkResult scheme_result(const SchemeRow& row, const std::string& name,
+                              std::size_t gate_count) {
   BenchmarkResult res;
   res.name = name;
   res.gate_count = gate_count;
-  std::size_t cursor = 0;
-  for (Scheme s : kAllSchemes) {
-    res.stats[static_cast<std::size_t>(s)] = parse_run_stats(tokens, cursor);
-  }
+  res.stats = row;
   return res;
 }
 
 }  // namespace
 
-MonteCarloResult merge_mc_shards(
-    const std::vector<std::vector<std::string>>& payloads,
-    const std::string& name, std::size_t gate_count) {
-  std::vector<BenchmarkResult> samples;
-  samples.reserve(payloads.size());
-  for (std::size_t r = 0; r < payloads.size(); ++r) {
-    samples.push_back(
-        decode_scheme_row(payloads[r], name, gate_count, "mc", r));
-  }
-  return summarize_monte_carlo(std::move(samples));
+std::vector<SchemeRow> decode_scheme_rows(const RowPayloads& payloads) {
+  return decode_rows<SchemeRow>(
+      payloads, "scheme",
+      [](const std::vector<std::string>& tokens, SchemeRow& row) {
+        row = decode_scheme_row(tokens);
+      });
 }
 
-std::vector<BenchmarkResult> merge_replay_shards(
-    const std::vector<std::vector<std::string>>& payloads,
-    const std::vector<std::string>& traces, std::size_t gate_count) {
-  if (payloads.size() != traces.size()) {
-    throw std::runtime_error("shard merge: " +
-                             std::to_string(payloads.size()) +
-                             " replay row(s) for " +
-                             std::to_string(traces.size()) + " trace(s)");
-  }
-  std::vector<BenchmarkResult> results;
-  results.reserve(payloads.size());
-  for (std::size_t t = 0; t < payloads.size(); ++t) {
-    results.push_back(decode_scheme_row(
-        payloads[t], std::filesystem::path(traces[t]).stem().string(),
-        gate_count, "replay", t));
-  }
-  return results;
-}
-
-SearchResult merge_search_shards(
-    const std::vector<std::vector<std::string>>& payloads,
-    const std::vector<DesignPoint>& points,
+std::vector<CandidateResult> decode_search_rows(
+    const RowPayloads& payloads, const std::vector<DesignPoint>& points,
     const SearchObjectives& objectives) {
-  if (objectives.size() == 0) {
-    throw std::invalid_argument("merge_search_shards: no objectives");
-  }
   if (payloads.size() != points.size()) {
     throw std::runtime_error("shard merge: " +
                              std::to_string(payloads.size()) +
                              " search row(s) for " +
                              std::to_string(points.size()) + " candidate(s)");
   }
-  SearchResult result;
-  result.candidates.resize(points.size());
-  ParetoFront front(objectives.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    CandidateResult& c = result.candidates[i];
-    c.point = points[i];
-    decode_search_row(payloads[i], objectives.size(), c);
-    front.insert(i, c.costs);
-    ++result.evaluated;
+  std::vector<CandidateResult> rows = decode_rows<CandidateResult>(
+      payloads, "search",
+      [&](const std::vector<std::string>& tokens, CandidateResult& c) {
+        decode_search_row(tokens, objectives.size(), c);
+      });
+  for (std::size_t i = 0; i < rows.size(); ++i) rows[i].point = points[i];
+  return rows;
+}
+
+MonteCarloResult merge_mc_rows(const std::vector<SchemeRow>& rows,
+                               const std::string& name,
+                               std::size_t gate_count) {
+  std::vector<BenchmarkResult> samples;
+  samples.reserve(rows.size());
+  for (const SchemeRow& row : rows) {
+    samples.push_back(scheme_result(row, name, gate_count));
   }
-  result.front = ranked_front(front);
-  return result;
+  return summarize_monte_carlo(std::move(samples));
+}
+
+std::vector<BenchmarkResult> merge_replay_rows(
+    const std::vector<SchemeRow>& rows, const std::vector<std::string>& traces,
+    std::size_t gate_count) {
+  if (rows.size() != traces.size()) {
+    throw std::runtime_error("shard merge: " + std::to_string(rows.size()) +
+                             " replay row(s) for " +
+                             std::to_string(traces.size()) + " trace(s)");
+  }
+  std::vector<BenchmarkResult> results;
+  results.reserve(rows.size());
+  for (std::size_t t = 0; t < rows.size(); ++t) {
+    results.push_back(scheme_result(
+        rows[t], std::filesystem::path(traces[t]).stem().string(),
+        gate_count));
+  }
+  return results;
 }
 
 }  // namespace diac

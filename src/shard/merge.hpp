@@ -1,13 +1,12 @@
-/// Shard merges: decode the dense job-indexed payloads produced by
-/// merge_shard_rows back into the sweep result types, bit-identically
-/// with the single-process path.
+/// Sweep merges: the one aggregation per sweep kind, over typed rows
+/// from any transport, plus the decoders for rows that arrived as text
+/// (shard/coordinator.hpp's merge_shard_rows, serve/client.hpp).
 ///
-/// The merge re-runs exactly the aggregation the in-process sweeps use
-/// — summarize_monte_carlo for `mc`, table-order concatenation for
-/// `replay`, and a ParetoFront union ranked by ranked_front for
-/// `search` — on doubles that round-tripped exactly through the shard
-/// codec, so the final report is a pure function of the job set and
-/// not of how it was split.
+/// The merge runs exactly the aggregation the in-process sweeps use —
+/// summarize_monte_carlo for `mc`, library-order results for `replay`,
+/// and rank_candidates for `search` — on doubles that round-trip
+/// exactly through the shard codec, so the final report is a pure
+/// function of the job set and not of how, or where, it was computed.
 #pragma once
 
 #include <cstddef>
@@ -17,29 +16,34 @@
 #include "metrics/montecarlo.hpp"
 #include "metrics/pdp.hpp"
 #include "search/engine.hpp"
+#include "shard/codec.hpp"
 
 namespace diac {
 
-/// Rebuilds the Monte-Carlo statistics from per-run `mc` rows (4 x
-/// RunStats each); `name`/`gate_count` label the samples like
-/// evaluate_monte_carlo does.
-MonteCarloResult merge_mc_shards(
-    const std::vector<std::vector<std::string>>& payloads,
-    const std::string& name, std::size_t gate_count);
+/// Dense job-indexed row tokens: payloads[job] is that job's row.
+using RowPayloads = std::vector<std::vector<std::string>>;
 
-/// Rebuilds the trace-sweep result list from per-trace `replay` rows;
-/// results[i] is named after traces[i]'s file stem, mirroring
-/// evaluate_trace_library.
-std::vector<BenchmarkResult> merge_replay_shards(
-    const std::vector<std::vector<std::string>>& payloads,
-    const std::vector<std::string>& traces, std::size_t gate_count);
+/// Decodes mc or replay payloads; throws std::runtime_error naming the
+/// first malformed job.
+std::vector<SchemeRow> decode_scheme_rows(const RowPayloads& payloads);
 
-/// Rebuilds the search result from per-candidate `search` rows: the
-/// Pareto front is the union of every shard's exhaustive evaluations
-/// (merged searches never prune, so `pruned` is 0 and `evaluated` is
-/// the candidate count for any shard split).
-SearchResult merge_search_shards(
-    const std::vector<std::vector<std::string>>& payloads,
-    const std::vector<DesignPoint>& points, const SearchObjectives& objectives);
+/// Decodes search payloads for `points` (the full candidate list), each
+/// carrying one cost per objective; throws std::runtime_error naming the
+/// first malformed job or on a row count other than points.size().
+std::vector<CandidateResult> decode_search_rows(
+    const RowPayloads& payloads, const std::vector<DesignPoint>& points,
+    const SearchObjectives& objectives);
+
+/// The Monte-Carlo statistics of per-run rows; `name`/`gate_count` label
+/// the samples like evaluate_monte_carlo does.
+MonteCarloResult merge_mc_rows(const std::vector<SchemeRow>& rows,
+                               const std::string& name,
+                               std::size_t gate_count);
+
+/// The trace-sweep result list of per-trace rows; results[i] is named
+/// after traces[i]'s file stem, mirroring evaluate_trace_library.
+std::vector<BenchmarkResult> merge_replay_rows(
+    const std::vector<SchemeRow>& rows, const std::vector<std::string>& traces,
+    std::size_t gate_count);
 
 }  // namespace diac

@@ -7,17 +7,16 @@
 namespace diac {
 
 std::size_t search_row_arity(std::size_t objectives) {
-  return kRunStatsTokenCount + 2 + 2 * objectives;
+  return kRunStatsTokenCount + 2 + objectives;
 }
 
-std::vector<std::string> encode_search_row(const CandidateResult& c) {
+std::vector<std::string> encode_row(const CandidateResult& c) {
   std::vector<std::string> tokens;
   tokens.reserve(search_row_arity(c.costs.size()));
   append_run_stats(tokens, c.stats);
   tokens.push_back(std::to_string(c.tasks));
   tokens.push_back(std::to_string(c.commit_points));
   for (double v : c.costs) tokens.push_back(encode_double(v));
-  for (double v : c.optimistic) tokens.push_back(encode_double(v));
   return tokens;
 }
 
@@ -37,12 +36,6 @@ void decode_search_row(const std::vector<std::string>& tokens,
   for (std::size_t k = 0; k < objectives; ++k) {
     c.costs.push_back(decode_double(tokens[cursor++]));
   }
-  c.optimistic.clear();
-  c.optimistic.reserve(objectives);
-  for (std::size_t k = 0; k < objectives; ++k) {
-    c.optimistic.push_back(decode_double(tokens[cursor++]));
-  }
-  c.pruned = false;
 }
 
 }  // namespace diac

@@ -1,9 +1,8 @@
 /// The search-row payload codec: one CandidateResult to/from tokens.
 ///
-/// Factored out of the worker and the merge so the result cache, the
-/// serve path and the sharded sweep all serialize a candidate the same
-/// way — row payload: RunStats + tasks + commit_points + one cost and
-/// one optimistic-floor token per objective.
+/// The shard file, the serve socket and the result cache all serialize
+/// a candidate this way — row payload: RunStats + tasks + commit_points
+/// + one cost token per objective.
 #pragma once
 
 #include <cstddef>
@@ -17,12 +16,12 @@ namespace diac {
 /// Token count of one search row under `objectives` objectives.
 std::size_t search_row_arity(std::size_t objectives);
 
-/// Serializes an evaluated (non-pruned) candidate's row payload.
-std::vector<std::string> encode_search_row(const CandidateResult& c);
+/// Serializes an evaluated candidate's row payload.
+std::vector<std::string> encode_row(const CandidateResult& c);
 
 /// Decodes a row payload back into `c` (everything but `point`, which
-/// the caller owns); throws std::runtime_error on wrong arity or
-/// malformed tokens.
+/// the caller owns); throws std::runtime_error on wrong arity and
+/// std::invalid_argument / std::runtime_error on malformed tokens.
 void decode_search_row(const std::vector<std::string>& tokens,
                        std::size_t objectives, CandidateResult& c);
 

@@ -8,22 +8,26 @@ namespace diac::verify {
 DrcReport run_design_drc(const IntermittentDesign& design,
                          const DrcOptions& options) {
   DrcReport report = run_drc(design.tree.netlist(), options);
-  if (options.degenerate) {
-    // Design-level degeneracy: a commit point the replacement engine
-    // inserted that persists nothing wastes a whole NVM write event.
-    for (TaskId id : design.tree.nvm_points()) {
-      if (design.boundary_bits(id) > 0) continue;
-      DrcFinding f;
-      f.rule = DrcRule::kDegenerate;
-      f.severity = DrcSeverity::kWarning;
-      f.gate = kNullGate;
-      f.message = "NVM commit point at task '" +
-                  design.tree.node(id).label + "' persists zero bits";
-      report.findings.push_back(std::move(f));
-      ++report.warnings;
-    }
-  }
+  append_design_findings(design, report, options);
   return report;
+}
+
+void append_design_findings(const IntermittentDesign& design,
+                            DrcReport& report, const DrcOptions& options) {
+  if (!options.degenerate) return;
+  // Design-level degeneracy: a commit point the replacement engine
+  // inserted that persists nothing wastes a whole NVM write event.
+  for (TaskId id : design.tree.nvm_points()) {
+    if (design.boundary_bits(id) > 0) continue;
+    DrcFinding f;
+    f.rule = DrcRule::kDegenerate;
+    f.severity = DrcSeverity::kWarning;
+    f.gate = kNullGate;
+    f.message = "NVM commit point at task '" + design.tree.node(id).label +
+                "' persists zero bits";
+    report.findings.push_back(std::move(f));
+    ++report.warnings;
+  }
 }
 
 RoundTripResult check_codegen_roundtrip(const IntermittentDesign& design,

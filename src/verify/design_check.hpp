@@ -28,9 +28,18 @@
 namespace diac::verify {
 
 /// Full DRC over `design.tree.netlist()` plus design-level findings
-/// (zero-bit commit points, reported as N6 warnings with no gate).
+/// (zero-bit commit points, reported as N6 warnings with no gate):
+/// run_drc followed by append_design_findings.
 DrcReport run_design_drc(const IntermittentDesign& design,
                          const DrcOptions& options = {});
+
+/// Appends the design-level findings alone to `report`: one N6 warning
+/// per zero-bit commit point, when `options.degenerate` is set.  A
+/// caller that already holds run_drc's report of the design's netlist
+/// completes it to run_design_drc's without a second netlist pass.
+void append_design_findings(const IntermittentDesign& design,
+                            DrcReport& report,
+                            const DrcOptions& options = {});
 
 /// Outcome of one emit -> re-import -> equivalence round trip.
 struct RoundTripResult {

@@ -322,19 +322,52 @@ TEST(ObsCli, SupplyCountersAndLibraryLoadSpan) {
 #endif
 }
 
-// Span names of one --trace-out file, with their counts.  Only read
-// when the instrumentation is compiled in.
+// Names of one --trace-out file's spans that start with `prefix`, with
+// their counts.  Only read when the instrumentation is compiled in.
 [[maybe_unused]] std::map<std::string, int> span_counts(
-    const fs::path& trace) {
+    const fs::path& trace, const std::string& prefix = "netlist.") {
   std::map<std::string, int> counts;
   const obs::JsonValue t = obs::parse_json(slurp(trace));
   for (const obs::JsonValue& ev : t.find("traceEvents")->items) {
     const obs::JsonValue* name = ev.find("name");
-    if (name != nullptr && name->text.rfind("netlist.", 0) == 0) {
+    if (name != nullptr && name->text.rfind(prefix, 0) == 0) {
       ++counts[name->text];
     }
   }
   return counts;
+}
+
+TEST(ObsCli, SweepsSpanOneMergeAndOneReport) {
+  // Every sweep ends in one merge and one report, whichever transport
+  // produced the rows; with --shards the coordinator records both.
+  const fs::path dir = fs::path(::testing::TempDir()) / "obscli_sweep_lib";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  for (int i = 0; i < 2; ++i) {
+    const ConstantSource source(2e-3 * (i + 1));
+    save_trace_csv((dir / ("t" + std::to_string(i) + ".csv")).string(),
+                   source, 600.0, 2.0);
+  }
+  const std::string sweeps[] = {
+      "mc s344 --runs 4 --instances 3",
+      "replay s344 --trace " + dir.string() + " --instances 2",
+      "search s344 --random 4 --instances 3 --max-time 8000"};
+  for (const std::string& sweep : sweeps) {
+    for (const char* transport : {"--threads 1", "--shards 2"}) {
+      const fs::path trace = temp_file("obscli_sweep_spans.json");
+      const CliRun run = run_cli(sweep + " " + transport + " --trace-out " +
+                                     trace.string(),
+                                 "obscli_sweep_spans");
+      ASSERT_EQ(run.exit_code, 0) << sweep << " " << transport;
+#if !defined(DIAC_OBS_DISABLED)
+      EXPECT_EQ(span_counts(trace, "sweep."),
+                (std::map<std::string, int>{{"sweep.merge", 1},
+                                            {"sweep.report", 1}}))
+          << sweep << " " << transport;
+#endif
+    }
+  }
+  fs::remove_all(dir);
 }
 
 TEST(ObsCli, NetlistLoadSplitsIntoGenerateOrParseAndOneValidate) {

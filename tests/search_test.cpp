@@ -3,8 +3,8 @@
 // candidate-space enumeration/sampling, objective semantics, and the
 // SearchEngine's headline contracts — bit-identical fronts at any runner
 // thread count, every front member verifiably non-dominated by an
-// exhaustive re-check, provably sound synthesis-time pruning, and
-// sensing twins sharing one simulation without changing any outcome.
+// exhaustive re-check, and sensing twins sharing one simulation without
+// changing any outcome.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -102,8 +102,7 @@ TEST(Pareto, NanObjectivesNeverDominateButCanSurviveAlone) {
   EXPECT_TRUE(front.insert(1, {5.0, kNan}));
   ASSERT_EQ(front.size(), 1u);
   EXPECT_EQ(front.entries()[0].candidate, 1u);
-  EXPECT_FALSE(front.insert(2, {kNan, kNan}));
-  EXPECT_TRUE(front.dominated({kNan, kNan}));
+  EXPECT_FALSE(front.insert(2, {kNan, kNan}));  // dominated by {5, NaN}
   // Ties between NaNs compare equal: {5.0, NaN} vs {7.0, NaN}.
   EXPECT_FALSE(front.insert(3, {7.0, kNan}));
 }
@@ -112,7 +111,7 @@ TEST(Pareto, ArityIsEnforced) {
   EXPECT_THROW(ParetoFront(0), std::invalid_argument);
   ParetoFront front(2);
   EXPECT_THROW(front.insert(0, {1.0}), std::invalid_argument);
-  EXPECT_THROW(front.dominated({1.0, 2.0, 3.0}), std::invalid_argument);
+  EXPECT_THROW(front.insert(1, {1.0, 2.0, 3.0}), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -227,12 +226,10 @@ CandidateSpace small_space() {
 void expect_identical(const SearchResult& a, const SearchResult& b) {
   ASSERT_EQ(a.candidates.size(), b.candidates.size());
   EXPECT_EQ(a.evaluated, b.evaluated);
-  EXPECT_EQ(a.pruned, b.pruned);
   ASSERT_EQ(a.front, b.front);
   for (std::size_t i = 0; i < a.candidates.size(); ++i) {
     const CandidateResult& ca = a.candidates[i];
     const CandidateResult& cb = b.candidates[i];
-    EXPECT_EQ(ca.pruned, cb.pruned) << "candidate " << i;
     ASSERT_EQ(ca.costs.size(), cb.costs.size()) << "candidate " << i;
     for (std::size_t k = 0; k < ca.costs.size(); ++k) {
       // Bit-identical, including NaN payload positions.
@@ -262,41 +259,35 @@ TEST(SearchEngine, FrontIsBitIdenticalAtOneAndEightThreads) {
 }
 
 TEST(SearchEngine, FrontMembersSurviveExhaustiveNonDominationRecheck) {
-  SearchOptions options = small_search_options();
+  const SearchOptions options = small_search_options();
   const std::vector<DesignPoint> points = small_space().grid();
   ExperimentRunner runner(1);
-  const SearchResult with = run_search(s344(), lib(), points, options, runner);
-  options.prune = false;
-  const SearchResult without =
+  const SearchResult result =
       run_search(s344(), lib(), points, options, runner);
-
-  // Pruning is provably sound: the exhaustive search yields the same
-  // front, same costs.
-  ASSERT_EQ(with.front, without.front);
-  EXPECT_EQ(without.pruned, 0u);
-  EXPECT_EQ(without.evaluated, points.size());
+  EXPECT_EQ(result.pruned, 0u);
+  EXPECT_EQ(result.evaluated, points.size());
 
   // Exhaustive re-check: no evaluated candidate dominates a front member,
   // and every non-front candidate is dominated or exactly tied.
-  const std::set<std::size_t> on_front(without.front.begin(),
-                                       without.front.end());
-  for (std::size_t f : without.front) {
-    const auto& front_costs = without.candidates[f].costs;
-    for (std::size_t i = 0; i < without.candidates.size(); ++i) {
-      EXPECT_FALSE(dominates(without.candidates[i].costs, front_costs))
+  const std::set<std::size_t> on_front(result.front.begin(),
+                                       result.front.end());
+  for (std::size_t f : result.front) {
+    const auto& front_costs = result.candidates[f].costs;
+    for (std::size_t i = 0; i < result.candidates.size(); ++i) {
+      EXPECT_FALSE(dominates(result.candidates[i].costs, front_costs))
           << "candidate " << i << " dominates front member " << f;
     }
   }
-  for (std::size_t i = 0; i < without.candidates.size(); ++i) {
+  for (std::size_t i = 0; i < result.candidates.size(); ++i) {
     if (on_front.count(i) != 0) continue;
     bool covered = false;
-    for (std::size_t f : without.front) {
-      const auto& fc = without.candidates[f].costs;
-      bool tie = fc.size() == without.candidates[i].costs.size();
+    for (std::size_t f : result.front) {
+      const auto& fc = result.candidates[f].costs;
+      bool tie = fc.size() == result.candidates[i].costs.size();
       for (std::size_t k = 0; tie && k < fc.size(); ++k) {
-        tie = compare_cost(fc[k], without.candidates[i].costs[k]) == 0;
+        tie = compare_cost(fc[k], result.candidates[i].costs[k]) == 0;
       }
-      if (tie || dominates(fc, without.candidates[i].costs)) {
+      if (tie || dominates(fc, result.candidates[i].costs)) {
         covered = true;
         break;
       }
@@ -304,56 +295,6 @@ TEST(SearchEngine, FrontMembersSurviveExhaustiveNonDominationRecheck) {
     EXPECT_TRUE(covered) << "candidate " << i
                          << " is non-dominated but missing from the front";
   }
-
-  // The pruning bound really is a floor: optimistic <= evaluated costs
-  // component-wise on every candidate.
-  for (const CandidateResult& c : without.candidates) {
-    ASSERT_EQ(c.optimistic.size(), c.costs.size());
-    for (std::size_t k = 0; k < c.costs.size(); ++k) {
-      EXPECT_LE(compare_cost(c.optimistic[k], c.costs[k]), 0)
-          << c.point.label() << " objective " << k;
-    }
-  }
-}
-
-TEST(SearchEngine, SynthesisTimeBoundsPruneProvablyDominatedCandidates) {
-  // Crank the per-task dispatch overhead so Policy1's fine-grained
-  // splitting carries an enormous, synthesis-time-provable PDP floor,
-  // under an ample constant supply that lets Policy3 realize a PDP close
-  // to its own floor.  Policy1 must then be pruned without simulation —
-  // and pruning must not change the front.
-  CandidateSpace space;
-  space.policies = {PolicyKind::kPolicy3, PolicyKind::kPolicy1};
-  space.budget_fractions = {0.25};
-  space.technologies = {NvmTechnology::kMram};
-  space.adaptive_sensing = {false};
-
-  SearchOptions options;
-  options.scenario.kind = SourceKind::kConstant;
-  options.scenario.constant_power = 50.0e-3;  // ample
-  options.simulator.target_instances = 2;
-  options.simulator.max_time = 10000;
-  options.fsm.dispatch_energy = 2.0e-3;  // heavy per-task overhead
-  options.fsm.dispatch_time = 2.0;
-  options.objectives = SearchObjectives::parse("pdp");
-  options.batch = 1;  // prune between every evaluation
-
-  ExperimentRunner runner(1);
-  const SearchResult with =
-      run_search(s344(), lib(), space.grid(), options, runner);
-  EXPECT_GE(with.pruned, 1u);
-  ASSERT_EQ(with.candidates.size(), 2u);
-  EXPECT_FALSE(with.candidates[0].pruned);  // Policy3 evaluated first
-  EXPECT_TRUE(with.candidates[1].pruned);   // Policy1 provably dominated
-
-  SearchOptions exhaustive = options;
-  exhaustive.prune = false;
-  const SearchResult without =
-      run_search(s344(), lib(), space.grid(), exhaustive, runner);
-  ASSERT_EQ(with.front, without.front);
-  // The pruned candidate's floor was genuine: its real cost is dominated.
-  EXPECT_TRUE(dominates(without.candidates[0].costs,
-                        without.candidates[1].costs));
 }
 
 TEST(SearchEngine, SharedPolicyTreesMatchPerCandidateSynthesis) {
@@ -361,8 +302,7 @@ TEST(SearchEngine, SharedPolicyTreesMatchPerCandidateSynthesis) {
   // shared across budgets, technologies and schemes.  Searching each
   // candidate alone builds everything from scratch; every candidate's
   // design and outcome, and hence the front, must be unchanged.
-  SearchOptions options = small_search_options();
-  options.prune = false;
+  const SearchOptions options = small_search_options();
   CandidateSpace space = small_space();
   space.schemes = {Scheme::kDiacOptimized, Scheme::kNvClustering};
   const std::vector<DesignPoint> points = space.grid();
@@ -378,7 +318,6 @@ TEST(SearchEngine, SharedPolicyTreesMatchPerCandidateSynthesis) {
     const CandidateResult& b = shared.candidates[i];
     EXPECT_EQ(a.tasks, b.tasks) << a.point.label();
     EXPECT_EQ(a.commit_points, b.commit_points) << a.point.label();
-    EXPECT_EQ(a.optimistic, b.optimistic) << a.point.label();
     EXPECT_EQ(a.stats.makespan, b.stats.makespan) << a.point.label();
     EXPECT_EQ(a.stats.energy_consumed, b.stats.energy_consumed)
         << a.point.label();
@@ -431,7 +370,6 @@ TEST(SearchEngine, AllIncompleteSweepYieldsNanFrontNotGarbageBest) {
       run_search(s344(), lib(), space.grid(), options, runner);
   ASSERT_FALSE(result.front.empty());
   for (const CandidateResult& c : result.candidates) {
-    ASSERT_FALSE(c.pruned);
     EXPECT_EQ(c.stats.instances_completed, 0);
     EXPECT_TRUE(std::isnan(c.costs[0])) << c.point.label();
   }
@@ -498,9 +436,7 @@ void expect_same_costs(const std::vector<double>& got,
 class PerCandidateReference {
  public:
   PerCandidateReference(const Netlist& nl, SearchOptions options)
-      : nl_(nl), options_(std::move(options)) {
-    options_.prune = false;
-  }
+      : nl_(nl), options_(std::move(options)) {}
 
   RunStats stats(const DesignPoint& p, const ScenarioSpec& scenario) {
     const auto key = std::make_tuple(p.label(), scenario.kind);
@@ -510,21 +446,6 @@ class PerCandidateReference {
           design(p), p.fsm_config(options_.fsm), options_.simulator);
       it = stats_.emplace(key, run_simulation({plan, scenario,
                                                options_.simulator}))
-               .first;
-    }
-    return it->second;
-  }
-
-  // The synthesis-time floor, from a search of the candidate alone.
-  const std::vector<double>& optimistic(const DesignPoint& p) {
-    auto it = optimistic_.find(p.label());
-    if (it == optimistic_.end()) {
-      ExperimentRunner runner(1);
-      it = optimistic_
-               .emplace(p.label(), run_search(nl_, lib(), {p}, options_,
-                                              runner)
-                                       .candidates[0]
-                                       .optimistic)
                .first;
     }
     return it->second;
@@ -549,38 +470,22 @@ class PerCandidateReference {
            SynthesisResult>
       designs_;
   std::map<std::tuple<std::string, SourceKind>, RunStats> stats_;
-  std::map<std::string, std::vector<double>> optimistic_;
 };
 
 TEST(SearchEngine, SensingTwinsMatchPerCandidateSimulation) {
   // run_search simulates each design once per sensing mode that can
   // matter and shares the run between twins whose witness stayed clear.
   // Every CandidateResult and the front must equal a reference that
-  // simulates every candidate with its own plan and replays the batched
-  // pruning on the reference costs, over circuits, sources, grids, batch
-  // sizes (twins straddle batch boundaries at 1 and 3), pruning and
-  // thread counts.
+  // simulates every candidate with its own plan, over circuits, sources,
+  // grids and thread counts.
   const CandidateSpace space;
   const std::vector<std::pair<std::vector<DesignPoint>, const char*>> grids =
       {{space.grid(), "grid"},
        {space.sample(20, 0x5A1), "sample20"},
        {space.sample(33, 0x5A2), "sample33"}};
-  struct Config {
-    std::size_t batch;
-    bool prune;
-    int threads;
-  };
-  // Pairwise coverage: every (batch, pruning), (batch, threads) and
-  // (pruning, threads) pair occurs on the grid.
-  const std::vector<Config> full = {{1, true, 1},  {1, false, 4},
-                                    {3, true, 4},  {3, false, 1},
-                                    {16, true, 1}, {16, false, 4}};
-  const std::vector<Config> sampled = {
-      {1, true, 4}, {3, false, 1}, {16, true, 1}};
   ExperimentRunner serial(1);
   ExperimentRunner pool(4);
 
-  std::size_t pruned = 0;
   for (const char* circuit : {"s344", "s1238", "b12"}) {
     const Netlist nl = build_benchmark(circuit);
     SearchOptions base;  // the CLI's search defaults
@@ -593,74 +498,39 @@ TEST(SearchEngine, SensingTwinsMatchPerCandidateSimulation) {
       options.scenario.kind = kind;
       for (const auto& [points, grid_name] : grids) {
         std::vector<RunStats> want(points.size());
+        ParetoFront front(options.objectives.size());
         std::vector<std::vector<double>> want_costs(points.size());
         for (std::size_t i = 0; i < points.size(); ++i) {
           want[i] = reference.stats(points[i], options.scenario);
           want_costs[i] = options.objectives.costs(want[i]);
+          front.insert(i, want_costs[i]);
         }
         const bool is_grid = points.size() == space.size();
-        std::optional<std::size_t> exhaustive_simulations;
-        for (const Config& cfg : is_grid ? full : sampled) {
-          options.batch = cfg.batch;
-          options.prune = cfg.prune;
-          const std::string tag =
-              std::string(circuit) + "/" + to_string(kind) + "/" + grid_name +
-              "/batch " + std::to_string(cfg.batch) +
-              (cfg.prune ? "/prune" : "/exhaustive") + "/threads " +
-              std::to_string(cfg.threads);
+        std::optional<std::size_t> simulations;
+        for (int threads : {1, 4}) {
+          const std::string tag = std::string(circuit) + "/" +
+                                  to_string(kind) + "/" + grid_name +
+                                  "/threads " + std::to_string(threads);
           const SearchResult got = run_search(
-              nl, lib(), points, options, cfg.threads == 1 ? serial : pool);
+              nl, lib(), points, options, threads == 1 ? serial : pool);
           ASSERT_EQ(got.candidates.size(), points.size()) << tag;
-
-          // Replay the batched pruning on the reference outcomes.
-          ParetoFront front(options.objectives.size());
-          std::size_t evaluated = 0, skipped = 0, next = 0;
-          while (next < points.size()) {
-            std::vector<std::size_t> batch;
-            while (next < points.size() && batch.size() < cfg.batch) {
-              if (cfg.prune &&
-                  front.dominated(reference.optimistic(points[next]))) {
-                EXPECT_TRUE(got.candidates[next].pruned)
-                    << tag << " " << points[next].label();
-                ++skipped;
-              } else {
-                batch.push_back(next);
-              }
-              ++next;
-            }
-            for (std::size_t i : batch) {
-              front.insert(i, want_costs[i]);
-              ++evaluated;
-            }
-          }
-          EXPECT_EQ(got.evaluated, evaluated) << tag;
-          EXPECT_EQ(got.pruned, skipped) << tag;
+          EXPECT_EQ(got.evaluated, points.size()) << tag;
+          EXPECT_EQ(got.pruned, 0u) << tag;
           EXPECT_EQ(got.front, ranked_front(front)) << tag;
-          pruned += skipped;
 
           for (std::size_t i = 0; i < points.size(); ++i) {
             const CandidateResult& c = got.candidates[i];
             const std::string who = tag + " " + points[i].label();
             EXPECT_EQ(c.point.label(), points[i].label()) << who;
-            expect_same_costs(c.optimistic, reference.optimistic(points[i]),
-                              who + " optimistic");
-            if (c.pruned) {
-              EXPECT_TRUE(c.costs.empty()) << who;
-              continue;
-            }
             expect_same_stats(c.stats, want[i], who);
             expect_same_costs(c.costs, want_costs[i], who);
           }
 
-          // Sharing is a pure function of the evaluated set: without
-          // pruning, every batch size and thread count simulates alike.
+          // Sharing is a pure function of the candidate list: every
+          // thread count simulates alike.
           EXPECT_LE(got.simulations, got.evaluated) << tag;
-          if (!cfg.prune) {
-            if (!exhaustive_simulations) {
-              exhaustive_simulations = got.simulations;
-            }
-            EXPECT_EQ(got.simulations, *exhaustive_simulations) << tag;
-          }
+          if (!simulations) simulations = got.simulations;
+          EXPECT_EQ(got.simulations, *simulations) << tag;
           // Not vacuous: the default grid under the paper's RFID supply
           // shares runs between twins.
           if (is_grid && kind == SourceKind::kRfid) {
@@ -670,7 +540,6 @@ TEST(SearchEngine, SensingTwinsMatchPerCandidateSimulation) {
       }
     }
   }
-  EXPECT_GT(pruned, 0u);  // the pruning replay is exercised too
 }
 
 }  // namespace

@@ -177,7 +177,7 @@ TEST(ServeCache, CorruptedEntriesAreEvictedAndRecomputed) {
       out << full.substr(0, full.size() / 2);
     } else if (i % 3 == 1) {
       std::ofstream out(entries[i], std::ios::binary | std::ios::trunc);
-      out << "diac-shard 1 mc 1 0 1\nrow 0 not-a-number\nend 1\n";
+      out << "diac-shard 2 mc 1 0 1\nrow 0 not-a-number\nend 1\n";
     } else {
       std::ofstream out(entries[i], std::ios::binary | std::ios::trunc);
       out << "garbage\n";
@@ -288,19 +288,47 @@ TEST(ServeCache, WiderMcSweepWarmStartsFromNarrowOne) {
   options["instances"] = "2";
   const EvaluationOptions eo = serve::mc_eval_options(options);
   ExperimentRunner runner(2);
-  std::ostringstream sink;
-  run_mc_shard(sink, nl, lib, eo, 4, ShardPlan{}, runner, &cache);
+  const std::vector<SchemeRow> narrow =
+      mc_rows(nl, lib, eo, 4, ShardPlan{}, runner, &cache);
   EXPECT_EQ(cache_entries(dir).size(), 4u);
-  std::ostringstream sink8;
-  run_mc_shard(sink8, nl, lib, eo, 8, ShardPlan{}, runner, &cache);
+  const std::vector<SchemeRow> wide =
+      mc_rows(nl, lib, eo, 8, ShardPlan{}, runner, &cache);
   EXPECT_EQ(cache_entries(dir).size(), 8u)
       << "the widened sweep did not reuse the narrow sweep's entries";
-  // And the wide stream's first rows equal the narrow stream's rows.
-  const std::string narrow = sink.str();
-  const std::string wide = sink8.str();
-  const std::string row0 = narrow.substr(narrow.find("\nrow 0 "));
-  EXPECT_NE(wide.find(row0.substr(0, row0.find('\n', 1))),
-            std::string::npos);
+  // And the wide sweep's first rows equal the narrow sweep's rows.
+  ASSERT_EQ(wide.size(), 8u);
+  for (std::size_t r = 0; r < narrow.size(); ++r) {
+    EXPECT_EQ(encode_row(wide[r]), encode_row(narrow[r])) << "run " << r;
+  }
+}
+
+// A row of an older shape — a search row still carrying the format-1
+// optimistic-floor tokens — does not decode: it counts as a miss, and
+// the recomputed row is stored over it.
+TEST(ServeCache, StaleSearchRowsAreRecomputedOverTheEntry) {
+  serve::ResultCache cache = make_cache(fresh_dir("servecache_stale"));
+  const Netlist nl = build_benchmark("s344");
+  const CellLibrary lib = CellLibrary::nominal_45nm();
+  const SearchOptions so =
+      serve::search_options({{"instances", "2"}, {"max-time", "4000"}});
+  const std::vector<DesignPoint> points =
+      serve::search_points({{"random", "2"}});
+  ExperimentRunner runner(1);
+  const std::vector<CandidateResult> cold =
+      search_rows(nl, lib, points, so, ShardPlan{}, runner);
+  const Hash128 key =
+      search_job_key(canonical_fingerprint(nl), so, points[0]);
+  std::vector<std::string> stale = encode_row(cold[0]);
+  stale.insert(stale.end(), so.objectives.size(), "0x0p+0");
+  cache.store("search", key, stale);
+
+  const std::vector<CandidateResult> warm =
+      search_rows(nl, lib, points, so, ShardPlan{}, runner, &cache);
+  ASSERT_EQ(warm.size(), cold.size());
+  EXPECT_EQ(encode_row(warm[0]), encode_row(cold[0]));
+  std::vector<std::string> stored;
+  ASSERT_TRUE(cache.lookup("search", key, stored));
+  EXPECT_EQ(stored, encode_row(cold[0]));
 }
 
 }  // namespace

@@ -4,9 +4,13 @@
 // `--connect` clients byte-identical copies of the standalone report,
 // answer malformed requests with a protocol error line, survive a
 // client that disconnects mid-stream, and drain + exit 0 on SIGTERM.
+// SweepTransport runs every sweep kind over every transport — threads,
+// the result cache, shard workers and a server — and requires one
+// report.
 //
-// The suite name matches the TSan ctest subset (docs/LINTS.md): the
-// concurrent-client case runs under -fsanitize=thread in CI.
+// The suite names match the TSan ctest subset (docs/LINTS.md): the
+// concurrent-client and transport cases run under -fsanitize=thread in
+// CI.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -21,11 +25,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "power/harvester.hpp"
+#include "power/trace_io.hpp"
 #include "serve/client.hpp"
 #include "serve/request.hpp"
 
@@ -305,6 +312,110 @@ TEST(ServeCli, ConnectWithoutServerFailsCleanly) {
       "servecli_nosrv");
   EXPECT_NE(run.exit_code, 0);
 }
+
+// --- one sweep path ----------------------------------------------------------
+
+// One sweep of the transport-identity matrix.  `args` names a trace
+// library as $TRACES.
+struct SweepCase {
+  const char* name;
+  const char* args;
+  bool csv;  // also compare the --csv artifact
+};
+
+// Names the case in test listings (the default prints its bytes).
+void PrintTo(const SweepCase& c, std::ostream* os) { *os << c.name; }
+
+// A fresh five-trace library at `dir` (one per case: ctest runs the
+// cases as concurrent processes).
+std::string make_trace_library(const fs::path& dir) {
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  RfidBurstSource::Options options;
+  options.horizon = 1200.0;
+  for (int i = 0; i < 5; ++i) {
+    const RfidBurstSource source(0xACE + i, options);
+    save_trace_csv((dir / ("t" + std::to_string(i) + ".csv")).string(),
+                   source, 1200.0, 0.5);
+  }
+  return dir.string();
+}
+
+// In-process runs without a cache end the first line with " on N
+// job(s)" or " on N thread(s)".  perfbench/golden.json pins that suffix
+// on stdout, so it is the one difference the comparison forgives.
+std::string without_local_suffix(const std::string& out) {
+  const std::size_t eol = out.find('\n');
+  if (eol == std::string::npos) return out;
+  static const std::regex suffix(" on [0-9]+ (job|thread)\\(s\\)$");
+  return std::regex_replace(out.substr(0, eol), suffix, "") +
+         out.substr(eol);
+}
+
+class SweepTransport : public ::testing::TestWithParam<SweepCase> {};
+
+TEST_P(SweepTransport, EveryTransportPrintsOneReport) {
+  const SweepCase& c = GetParam();
+  const std::string tag = std::string("sweep_") + c.name;
+  ServeProcess server(tag);
+  ASSERT_GT(server.pid(), 0);
+  ASSERT_TRUE(server.wait_ready());
+  const std::string args = std::regex_replace(
+      c.args, std::regex("\\$TRACES"),
+      make_trace_library(fs::path(::testing::TempDir()) / (tag + "_traces")));
+  const fs::path cache = fs::path(::testing::TempDir()) / (tag + "_cache");
+  fs::remove_all(cache);
+  // One --csv path for every run: stdout names it.
+  const fs::path csv = fs::path(::testing::TempDir()) / (tag + ".csv");
+  const std::pair<const char*, std::string> transports[] = {
+      {"threads 1", "--threads 1"},
+      {"threads 4", "--threads 4"},
+      {"cache cold", "--threads 2 --cache-dir " + cache.string()},
+      {"cache warm", "--threads 2 --cache-dir " + cache.string()},
+      {"shards 2", "--shards 2 --threads 2"},
+      {"connect", "--connect " + server.socket_path()},
+  };
+  std::string want_out, want_csv;
+  for (const auto& [transport, flags] : transports) {
+    fs::remove(csv);
+    const CliRun run = run_cli(
+        args + " " + flags + (c.csv ? " --csv " + csv.string() : ""), tag);
+    ASSERT_EQ(run.exit_code, 0) << args << " over " << transport;
+    const std::string out = without_local_suffix(run.out);
+    const std::string table = c.csv ? slurp(csv) : "";
+    if (want_out.empty()) {
+      ASSERT_FALSE(out.empty());
+      ASSERT_TRUE(!c.csv || !table.empty());
+      want_out = out;
+      want_csv = table;
+      continue;
+    }
+    EXPECT_EQ(out, want_out) << args << " over " << transport;
+    EXPECT_EQ(table, want_csv) << args << " --csv over " << transport;
+  }
+  fs::remove_all(cache);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweeps, SweepTransport,
+    ::testing::Values(
+        SweepCase{"mc_rfid", "mc s344 --runs 6 --instances 4", false},
+        SweepCase{"replay_dir", "replay s344 --trace $TRACES --instances 3",
+                  false},
+        SweepCase{"replay_file",
+                  "replay s344 --trace $TRACES/t2.csv --instances 3", false},
+        SweepCase{"search_rfid",
+                  "search s344 --instances 4 --max-time 8000", true},
+        SweepCase{"search_random",
+                  "search s344 --random 8 --instances 4 --max-time 8000",
+                  true},
+        SweepCase{"search_constant",
+                  "search s344 --source constant --instances 3 "
+                  "--max-time 8000",
+                  true}),
+    [](const ::testing::TestParamInfo<SweepCase>& param) {
+      return std::string(param.param.name);
+    });
 
 }  // namespace
 }  // namespace diac

@@ -189,19 +189,6 @@ TEST(ServeKey, SearchKeyDistinctForEveryFlippedAxis) {
   }
 }
 
-// Pruning/batching steer evaluation order, not any job's result — the
-// shard workers force prune off — so they must NOT be part of the key:
-// a resumed search with different batching still hits.
-TEST(ServeKey, SearchKeyIgnoresTraversalKnobs) {
-  const Hash128 fp = canonical_fingerprint(build_benchmark("s27"));
-  const SearchOptions base = serve::search_options({});
-  SearchOptions o = base;
-  o.prune = !o.prune;
-  o.batch = base.batch * 2 + 1;
-  EXPECT_EQ(search_job_key(fp, base, DesignPoint{}),
-            search_job_key(fp, o, DesignPoint{}));
-}
-
 // Collision smoke over the real workload: every suite circuit × every
 // candidate of a scheme-widened grid (and, per circuit, a seeded mc
 // sweep) must digest uniquely.

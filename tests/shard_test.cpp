@@ -1,5 +1,5 @@
 // The shard subsystem: plan partitioning, exact-double serialization,
-// shard-file framing, worker/merge bit-identity against the in-process
+// shard-file framing, row/merge bit-identity against the in-process
 // sweeps for every shard count, and coordinator failure propagation
 // (failing workers, missing result files, corrupt rows).
 #include <gtest/gtest.h>
@@ -221,16 +221,19 @@ TEST(ShardFile, RoundTripsHeaderRowsTrailer) {
 TEST(ShardFile, RejectsTruncationAndForeignInput) {
   // A worker killed mid-write leaves no trailer.
   const std::string truncated =
-      write_temp("shard_trunc.rows", "diac-shard 1 mc 2 0 8\nrow 0 x\n");
+      write_temp("shard_trunc.rows", "diac-shard 2 mc 2 0 8\nrow 0 x\n");
   EXPECT_THROW(read_shard_file(truncated), std::runtime_error);
   // Trailer count must match the rows present.
   const std::string short_count = write_temp(
-      "shard_short.rows", "diac-shard 1 mc 2 0 8\nrow 0 x\nend 2\n");
+      "shard_short.rows", "diac-shard 2 mc 2 0 8\nrow 0 x\nend 2\n");
   EXPECT_THROW(read_shard_file(short_count), std::runtime_error);
-  // Future format versions are rejected, not misread.
+  // Other format versions are rejected, not misread.
   const std::string vnext =
       write_temp("shard_vnext.rows", "diac-shard 99 mc 2 0 8\nend 0\n");
   EXPECT_THROW(read_shard_file(vnext), std::runtime_error);
+  const std::string v1 =
+      write_temp("shard_v1.rows", "diac-shard 1 mc 1 0 0\nend 0\n");
+  EXPECT_THROW(read_shard_file(v1), std::runtime_error);
   // Not a shard file at all.
   const std::string garbage = write_temp("shard_garbage.rows", "hello\n");
   EXPECT_THROW(read_shard_file(garbage), std::runtime_error);
@@ -243,9 +246,9 @@ TEST(ShardMerge, RejectsWrongSweepDuplicatesAndGaps) {
   };
   // Shard 0 of 2 owns jobs [0, 1), shard 1 owns [1, 2).
   const std::string ok0 =
-      make("m_ok0.rows", "diac-shard 1 mc 2 0 2\nrow 0 x\nend 1\n");
+      make("m_ok0.rows", "diac-shard 2 mc 2 0 2\nrow 0 x\nend 1\n");
   const std::string ok1 =
-      make("m_ok1.rows", "diac-shard 1 mc 2 1 2\nrow 1 y\nend 1\n");
+      make("m_ok1.rows", "diac-shard 2 mc 2 1 2\nrow 1 y\nend 1\n");
   const auto merged = merge_shard_rows({ok0, ok1}, "mc", 2, 2);
   ASSERT_EQ(merged.size(), 2u);
   EXPECT_EQ(merged[0], (std::vector<std::string>{"x"}));
@@ -253,17 +256,17 @@ TEST(ShardMerge, RejectsWrongSweepDuplicatesAndGaps) {
 
   // Kind mismatch: a replay file can't satisfy an mc merge.
   const std::string replay =
-      make("m_replay.rows", "diac-shard 1 replay 2 0 2\nrow 0 x\nend 1\n");
+      make("m_replay.rows", "diac-shard 2 replay 2 0 2\nrow 0 x\nend 1\n");
   EXPECT_THROW(merge_shard_rows({replay, ok1}, "mc", 2, 2),
                std::runtime_error);
   // A row outside the producing shard's slice is foreign.
   const std::string stray =
-      make("m_stray.rows", "diac-shard 1 mc 2 0 2\nrow 1 z\nend 1\n");
+      make("m_stray.rows", "diac-shard 2 mc 2 0 2\nrow 1 z\nend 1\n");
   EXPECT_THROW(merge_shard_rows({stray, ok1}, "mc", 2, 2),
                std::runtime_error);
   // A silent gap (worker wrote nothing) must not merge.
   const std::string empty =
-      make("m_empty.rows", "diac-shard 1 mc 2 0 2\nend 0\n");
+      make("m_empty.rows", "diac-shard 2 mc 2 0 2\nend 0\n");
   EXPECT_THROW(merge_shard_rows({empty, ok1}, "mc", 2, 2),
                std::runtime_error);
   // File count must match the shard count.
@@ -271,20 +274,20 @@ TEST(ShardMerge, RejectsWrongSweepDuplicatesAndGaps) {
 }
 
 // ---------------------------------------------------------------------------
-// Worker + merge bit-identity against the in-process sweeps.
+// Rows + merge bit-identity against the in-process sweeps.
 // ---------------------------------------------------------------------------
 
-// Runs the worker in-process for every shard of an N-way plan and
-// merges the row files, exactly like the coordinator would.
-template <typename WriteShard>
-std::vector<std::vector<std::string>> shard_in_process(
-    const std::string& kind, std::size_t shards, std::size_t jobs,
-    WriteShard&& write_shard) {
+// Evaluates every shard of an N-way plan, writes each as a shard file
+// and merges the files exactly like the coordinator would, so the rows
+// cross the text codec the way sharded rows do.
+template <typename Rows>
+RowPayloads shard_in_process(const std::string& kind, std::size_t shards,
+                             std::size_t jobs, Rows&& rows_of) {
   std::vector<std::string> paths;
   for (std::size_t i = 0; i < shards; ++i) {
     const ShardPlan plan{shards, i};
     std::ostringstream out;
-    write_shard(out, plan);
+    write_shard(out, kind, plan, jobs, rows_of(plan));
     paths.push_back(write_temp(
         kind + "_" + std::to_string(shards) + "_" + std::to_string(i) +
             ".rows",
@@ -305,11 +308,12 @@ TEST(ShardWorker, McMergeIsBitIdenticalToEvaluateMonteCarlo) {
   for (std::size_t shards : {1u, 2u, 4u}) {
     const auto payloads = shard_in_process(
         "mc", shards, static_cast<std::size_t>(runs),
-        [&](std::ostream& out, const ShardPlan& plan) {
-          run_mc_shard(out, s344(), lib(), eo, runs, plan, runner);
+        [&](const ShardPlan& plan) {
+          return mc_rows(s344(), lib(), eo, runs, plan, runner);
         });
-    const MonteCarloResult merged = merge_mc_shards(
-        payloads, s344().name(), s344().logic_gate_count());
+    const MonteCarloResult merged =
+        merge_mc_rows(decode_scheme_rows(payloads), s344().name(),
+                      s344().logic_gate_count());
     ASSERT_EQ(merged.samples.size(), direct.samples.size());
     for (int r = 0; r < runs; ++r) {
       for (Scheme s : kAllSchemes) {
@@ -350,12 +354,11 @@ TEST(ShardWorker, ReplayMergeIsBitIdenticalToEvaluateTraceLibrary) {
   const std::vector<std::string> files = list_trace_files(dir.string());
   for (std::size_t shards : {1u, 2u, 3u}) {
     const auto payloads = shard_in_process(
-        "replay", shards, files.size(),
-        [&](std::ostream& out, const ShardPlan& plan) {
-          run_replay_shard(out, s344(), lib(), eo, files, plan, runner);
+        "replay", shards, files.size(), [&](const ShardPlan& plan) {
+          return replay_rows(s344(), lib(), eo, files, plan, runner);
         });
-    const std::vector<BenchmarkResult> merged =
-        merge_replay_shards(payloads, files, s344().logic_gate_count());
+    const std::vector<BenchmarkResult> merged = merge_replay_rows(
+        decode_scheme_rows(payloads), files, s344().logic_gate_count());
     ASSERT_EQ(merged.size(), direct.size());
     for (std::size_t t = 0; t < merged.size(); ++t) {
       EXPECT_EQ(merged[t].name, direct[t].name);
@@ -367,29 +370,23 @@ TEST(ShardWorker, ReplayMergeIsBitIdenticalToEvaluateTraceLibrary) {
 }
 
 TEST(ShardWorker, SearchMergeMatchesExhaustiveAndPrunedSearch) {
+  // The merged rows of every split reproduce run_search bit for bit.
   const CandidateSpace space;
   const std::vector<DesignPoint> points = space.sample(12, 0xC0FFEE);
   SearchOptions so;
   so.simulator.target_instances = 4;
   so.simulator.max_time = 8000;
   ExperimentRunner runner(2);
-
-  SearchOptions exhaustive = so;
-  exhaustive.prune = false;
-  const SearchResult direct =
-      run_search(s344(), lib(), points, exhaustive, runner);
-  const SearchResult pruned = run_search(s344(), lib(), points, so, runner);
+  const SearchResult direct = run_search(s344(), lib(), points, so, runner);
 
   for (std::size_t shards : {1u, 3u, 4u}) {
     const auto payloads = shard_in_process(
-        "search", shards, points.size(),
-        [&](std::ostream& out, const ShardPlan& plan) {
-          run_search_shard(out, s344(), lib(), points, so, plan, runner);
+        "search", shards, points.size(), [&](const ShardPlan& plan) {
+          return search_rows(s344(), lib(), points, so, plan, runner);
         });
-    const SearchResult merged =
-        merge_search_shards(payloads, points, so.objectives);
+    const SearchResult merged = rank_candidates(
+        decode_search_rows(payloads, points, so.objectives), so.objectives);
 
-    // The merged result reproduces the exhaustive search bit-for-bit...
     ASSERT_EQ(merged.candidates.size(), direct.candidates.size());
     EXPECT_EQ(merged.front, direct.front);
     EXPECT_EQ(merged.evaluated, points.size());
@@ -407,9 +404,30 @@ TEST(ShardWorker, SearchMergeMatchesExhaustiveAndPrunedSearch) {
                     (std::isnan(m.costs[k]) && std::isnan(d.costs[k])));
       }
     }
-    // ...and pruning soundness makes that front equal the pruned one.
-    EXPECT_EQ(merged.front, pruned.front);
   }
+}
+
+TEST(ShardMerge, DecodersNameTheMalformedJob) {
+  const CandidateSpace space;
+  const std::vector<DesignPoint> points = space.sample(2, 7);
+  const SearchObjectives objectives = SearchObjectives::defaults();
+  CandidateResult c;
+  c.costs.assign(objectives.size(), 1.5);
+  const std::vector<std::string> good = encode_row(c);
+  try {
+    decode_search_rows({good, {"1", "2"}}, points, objectives);
+    FAIL() << "a short search row decoded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("search job 1"), std::string::npos)
+        << e.what();
+  }
+  // One row per candidate, no more and no fewer.
+  EXPECT_THROW(decode_search_rows({good}, points, objectives),
+               std::runtime_error);
+  EXPECT_THROW(decode_scheme_rows({{"not-a-number"}}), std::runtime_error);
+  EXPECT_EQ(decode_search_rows({good, good}, points, objectives)[1]
+                .point.label(),
+            points[1].label());
 }
 
 // ---------------------------------------------------------------------------

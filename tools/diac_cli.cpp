@@ -8,9 +8,8 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,7 +17,6 @@
 #include "diac/codegen.hpp"
 #include "diac/synthesizer.hpp"
 #include "exp/experiment.hpp"
-#include "exp/trace_library.hpp"
 #include "metrics/montecarlo.hpp"
 #include "metrics/trace_sweep.hpp"
 #include "metrics/pdp.hpp"
@@ -26,6 +24,7 @@
 #include "netlist/analysis.hpp"
 #include "obs/build_info.hpp"
 #include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "search/engine.hpp"
 #include "serve/cache.hpp"
@@ -56,12 +55,6 @@ struct Args {
   bool help = false;         // --help / -h anywhere after the command
 };
 
-// Options that are bare flags (no value); shared with the serve
-// protocol so both surfaces tokenize identically.
-bool is_flag_option(const std::string& name) {
-  return serve::is_flag_option(name);
-}
-
 Args parse_args(int argc, char** argv) {
   Args args;
   if (argc >= 2) args.command = argv[1];
@@ -78,7 +71,9 @@ Args parse_args(int argc, char** argv) {
       throw std::runtime_error(std::string("expected option, got ") + argv[i]);
     }
     const std::string name = argv[i] + 2;
-    if (is_flag_option(name)) {
+    // Bare flags are shared with the serve protocol, so both surfaces
+    // tokenize identically.
+    if (serve::is_flag_option(name)) {
       args.options[name] = "1";
       ++i;
       continue;
@@ -112,21 +107,6 @@ std::uint64_t cache_limit_bytes(const Args& a) {
          << 20;
 }
 
-// Target loading and the sweep option builders live in serve/options.*,
-// shared verbatim with the serve protocol (docs/SERVE.md): a served
-// sweep and a standalone one can never disagree on what a flag means.
-Netlist load_target(const std::string& target) {
-  return serve::load_target(target);
-}
-
-SynthesisOptions synth_options(const Args& a) {
-  return serve::synth_options(a.options);
-}
-
-ScenarioSpec scenario_options(const Args& a) {
-  return serve::scenario_options(a.options);
-}
-
 // Global --threads N (0 = all cores, the default) plumbed into every
 // ExperimentRunner; --jobs is the older spelling, kept as an alias
 // (--threads wins when both are given).  Results are bit-identical at
@@ -139,8 +119,7 @@ int threads_option(const Args& a) {
 // --shards N (>= 1) routes mc/replay/search through N `diac` worker
 // processes; absent keeps the in-process thread pool.  Sharded runs
 // (including --shards 1) produce byte-identical reports for every N:
-// diagnostics that depend on the split go to stderr, and search workers
-// evaluate exhaustively so no report field depends on pruning order.
+// diagnostics that depend on the split go to stderr.
 int shards_option(const Args& a) {
   if (a.options.count("shards") == 0) return 0;
   return static_cast<int>(
@@ -148,9 +127,9 @@ int shards_option(const Args& a) {
 }
 
 // --cache-dir <dir> [--cache-limit-mb <n>] -> on-disk result cache for
-// mc/replay/search; absent = no cache.  Entries are exact shard rows
-// keyed by canonical job digests, so cached sweeps stay byte-identical
-// to cold ones (docs/SERVE.md).
+// mc/replay/search; absent = no cache.  Entries are exact rows keyed by
+// canonical job digests, so cached sweeps stay byte-identical to cold
+// ones (docs/SERVE.md).
 std::unique_ptr<serve::ResultCache> cache_option(const Args& a) {
   const std::string dir = opt(a, "cache-dir", "");
   if (dir.empty()) return nullptr;
@@ -224,7 +203,7 @@ std::vector<std::string> worker_args(const Args& a, const std::string& kind,
       continue;
     }
     args.push_back("--" + key);
-    if (!is_flag_option(key)) args.push_back(value);
+    if (!serve::is_flag_option(key)) args.push_back(value);
   }
   int threads = threads_option(a);
   if (threads == 0) {
@@ -237,15 +216,23 @@ std::vector<std::string> worker_args(const Args& a, const std::string& kind,
   return args;
 }
 
-// Set once the sharded path has written the merged side-channel files,
-// so the main() epilogue doesn't overwrite them with parent-only data.
-bool g_obs_exported = false;
+// The worker files of this process's sharded sweep, kept until the
+// main() epilogue merges them with the coordinator's own spans and
+// counters (its merge and report run after the workers exit).
+struct ShardedObs {
+  std::string kind;
+  int shards = 0;
+  ShardFileSet files;
+};
+std::optional<ShardedObs> g_sharded_obs;
 
 // Merges the per-worker trace/metrics files (plus this coordinator's own
 // spans and counters) into the files named by --trace-out/--metrics-out.
 // Strictly a side channel: diagnostics go to stderr, never stdout.
-void export_merged_obs(const Args& a, const std::string& kind, int shards,
-                       const ShardFileSet& files) {
+void export_merged_obs(const Args& a, const ShardedObs& sharded) {
+  const std::string& kind = sharded.kind;
+  const int shards = sharded.shards;
+  const ShardFileSet& files = sharded.files;
   const std::string trace_out = opt(a, "trace-out", "");
   if (!trace_out.empty()) {
     obs::TraceMeta meta;
@@ -270,40 +257,54 @@ void export_merged_obs(const Args& a, const std::string& kind, int shards,
     }
     std::cerr << "wrote merged metrics " << metrics_out << "\n";
   }
-  g_obs_exported = true;
 }
 
 // Fans the sweep out over `shards` worker processes and merges their
 // row files into the dense job-indexed payload vector.
-std::vector<std::vector<std::string>> run_sharded_sweep(const Args& a,
-                                                        const std::string& kind,
-                                                        int shards,
-                                                        std::size_t jobs) {
+RowPayloads run_sharded_sweep(const Args& a, const std::string& kind,
+                              int shards, std::size_t jobs) {
   ShardLaunch launch;
   launch.exe = self_exe();
   launch.args = worker_args(a, kind, shards);
   launch.shards = shards;
   launch.trace_files = a.options.count("trace-out") != 0;
   launch.metrics_files = a.options.count("metrics-out") != 0;
-  const ShardFileSet files = run_shard_workers(launch);
-  auto payloads = merge_shard_rows(files.paths, kind,
-                                   static_cast<std::size_t>(shards), jobs);
-  // Merge the side channels before `files` cleans up the scratch dir.
-  export_merged_obs(a, kind, shards, files);
-  return payloads;
+  const ShardedObs& sharded =
+      g_sharded_obs.emplace(ShardedObs{kind, shards, run_shard_workers(launch)});
+  return merge_shard_rows(sharded.files.paths, kind,
+                          static_cast<std::size_t>(shards), jobs);
 }
 
-// The dense payload vector of a single-shard row stream (the in-process
-// --cache-dir path below and the serve client both end here, so every
-// cached/remote sweep funnels through the same merge+report code as
-// --shards).
-std::vector<std::vector<std::string>> dense_payloads(std::istream& in,
-                                                     const std::string& kind,
-                                                     std::size_t jobs) {
-  const ShardFile file = read_shard_stream(in, "in-process " + kind + " sweep");
-  std::vector<std::vector<std::string>> payloads(jobs);
-  for (const ShardRow& row : file.rows) payloads[row.job] = row.tokens;
-  return payloads;
+// The typed rows of one sweep, from the transport the flags name:
+// --connect (a running `diac serve`) and --shards (worker processes)
+// return row text, which `decode` turns back into rows; otherwise
+// `local(runner, cache)` evaluates them in this process on --threads,
+// behind the optional --cache-dir, and rows are never encoded.  Every
+// command then runs one merge and one report over the rows.
+//
+// Only the in-process path without a cache sets `suffix` to " on N
+// <unit>": perfbench/golden.json pins it on stdout, so it stays there
+// until the benchmark driver's next change moves it to stderr.
+template <typename Decode, typename Local>
+auto sweep_rows(const Args& a, const std::string& kind, std::size_t jobs,
+                const char* noun, const char* unit, std::string& suffix,
+                Decode&& decode, Local&& local) {
+  const std::string connect = connect_option(a);
+  if (!connect.empty()) {
+    return decode(
+        serve::run_remote_sweep(connect, remote_request(a, kind), jobs));
+  }
+  if (const int shards = shards_option(a); shards > 0) {
+    std::cerr << "sharding " << jobs << " " << noun << " over " << shards
+              << " worker process(es)\n";
+    return decode(run_sharded_sweep(a, kind, shards, jobs));
+  }
+  const auto cache = cache_option(a);
+  ExperimentRunner runner(threads_option(a));
+  if (cache == nullptr) {
+    suffix = " on " + std::to_string(runner.jobs()) + " " + unit;
+  }
+  return local(runner, cache.get());
 }
 
 int cmd_suite() {
@@ -333,7 +334,7 @@ int cmd_stats(const Args& a) {
     }
     return 0;
   }
-  const Netlist nl = load_target(a.target);
+  const Netlist nl = serve::load_target(a.target);
   const CellLibrary lib = CellLibrary::nominal_45nm();
   const NetlistStats s = analyze(nl, lib);
   std::cout << nl.name() << ": " << s.gates << " gates, " << s.inputs
@@ -345,9 +346,9 @@ int cmd_stats(const Args& a) {
 }
 
 int cmd_synth(const Args& a) {
-  const Netlist nl = load_target(a.target);
+  const Netlist nl = serve::load_target(a.target);
   const CellLibrary lib = CellLibrary::nominal_45nm();
-  DiacSynthesizer synth(nl, lib, synth_options(a));
+  DiacSynthesizer synth(nl, lib, serve::synth_options(a.options));
   const SynthesisResult r = synth.synthesize();
   std::cout << "tasks: " << r.design.tree.size()
             << ", commit points: " << r.replacement.points.size()
@@ -385,7 +386,7 @@ int cmd_synth(const Args& a) {
 // codegen round trip.  Exit codes: 0 clean/equivalent, 4 DRC errors,
 // 5 not equivalent.  Output is byte-deterministic for fixed options.
 int cmd_check(const Args& a) {
-  const Netlist nl = load_target(a.target);
+  const Netlist nl = serve::load_target(a.target);
   const verify::DrcReport drc = verify::run_drc(nl);
   verify::write_drc_report(std::cout, drc, nl.name());
   bool drc_ok = drc.clean();
@@ -404,15 +405,19 @@ int cmd_check(const Args& a) {
   if (a.options.count("drc-only") == 0) {
     const std::string against = opt(a, "against", "");
     if (!against.empty()) {
-      const Netlist other = load_target(against);
+      const Netlist other = serve::load_target(against);
       const verify::EquivalenceResult r = check_equivalence(nl, other, eo);
       verify::write_equivalence_result(std::cout, r);
       equivalent = r.equivalent();
     } else {
       const CellLibrary lib = CellLibrary::nominal_45nm();
-      DiacSynthesizer synth(nl, lib, synth_options(a));
+      DiacSynthesizer synth(nl, lib, serve::synth_options(a.options));
       const SynthesisResult r = synth.synthesize();
-      const verify::DrcReport post = verify::run_design_drc(r.design);
+      // The design's tree is built over `nl` itself, so the netlist half
+      // of the post-synthesis DRC is the report above; only the
+      // design-level findings are new.
+      verify::DrcReport post = drc;
+      verify::append_design_findings(r.design, post);
       std::cout << "post-synthesis drc: " << post.errors << " error(s), "
                 << post.warnings << " warning(s)\n";
       const verify::RoundTripResult rt =
@@ -431,12 +436,12 @@ int cmd_check(const Args& a) {
 }
 
 int cmd_simulate(const Args& a) {
-  const Netlist nl = load_target(a.target);
+  const Netlist nl = serve::load_target(a.target);
   const CellLibrary lib = CellLibrary::nominal_45nm();
   EvaluationOptions eo;
-  eo.synthesis = synth_options(a);
+  eo.synthesis = serve::synth_options(a.options);
   eo.simulator.target_instances = serve::instances_option(a.options, 8);
-  eo.scenario = scenario_options(a);
+  eo.scenario = serve::scenario_options(a.options);
   ExperimentRunner runner(threads_option(a));
   const BenchmarkResult r = evaluate_circuit(nl, lib, eo, runner);
   std::cout << scheme_detail_table(r).str();
@@ -453,97 +458,40 @@ int cmd_simulate(const Args& a) {
 }
 
 // `diac replay <circuit> --trace <file|dir>`: replay measured supply
-// traces.  A single CSV prints the four-scheme detail comparison; a
-// directory sweeps the whole trace library over the runner (each file
-// read from disk exactly once, shared read-only across pool threads).
-EvaluationOptions replay_eval_options(const Args& a) {
-  return serve::replay_eval_options(a.options);
-}
-
-std::string replay_trace_arg(const Args& a) {
-  return serve::replay_trace_arg(a.options);
-}
-
-// The global replay job list: the sorted CSVs of a library directory,
-// or the single named file.  Parent, workers and server derive the
-// identical list, which is what addresses a row's global job index.
-std::vector<std::string> replay_trace_files(const std::string& trace) {
-  return serve::replay_trace_files(trace);
-}
-
-void print_replay_library_report(const std::vector<BenchmarkResult>& results) {
-  std::cout << trace_sweep_table(results).str();
-  std::cout << "\nmean DIAC-Optimized improvement over NV-Based: "
-            << Table::pct(average_improvement(results, Scheme::kDiacOptimized,
-                                              Scheme::kNvBased))
-            << "\n";
-}
-
+// traces.  The job list is a directory's sorted CSVs, or the one named
+// file; a directory prints the library table, a single file the
+// four-scheme detail comparison.
 int cmd_replay(const Args& a) {
-  const Netlist nl = load_target(a.target);
+  const Netlist nl = serve::load_target(a.target);
   const CellLibrary lib = CellLibrary::nominal_45nm();
-  const EvaluationOptions eo = replay_eval_options(a);
-  const std::string trace = replay_trace_arg(a);
+  const EvaluationOptions eo = serve::replay_eval_options(a.options);
+  const std::string trace = serve::replay_trace_arg(a.options);
+  const std::vector<std::string> files = serve::replay_trace_files(trace);
 
-  const int shards = shards_option(a);
-  const std::string connect = connect_option(a);
-  const auto cache = cache_option(a);
-  if (!connect.empty() || shards > 0 || cache != nullptr) {
-    const std::vector<std::string> files = replay_trace_files(trace);
-    if (files.empty()) {
-      throw std::runtime_error("trace library: no .csv traces in " + trace);
-    }
-    std::vector<std::vector<std::string>> payloads;
-    if (!connect.empty()) {
-      payloads = serve::run_remote_sweep(connect, remote_request(a, "replay"),
-                                         files.size());
-    } else if (shards > 0) {
-      std::cerr << "sharding " << files.size() << " trace(s) over " << shards
-                << " worker process(es)\n";
-      payloads = run_sharded_sweep(a, "replay", shards, files.size());
-    } else {
-      ExperimentRunner runner(threads_option(a));
-      std::stringstream rows;
-      run_replay_shard(rows, nl, lib, eo, files, ShardPlan{}, runner,
-                       cache.get());
-      payloads = dense_payloads(rows, "replay", files.size());
-    }
-    const std::vector<BenchmarkResult> results =
-        merge_replay_shards(payloads, files, nl.logic_gate_count());
-    if (std::filesystem::is_directory(trace)) {
-      std::cout << nl.name() << ": " << results.size()
-                << " replayed trace(s) from " << trace << "\n\n";
-      print_replay_library_report(results);
-    } else {
-      const BenchmarkResult& r = results.front();
-      std::cout << nl.name() << ": replaying " << trace << "\n\n";
-      std::cout << scheme_detail_table(r).str();
-      std::cout << "\nDIAC-Optimized improvement over NV-Based: "
-                << Table::pct(
-                       r.improvement(Scheme::kDiacOptimized, Scheme::kNvBased))
-                << "\n";
-    }
-    return 0;
+  std::string suffix;
+  const std::vector<SchemeRow> rows = sweep_rows(
+      a, "replay", files.size(), "trace(s)", "job(s)", suffix,
+      decode_scheme_rows, [&](ExperimentRunner& runner, RowCache* cache) {
+        return replay_rows(nl, lib, eo, files, ShardPlan{}, runner, cache);
+      });
+  std::vector<BenchmarkResult> results;
+  {
+    DIAC_TRACE_SPAN("sweep.merge", "sweep");
+    results = merge_replay_rows(rows, files, nl.logic_gate_count());
   }
-
-  ExperimentRunner runner(threads_option(a));
-
+  DIAC_TRACE_SPAN("sweep.report", "sweep");
   if (std::filesystem::is_directory(trace)) {
-    const TraceLibrary library = load_trace_library(trace, runner);
-    const std::vector<BenchmarkResult> results =
-        evaluate_trace_library(nl, lib, eo, library, runner);
     std::cout << nl.name() << ": " << results.size()
-              << " replayed trace(s) from " << trace << " on "
-              << runner.jobs() << " job(s)\n\n";
-    print_replay_library_report(results);
+              << " replayed trace(s) from " << trace << suffix << "\n\n";
+    std::cout << trace_sweep_table(results).str();
+    std::cout << "\nmean DIAC-Optimized improvement over NV-Based: "
+              << Table::pct(average_improvement(
+                     results, Scheme::kDiacOptimized, Scheme::kNvBased))
+              << "\n";
     return 0;
   }
-
-  EvaluationOptions single = eo;
-  single.scenario = trace_scenario(trace);
-  const BenchmarkResult r = evaluate_circuit(nl, lib, single, runner);
-  std::cout << nl.name() << ": replaying " << trace << " ("
-            << single.scenario.trace->segments().size() << " samples)\n\n";
+  const BenchmarkResult& r = results.front();
+  std::cout << nl.name() << ": replaying " << trace << "\n\n";
   std::cout << scheme_detail_table(r).str();
   std::cout << "\nDIAC-Optimized improvement over NV-Based: "
             << Table::pct(
@@ -553,9 +501,9 @@ int cmd_replay(const Args& a) {
 }
 
 int cmd_fsm(const Args& a) {
-  const Netlist nl = load_target(a.target);
+  const Netlist nl = serve::load_target(a.target);
   const CellLibrary lib = CellLibrary::nominal_45nm();
-  DiacSynthesizer synth(nl, lib, synth_options(a));
+  DiacSynthesizer synth(nl, lib, serve::synth_options(a.options));
   const std::string scheme_name = opt(a, "scheme", "diac-opt");
   const Scheme scheme = scheme_name == "nv-based" ? Scheme::kNvBased
                         : scheme_name == "nv-clustering"
@@ -568,7 +516,7 @@ int cmd_fsm(const Args& a) {
                                   "' (expected nv-based|nv-clustering|diac|"
                                   "diac-opt)");
   const auto sr = synth.synthesize_scheme(scheme);
-  const ScenarioSpec scenario = scenario_options(a);
+  const ScenarioSpec scenario = serve::scenario_options(a.options);
   const auto source = make_source(scenario);
   SimulatorOptions so;
   so.target_instances = serve::instances_option(a.options, 4);
@@ -589,48 +537,26 @@ int cmd_fsm(const Args& a) {
   return stats.workload_completed ? 0 : 3;
 }
 
-EvaluationOptions mc_eval_options(const Args& a) {
-  return serve::mc_eval_options(a.options);
-}
-
 int cmd_mc(const Args& a) {
-  const Netlist nl = load_target(a.target);
+  const Netlist nl = serve::load_target(a.target);
   const CellLibrary lib = CellLibrary::nominal_45nm();
-  const EvaluationOptions eo = mc_eval_options(a);
+  const EvaluationOptions eo = serve::mc_eval_options(a.options);
   const int runs = serve::mc_runs(a.options);
 
+  std::string suffix;
+  const std::vector<SchemeRow> rows = sweep_rows(
+      a, "mc", static_cast<std::size_t>(runs), "run(s)", "job(s)", suffix,
+      decode_scheme_rows, [&](ExperimentRunner& runner, RowCache* cache) {
+        return mc_rows(nl, lib, eo, runs, ShardPlan{}, runner, cache);
+      });
   MonteCarloResult mc;
-  const int shards = shards_option(a);
-  const std::string connect = connect_option(a);
-  const auto cache = cache_option(a);
-  if (!connect.empty() || shards > 0 || cache != nullptr) {
-    std::vector<std::vector<std::string>> payloads;
-    if (!connect.empty()) {
-      payloads = serve::run_remote_sweep(connect, remote_request(a, "mc"),
-                                         static_cast<std::size_t>(runs));
-    } else if (shards > 0) {
-      std::cerr << "sharding " << runs << " run(s) over " << shards
-                << " worker process(es)\n";
-      payloads =
-          run_sharded_sweep(a, "mc", shards, static_cast<std::size_t>(runs));
-    } else {
-      // --cache-dir without --shards: the cache-aware worker in-process.
-      ExperimentRunner runner(threads_option(a));
-      std::stringstream rows;
-      run_mc_shard(rows, nl, lib, eo, runs, ShardPlan{}, runner, cache.get());
-      payloads = dense_payloads(rows, "mc", static_cast<std::size_t>(runs));
-    }
-    mc = merge_mc_shards(payloads, nl.name(), nl.logic_gate_count());
-    std::cout << nl.name() << ": " << runs << " seeded "
-              << to_string(eo.scenario.kind) << " traces\n\n";
-  } else {
-    ExperimentRunner runner(threads_option(a));
-    mc = evaluate_monte_carlo(nl, lib, eo, runs, runner);
-    std::cout << nl.name() << ": " << runs << " seeded "
-              << to_string(eo.scenario.kind) << " traces on " << runner.jobs()
-              << " job(s)\n\n";
+  {
+    DIAC_TRACE_SPAN("sweep.merge", "sweep");
+    mc = merge_mc_rows(rows, nl.name(), nl.logic_gate_count());
   }
-
+  DIAC_TRACE_SPAN("sweep.report", "sweep");
+  std::cout << nl.name() << ": " << runs << " seeded "
+            << to_string(eo.scenario.kind) << " traces" << suffix << "\n\n";
   auto pm = [](const SampleStats& s) {
     return Table::num(s.mean, 3) + " +/- " + Table::num(s.stddev, 3);
   };
@@ -654,52 +580,30 @@ int cmd_mc(const Args& a) {
 // `diac search <circuit> [--grid|--random N]`: Pareto design-space
 // search over policy × budget × NVM technology × sensing mode, evaluated
 // on one shared harvest trace through the search engine.
-SearchOptions search_options_of(const Args& a) {
-  return serve::search_options(a.options);
-}
-
-std::vector<DesignPoint> search_points(const Args& a) {
-  return serve::search_points(a.options);
-}
-
 int cmd_search(const Args& a) {
-  const Netlist nl = load_target(a.target);
+  const Netlist nl = serve::load_target(a.target);
   const CellLibrary lib = CellLibrary::nominal_45nm();
-  const SearchOptions so = search_options_of(a);
-  const std::vector<DesignPoint> points = search_points(a);
+  const SearchOptions so = serve::search_options(a.options);
+  const std::vector<DesignPoint> points = serve::search_points(a.options);
 
+  std::string suffix;
+  std::vector<CandidateResult> rows = sweep_rows(
+      a, "search", points.size(), "candidate(s)", "thread(s)", suffix,
+      [&](const RowPayloads& payloads) {
+        return decode_search_rows(payloads, points, so.objectives);
+      },
+      [&](ExperimentRunner& runner, RowCache* cache) {
+        return search_rows(nl, lib, points, so, ShardPlan{}, runner, cache);
+      });
   SearchResult result;
-  const int shards = shards_option(a);
-  const std::string connect = connect_option(a);
-  const auto cache = cache_option(a);
-  if (!connect.empty() || shards > 0 || cache != nullptr) {
-    std::vector<std::vector<std::string>> payloads;
-    if (!connect.empty()) {
-      payloads = serve::run_remote_sweep(connect, remote_request(a, "search"),
-                                         points.size());
-    } else if (shards > 0) {
-      std::cerr << "sharding " << points.size() << " candidate(s) over "
-                << shards << " worker process(es)\n";
-      payloads = run_sharded_sweep(a, "search", shards, points.size());
-    } else {
-      ExperimentRunner runner(threads_option(a));
-      std::stringstream rows;
-      run_search_shard(rows, nl, lib, points, so, ShardPlan{}, runner,
-                       cache.get());
-      payloads = dense_payloads(rows, "search", points.size());
-    }
-    result = merge_search_shards(payloads, points, so.objectives);
-    std::cout << nl.name() << ": " << points.size() << " candidate(s), "
-              << result.evaluated << " evaluated, " << result.pruned
-              << " pruned, front " << result.front.size() << "\n\n";
-  } else {
-    ExperimentRunner runner(threads_option(a));
-    result = run_search(nl, lib, points, so, runner);
-    std::cout << nl.name() << ": " << points.size() << " candidate(s), "
-              << result.evaluated << " evaluated, " << result.pruned
-              << " pruned, front " << result.front.size() << " on "
-              << runner.jobs() << " thread(s)\n\n";
+  {
+    DIAC_TRACE_SPAN("sweep.merge", "sweep");
+    result = rank_candidates(std::move(rows), so.objectives);
   }
+  DIAC_TRACE_SPAN("sweep.report", "sweep");
+  std::cout << nl.name() << ": " << points.size() << " candidate(s), "
+            << result.evaluated << " evaluated, " << result.pruned
+            << " pruned, front " << result.front.size() << suffix << "\n\n";
   std::cout << search_front_table(result, so.objectives).str();
 
   const ObjectiveKind first = so.objectives.kinds.front();
@@ -735,14 +639,14 @@ int cmd_search(const Args& a) {
 // replay / search sweep and writes the versioned row file the parent
 // merges.  Spawned as `diac shard-worker <target> --shard-cmd <kind>
 // --shards N --shard-index i --shard-out <file> [sweep options]`; the
-// sweep options are rebuilt by worker_args() and parsed by exactly the
-// same helpers the visible commands use, so parent and worker can never
-// disagree on what a sweep means.  Documented in docs/CLI.md; not
-// listed in `diac help` (it is an internal protocol, and the shard
-// addressing doubles as the multi-machine interface: run the same
-// command on another host and ship the row file back).
+// sweep options are rebuilt by worker_args() and evaluated by
+// serve::write_sweep_shard, the body of every served request too, so
+// parent, worker and server can never disagree on what a sweep means.
+// Documented in docs/CLI.md; not listed in `diac help` (it is an
+// internal protocol, and the shard addressing doubles as the
+// multi-machine interface: run the same command on another host and
+// ship the row file back).
 int cmd_shard_worker(const Args& a) {
-  const std::string kind = opt(a, "shard-cmd", "");
   ShardPlan plan;
   plan.shards = static_cast<std::size_t>(
       serve::int_option(a.options, "shards", 1, 1, kMaxThreads));
@@ -755,27 +659,13 @@ int cmd_shard_worker(const Args& a) {
   std::ofstream out(out_path);
   if (!out) throw std::runtime_error("cannot write " + out_path);
 
-  const Netlist nl = load_target(a.target);
-  const CellLibrary lib = CellLibrary::nominal_45nm();
   ExperimentRunner runner(threads_option(a));
   // Workers of one sharded sweep share the --cache-dir on disk: entry
   // publication is atomic, so concurrent stores of one key are benign.
   const auto cache = cache_option(a);
-
-  if (kind == "mc") {
-    run_mc_shard(out, nl, lib, mc_eval_options(a), serve::mc_runs(a.options),
-                 plan, runner, cache.get());
-  } else if (kind == "replay") {
-    run_replay_shard(out, nl, lib, replay_eval_options(a),
-                     replay_trace_files(replay_trace_arg(a)), plan, runner,
-                     cache.get());
-  } else if (kind == "search") {
-    run_search_shard(out, nl, lib, search_points(a), search_options_of(a),
-                     plan, runner, cache.get());
-  } else {
-    throw std::runtime_error("unknown --shard-cmd '" + kind +
-                             "' (expected mc|replay|search)");
-  }
+  serve::write_sweep_shard(out, opt(a, "shard-cmd", ""),
+                           serve::load_target(a.target), a.options, plan,
+                           runner, cache.get());
   out.flush();
   if (!out) throw std::runtime_error("write to " + out_path + " failed");
   return 0;
@@ -955,11 +845,14 @@ int run_command(const Args& args) {
 
 // Writes this process's own trace/metrics files when requested — the
 // single-process path, and each shard worker writing the per-shard file
-// the coordinator hands it (sharded parents already merged in
-// export_merged_obs).  Workers keep raw monotonic timestamps (rebase =
-// false) so the coordinator can splice every process onto one timeline.
+// the coordinator hands it (a sharded parent merges its workers' files
+// instead).  Workers keep raw monotonic timestamps (rebase = false) so
+// the coordinator can splice every process onto one timeline.
 void export_local_obs(const Args& a) {
-  if (g_obs_exported) return;
+  if (g_sharded_obs) {
+    export_merged_obs(a, *g_sharded_obs);
+    return;
+  }
   const bool worker = a.command == "shard-worker";
   const std::string trace_out = opt(a, "trace-out", "");
   if (!trace_out.empty()) {
