@@ -54,7 +54,7 @@ Thresholds make_thresholds(double e_max, double backup_energy,
   if (th.compute < th.sense) th.compute = th.sense;
   if (th.transmit < th.compute) th.transmit = th.compute;
   if (th.transmit >= e_max) {
-    throw std::invalid_argument(
+    throw ThresholdStackDoesNotFit(
         "make_thresholds: threshold stack (" +
         std::to_string(units::as_mJ(th.transmit)) +
         " mJ) does not fit below E_MAX (" +

@@ -15,6 +15,8 @@
 //    0
 #pragma once
 
+#include <stdexcept>
+
 namespace diac {
 
 enum class PowerZone {
@@ -47,12 +49,19 @@ struct Thresholds {
   void validate() const;
 };
 
+// make_thresholds' failure that is the design's, not the caller's: the
+// stack does not fit below E_MAX.  A design-space search reports such a
+// candidate as infeasible instead of aborting.
+struct ThresholdStackDoesNotFit : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
+
 // Builds the stack for a scheme whose backup event costs `backup_energy`:
 //   Th_Off  = off_floor
 //   Th_Bk   = Th_Off + backup_margin * backup_energy
 //   Th_Safe = Th_Bk + safe_margin                  (paper: +2 mJ)
 //   Th_X    = Th_Safe + entry_margin * op_energy_X (X in {Se, Cp, Tr})
-// Caps at e_max; throws when the stack cannot fit below e_max.
+// Caps at e_max; throws ThresholdStackDoesNotFit when the stack cannot fit.
 Thresholds make_thresholds(double e_max, double backup_energy,
                            double sense_energy, double compute_entry_energy,
                            double transmit_energy, double off_floor = 1.0e-3,

@@ -9,6 +9,7 @@
 #include <tuple>
 
 #include "obs/obs.hpp"
+#include "power/pmu.hpp"
 #include "runtime/executor.hpp"
 
 namespace diac {
@@ -45,7 +46,9 @@ SearchResult run_search(const Netlist& nl, const CellLibrary& lib,
   // Each design is compiled into a SimPlan under its first candidate's
   // FSM configuration; the only runtime axis DesignPoint::fsm_config
   // overlays is adaptive sensing, so the other mode's plan is compiled
-  // only when a simulation needs it.
+  // only when a simulation needs it.  A design whose threshold stack
+  // does not fit below E_MAX (in either sensing mode) has no plan: its
+  // candidates keep an empty RunStats, so their costs are undefined.
   using SynthKey = std::tuple<PolicyKind, double, NvmTechnology, Scheme>;
   using PolicyKey =
       std::tuple<TreeGrouping, PolicyKind, double, double, double, double>;
@@ -86,9 +89,13 @@ SearchResult run_search(const Netlist& nl, const CellLibrary& lib,
         synthesized.push_back(synth.synthesize_scheme(p.scheme, tree->second));
         DesignRuns& r = runs.emplace_back();
         r.first = i;
-        r.plan[p.adaptive_sensing] = std::make_shared<const SimPlan>(
-            synthesized.back().design, p.fsm_config(options.fsm),
-            options.simulator);
+        try {
+          r.plan[p.adaptive_sensing] = std::make_shared<const SimPlan>(
+              synthesized.back().design, p.fsm_config(options.fsm),
+              options.simulator);
+        } catch (const ThresholdStackDoesNotFit&) {
+          r.stats = {RunStats{}, RunStats{}};
+        }
       }
       design_of[i] = it->second;
       DesignRuns& r = runs[design_of[i]];
@@ -133,6 +140,7 @@ SearchResult run_search(const Netlist& nl, const CellLibrary& lib,
   runner.parallel_for(runs.size(), [&](std::size_t d) {
     DesignRuns& r = runs[d];
     const bool mode = points[r.first].adaptive_sensing;
+    if (r.stats[mode]) return;  // infeasible: nothing to simulate
     r.simulations = 1;
     if (simulate(d, mode) && r.twin_needed) {
       simulate(d, !mode);
@@ -143,7 +151,8 @@ SearchResult run_search(const Netlist& nl, const CellLibrary& lib,
   for (const DesignRuns& r : runs) simulations += r.simulations;
   for (std::size_t i = 0; i < points.size(); ++i) {
     CandidateResult& c = candidates[i];
-    c.stats = *runs[design_of[i]].stats[points[i].adaptive_sensing];
+    const DesignRuns& r = runs[design_of[i]];
+    c.stats = *r.stats[points[i].adaptive_sensing];
     c.costs = options.objectives.costs(c.stats);
   }
 

@@ -1,15 +1,17 @@
-/// The sweep option builders, shared verbatim by the CLI and the serve
-/// protocol.
+/// The option table and the sweep option builders, shared verbatim by
+/// the CLI, shard workers and the serve protocol.
 ///
-/// A serve request line carries the same `--key value` options as the
-/// `diac` command line; both surfaces funnel through these builders, so
-/// a served sweep and a standalone one can never disagree on what an
-/// option means — which is the precondition for the cold/warm and
-/// local/remote byte-identity guarantees.
+/// Every option is declared once, as a row of the table in options.cpp
+/// that the tokenizer, the forwarding and `diac help` read.  A serve
+/// request line carries the same `--key value` options as the `diac`
+/// command line, and both funnel through these builders, so a served
+/// sweep and a standalone one can never disagree on what an option
+/// means: the precondition for the byte-identity guarantees.
 #pragma once
 
 #include <cstdint>
 #include <initializer_list>
+#include <iosfwd>
 #include <map>
 #include <string>
 #include <string_view>
@@ -24,6 +26,37 @@ namespace diac::serve {
 
 /// Parsed `--key value` options, keyed without the leading dashes.
 using OptionMap = std::map<std::string, std::string>;
+
+/// How far an option travels from the command line that names it.
+enum Forward {
+  kNever,       ///< read by the issuing process only
+  kWorkers,     ///< also handed to shard workers, never to a server
+  kEverywhere,  ///< part of the sweep: workers and serve requests too
+};
+
+/// True when `command` names a `diac` command ("mc", "shard-worker", ...).
+bool is_command(std::string_view command);
+
+/// A `diac` command line (argv after the target), or the options of a
+/// serve request of one sweep kind.
+enum class OptionSource { kCommandLine, kRequest };
+
+/// The one option tokenizer: `--key value` and bare `--flag` (parsed as
+/// "1") tokens of the options `command` reads: the table rows naming it
+/// (a shard worker: plus the forwarded rows of its --shard-cmd kind), or
+/// in a request of an mc, replay or search kind, its rows forwarded
+/// everywhere.  Throws "<command>: unknown option --<key>" otherwise.
+OptionMap parse_options(const std::string& command,
+                        const std::vector<std::string>& tokens,
+                        OptionSource source);
+
+/// The options whose table row travels at least as far as `reach`
+/// (kWorkers: the argv of a shard worker; kEverywhere: a serve request).
+OptionMap forwarded_options(const OptionMap& options, Forward reach);
+
+/// Writes `diac help`, generated from the command and option tables: one
+/// heading per run of table rows read by the same commands.
+void write_usage(std::ostream& out);
 
 /// Options that are bare flags (no value); they parse as "1".
 bool is_flag_option(const std::string& name);

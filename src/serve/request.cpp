@@ -1,20 +1,14 @@
 #include "serve/request.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 namespace diac::serve {
 
-namespace {
-
 constexpr const char* kMagic = "diac-serve";
-
-bool valid_kind(const std::string& kind) {
-  return kind == "mc" || kind == "replay" || kind == "search";
-}
-
-}  // namespace
 
 std::string format_request(const SweepRequest& request) {
   std::ostringstream out;
@@ -46,26 +40,9 @@ SweepRequest parse_request(const std::string& line) {
   if (verb != "run") {
     throw std::runtime_error("unknown verb '" + verb + "' (expected run)");
   }
-  if (!valid_kind(request.kind)) {
-    throw std::runtime_error("unknown sweep kind '" + request.kind +
-                             "' (expected mc|replay|search)");
-  }
-  std::string token;
-  while (in >> token) {
-    if (token.rfind("--", 0) != 0 || token.size() <= 2) {
-      throw std::runtime_error("expected option, got '" + token + "'");
-    }
-    const std::string key = token.substr(2);
-    if (is_flag_option(key)) {
-      request.options[key] = "1";
-      continue;
-    }
-    std::string value;
-    if (!(in >> value)) {
-      throw std::runtime_error("option --" + key + " requires a value");
-    }
-    request.options[key] = value;
-  }
+  const std::vector<std::string> tokens(std::istream_iterator<std::string>(in),
+                                       {});
+  request.options = parse_options(request.kind, tokens, OptionSource::kRequest);
   return request;
 }
 

@@ -6,9 +6,9 @@
 ///
 /// `<kind>` is mc | replay | search, `<target>` a benchmark name or
 /// netlist path readable by the *server*, and the options are exactly
-/// the sweep options of the corresponding CLI command (parsed by the
-/// shared builders in serve/options.*).  Tokens are whitespace-split,
-/// so option values must not contain whitespace.
+/// the sweep options of that kind (serve/options.*); any other option,
+/// client-only ones such as --threads included, is an error.  Tokens are
+/// whitespace-split, so option values must not contain whitespace.
 ///
 /// Response: one status line, then — on success — a complete shard row
 /// stream (shard-codec header + `row` lines + `end` trailer, identical
@@ -47,7 +47,8 @@ struct SweepRequest {
 std::string format_request(const SweepRequest& request);
 
 /// Parses a wire line; throws std::runtime_error with a client-facing
-/// message on bad magic, version, kind or option syntax.
+/// message on bad magic, version, kind, option syntax or an option the
+/// kind does not read.
 SweepRequest parse_request(const std::string& line);
 
 /// The success status line (no trailing newline).

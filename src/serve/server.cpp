@@ -103,13 +103,10 @@ class Server {
   explicit Server(const ServerOptions& options)
       : options_(options), runner_(options.threads) {
     if (options_.socket_path.empty()) {
-      throw std::invalid_argument("serve: empty socket path");
+      throw std::invalid_argument("serve requires --socket <path>");
     }
-    if (!options_.cache_dir.empty()) {
-      CacheConfig config;
-      config.dir = options_.cache_dir;
-      config.limit_bytes = options_.cache_limit_bytes;
-      cache_ = std::make_unique<ResultCache>(std::move(config));
+    if (!options_.cache.dir.empty()) {
+      cache_ = std::make_unique<ResultCache>(options_.cache);
     }
   }
 
@@ -141,7 +138,7 @@ class Server {
 
     std::cerr << "diac serve: listening on " << options_.socket_path << " ("
               << runner_.jobs() << " job(s)"
-              << (cache_ ? ", cache " + options_.cache_dir : std::string())
+              << (cache_ ? ", cache " + options_.cache.dir : std::string())
               << ")\n";
 
     while (g_stop == 0) {
@@ -211,20 +208,20 @@ void write_sweep_shard(std::ostream& out, const std::string& kind,
   if (kind == "mc") {
     const EvaluationOptions eo = mc_eval_options(options);
     const int runs = mc_runs(options);
-    out << preamble;
+    out << preamble << std::flush;
     write_shard(out, kind, plan, static_cast<std::size_t>(runs),
                 mc_rows(nl, lib, eo, runs, plan, runner, cache));
   } else if (kind == "replay") {
     const EvaluationOptions eo = replay_eval_options(options);
     const std::vector<std::string> traces =
         replay_trace_files(replay_trace_arg(options));
-    out << preamble;
+    out << preamble << std::flush;
     write_shard(out, kind, plan, traces.size(),
                 replay_rows(nl, lib, eo, traces, plan, runner, cache));
   } else if (kind == "search") {
     const SearchOptions so = search_options(options);
     const std::vector<DesignPoint> points = search_points(options);
-    out << preamble;
+    out << preamble << std::flush;
     write_shard(out, kind, plan, points.size(),
                 search_rows(nl, lib, points, so, plan, runner, cache));
   } else {

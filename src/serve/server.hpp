@@ -15,11 +15,11 @@
 /// response writes.
 #pragma once
 
-#include <cstdint>
 #include <ostream>
 #include <string>
 
 #include "exp/runner.hpp"
+#include "serve/cache.hpp"
 #include "serve/options.hpp"
 #include "shard/plan.hpp"
 #include "shard/row_cache.hpp"
@@ -29,10 +29,11 @@ namespace diac::serve {
 /// Evaluates the plan's slice of the `kind` sweep ("mc" | "replay" |
 /// "search") that `options` describe over `nl` and writes it to `out` as
 /// a shard file: the body of every served request and of `diac
-/// shard-worker`.  `preamble` is written once the options are validated,
-/// before the sweep runs (serve's `ok` line).  Throws on bad options or
-/// an unknown kind (before the preamble) and on evaluation failures
-/// (after it: the missing `end` trailer marks the stream incomplete).
+/// shard-worker`.  `preamble` is written and flushed once the options
+/// are validated, before the sweep runs (serve's `ok` line).  Throws on
+/// bad options or an unknown kind (before the preamble) and on evaluation
+/// failures (after it: the missing `end` trailer marks the stream
+/// incomplete).
 void write_sweep_shard(std::ostream& out, const std::string& kind,
                        const Netlist& nl, const OptionMap& options,
                        const ShardPlan& plan, ExperimentRunner& runner,
@@ -41,9 +42,8 @@ void write_sweep_shard(std::ostream& out, const std::string& kind,
 /// Configuration of one server process.
 struct ServerOptions {
   std::string socket_path;  ///< unix-domain socket to listen on (required)
-  std::string cache_dir;    ///< result-cache root; empty disables caching
-  std::uint64_t cache_limit_bytes = 1024ULL << 20;  ///< LRU cap (0 = unbounded)
-  int threads = 0;  ///< simulation threads (0 = all cores)
+  CacheConfig cache;        ///< result cache; an empty dir disables caching
+  int threads = 0;          ///< simulation threads (0 = all cores)
 };
 
 /// Listens on `options.socket_path` and serves sweep requests until a

@@ -1,9 +1,10 @@
-// Option parsing at every input boundary.  The option readers in
-// src/serve/options.* back the CLI, `shard-worker` and `diac serve`
-// alike, so the table below runs each bad value through them and
-// through the real `diac` binary (path injected by CMake as
-// DIAC_CLI_PATH): both must reject it with the same located message, and
-// the CLI must exit 1.
+// Option parsing at every input boundary.  The option table, its
+// tokenizer and the option readers in src/serve/options.* back the CLI,
+// `shard-worker` and `diac serve` alike, so the tables below run each
+// bad value and each unknown or misplaced option through them, through
+// the serve request parser and through the real `diac` binary (path
+// injected by CMake as DIAC_CLI_PATH): all must reject it with the same
+// located message, and the CLI must exit 1.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -12,10 +13,12 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <sys/wait.h>
 
 #include "serve/options.hpp"
+#include "serve/request.hpp"
 
 #ifndef DIAC_CLI_PATH
 #error "DIAC_CLI_PATH must point at the diac CLI binary"
@@ -155,8 +158,6 @@ TEST(Options, CliRejectsBadTransportValues) {
   const std::pair<const char*, const char*> cases[] = {
       {"--threads -1", "error: --threads: expected an integer in [0, 1024], "
                        "got '-1'\n"},
-      {"--jobs 2x", "error: --jobs: expected an integer in [0, 1024], got "
-                    "'2x'\n"},
       {"--shards 0", "error: --shards: expected an integer in [1, 1024], got "
                      "'0'\n"},
   };
@@ -167,6 +168,133 @@ TEST(Options, CliRejectsBadTransportValues) {
     EXPECT_EQ(run.exit_code, 1) << flag;
     EXPECT_EQ(run.err, err);
   }
+}
+
+// An option the command does not read: a typo, an option of another
+// command, or a removed spelling.
+struct UnknownOption {
+  const char* command;
+  const char* args;    // after the target
+  const char* option;  // the one the message names
+};
+
+// clang-format off
+const UnknownOption kUnknownOptions[] = {
+    {"mc", "--bogus 1 --runs 4", "--bogus"},
+    {"mc", "--run 64", "--run"},
+    {"mc", "--jobs 2", "--jobs"},
+    {"mc", "--jobs 2x", "--jobs"},
+    {"mc", "--csv out.csv", "--csv"},
+    {"mc", "--trace traces", "--trace"},
+    {"replay", "--trace t.csv --seed 5", "--seed"},
+    {"search", "--runs 4", "--runs"},
+    {"check", "--threads 4", "--threads"},
+    {"stats", "--runs 5", "--runs"},
+    {"synth", "--runs 2", "--runs"},
+    {"simulate", "--shards 2", "--shards"},
+    {"fsm", "--threads 2", "--threads"},
+    {"serve", "--socket s.sock --runs 2", "--runs"},
+    {"suite", "--policy 2", "--policy"},
+    {"shard-worker", "--shard-cmd mc --csv out.csv", "--csv"},
+    {"shard-worker", "--shard-cmd mc --trace traces", "--trace"},
+};
+// clang-format on
+
+std::string unknown_message(const UnknownOption& u) {
+  return std::string(u.command) + ": unknown option " + u.option;
+}
+
+bool is_sweep(const std::string& command) {
+  return command == "mc" || command == "replay" || command == "search";
+}
+
+TEST(Options, CliRejectsUnknownOptionsWithExitOne) {
+  int i = 0;
+  for (const UnknownOption& u : kUnknownOptions) {
+    const CliRun run =
+        run_cli(std::string(u.command) + " s27 " + u.args,
+                "options_unknown_" + std::to_string(i++));
+    EXPECT_EQ(run.exit_code, 1) << u.command << " " << u.args;
+    EXPECT_EQ(run.err, "error: " + unknown_message(u) + "\n");
+    EXPECT_EQ(run.out, "");
+  }
+}
+
+TEST(Options, RequestsRejectUnknownOptionsWithTheSameMessage) {
+  for (const UnknownOption& u : kUnknownOptions) {
+    if (!is_sweep(u.command)) continue;
+    try {
+      serve::parse_request(std::string("diac-serve 1 run ") + u.command +
+                           " s27 " + u.args);
+      ADD_FAILURE() << "accepted " << u.command << " " << u.args;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(e.what(), unknown_message(u));
+    }
+  }
+}
+
+TEST(Options, RequestsRejectClientOnlyOptions) {
+  // The client keeps these (transport, threading, cache, output files);
+  // a request that names one is malformed.
+  for (const char* option : {"--connect", "--threads", "--shards", "--csv",
+                             "--cache-dir", "--cache-limit-mb", "--trace-out",
+                             "--metrics-out", "--shard-index"}) {
+    const std::string kind = std::string(option) == "--csv" ? "search" : "mc";
+    try {
+      serve::parse_request("diac-serve 1 run " + kind + " s27 " + option +
+                           " 2");
+      ADD_FAILURE() << "accepted " << option;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(e.what(), kind + ": unknown option " + option);
+    }
+  }
+  // Every sweep option still travels.
+  const serve::SweepRequest request = serve::parse_request(
+      "diac-serve 1 run search s27 --grid --policy 2 --budget 0.3 --nvm pcm "
+      "--seed 5 --instances 3 --source constant --sample-seed 7 "
+      "--objectives pdp --max-time 900");
+  EXPECT_EQ(request.options.size(), 10u);
+  EXPECT_EQ(request.options.at("grid"), "1");
+  EXPECT_EQ(serve::parse_request(serve::format_request(request)).options,
+            request.options);
+}
+
+TEST(Options, ForwardingFollowsTheTable) {
+  const serve::OptionMap parent{
+      {"runs", "8"},       {"seed", "3"},           {"threads", "2"},
+      {"shards", "2"},     {"connect", "s.sock"},   {"cache-dir", "c"},
+      {"cache-limit-mb", "9"}, {"trace-out", "t.json"}, {"metrics-out", "m"}};
+  EXPECT_EQ(serve::forwarded_options(parent, serve::Forward::kEverywhere),
+            (serve::OptionMap{{"runs", "8"}, {"seed", "3"}}));
+  EXPECT_EQ(serve::forwarded_options(parent, serve::Forward::kWorkers),
+            (serve::OptionMap{{"cache-dir", "c"},
+                              {"cache-limit-mb", "9"},
+                              {"runs", "8"},
+                              {"seed", "3"}}));
+  // A worker reads its own flags plus what its kind is forwarded.
+  const serve::OptionMap worker = serve::parse_options(
+      "shard-worker",
+      {"--shard-cmd", "mc", "--runs", "8", "--cache-dir", "c", "--shards",
+       "2", "--shard-index", "1", "--shard-out", "f", "--threads", "1"},
+      serve::OptionSource::kCommandLine);
+  EXPECT_EQ(worker.size(), 7u);
+}
+
+TEST(Options, TokenizerLocatesMalformedTokens) {
+  const auto message = [](const std::vector<std::string>& tokens) {
+    try {
+      serve::parse_options("mc", tokens, serve::OptionSource::kCommandLine);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(message({"runs", "4"}), "mc: expected option, got 'runs'");
+  EXPECT_EQ(message({"--"}), "mc: expected option, got '--'");
+  EXPECT_EQ(message({"--runs"}), "mc: option --runs requires a value");
+  EXPECT_TRUE(serve::is_flag_option("grid"));
+  EXPECT_FALSE(serve::is_flag_option("runs"));
+  EXPECT_FALSE(serve::is_flag_option("spans-out"));  // not an option at all
 }
 
 TEST(Options, CommandHelpPrintsUsage) {

@@ -376,6 +376,33 @@ TEST(SearchEngine, AllIncompleteSweepYieldsNanFrontNotGarbageBest) {
   EXPECT_TRUE(std::isnan(result.candidates[result.front[0]].costs[0]));
 }
 
+TEST(SearchEngine, InfeasibleDesignsCompleteNothingNextToFeasibleOnes) {
+  // s27's Policy-2 designs need a threshold stack above E_MAX.  Those
+  // candidates are reported as infeasible (nothing completed, undefined
+  // PDP) instead of aborting the search, and none reaches the front.
+  SearchOptions options;
+  options.simulator.target_instances = 4;
+  options.simulator.max_time = 8000;
+  ExperimentRunner runner(2);
+  const SearchResult result = run_search(build_benchmark("s27"), lib(),
+                                         CandidateSpace{}.grid(), options,
+                                         runner);
+  std::size_t infeasible = 0;
+  for (const CandidateResult& c : result.candidates) {
+    if (c.point.policy != PolicyKind::kPolicy2) continue;
+    ++infeasible;
+    EXPECT_EQ(c.stats.instances_completed, 0) << c.point.label();
+    EXPECT_TRUE(std::isnan(c.costs[0])) << c.point.label();
+  }
+  EXPECT_EQ(infeasible, 24u);
+  ASSERT_FALSE(result.front.empty());
+  for (std::size_t i : result.front) {
+    EXPECT_NE(result.candidates[i].point.policy, PolicyKind::kPolicy2)
+        << result.candidates[i].point.label();
+  }
+  EXPECT_FALSE(std::isnan(result.candidates[result.front[0]].costs[0]));
+}
+
 // Every RunStats field of a search outcome against the reference's, the
 // floating-point ones bit for bit.
 void expect_same_stats(const RunStats& got, const RunStats& want,

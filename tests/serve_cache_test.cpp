@@ -1,11 +1,11 @@
-// Cold-vs-warm bit-identity for the content-addressed result cache
-// (src/serve/cache.*), through the real `diac` binary and through the
-// in-process API.
+// The content-addressed result cache (src/serve/cache.*), through the
+// real `diac` binary and through the in-process API.
 //
 // The contract under test (docs/SERVE.md): a sweep with `--cache-dir`
 // produces byte-identical stdout and --csv whether the cache is empty
-// (cold), fully populated (warm), populated by a *different* process,
-// or populated and then damaged — a corrupted/truncated entry must be
+// (cold), fully populated (warm), populated by a *different* process
+// (SweepTransport in serve_cli_test.cpp covers those three), or
+// populated and then damaged — a corrupted/truncated entry must be
 // detected, evicted and recomputed, never served.  Obs metrics are
 // deliberately outside this contract: cache hit/miss counters *should*
 // differ between cold and warm runs (that difference is their purpose),
@@ -25,8 +25,6 @@
 #include "metrics/montecarlo.hpp"
 #include "netlist/fingerprint.hpp"
 #include "netlist/suite.hpp"
-#include "power/harvester.hpp"
-#include "power/trace_io.hpp"
 #include "serve/cache.hpp"
 #include "serve/options.hpp"
 #include "shard/job_key.hpp"
@@ -79,83 +77,6 @@ std::vector<fs::path> cache_entries(const fs::path& cache_dir) {
     if (e.is_regular_file()) entries.push_back(e.path());
   }
   return entries;
-}
-
-// Cold populates, warm must read back byte-identically — and a third
-// run proves a *new process* attached to the same directory also hits.
-void expect_cold_warm_identity(const std::string& base_args,
-                               const std::string& tag) {
-  const fs::path cache = fresh_dir(tag + "_cache");
-  const std::string args = base_args + " --cache-dir " + cache.string();
-  const CliRun cold = run_cli(args, tag + "_cold");
-  ASSERT_EQ(cold.exit_code, 0) << cold.out;
-  EXPECT_FALSE(cold.out.empty());
-  EXPECT_FALSE(cache_entries(cache).empty());
-  const CliRun warm = run_cli(args, tag + "_warm");
-  ASSERT_EQ(warm.exit_code, 0) << warm.out;
-  EXPECT_EQ(cold.out, warm.out) << "cold vs warm stdout differs";
-  const CliRun second_process = run_cli(args, tag + "_proc2");
-  ASSERT_EQ(second_process.exit_code, 0);
-  EXPECT_EQ(cold.out, second_process.out)
-      << "a second process on the same --cache-dir diverged";
-}
-
-TEST(ServeCache, McColdWarmStdoutByteIdentical) {
-  expect_cold_warm_identity("mc s344 --runs 6 --instances 4 --threads 2",
-                            "servecache_mc");
-}
-
-TEST(ServeCache, ReplayColdWarmStdoutByteIdentical) {
-  const fs::path dir = fresh_dir("servecache_traces");
-  RfidBurstSource::Options options;
-  options.horizon = 1200.0;
-  for (int i = 0; i < 4; ++i) {
-    const RfidBurstSource source(0xBEE + i, options);
-    save_trace_csv((dir / ("t" + std::to_string(i) + ".csv")).string(),
-                   source, 1200.0, 0.5);
-  }
-  expect_cold_warm_identity(
-      "replay s344 --trace " + dir.string() + " --instances 3 --threads 2",
-      "servecache_replay");
-}
-
-TEST(ServeCache, SearchColdWarmStdoutByteIdentical) {
-  expect_cold_warm_identity(
-      "search s344 --random 6 --instances 4 --max-time 8000 --threads 2",
-      "servecache_search");
-}
-
-TEST(ServeCache, SearchColdWarmCsvByteIdentical) {
-  const fs::path cache = fresh_dir("servecache_csv_cache");
-  const fs::path cold_csv = fs::path(::testing::TempDir()) / "sc_cold.csv";
-  const fs::path warm_csv = fs::path(::testing::TempDir()) / "sc_warm.csv";
-  const std::string base =
-      "search s344 --random 6 --instances 4 --max-time 8000 --threads 2 "
-      "--cache-dir " +
-      cache.string();
-  const CliRun cold =
-      run_cli(base + " --csv " + cold_csv.string(), "servecache_csv_cold");
-  ASSERT_EQ(cold.exit_code, 0) << cold.out;
-  const CliRun warm =
-      run_cli(base + " --csv " + warm_csv.string(), "servecache_csv_warm");
-  ASSERT_EQ(warm.exit_code, 0) << warm.out;
-  const std::string a = slurp(cold_csv);
-  EXPECT_FALSE(a.empty());
-  EXPECT_EQ(a, slurp(warm_csv)) << "cold vs warm --csv differs";
-}
-
-// The cached path must agree byte-for-byte with the established
-// `--shards 1` output (both print the shard-style report header), so
-// the cache layer can never fork the report format.
-TEST(ServeCache, CachedRunMatchesShardedRun) {
-  const fs::path cache = fresh_dir("servecache_vs_shards");
-  const std::string base = "mc s344 --runs 4 --instances 4 --threads 2";
-  const CliRun sharded = run_cli(base + " --shards 1", "servecache_sh");
-  ASSERT_EQ(sharded.exit_code, 0);
-  const CliRun cached =
-      run_cli(base + " --cache-dir " + cache.string(), "servecache_ca");
-  ASSERT_EQ(cached.exit_code, 0);
-  EXPECT_EQ(sharded.out, cached.out);
 }
 
 TEST(ServeCache, CorruptedEntriesAreEvictedAndRecomputed) {

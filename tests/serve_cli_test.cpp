@@ -95,10 +95,12 @@ class ServeProcess {
   ~ServeProcess() {
     if (pid_ <= 0) return;
     int status = 0;
-    if (waitpid(pid_, &status, WNOHANG) == pid_) return;  // already reaped
+    // Anything but 0 means the server is gone: reaped here, or already
+    // reaped by the test (-1), in which case the pid may be reused.
+    if (waitpid(pid_, &status, WNOHANG) != 0) return;
     kill(pid_, SIGTERM);
     for (int i = 0; i < 100; ++i) {
-      if (waitpid(pid_, &status, WNOHANG) == pid_) return;
+      if (waitpid(pid_, &status, WNOHANG) != 0) return;
       std::this_thread::sleep_for(std::chrono::milliseconds(100));
     }
     kill(pid_, SIGKILL);
@@ -212,6 +214,11 @@ TEST(ServeCli, MalformedRequestsGetAProtocolErrorLine) {
   EXPECT_NE(server.raw_exchange("diac-serve 1 run mc not_a_circuit\n")
                 .find("diac-serve 1 error"),
             std::string::npos);
+  // Options the kind does not read, client-only ones included.
+  EXPECT_EQ(server.raw_exchange("diac-serve 1 run mc s344 --bogus 1\n"),
+            serve::error_line("mc: unknown option --bogus") + "\n");
+  EXPECT_EQ(server.raw_exchange("diac-serve 1 run mc s344 --threads 2\n"),
+            serve::error_line("mc: unknown option --threads") + "\n");
   // No newline at all: EOF before a complete request line.
   const std::string closed = server.raw_exchange("diac-serve 1 run");
   EXPECT_NE(closed.find("diac-serve 1 error"), std::string::npos);
@@ -264,10 +271,12 @@ TEST(ServeCli, SigtermDrainsAndExitsCleanly) {
   ASSERT_TRUE(server.wait_ready());
 
   // A request in flight when SIGTERM lands must still complete.  The
-  // `ok` status line is sent after validation, before the sweep runs,
-  // so once it has been read the request is provably in flight.
-  const int fd =
-      server.send_raw("diac-serve 1 run mc s344 --runs 4 --instances 4\n");
+  // `ok` status line is flushed after validation, before the sweep runs,
+  // and no row is written before the whole sweep is computed: bytes
+  // that are the ok line alone prove the request is in flight.  The
+  // sweep (2048 runs) computes for long enough that a reader woken by
+  // the ok line sees it alone.
+  const int fd = server.send_raw("diac-serve 1 run mc s1238 --runs 2048\n");
   ASSERT_GE(fd, 0);
   std::string response;
   char chunk[4096];
@@ -276,8 +285,8 @@ TEST(ServeCli, SigtermDrainsAndExitsCleanly) {
          (n = ::read(fd, chunk, sizeof(chunk))) > 0) {
     response.append(chunk, static_cast<std::size_t>(n));
   }
-  ASSERT_EQ(response.substr(0, response.find('\n')),
-            serve::ok_line());
+  ASSERT_EQ(response, serve::ok_line() + "\n")
+      << "the ok line did not arrive ahead of the rows";
   ASSERT_EQ(kill(server.pid(), SIGTERM), 0);
   while ((n = ::read(fd, chunk, sizeof(chunk))) > 0) {
     response.append(chunk, static_cast<std::size_t>(n));
@@ -373,6 +382,7 @@ TEST_P(SweepTransport, EveryTransportPrintsOneReport) {
       {"cache cold", "--threads 2 --cache-dir " + cache.string()},
       {"cache warm", "--threads 2 --cache-dir " + cache.string()},
       {"shards 2", "--shards 2 --threads 2"},
+      {"shards 3", "--shards 3 --threads 2"},
       {"connect", "--connect " + server.socket_path()},
   };
   std::string want_out, want_csv;
@@ -412,6 +422,10 @@ INSTANTIATE_TEST_SUITE_P(
         SweepCase{"search_constant",
                   "search s344 --source constant --instances 3 "
                   "--max-time 8000",
+                  true},
+        // The Policy-2 designs of s27 do not fit their threshold stack
+        // below E_MAX: their rows complete nothing, next to the rest.
+        SweepCase{"search_s27", "search s27 --instances 4 --max-time 8000",
                   true}),
     [](const ::testing::TestParamInfo<SweepCase>& param) {
       return std::string(param.param.name);

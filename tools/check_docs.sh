@@ -5,9 +5,9 @@
 #   tools/check_docs.sh [path-to-diac-binary]
 #
 # Checks (all grep-based, no build needed):
-#   1. every option name used by tools/diac_cli.cpp (map keys and help
-#      text, hidden shard flags included) appears as `--<name>` in
-#      docs/CLI.md;
+#   1. every option of the option table (the kOptions rows of
+#      src/serve/options.cpp, hidden shard flags included) appears as
+#      `--<name>` in docs/CLI.md;
 #   2. every subcommand dispatched in tools/diac_cli.cpp has a
 #      "### `diac <cmd>" heading in docs/CLI.md;
 #   3. every relative markdown link in README.md and docs/*.md resolves
@@ -20,49 +20,32 @@ set -euo pipefail
 
 repo_root=$(cd -- "$(dirname -- "${BASH_SOURCE[0]}")/.." && pwd)
 cli_src="${repo_root}/tools/diac_cli.cpp"
+option_src="${repo_root}/src/serve/options.cpp"
 doc="${repo_root}/docs/CLI.md"
 fail=0
 
 [[ -f "${doc}" ]] || { echo "error: ${doc} missing" >&2; exit 1; }
 
-# Names that look like flags/commands in the source but are not part of
-# the CLI surface: "--option" is the usage-line placeholder, "-h" strips
-# to "h".
-ignore_flags="option"
-ignore_cmds="h"
-
-ignored() {
-  local needle=$1; shift
-  local word
-  for word in $1; do [[ "${word}" == "${needle}" ]] && return 0; done
-  return 1
+# require_flag <name> <where it was found>: docs/CLI.md names --<name>.
+require_flag() {
+  grep -qE -- "(^|[^a-zA-Z-])--$1([^a-z-]|$)" "${doc}" && return 0
+  echo "docs/CLI.md: missing entry for --$1 ($2)" >&2
+  fail=1
 }
 
-# --- 1. source flags vs docs/CLI.md -----------------------------------------
-src_flags=$(
-  {
-    # help text and literal "--flag" strings
-    grep -oE -- '--[a-z][a-z-]*' "${cli_src}" | sed 's/^--//'
-    # option-map lookups: opt(a, "x", ...), options.count("x"),
-    # options.find("x")
-    grep -oE 'opt\(a, "[a-z][a-z-]*"' "${cli_src}" | sed 's/.*"\([^"]*\)"/\1/'
-    grep -oE 'options\.(count|find)\("[a-z][a-z-]*"\)' "${cli_src}" |
-      sed 's/.*"\([^"]*\)".*/\1/'
-  } | sort -u
-)
-for flag in ${src_flags}; do
-  ignored "${flag}" "${ignore_flags}" && continue
-  if ! grep -qE -- "(^|[^a-zA-Z-])--${flag}([^a-z-]|$)" "${doc}"; then
-    echo "docs/CLI.md: missing entry for --${flag} (used by diac_cli.cpp)" >&2
-    fail=1
-  fi
-done
+# --- 1. option table vs docs/CLI.md ----------------------------------------
+# A table row starts with {"<name>", inside `constexpr OptionSpec kOptions[]`.
+table_flags=$(sed -n '/^constexpr OptionSpec kOptions\[\] = {/,/^};/p' \
+                "${option_src}" |
+              grep -oE '^ *\{"[a-z][a-z-]*",' | sed 's/[^a-z-]//g' | sort -u)
+[[ -n "${table_flags}" ]] || {
+  echo "error: no option rows found in ${option_src}" >&2; exit 1; }
+for flag in ${table_flags}; do require_flag "${flag}" "in the option table"; done
 
 # --- 2. source subcommands vs docs/CLI.md -----------------------------------
 src_cmds=$(grep -oE 'command == "[a-z-]+"' "${cli_src}" |
            sed 's/.*"\([^"]*\)".*/\1/; s/^-*//' | sort -u)
 for cmd in ${src_cmds}; do
-  ignored "${cmd}" "${ignore_cmds}" && continue
   if ! grep -qE "^### \`diac ${cmd}" "${doc}"; then
     echo "docs/CLI.md: missing '### \`diac ${cmd}\`' section" >&2
     fail=1
@@ -110,13 +93,7 @@ if [[ $# -ge 1 ]]; then
   [[ -x "${diac_bin}" ]] || { echo "error: ${diac_bin} not executable" >&2; exit 1; }
   help_flags=$("${diac_bin}" --help | grep -oE -- '--[a-z][a-z-]*' |
                sed 's/^--//' | sort -u)
-  for flag in ${help_flags}; do
-    ignored "${flag}" "${ignore_flags}" && continue
-    if ! grep -qE -- "(^|[^a-zA-Z-])--${flag}([^a-z-]|$)" "${doc}"; then
-      echo "docs/CLI.md: missing entry for --${flag} (printed by --help)" >&2
-      fail=1
-    fi
-  done
+  for flag in ${help_flags}; do require_flag "${flag}" "printed by --help"; done
 fi
 
 if [[ ${fail} -ne 0 ]]; then

@@ -1,10 +1,9 @@
 // diac — command-line front-end for the DIAC flow.
 //
-// `diac help` prints the subcommand and option reference (print_usage
-// below is the single source of truth for it).
+// `diac help` prints the usage generated from the command and option
+// tables in src/serve/options.cpp.
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -52,39 +51,24 @@ struct Args {
   std::string command;
   std::string target;
   serve::OptionMap options;  // same map the serve protocol carries
-  bool help = false;         // --help / -h anywhere after the command
 };
 
+// `diac <command> [target] [options]`, the options checked against the
+// option table (`-h` spells `--help`).  An unknown command keeps its
+// options unparsed: it prints the usage.
 Args parse_args(int argc, char** argv) {
+  std::vector<std::string> tokens(argv + 1, argv + argc);
+  std::replace(tokens.begin(), tokens.end(), std::string("-h"),
+               std::string("--help"));
   Args args;
-  if (argc >= 2) args.command = argv[1];
-  int i = 2;
-  if (i < argc && argv[i][0] != '-') args.target = argv[i++];
-  while (i < argc) {
-    if (std::strcmp(argv[i], "--help") == 0 ||
-        std::strcmp(argv[i], "-h") == 0) {
-      args.help = true;
-      ++i;
-      continue;
-    }
-    if (std::strncmp(argv[i], "--", 2) != 0) {
-      throw std::runtime_error(std::string("expected option, got ") + argv[i]);
-    }
-    const std::string name = argv[i] + 2;
-    // Bare flags are shared with the serve protocol, so both surfaces
-    // tokenize identically.
-    if (serve::is_flag_option(name)) {
-      args.options[name] = "1";
-      ++i;
-      continue;
-    }
-    if (i + 1 >= argc) {
-      throw std::runtime_error(std::string("option ") + argv[i] +
-                               " requires a value");
-    }
-    args.options[name] = argv[i + 1];
-    i += 2;
-  }
+  auto next = tokens.begin();
+  if (next != tokens.end()) args.command = *next++;
+  if (args.command == "--help") args.command = "help";
+  if (args.command == "--version") args.command = "version";
+  if (!serve::is_command(args.command)) return args;
+  if (next != tokens.end() && (*next)[0] != '-') args.target = *next++;
+  args.options = serve::parse_options(args.command, {next, tokens.end()},
+                                      serve::OptionSource::kCommandLine);
   return args;
 }
 
@@ -92,7 +76,7 @@ std::string opt(const Args& a, const std::string& key, const std::string& dflt) 
   return serve::option_or(a.options, key, dflt);
 }
 
-// Upper bound of --threads / --jobs / --shards.
+// Upper bound of --threads / --shards.
 constexpr long long kMaxThreads = 1024;
 
 int shard_index(const Args& a) {
@@ -100,20 +84,12 @@ int shard_index(const Args& a) {
       serve::int_option(a.options, "shard-index", 0, 0, kMaxThreads - 1));
 }
 
-// --cache-limit-mb in bytes (0 = unbounded).
-std::uint64_t cache_limit_bytes(const Args& a) {
-  return static_cast<std::uint64_t>(serve::int_option(
-             a.options, "cache-limit-mb", 1024, 0, 1LL << 40))
-         << 20;
-}
-
 // Global --threads N (0 = all cores, the default) plumbed into every
-// ExperimentRunner; --jobs is the older spelling, kept as an alias
-// (--threads wins when both are given).  Results are bit-identical at
-// any thread count, so the default can afford to use the machine.
+// ExperimentRunner.  Results are bit-identical at any thread count, so
+// the default can afford to use the machine.
 int threads_option(const Args& a) {
-  const char* key = a.options.count("threads") != 0 ? "threads" : "jobs";
-  return static_cast<int>(serve::int_option(a.options, key, 0, 0, kMaxThreads));
+  return static_cast<int>(
+      serve::int_option(a.options, "threads", 0, 0, kMaxThreads));
 }
 
 // --shards N (>= 1) routes mc/replay/search through N `diac` worker
@@ -126,17 +102,22 @@ int shards_option(const Args& a) {
       serve::int_option(a.options, "shards", 1, 1, kMaxThreads));
 }
 
-// --cache-dir <dir> [--cache-limit-mb <n>] -> on-disk result cache for
-// mc/replay/search; absent = no cache.  Entries are exact rows keyed by
-// canonical job digests, so cached sweeps stay byte-identical to cold
-// ones (docs/SERVE.md).
-std::unique_ptr<serve::ResultCache> cache_option(const Args& a) {
-  const std::string dir = opt(a, "cache-dir", "");
-  if (dir.empty()) return nullptr;
+// --cache-dir <dir> [--cache-limit-mb <n>] -> on-disk result cache of
+// mc/replay/search and serve; absent = no cache.  Entries are exact rows
+// keyed by canonical job digests, so cached sweeps stay byte-identical
+// to cold ones (docs/SERVE.md).
+serve::CacheConfig cache_config(const Args& a) {
   serve::CacheConfig config;
-  config.dir = dir;
-  config.limit_bytes = cache_limit_bytes(a);
-  return std::make_unique<serve::ResultCache>(std::move(config));
+  config.dir = opt(a, "cache-dir", "");
+  config.limit_bytes = static_cast<std::uint64_t>(serve::int_option(
+                           a.options, "cache-limit-mb", 1024, 0, 1LL << 40))
+                       << 20;
+  return config;
+}
+
+std::unique_ptr<serve::ResultCache> cache_option(const Args& a) {
+  if (opt(a, "cache-dir", "").empty()) return nullptr;
+  return std::make_unique<serve::ResultCache>(cache_config(a));
 }
 
 // --connect <socket> routes the sweep to a running `diac serve`; it is
@@ -155,25 +136,6 @@ std::string connect_option(const Args& a) {
   return socket;
 }
 
-// The request that reproduces this invocation server-side: the sweep
-// options minus the client-owned flags (output files, threading, and
-// the transport itself).
-serve::SweepRequest remote_request(const Args& a, const std::string& kind) {
-  serve::SweepRequest request;
-  request.kind = kind;
-  request.target = a.target;
-  for (const auto& [key, value] : a.options) {
-    if (key == "connect" || key == "shards" || key == "threads" ||
-        key == "jobs" || key == "csv" || key == "trace-out" ||
-        key == "metrics-out" || key == "cache-dir" ||
-        key == "cache-limit-mb") {
-      continue;
-    }
-    request.options[key] = value;
-  }
-  return request;
-}
-
 const char* g_argv0 = "diac";
 
 // The worker binary: this very executable, so parent and workers parse
@@ -185,23 +147,16 @@ std::string self_exe() {
   return g_argv0;  // non-Linux fallback: argv[0] must then be invokable
 }
 
-// Rebuilds the worker argv from the parent's parsed arguments: the same
-// target and options, minus the flags the parent owns (--shards is
-// re-appended by the coordinator, --csv is written once after the
-// merge) and with --threads resolved so the workers split the machine
-// instead of oversubscribing it N times.
+// The worker argv: the target, the options the table forwards to
+// workers (the sweep, and the shared --cache-dir) and --threads resolved
+// so the workers split the machine instead of oversubscribing it N
+// times.  The coordinator appends --shards, --shard-index and per-worker
+// --trace-out / --metrics-out paths.
 std::vector<std::string> worker_args(const Args& a, const std::string& kind,
                                      int shards) {
   std::vector<std::string> args{"shard-worker", a.target, "--shard-cmd", kind};
-  for (const auto& [key, value] : a.options) {
-    if (key == "shards" || key == "threads" || key == "jobs" || key == "csv" ||
-        key == "trace-out" || key == "metrics-out" || key == "connect") {
-      // --trace-out / --metrics-out name the parent's merged files; the
-      // coordinator hands each worker its own scratch path instead.
-      // --connect never propagates (workers evaluate locally), while
-      // --cache-dir does: sharded workers share the on-disk cache.
-      continue;
-    }
+  for (const auto& [key, value] :
+       serve::forwarded_options(a.options, serve::Forward::kWorkers)) {
     args.push_back("--" + key);
     if (!serve::is_flag_option(key)) args.push_back(value);
   }
@@ -220,44 +175,10 @@ std::vector<std::string> worker_args(const Args& a, const std::string& kind,
 // main() epilogue merges them with the coordinator's own spans and
 // counters (its merge and report run after the workers exit).
 struct ShardedObs {
-  std::string kind;
   int shards = 0;
   ShardFileSet files;
 };
 std::optional<ShardedObs> g_sharded_obs;
-
-// Merges the per-worker trace/metrics files (plus this coordinator's own
-// spans and counters) into the files named by --trace-out/--metrics-out.
-// Strictly a side channel: diagnostics go to stderr, never stdout.
-void export_merged_obs(const Args& a, const ShardedObs& sharded) {
-  const std::string& kind = sharded.kind;
-  const int shards = sharded.shards;
-  const ShardFileSet& files = sharded.files;
-  const std::string trace_out = opt(a, "trace-out", "");
-  if (!trace_out.empty()) {
-    obs::TraceMeta meta;
-    meta.pid = shards;  // workers are pids 0..N-1; the coordinator sorts last
-    meta.process_name = "diac " + kind + " coordinator";
-    std::string err;
-    if (!obs::merge_trace_files(trace_out, files.trace_paths, meta, &err)) {
-      throw std::runtime_error("trace-out: " + err);
-    }
-    std::cerr << "wrote merged trace " << trace_out << " (" << shards
-              << " shard(s))\n";
-  }
-  const std::string metrics_out = opt(a, "metrics-out", "");
-  if (!metrics_out.empty()) {
-    obs::MetricsMeta meta;
-    meta.command = kind;
-    meta.shards_merged = shards;
-    std::string err;
-    if (!obs::merge_metrics_files(metrics_out, files.metrics_paths, meta,
-                                  &err)) {
-      throw std::runtime_error("metrics-out: " + err);
-    }
-    std::cerr << "wrote merged metrics " << metrics_out << "\n";
-  }
-}
 
 // Fans the sweep out over `shards` worker processes and merges their
 // row files into the dense job-indexed payload vector.
@@ -270,14 +191,15 @@ RowPayloads run_sharded_sweep(const Args& a, const std::string& kind,
   launch.trace_files = a.options.count("trace-out") != 0;
   launch.metrics_files = a.options.count("metrics-out") != 0;
   const ShardedObs& sharded =
-      g_sharded_obs.emplace(ShardedObs{kind, shards, run_shard_workers(launch)});
+      g_sharded_obs.emplace(ShardedObs{shards, run_shard_workers(launch)});
   return merge_shard_rows(sharded.files.paths, kind,
                           static_cast<std::size_t>(shards), jobs);
 }
 
 // The typed rows of one sweep, from the transport the flags name:
-// --connect (a running `diac serve`) and --shards (worker processes)
-// return row text, which `decode` turns back into rows; otherwise
+// --connect (a running `diac serve`, sent the options the table forwards
+// everywhere) and --shards (worker processes) return row text, which
+// `decode` turns back into rows; otherwise
 // `local(runner, cache)` evaluates them in this process on --threads,
 // behind the optional --cache-dir, and rows are never encoded.  Every
 // command then runs one merge and one report over the rows.
@@ -291,8 +213,10 @@ auto sweep_rows(const Args& a, const std::string& kind, std::size_t jobs,
                 Decode&& decode, Local&& local) {
   const std::string connect = connect_option(a);
   if (!connect.empty()) {
-    return decode(
-        serve::run_remote_sweep(connect, remote_request(a, kind), jobs));
+    const serve::SweepRequest request{
+        kind, a.target,
+        serve::forwarded_options(a.options, serve::Forward::kEverywhere)};
+    return decode(serve::run_remote_sweep(connect, request, jobs));
   }
   if (const int shards = shards_option(a); shards > 0) {
     std::cerr << "sharding " << jobs << " " << noun << " over " << shards
@@ -386,21 +310,18 @@ int cmd_synth(const Args& a) {
 // codegen round trip.  Exit codes: 0 clean/equivalent, 4 DRC errors,
 // 5 not equivalent.  Output is byte-deterministic for fixed options.
 int cmd_check(const Args& a) {
+  verify::EquivalenceOptions eo;
+  eo.seq_cycles = static_cast<int>(
+      serve::int_option(a.options, "seq-cycles", 8, 1, 1 << 20));
+  eo.seed = serve::uint64_option(a.options, "seed", 60247);
+  eo.match_ports_by_order =
+      serve::choice_option(a.options, "match", "name", {"name", "order"}) == 1;
+
   const Netlist nl = serve::load_target(a.target);
   const verify::DrcReport drc = verify::run_drc(nl);
   verify::write_drc_report(std::cout, drc, nl.name());
   bool drc_ok = drc.clean();
   bool equivalent = true;
-
-  verify::EquivalenceOptions eo;
-  eo.seq_cycles = static_cast<int>(
-      serve::int_option(a.options, "seq-cycles", 8, 1, 1 << 20));
-  eo.seed = serve::uint64_option(a.options, "seed", 60247);
-  const std::string match = opt(a, "match", "name");
-  if (match != "name" && match != "order") {
-    throw std::runtime_error("--match must be name|order");
-  }
-  eo.match_ports_by_order = match == "order";
 
   if (a.options.count("drc-only") == 0) {
     const std::string against = opt(a, "against", "");
@@ -504,17 +425,11 @@ int cmd_fsm(const Args& a) {
   const Netlist nl = serve::load_target(a.target);
   const CellLibrary lib = CellLibrary::nominal_45nm();
   DiacSynthesizer synth(nl, lib, serve::synth_options(a.options));
-  const std::string scheme_name = opt(a, "scheme", "diac-opt");
-  const Scheme scheme = scheme_name == "nv-based" ? Scheme::kNvBased
-                        : scheme_name == "nv-clustering"
-                            ? Scheme::kNvClustering
-                        : scheme_name == "diac" ? Scheme::kDiac
-                        : scheme_name == "diac-opt"
-                            ? Scheme::kDiacOptimized
-                            : throw std::runtime_error(
-                                  "unknown scheme '" + scheme_name +
-                                  "' (expected nv-based|nv-clustering|diac|"
-                                  "diac-opt)");
+  constexpr Scheme kSchemes[] = {Scheme::kNvBased, Scheme::kNvClustering,
+                                 Scheme::kDiac, Scheme::kDiacOptimized};
+  const Scheme scheme = kSchemes[serve::choice_option(
+      a.options, "scheme", "diac-opt",
+      {"nv-based", "nv-clustering", "diac", "diac-opt"})];
   const auto sr = synth.synthesize_scheme(scheme);
   const ScenarioSpec scenario = serve::scenario_options(a.options);
   const auto source = make_source(scenario);
@@ -635,21 +550,14 @@ int cmd_search(const Args& a) {
   return 0;
 }
 
-// Hidden subcommand behind `--shards`: computes one shard of an mc /
-// replay / search sweep and writes the versioned row file the parent
-// merges.  Spawned as `diac shard-worker <target> --shard-cmd <kind>
-// --shards N --shard-index i --shard-out <file> [sweep options]`; the
-// sweep options are rebuilt by worker_args() and evaluated by
-// serve::write_sweep_shard, the body of every served request too, so
+// Hidden subcommand behind `--shards` (docs/CLI.md): computes one shard
+// of an mc / replay / search sweep and writes the versioned row file the
+// parent merges.  The options come from worker_args() and are evaluated
+// by serve::write_sweep_shard, the body of every served request too, so
 // parent, worker and server can never disagree on what a sweep means.
-// Documented in docs/CLI.md; not listed in `diac help` (it is an
-// internal protocol, and the shard addressing doubles as the
-// multi-machine interface: run the same command on another host and
-// ship the row file back).
 int cmd_shard_worker(const Args& a) {
   ShardPlan plan;
-  plan.shards = static_cast<std::size_t>(
-      serve::int_option(a.options, "shards", 1, 1, kMaxThreads));
+  plan.shards = static_cast<std::size_t>(std::max(1, shards_option(a)));
   plan.index = static_cast<std::size_t>(shard_index(a));
   plan.validate();
   const std::string out_path = opt(a, "shard-out", "");
@@ -677,158 +585,23 @@ int cmd_shard_worker(const Args& a) {
 int cmd_serve(const Args& a) {
   serve::ServerOptions so;
   so.socket_path = opt(a, "socket", "");
-  if (so.socket_path.empty()) {
-    throw std::runtime_error("serve requires --socket <path>");
-  }
-  so.cache_dir = opt(a, "cache-dir", "");
-  so.cache_limit_bytes = cache_limit_bytes(a);
+  so.cache = cache_config(a);
   so.threads = threads_option(a);
   return serve::serve_forever(so);
 }
 
-void print_usage(std::ostream& out) {
-  out << "usage: diac <command> [target] [--option value ...]\n"
-         "\n"
-         "commands:\n"
-         "  suite                      list the bundled benchmarks\n"
-         "  stats    <circuit|file>    netlist statistics\n"
-         "  check    <circuit|file>    netlist DRC + equivalence / codegen "
-         "round-trip\n"
-         "  synth    <circuit|file>    synthesize + export artifacts\n"
-         "  simulate <circuit|file>    run the four-scheme comparison\n"
-         "  mc       <circuit|file>    Monte-Carlo sweep over seeded traces\n"
-         "  replay   <circuit|file>    replay measured trace CSVs "
-         "(--trace <file|dir>)\n"
-         "  search   <circuit|file>    Pareto design-space search "
-         "(policy x budget x NVM\n"
-         "                             x sensing)\n"
-         "  fsm      <circuit|file>    event log of one scheme\n"
-         "  serve                      long-lived sweep server on a unix "
-         "socket\n"
-         "                             (--socket <path>; see docs/SERVE.md)\n"
-         "  version                    build provenance (git hash, compiler, "
-         "build type,\n"
-         "                             sanitizer); --version is an alias\n"
-         "  help                       show this message\n"
-         "\n"
-         "<circuit|file> is a bundled benchmark name (see `diac suite`) or "
-         "a path\nending in .bench / .blif / .v (structural Verilog, e.g. "
-         "a synth artifact).\n"
-         "\n"
-         "options for synth, simulate, mc, replay, search and fsm:\n"
-         "  --policy 1|2|3             tree policy (default 3; search sweeps "
-         "it)\n"
-         "  --budget <fraction>        commit budget as a fraction of E_MAX "
-         "(default 0.25;\n"
-         "                             search sweeps it)\n"
-         "  --nvm mram|reram|feram|pcm NVM technology (default mram; search "
-         "sweeps it)\n"
-         "\n"
-         "options for simulate, mc, replay, search and fsm:\n"
-         "  --instances <n>            workload size (default: 8 "
-         "simulate/replay, 6 mc/search,\n"
-         "                             4 fsm)\n"
-         "  --seed <n>                 harvest trace seed (default 60247)\n"
-         "  --source constant|square|rfid|solar|fig4|trace:<path>\n"
-         "                             harvest scenario (default rfid; "
-         "trace:<path>\n"
-         "                             replays a measured CSV)\n"
-         "\n"
-         "options for simulate, mc, replay and search:\n"
-         "  --threads <n>              simulation threads (0 = all cores; "
-         "default 0;\n"
-         "                             --jobs is an alias; results are "
-         "bit-identical at\n"
-         "                             any thread count)\n"
-         "\n"
-         "options for mc, replay and search:\n"
-         "  --shards <n>               split the sweep over n diac worker "
-         "processes;\n"
-         "                             the merged report is byte-identical "
-         "for any n\n"
-         "  --cache-dir <dir>          content-addressed result cache; warm "
-         "reruns are\n"
-         "                             byte-identical to cold ones (also a "
-         "serve option)\n"
-         "  --cache-limit-mb <n>       cache size cap, LRU-evicted (default "
-         "1024)\n"
-         "  --connect <socket>         send the sweep to a running `diac "
-         "serve` instead\n"
-         "                             of evaluating locally\n"
-         "\n"
-         "serve only:\n"
-         "  --socket <path>            unix-domain socket to listen on "
-         "(required)\n"
-         "\n"
-         "observability (any command; side-channel files only — stdout and "
-         "--csv stay\nbyte-identical whether or not these flags are given):\n"
-         "  --trace-out <file>         write a Chrome trace-event JSON "
-         "timeline\n"
-         "                             (chrome://tracing / Perfetto); with "
-         "--shards the\n"
-         "                             worker traces merge into one file\n"
-         "  --metrics-out <file>       write counters/gauges/histograms as "
-         "JSON; render\n"
-         "                             with `diac stats <file>.json`\n"
-         "\n"
-         "mc only:\n"
-         "  --runs <n>                 Monte-Carlo trace count (default 32)\n"
-         "\n"
-         "replay only:\n"
-         "  --trace <file|dir>         trace CSV, or a directory to sweep "
-         "as a library\n"
-         "\n"
-         "search only:\n"
-         "  --grid                     sweep the full candidate grid "
-         "(default)\n"
-         "  --random <n>               sample n distinct grid candidates\n"
-         "  --sample-seed <n>          seed of the --random draw (default "
-         "53715)\n"
-         "  --objectives <list>        comma list of "
-         "pdp|progress|writes|completion|energy|\n"
-         "                             makespan (default pdp,progress)\n"
-         "  --max-time <s>             simulation horizon (default 30000)\n"
-         "  --csv <file>               dump every candidate to a CSV\n"
-         "\n"
-         "fsm only:\n"
-         "  --scheme nv-based|nv-clustering|diac|diac-opt\n"
-         "                             scheme to trace (default diac-opt)\n"
-         "\n"
-         "synth only:\n"
-         "  --out <prefix>             artifact prefix (default: circuit "
-         "name)\n"
-         "\n"
-         "check only:\n"
-         "  --against <circuit|file>   check functional equivalence against "
-         "this netlist\n"
-         "                             (default: synthesize + codegen "
-         "round-trip)\n"
-         "  --drc-only                 stop after the DRC report\n"
-         "  --seq-cycles <k>           lockstep cycles per round for "
-         "sequential\n"
-         "                             equivalence (default 8)\n"
-         "  --match name|order         primary-I/O matching (default name; "
-         "the codegen\n"
-         "                             round-trip always matches by order)\n"
-         "exit codes for check: 0 clean/equivalent, 4 DRC errors, 5 not "
-         "equivalent\n";
-}
-
 int usage() {
-  print_usage(std::cerr);
+  serve::write_usage(std::cerr);
   return 64;
 }
 
 int run_command(const Args& args) {
-  if (args.help || args.command == "help" || args.command == "--help" ||
-      args.command == "-h") {
-    print_usage(std::cout);
+  if (args.command == "help" || args.options.count("help") != 0) {
+    serve::write_usage(std::cout);
     return 0;
   }
   if (args.command == "suite") return cmd_suite();
-  if (args.command == "version" || args.command == "--version") {
-    return cmd_version();
-  }
+  if (args.command == "version") return cmd_version();
   if (args.command == "serve") return cmd_serve(args);
   if (args.target.empty()) return usage();
   if (args.command == "stats") return cmd_stats(args);
@@ -843,46 +616,54 @@ int run_command(const Args& args) {
   return usage();
 }
 
-// Writes this process's own trace/metrics files when requested — the
-// single-process path, and each shard worker writing the per-shard file
-// the coordinator hands it (a sharded parent merges its workers' files
-// instead).  Workers keep raw monotonic timestamps (rebase = false) so
-// the coordinator can splice every process onto one timeline.
-void export_local_obs(const Args& a) {
-  if (g_sharded_obs) {
-    export_merged_obs(a, *g_sharded_obs);
-    return;
-  }
+// Writes the --trace-out / --metrics-out side-channel files: a sharded
+// parent merges its workers' files with its own spans and counters; a
+// shard worker keeps raw monotonic timestamps (rebase = false) so the
+// coordinator can splice every process onto one timeline.
+void export_obs(const Args& a) {
+  const ShardedObs* sharded = g_sharded_obs ? &*g_sharded_obs : nullptr;
   const bool worker = a.command == "shard-worker";
-  const std::string trace_out = opt(a, "trace-out", "");
-  if (!trace_out.empty()) {
+  std::string err;
+  if (const std::string path = opt(a, "trace-out", ""); !path.empty()) {
     obs::TraceMeta meta;
-    std::string err;
-    if (worker) {
+    meta.process_name = "diac " + a.command;
+    if (sharded != nullptr) {
+      meta.pid = sharded->shards;  // workers are 0..N-1; the coordinator last
+      meta.process_name = "diac " + a.command + " coordinator";
+    } else if (worker) {
       meta.pid = shard_index(a);
       meta.process_name = "shard " + opt(a, "shard-index", "0") + "/" +
                           opt(a, "shards", "1") + " (" +
                           opt(a, "shard-cmd", "?") + ")";
       meta.rebase = false;
-    } else {
-      meta.pid = 0;
-      meta.process_name = "diac " + a.command;
     }
-    if (!obs::write_trace_file(trace_out, meta, &err)) {
+    if (!(sharded != nullptr ? obs::merge_trace_files(
+                                   path, sharded->files.trace_paths, meta, &err)
+                             : obs::write_trace_file(path, meta, &err))) {
       throw std::runtime_error("trace-out: " + err);
     }
-    if (!worker) std::cerr << "wrote trace " << trace_out << "\n";
+    if (sharded != nullptr) {
+      std::cerr << "wrote merged trace " << path << " (" << sharded->shards
+                << " shard(s))\n";
+    } else if (!worker) {
+      std::cerr << "wrote trace " << path << "\n";
+    }
   }
-  const std::string metrics_out = opt(a, "metrics-out", "");
-  if (!metrics_out.empty()) {
+  if (const std::string path = opt(a, "metrics-out", ""); !path.empty()) {
     obs::MetricsMeta meta;
     meta.command = worker ? opt(a, "shard-cmd", "?") : a.command;
     if (worker) meta.shard_index = shard_index(a);
-    std::string err;
-    if (!obs::write_metrics_file(metrics_out, meta, &err)) {
+    if (sharded != nullptr) meta.shards_merged = sharded->shards;
+    if (!(sharded != nullptr
+              ? obs::merge_metrics_files(path, sharded->files.metrics_paths,
+                                         meta, &err)
+              : obs::write_metrics_file(path, meta, &err))) {
       throw std::runtime_error("metrics-out: " + err);
     }
-    if (!worker) std::cerr << "wrote metrics " << metrics_out << "\n";
+    if (!worker) {
+      std::cerr << "wrote " << (sharded != nullptr ? "merged " : "")
+                << "metrics " << path << "\n";
+    }
   }
 }
 
@@ -894,7 +675,7 @@ int main(int argc, char** argv) {
     const Args args = parse_args(argc, argv);
     if (args.options.count("trace-out") != 0) obs::set_tracing_enabled(true);
     const int rc = run_command(args);
-    export_local_obs(args);
+    export_obs(args);
     return rc;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
