@@ -10,15 +10,19 @@
 #include <list>
 #include <memory>
 
+#include "diac/codegen.hpp"
 #include "diac/synthesizer.hpp"
 #include "exp/trace_library.hpp"
 #include "serve/cache.hpp"
 #include "metrics/montecarlo.hpp"
 #include "metrics/trace_sweep.hpp"
+#include "netlist/bench_format.hpp"
+#include "netlist/blif_format.hpp"
+#include "netlist/compiled_sim.hpp"
 #include "netlist/generators.hpp"
-#include "netlist/logic_sim.hpp"
 #include "netlist/suite.hpp"
 #include "netlist/transforms.hpp"
+#include "netlist/verilog_format.hpp"
 #include "power/trace_io.hpp"
 #include "runtime/simulator.hpp"
 #include "search/engine.hpp"
@@ -121,19 +125,35 @@ BENCHMARK_CAPTURE(BM_FullSynthesis, s1238, std::string("s1238"));
 BENCHMARK_CAPTURE(BM_FullSynthesis, s38417, std::string("s38417"));
 BENCHMARK_CAPTURE(BM_FullSynthesis, synth100k, std::string("synth100k"));
 
-void BM_LogicSimStep(benchmark::State& state, const std::string& name) {
-  const Netlist& nl = circuit(name);
-  LogicSimulator sim(nl);
-  for (GateId in : nl.inputs()) sim.set_input(in, 0x123456789ABCDEFULL);
+// BM_NetlistParse: single-threaded reader throughput on s38417 text —
+// the BENCH and BLIF writers' output and the DIAC design's emitted
+// Verilog (what `diac check` re-imports), reported as MB per second.
+void BM_NetlistParse(benchmark::State& state, const std::string& format) {
+  static const std::string bench = to_bench_string(circuit("s38417"));
+  static const std::string blif = to_blif_string(circuit("s38417"));
+  static const std::string verilog = generate_verilog(
+      DiacSynthesizer(circuit("s38417"), lib()).synthesize().design);
+  const std::string& text =
+      format == "bench" ? bench : format == "blif" ? blif : verilog;
   for (auto _ : state) {
-    sim.step();
-    benchmark::DoNotOptimize(sim.fingerprint());
+    if (format == "bench") {
+      benchmark::DoNotOptimize(parse_bench(text, "s38417").size());
+    } else if (format == "blif") {
+      benchmark::DoNotOptimize(parse_blif(text).size());
+    } else {
+      benchmark::DoNotOptimize(parse_structural_verilog(text).netlist.size());
+    }
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(nl.logic_gate_count()));
+  state.counters["MB_per_s"] =
+      benchmark::Counter(static_cast<double>(text.size()) / 1e6,
+                         benchmark::Counter::kIsIterationInvariantRate);
 }
-BENCHMARK_CAPTURE(BM_LogicSimStep, s1238, std::string("s1238"));
-BENCHMARK_CAPTURE(BM_LogicSimStep, s38417, std::string("s38417"));
+BENCHMARK_CAPTURE(BM_NetlistParse, bench, std::string("bench"))
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_NetlistParse, blif, std::string("blif"))
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_NetlistParse, verilog, std::string("verilog"))
+    ->Unit(benchmark::kMillisecond);
 
 // Full equivalence check (circuit vs its cleanup()) on the largest suite
 // circuit: random fingerprint rounds through two lockstep compiled
@@ -156,7 +176,7 @@ BENCHMARK_CAPTURE(BM_EquivCheck, s38417, std::string("s38417"));
 
 // Multi-word batched stepping on the compiled kernel: B words per gate
 // visit = 64*B patterns per traversal.  items/sec counts gate-pattern
-// words (gates x B), so the speedup over BM_LogicSimStep is the direct
+// words (gates x B), so the speedup of B > 1 over B = 1 is the direct
 // batching win.
 void BM_LogicSimBatched(benchmark::State& state, const std::string& name) {
   const Netlist& nl = name == "synth100k" ? synth100k() : circuit(name);

@@ -1,22 +1,23 @@
 // Example: importing an external circuit into the DIAC flow.
 //
-//   $ ./import_netlist [file.blif | file.bench]
+//   $ ./import_netlist [file.blif | file.bench | file.v]
 //
 // Demonstrates the interchange path a user with real benchmark files
-// follows: parse (BLIF or ISCAS-89 bench), clean up (constants, buffers,
-// dead logic), synthesize the intermittent-aware design, and export the
-// artifacts (Verilog netlist + Graphviz task tree).  Without an argument
+// follows: read the file (BLIF or ISCAS-89 bench, cleaned up: constants,
+// buffers, dead logic; or structural Verilog), synthesize the
+// intermittent-aware design, and export the artifacts (Verilog netlist +
+// Graphviz task tree, and the cleaned-up netlist as .bench).  Without an argument
 // it writes and imports a small demo BLIF so the example is self-
 // contained.
 #include <fstream>
 #include <iostream>
+#include <optional>
 
 #include "diac/codegen.hpp"
 #include "diac/synthesizer.hpp"
 #include "netlist/analysis.hpp"
 #include "netlist/bench_format.hpp"
-#include "netlist/blif_format.hpp"
-#include "netlist/transforms.hpp"
+#include "netlist/netlist_file.hpp"
 #include "tree/dot_export.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -71,24 +72,19 @@ int main(int argc, char** argv) {
     std::cout << "(no input given — wrote demo circuit to " << path << ")\n";
   }
 
-  // 1) Parse by extension.
-  const bool is_blif = path.size() > 5 &&
-                       path.compare(path.size() - 5, 5, ".blif") == 0;
-  Netlist raw = is_blif ? parse_blif_file(path) : parse_bench_file(path);
-  std::cout << "parsed " << path << ": " << raw.logic_gate_count()
-            << " gates, " << raw.inputs().size() << " inputs, "
-            << raw.outputs().size() << " outputs, " << raw.dffs().size()
+  // 1) Read (the extension picks the reader; .bench/.blif get cleaned up).
+  std::optional<Netlist> read = read_netlist_file(path);
+  if (!read) {
+    std::cerr << "not a netlist file (.bench, .blif or .v): " << path << "\n";
+    return 1;
+  }
+  const Netlist& nl = *read;
+  std::cout << "read " << path << ": " << nl.logic_gate_count()
+            << " gates, " << nl.inputs().size() << " inputs, "
+            << nl.outputs().size() << " outputs, " << nl.dffs().size()
             << " DFFs\n";
 
-  // 2) Clean up.
-  TransformStats ts;
-  Netlist nl = cleanup(raw, &ts);
-  std::cout << "cleanup: -" << ts.removed_dead << " dead, -"
-            << ts.elided_buffers << " buffers, " << ts.folded_constants
-            << " constants folded -> " << nl.logic_gate_count()
-            << " gates\n";
-
-  // 3) Synthesize.
+  // 2) Synthesize.
   const CellLibrary lib = CellLibrary::nominal_45nm();
   DiacSynthesizer synth(nl, lib);
   const SynthesisResult r = synth.synthesize();
@@ -97,7 +93,7 @@ int main(int argc, char** argv) {
             << Table::num(as_mJ(r.replacement.max_exposed_energy), 2)
             << " mJ\n";
 
-  // 4) Export artifacts.
+  // 3) Export artifacts.
   {
     std::ofstream v(nl.name() + "_diac.v");
     v << generate_verilog(r.design);

@@ -12,7 +12,7 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "netlist/logic_sim.hpp"
+#include "netlist/compiled_sim.hpp"
 #include "netlist/suite.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   const int checkpoint_interval = 5;
   const std::uint64_t stimulus_seed = 0xD1AC;
 
-  auto drive = [&](LogicSimulator& sim, int cycle) {
+  auto drive = [&](CompiledSimulator& sim, int cycle) {
     const auto inputs = nl.inputs();
     for (std::size_t i = 0; i < inputs.size(); ++i) {
       SplitMix64 rng(stimulus_seed ^ (i * 0x9E3779B97F4A7C15ULL) ^
@@ -44,9 +44,9 @@ int main(int argc, char** argv) {
   // skips levelization/layout entirely and only allocates value buffers.
   using clock = std::chrono::steady_clock;
   const auto t0 = clock::now();
-  LogicSimulator golden(nl);  // compiles privately
+  CompiledSimulator golden(nl);  // compiles privately
   const auto t1 = clock::now();
-  LogicSimulator intermittent(nl, golden.compiled());  // shares the compile
+  CompiledSimulator intermittent(golden.compiled_ptr());  // shares the compile
   const auto t2 = clock::now();
   const auto us = [](auto d) {
     return std::chrono::duration_cast<std::chrono::microseconds>(d).count();

@@ -1,246 +1,183 @@
 #include "netlist/blif_format.hpp"
 
-#include <fstream>
+#include <array>
+#include <bit>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
+
+#include "util/lexer.hpp"
 
 namespace diac {
 
 namespace {
 
-[[noreturn]] void fail(int line, const std::string& what) {
-  throw std::runtime_error("blif parse error at line " + std::to_string(line) +
-                           ": " + what);
-}
+constexpr LexSpec kBlif{"blif parse error at line ", "#", "",
+                        /*newlines=*/true, /*continuation=*/true};
 
-std::vector<std::string> tokens(const std::string& line) {
-  std::vector<std::string> out;
-  std::istringstream ss(line);
-  std::string tok;
-  while (ss >> tok) out.push_back(tok);
-  return out;
-}
-
+// `.names` signals (inputs..., output last) and its rows' masks; a
+// constant cover (output only) counts its rows and keeps no masks.
 struct Cover {
-  std::vector<std::string> signals;  // inputs..., output last
-  std::vector<std::string> rows;     // "<mask> <val>" as raw tokens joined
-  int line = 0;
+  std::vector<Token> signals;
+  std::vector<std::string_view> masks;
+  std::size_t rows = 0;
+  bool off_set = false;
 };
 
-// A port signal and the line that declared it.
-struct Port {
-  std::string name;
-  int line = 0;
-};
-
-struct Latch {
-  std::string input;
-  std::string output;
-  int line = 0;
-};
+// Adds cover row `row`: "<mask> <0|1>", or "<0|1>" for a constant.
+void add_row(const Lexer& lex, Cover& c, std::span<const Token> row) {
+  const int line = row[0].line;
+  const std::size_t width = c.signals.size() - 1;
+  if (row.size() != (width == 0 ? 1u : 2u)) {
+    lex.fail(line, width == 0 ? "constant cover must be a single 0/1"
+                              : "cover row must be <mask> <value>");
+  }
+  const std::string_view mask = width == 0 ? "" : row[0].text;
+  const std::string_view value = row.back().text;
+  if (mask.size() != width) lex.fail(line, "cover mask width mismatch");
+  for (const char m : mask) {
+    if (m != '0' && m != '1' && m != '-') {
+      lex.fail(line, "bad cover character '" + std::string(1, m) + "'");
+    }
+  }
+  if (value != "0" && value != "1") {
+    lex.fail(line, "cover output must be 0 or 1, found '" +
+                       std::string(value) + "'");
+  }
+  if (c.rows++ > 0 && (value == "0") != c.off_set) {
+    lex.fail(line, "cover mixes on-set (1) and off-set (0) rows");
+  }
+  c.off_set = value == "0";
+  if (width > 0) c.masks.push_back(mask);
+}
 
 }  // namespace
 
-Netlist parse_blif(std::istream& in) {
-  std::string model = "top";
-  std::vector<Port> inputs;
-  std::vector<Port> outputs;
+Netlist parse_blif(std::string_view text) {
+  Lexer lex(text, kBlif);
+  std::string_view model = "top";
+  std::vector<Token> inputs, outputs, toks;
   std::vector<Cover> covers;
-  std::vector<Latch> latches;
-
-  // --- tokenize into logical lines (handle '\' continuations, comments) ---
-  std::string raw;
-  int line_no = 0;
-  Cover* open_cover = nullptr;
-  bool in_model = false;
-  bool done = false;
-
-  while (!done && std::getline(in, raw)) {
-    ++line_no;
-    std::string line = raw;
-    if (auto hash = line.find('#'); hash != std::string::npos) line.resize(hash);
-    // Continuations.
-    while (!line.empty() && line.back() == '\\') {
-      line.pop_back();
-      std::string next;
-      if (!std::getline(in, next)) break;
-      ++line_no;
-      if (auto hash = next.find('#'); hash != std::string::npos) next.resize(hash);
-      line += next;
-    }
-    const auto toks = tokens(line);
+  std::vector<std::array<Token, 2>> latches;  // input, output
+  bool cover_open = false, in_model = false;
+  while (!lex.at_end()) {
+    toks.clear();
+    while (!lex.at_eol()) toks.push_back(lex.next());
+    lex.end_line();
     if (toks.empty()) continue;
-
-    const std::string& head = toks[0];
-    if (head[0] == '.') open_cover = nullptr;
+    const std::string_view head = toks[0].text;
+    const int line = toks[0].line;
+    const std::span<const Token> args = std::span(toks).subspan(1);
+    if (head[0] == '.') cover_open = false;
 
     if (head == ".model") {
-      if (in_model) {
-        done = true;  // only the first model
-        continue;
-      }
+      if (in_model) break;  // only the first model
       in_model = true;
-      if (toks.size() > 1) model = toks[1];
-    } else if (head == ".inputs") {
-      for (auto t = toks.begin() + 1; t != toks.end(); ++t) {
-        inputs.push_back({*t, line_no});
-      }
-    } else if (head == ".outputs") {
-      for (auto t = toks.begin() + 1; t != toks.end(); ++t) {
-        outputs.push_back({*t, line_no});
-      }
+      if (!args.empty()) model = args[0].text;
+    } else if (head == ".inputs" || head == ".outputs") {
+      auto& ports = head == ".inputs" ? inputs : outputs;
+      ports.insert(ports.end(), args.begin(), args.end());
     } else if (head == ".names") {
-      if (toks.size() < 2) fail(line_no, ".names needs at least an output");
-      covers.push_back({{toks.begin() + 1, toks.end()}, {}, line_no});
-      open_cover = &covers.back();
+      if (args.empty()) lex.fail(line, ".names needs at least an output");
+      covers.push_back({{args.begin(), args.end()}, {}});
+      cover_open = true;
     } else if (head == ".latch") {
-      if (toks.size() < 3) fail(line_no, ".latch needs input and output");
-      latches.push_back({toks[1], toks[2], line_no});
+      if (args.size() < 2) lex.fail(line, ".latch needs input and output");
+      latches.push_back({args[0], args[1]});
     } else if (head == ".end") {
-      done = true;
+      break;
     } else if (head == ".exdc" || head == ".subckt" || head == ".gate" ||
                head == ".mlatch" || head == ".clock") {
-      fail(line_no, "unsupported BLIF construct '" + head + "'");
-    } else if (head[0] == '.') {
-      // Ignore benign annotations (.default_input_arrival etc.).
-      continue;
-    } else {
-      // Cover row.
-      if (open_cover == nullptr) fail(line_no, "cover row outside .names");
-      if (open_cover->signals.size() == 1) {
-        // Constant: single token '1' or '0'.
-        if (toks.size() != 1 || (toks[0] != "1" && toks[0] != "0")) {
-          fail(line_no, "constant cover must be a single 0/1");
-        }
-        open_cover->rows.push_back(toks[0]);
-      } else {
-        if (toks.size() != 2) fail(line_no, "cover row must be <mask> <value>");
-        if (toks[0].size() != open_cover->signals.size() - 1) {
-          fail(line_no, "cover mask width mismatch");
-        }
-        open_cover->rows.push_back(toks[0] + " " + toks[1]);
-      }
+      lex.fail(line, "unsupported BLIF construct '" + std::string(head) + "'");
+    } else if (head[0] != '.') {  // other directives are annotations
+      if (!cover_open) lex.fail(line, "cover row outside .names");
+      add_row(lex, covers.back(), toks);
     }
   }
 
-  // --- build the netlist ---------------------------------------------------
-  Netlist nl(model);
-  const auto declare = [&nl](GateKind kind, const std::string& name, int line) {
-    if (nl.contains(name)) fail(line, "duplicate definition of '" + name + "'");
+  Netlist nl{std::string(model)};
+  const auto declare = [&](GateKind kind, std::string_view name, int line) {
+    if (nl.contains(name)) {
+      lex.fail(line, "duplicate definition of '" + std::string(name) + "'");
+    }
     nl.add(kind, name);
   };
-  for (const auto& port : inputs) {
-    declare(GateKind::kInput, port.name, port.line);
-  }
-  // Declare latch outputs first (they may be used before definition).
-  for (const auto& l : latches) declare(GateKind::kDff, l.output, l.line);
-  // Declare cover outputs (kBuf placeholders whose kind is finalized
-  // during synthesis below, via set_fanin on a replacement gate).  To keep
-  // ids stable we synthesize cover bodies after all outputs exist, using
-  // auxiliary gates and a final BUF from body to the named signal.
-  for (const auto& c : covers) {
-    declare(GateKind::kBuf, c.signals.back(), c.line);
-  }
-
-  auto resolve = [&](const std::string& name, int line) {
+  const auto resolve = [&](std::string_view name, int line) {
     const GateId id = nl.find(name);
-    if (id == kNullGate) fail(line, "undefined signal '" + name + "'");
+    if (id == kNullGate) {
+      lex.fail(line, "undefined signal '" + std::string(name) + "'");
+    }
     return id;
   };
-
+  for (const Token& in : inputs) declare(GateKind::kInput, in.text, in.line);
+  // Latch outputs, then cover outputs (kBuf placeholders, each wired to
+  // its synthesized body below), so a signal may be used before its
+  // definition.
+  for (const auto& [in, q] : latches) declare(GateKind::kDff, q.text, q.line);
   for (const auto& c : covers) {
-    const GateId out = nl.find(c.signals.back());
-    if (c.signals.size() == 1) {
-      // Constant cover.
-      const bool one = !c.rows.empty() && c.rows[0] == "1";
-      const GateId k = nl.add(one ? GateKind::kConst1 : GateKind::kConst0);
-      nl.set_fanin(out, {k});
+    declare(GateKind::kBuf, c.signals.back().text, c.signals.back().line);
+  }
+
+  // A constant or empty (= constant 0) cover drives a constant; otherwise
+  // each row is an AND of literals, rows are OR-ed, and an off-set cover
+  // is inverted.
+  std::vector<GateId> ins, terms, literals;
+  for (const auto& c : covers) {
+    const GateId out = nl.find(c.signals.back().text);
+    if (c.masks.empty()) {
+      const bool one = c.rows > 0 && !c.off_set;
+      nl.set_fanin(out, {nl.add(one ? GateKind::kConst1 : GateKind::kConst0)});
       continue;
     }
-    if (c.rows.empty()) {
-      // Empty cover = constant 0 per BLIF semantics.
-      const GateId k = nl.add(GateKind::kConst0);
-      nl.set_fanin(out, {k});
-      continue;
-    }
-    std::vector<GateId> ins;
+    ins.clear();
     for (std::size_t i = 0; i + 1 < c.signals.size(); ++i) {
-      ins.push_back(resolve(c.signals[i], c.line));
+      ins.push_back(resolve(c.signals[i].text, c.signals[i].line));
     }
-    // Rows: AND of literals each; OR them; invert for off-set covers.
-    bool off_set = false;
-    std::vector<GateId> terms;
-    for (const auto& row : c.rows) {
-      const auto sp = row.find(' ');
-      const std::string mask = row.substr(0, sp);
-      const std::string val = row.substr(sp + 1);
-      off_set = val == "0";
-      std::vector<GateId> literals;
+    terms.clear();
+    for (const std::string_view mask : c.masks) {
+      literals.clear();
       for (std::size_t i = 0; i < mask.size(); ++i) {
-        if (mask[i] == '1') {
-          literals.push_back(ins[i]);
-        } else if (mask[i] == '0') {
+        if (mask[i] == '1') literals.push_back(ins[i]);
+        if (mask[i] == '0') {
           literals.push_back(nl.add(GateKind::kNot, {ins[i]}));
-        } else if (mask[i] != '-') {
-          fail(c.line, "bad cover character '" + std::string(1, mask[i]) + "'");
         }
       }
-      GateId term;
-      if (literals.empty()) {
-        term = nl.add(GateKind::kConst1);
-      } else if (literals.size() == 1) {
-        term = literals[0];
-      } else {
-        term = nl.add(GateKind::kAnd, std::move(literals));
-      }
-      terms.push_back(term);
+      if (literals.size() > 1) literals = {nl.add(GateKind::kAnd, literals)};
+      terms.push_back(literals.empty() ? nl.add(GateKind::kConst1)
+                                       : literals[0]);
     }
-    GateId body = terms.size() == 1 ? terms[0]
-                                    : nl.add(GateKind::kOr, std::move(terms));
-    if (off_set) body = nl.add(GateKind::kNot, {body});
+    GateId body = terms.size() == 1 ? terms[0] : nl.add(GateKind::kOr, terms);
+    if (c.off_set) body = nl.add(GateKind::kNot, {body});
     nl.set_fanin(out, {body});
   }
 
-  for (const auto& l : latches) {
-    nl.set_fanin(resolve(l.output, l.line), {resolve(l.input, l.line)});
+  for (const auto& [in, q] : latches) {
+    nl.set_fanin(resolve(q.text, q.line), {resolve(in.text, in.line)});
   }
-  for (const auto& out : outputs) {
-    const GateId src = nl.find(out.name);
+  for (const Token& out : outputs) {
+    const std::string signal(out.text);
+    const GateId src = nl.find(signal);
     if (src == kNullGate) {
-      throw std::runtime_error("blif parse error: .outputs signal '" +
-                               out.name + "' has no driver");
+      lex.fail(out.line, ".outputs signal '" + signal + "' has no driver");
     }
-    const std::string port = out.name + "$out";
-    if (nl.contains(port)) {
-      fail(out.line, "duplicate .outputs signal '" + out.name + "'");
+    if (nl.contains(signal + "$out")) {
+      lex.fail(out.line, "duplicate .outputs signal '" + signal + "'");
     }
-    nl.add(GateKind::kOutput, port, {src});
+    nl.add(GateKind::kOutput, signal + "$out", {src});
   }
   nl.seal();
   return nl;
-}
-
-Netlist parse_blif_string(const std::string& text) {
-  std::istringstream is(text);
-  return parse_blif(is);
-}
-
-Netlist parse_blif_file(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) throw std::runtime_error("cannot open blif file: " + path);
-  return parse_blif(f);
 }
 
 namespace {
 
 // Emits one gate as a .names cover.
 void write_cover(std::ostream& out, const Netlist& nl, const Gate& g) {
-  auto sig = [&](GateId id) { return nl.gate(id).name; };
   const int n = g.fanin_count();
   out << ".names";
-  for (GateId f : g.fanin) out << ' ' << sig(f);
+  for (GateId f : g.fanin) out << ' ' << nl.gate_name(f);
   out << ' ' << g.name << '\n';
   auto all = [&](char c, char v) {
     out << std::string(static_cast<std::size_t>(n), c) << ' ' << v << '\n';
@@ -265,18 +202,11 @@ void write_cover(std::ostream& out, const Netlist& nl, const Gate& g) {
     case GateKind::kXor:
     case GateKind::kXnor: {
       // Enumerate odd-parity rows (fan-in is small in practice).
-      const int combos = 1 << n;
-      for (int v = 0; v < combos; ++v) {
-        int ones = 0;
+      for (unsigned v = 0; v < (1u << n); ++v) {
+        if (std::popcount(v) % 2 == 0) continue;
         std::string mask;
-        for (int i = 0; i < n; ++i) {
-          const bool bit = (v >> i) & 1;
-          ones += bit;
-          mask += bit ? '1' : '0';
-        }
-        if (ones % 2 == 1) {
-          out << mask << ' ' << (g.kind == GateKind::kXor ? '1' : '0') << '\n';
-        }
+        for (int i = 0; i < n; ++i) mask += (v >> i) & 1 ? '1' : '0';
+        out << mask << ' ' << (g.kind == GateKind::kXor ? '1' : '0') << '\n';
       }
       break;
     }
@@ -293,28 +223,19 @@ void write_cover(std::ostream& out, const Netlist& nl, const Gate& g) {
 }  // namespace
 
 void write_blif(std::ostream& out, const Netlist& nl) {
-  out << ".model " << nl.name() << '\n';
-  out << ".inputs";
-  for (GateId id : nl.inputs()) out << ' ' << nl.gate(id).name;
-  out << '\n';
-  out << ".outputs";
-  for (GateId id : nl.outputs()) {
-    out << ' ' << nl.gate_name(nl.fanin(id)[0]);
-  }
+  out << ".model " << nl.name() << "\n.inputs";
+  for (GateId id : nl.inputs()) out << ' ' << nl.gate_name(id);
+  out << "\n.outputs";
+  for (GateId id : nl.outputs()) out << ' ' << nl.gate_name(nl.fanin(id)[0]);
   out << '\n';
   for (GateId id : nl.dffs()) {
-    const Gate g = nl.gate(id);
-    out << ".latch " << nl.gate_name(g.fanin[0]) << ' ' << g.name
-        << " 0\n";
+    out << ".latch " << nl.gate_name(nl.fanin(id)[0]) << ' '
+        << nl.gate_name(id) << " 0\n";
   }
   for (GateId id : nl.all_ids()) {
     const Gate g = nl.gate(id);
-    if (!is_combinational(g.kind) && g.kind != GateKind::kConst0 &&
-        g.kind != GateKind::kConst1) {
-      continue;
-    }
-    if (g.kind == GateKind::kConst0 || g.kind == GateKind::kConst1 ||
-        is_combinational(g.kind)) {
+    if (is_combinational(g.kind) || g.kind == GateKind::kConst0 ||
+        g.kind == GateKind::kConst1) {
       write_cover(out, nl, g);
     }
   }

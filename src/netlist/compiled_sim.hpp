@@ -209,8 +209,9 @@ class CompiledNetlist {
 /// of slot `s` lives at `s * B + w`), so each plan step evaluates
 /// `64 x B` independent patterns with one traversal.  Batch sizes 1, 2,
 /// 4 and 8 run fully unrolled kernels; any other size >= 1 uses the
-/// generic path.  Word 0 of a batch-1 simulator reproduces the classic
-/// `LogicSimulator` semantics bit for bit.
+/// generic path.  Word 0 of a batch-1 simulator reproduces the scalar
+/// reference simulator (tests/oracle/) bit for bit; look a gate up by
+/// name with `Netlist::find`.
 class CompiledSimulator {
  public:
   /// Shares an already-compiled netlist (the cheap constructor: only the
@@ -265,7 +266,7 @@ class CompiledSimulator {
   std::vector<Word> output_values(int word = 0) const;
 
   /// FNV-1a hash of outputs then DFF state for one word lane-group —
-  /// bit-compatible with `LogicSimulator::fingerprint()` at batch 1.
+  /// bit-compatible with the reference simulator's at batch 1.
   std::uint64_t fingerprint(int word = 0) const;
 
  private:

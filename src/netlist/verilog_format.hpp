@@ -3,23 +3,27 @@
 // Closing the loop: `generate_verilog` emits an NV-enhanced netlist; this
 // parser reads it back so tests can prove the emitted HDL is functionally
 // identical to the source netlist (gate-level simulation on both sides).
-// Supported constructs:
+// Supported constructs ('//' starts a comment):
 //
 //   module <name> ( input wire a, output wire y, ... );
-//   wire w;            reg q;
+//   wire w;            reg q, r;
 //   assign w = <expr>; // expr: 1'b0/1'b1, x, ~x, a OP b OP c,
-//                      //       ~(a OP b...), s ? x : y   (OP in & | ^)
+//                      //       ~(a OP b...), s ? x : y   (OP in & | ^,
+//                      //       one OP per chain)
 //   always @(posedge clk) q <= d;
 //   <cell> <inst> (.pin(sig), ...);   // e.g. diac_nvreg — recorded, not
 //                                     // modelled (shadow NVM elements)
 //   endmodule
 //
-// `clk` and `backup_en` ports are control inputs of the generated wrapper
-// and are dropped from the netlist's primary inputs.
+// A port's name is the last word of its declaration.  `clk` and
+// `backup_en` ports are control inputs of the generated wrapper and are
+// dropped from the netlist's primary inputs.  Text after `endmodule` is
+// ignored.  `read_netlist_file` (netlist/netlist_file.hpp) reads `.v`
+// files.
 #pragma once
 
-#include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -38,9 +42,9 @@ struct VerilogModule {
   std::vector<Instance> instances;
 };
 
-// Throws std::runtime_error with a line number on anything outside the
-// supported subset.
-VerilogModule parse_structural_verilog(std::istream& in);
-VerilogModule parse_structural_verilog_string(const std::string& text);
+// Throws std::runtime_error "verilog parse error at line N: ..." on
+// anything outside the supported subset, an unknown signal or an
+// undriven output.
+VerilogModule parse_structural_verilog(std::string_view text);
 
 }  // namespace diac

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "util/lexer.hpp"
+
 namespace diac::obs {
 namespace {
 
@@ -247,6 +249,24 @@ std::uint64_t JsonValue::as_u64(std::uint64_t dflt) const {
 
 JsonValue parse_json(std::string_view text) {
   return Parser(text).parse_document();
+}
+
+bool load_json_file(const std::string& path, std::string_view what,
+                    JsonValue* doc, std::string* err) {
+  std::string text;
+  try {
+    text = read_text_file(path, what);
+  } catch (const std::exception& e) {
+    if (err) *err = e.what();
+    return false;
+  }
+  try {
+    *doc = parse_json(text);
+  } catch (const std::exception& e) {
+    if (err) *err = path + ": " + e.what();
+    return false;
+  }
+  return true;
 }
 
 std::string json_escape(std::string_view s) {

@@ -45,6 +45,12 @@ struct JsonValue {
 /// with an offset-tagged message on malformed input.
 JsonValue parse_json(std::string_view text);
 
+/// Reads and parses the JSON file at `path`.  On failure returns false
+/// and sets `*err` (when non-null) to "cannot open <what> file: <path>"
+/// or "<path>: <parse error>".
+bool load_json_file(const std::string& path, std::string_view what,
+                    JsonValue* doc, std::string* err);
+
 /// Escapes `s` for embedding inside a JSON string literal.  The result
 /// does not include the surrounding quotes.
 std::string json_escape(std::string_view s);

@@ -3,7 +3,6 @@
 #include <bit>
 #include <fstream>
 #include <iomanip>
-#include <sstream>
 
 #include "obs/build_info.hpp"
 #include "obs/json.hpp"
@@ -187,23 +186,6 @@ Snapshot registry_snapshot() {
   return snap;
 }
 
-bool load_document(const std::string& path, JsonValue* doc, std::string* err) {
-  std::ifstream in(path);
-  if (!in) {
-    if (err) *err = "cannot open " + path;
-    return false;
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
-  try {
-    *doc = parse_json(text.str());
-  } catch (const std::exception& e) {
-    if (err) *err = path + ": " + e.what();
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 void write_metrics_json(std::ostream& out, const MetricsMeta& meta) {
@@ -232,7 +214,7 @@ bool merge_metrics_files(const std::string& out_path,
   Snapshot snap = registry_snapshot();
   for (const std::string& path : shard_paths) {
     JsonValue doc;
-    if (!load_document(path, &doc, err)) return false;
+    if (!load_json_file(path, "metrics", &doc, err)) return false;
     accumulate(snap, doc);
   }
   std::ofstream out(out_path);
@@ -252,7 +234,7 @@ bool merge_metrics_files(const std::string& out_path,
 bool print_metrics_file(const std::string& path, std::ostream& out,
                         std::string* err) {
   JsonValue doc;
-  if (!load_document(path, &doc, err)) return false;
+  if (!load_json_file(path, "metrics", &doc, err)) return false;
 
   if (const JsonValue* build = doc.find("build")) {
     const JsonValue* hash = build->find("git_hash");

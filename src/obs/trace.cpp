@@ -8,7 +8,6 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <sstream>
 
 #include "obs/build_info.hpp"
 #include "obs/json.hpp"
@@ -195,17 +194,7 @@ bool merge_trace_files(const std::string& out_path,
   std::vector<JsonValue> docs;
   docs.reserve(shard_paths.size());
   for (const std::string& path : shard_paths) {
-    std::ifstream in(path);
-    if (!in) {
-      if (err) *err = "cannot open shard trace " + path;
-      return false;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    try {
-      docs.push_back(parse_json(text.str()));
-    } catch (const std::exception& e) {
-      if (err) *err = path + ": " + e.what();
+    if (!load_json_file(path, "shard trace", &docs.emplace_back(), err)) {
       return false;
     }
   }

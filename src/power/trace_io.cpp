@@ -3,36 +3,21 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <limits>
 #include <stdexcept>
-#include <string_view>
 #include <system_error>
 
 #include "obs/obs.hpp"
 #include "util/csv.hpp"
+#include "util/lexer.hpp"
 
 namespace diac {
 
 namespace {
 
-[[noreturn]] void fail(std::size_t line_no, const char* what) {
-  throw std::runtime_error("trace csv line " + std::to_string(line_no) +
-                           ": " + what);
-}
-
-bool is_blank(char c) {
-  return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
-}
-
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && is_blank(s.front())) s.remove_prefix(1);
-  while (!s.empty() && is_blank(s.back())) s.remove_suffix(1);
-  return s;
-}
+// Every error names its line: "trace csv line N: ...".
+constexpr std::string_view kWhere = "trace csv line ";
 
 enum class Field { kNumber, kNotNumeric, kTrailing, kNonFinite };
 
@@ -54,52 +39,32 @@ Field parse_field(std::string_view field, double& out) {
   return std::isfinite(out) ? Field::kNumber : Field::kNonFinite;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("cannot open trace file: " + path);
-  std::error_code ec;
-  const std::uintmax_t size = std::filesystem::file_size(path, ec);
-  if (ec) {  // not a regular file (a pipe, say): read it as a stream
-    return std::string(std::istreambuf_iterator<char>(f),
-                       std::istreambuf_iterator<char>());
-  }
-  std::string data(static_cast<std::size_t>(size), '\0');
-  if (!f.read(data.data(), static_cast<std::streamsize>(size))) {
-    throw std::runtime_error("cannot read trace file: " + path);
-  }
-  return data;
-}
+}  // namespace
 
 // The whole parser: one pass of memchr line scans over the file's text.
-PiecewiseTrace parse_text(std::string_view text) {
+PiecewiseTrace parse_trace_csv(std::string_view text) {
   std::vector<PiecewiseTrace::Segment> segs;
   std::uint64_t rows = 0;
   bool header_seen = false;
   std::size_t line_no = 0;
   while (!text.empty()) {
     ++line_no;
-    const void* nl = std::memchr(text.data(), '\n', text.size());
-    const std::size_t len =
-        nl ? static_cast<std::size_t>(static_cast<const char*>(nl) -
-                                      text.data())
-           : text.size();
-    std::string_view line = text.substr(0, len);
-    text.remove_prefix(nl ? len + 1 : len);
+    std::string_view line = next_line(text);
 
     if (const std::size_t hash = line.find('#');
         hash != std::string_view::npos) {
       line = line.substr(0, hash);
     }
-    if (trim(line).empty()) continue;
+    if (trim_blanks(line).empty()) continue;
     const std::size_t comma = line.find(',');
     if (comma == std::string_view::npos || comma + 1 == line.size()) {
-      fail(line_no, "expected two comma-separated columns");
+      throw_at_line(kWhere, line_no, "expected two comma-separated columns");
     }
     const std::size_t comma2 = line.find(',', comma + 1);
     double t = 0, p = 0;
-    const Field ft = parse_field(trim(line.substr(0, comma)), t);
+    const Field ft = parse_field(trim_blanks(line.substr(0, comma)), t);
     const Field fp =
-        parse_field(trim(line.substr(comma + 1, comma2 - comma - 1)), p);
+        parse_field(trim_blanks(line.substr(comma + 1, comma2 - comma - 1)), p);
     if (ft == Field::kNotNumeric || fp == Field::kNotNumeric) {
       // Exactly one leading header row is tolerated; anything else
       // non-numeric is a malformed file, not a header.
@@ -107,22 +72,22 @@ PiecewiseTrace parse_text(std::string_view text) {
         header_seen = true;
         continue;
       }
-      fail(line_no, "non-numeric sample");
+      throw_at_line(kWhere, line_no, "non-numeric sample");
     }
     if (comma2 != std::string_view::npos) {
-      fail(line_no, "expected two comma-separated columns");
+      throw_at_line(kWhere, line_no, "expected two comma-separated columns");
     }
     if (ft == Field::kTrailing || fp == Field::kTrailing) {
-      fail(line_no, "trailing characters after a number");
+      throw_at_line(kWhere, line_no, "trailing characters after a number");
     }
     if (ft == Field::kNonFinite || fp == Field::kNonFinite) {
-      fail(line_no, "non-finite or out-of-range sample");
+      throw_at_line(kWhere, line_no, "non-finite or out-of-range sample");
     }
     ++rows;
-    if (p < 0) fail(line_no, "negative power");
+    if (p < 0) throw_at_line(kWhere, line_no, "negative power");
     if (!segs.empty()) {
       if (t < segs.back().start) {
-        fail(line_no, "timestamps must be non-decreasing");
+        throw_at_line(kWhere, line_no, "timestamps must be non-decreasing");
       }
       if (t == segs.back().start) {
         // Duplicate timestamp: the later sample wins; collapsing it here
@@ -140,16 +105,8 @@ PiecewiseTrace parse_text(std::string_view text) {
   return PiecewiseTrace(std::move(segs));
 }
 
-}  // namespace
-
-PiecewiseTrace parse_trace_csv(std::istream& in) {
-  const std::string text(std::istreambuf_iterator<char>(in),
-                         std::istreambuf_iterator<char>{});
-  return parse_text(text);
-}
-
 PiecewiseTrace load_trace_csv(const std::string& path) {
-  return parse_text(read_file(path));
+  return parse_trace_csv(read_text_file(path, "trace"));
 }
 
 void save_trace_csv(const std::string& path, const HarvestSource& source,

@@ -7,8 +7,8 @@
 // or solar traces.
 #pragma once
 
-#include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "power/harvester.hpp"
 
@@ -28,8 +28,9 @@ namespace diac {
 // other line — trailing characters after a number (`1.5abc`), `nan` or
 // `inf`, a missing or third column — throws std::runtime_error naming
 // its line ("trace csv line N: ...").
+// Throws "cannot open trace file: <path>" when the file cannot be read.
 PiecewiseTrace load_trace_csv(const std::string& path);
-PiecewiseTrace parse_trace_csv(std::istream& in);
+PiecewiseTrace parse_trace_csv(std::string_view text);
 
 // Samples `source` at t = i * interval over [0, horizon) and writes a CSV
 // loadable by load_trace_csv.  Samples carry full double precision, so a

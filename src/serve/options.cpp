@@ -3,17 +3,13 @@
 #include <charconv>
 #include <cmath>
 #include <filesystem>
-#include <fstream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
 #include "exp/trace_library.hpp"
-#include "netlist/bench_format.hpp"
-#include "netlist/blif_format.hpp"
+#include "netlist/netlist_file.hpp"
 #include "netlist/suite.hpp"
-#include "netlist/transforms.hpp"
-#include "netlist/verilog_format.hpp"
 #include "obs/obs.hpp"
 
 namespace diac::serve {
@@ -320,22 +316,8 @@ int instances_option(const OptionMap& options, int dflt) {
 
 Netlist load_target(const std::string& target) {
   DIAC_TRACE_SPAN("netlist.load", "netlist");
-  if (target.size() > 6 &&
-      target.compare(target.size() - 6, 6, ".bench") == 0) {
-    DIAC_TRACE_SPAN("netlist.parse", "netlist");
-    return cleanup(parse_bench_file(target));
-  }
-  if (target.size() > 5 && target.compare(target.size() - 5, 5, ".blif") == 0) {
-    DIAC_TRACE_SPAN("netlist.parse", "netlist");
-    return cleanup(parse_blif_file(target));
-  }
-  if (target.size() > 2 && target.compare(target.size() - 2, 2, ".v") == 0) {
-    DIAC_TRACE_SPAN("netlist.parse", "netlist");
-    std::ifstream in(target);
-    if (!in) throw std::runtime_error("cannot open " + target);
-    Netlist nl = parse_structural_verilog(in).netlist;
-    if (nl.name() == "top" || nl.name().empty()) nl.set_name(target);
-    return nl;
+  if (std::optional<Netlist> nl = read_netlist_file(target)) {
+    return std::move(*nl);
   }
   DIAC_TRACE_SPAN("netlist.generate", "netlist");
   return build_benchmark(target);  // throws a clear error when unknown

@@ -88,8 +88,9 @@ std::size_t choice_option(const OptionMap& options, const std::string& key,
 /// --instances in [1, 1000000].
 int instances_option(const OptionMap& options, int dflt);
 
-/// Loads a sweep target: a bundled benchmark name, or a path ending in
-/// .bench / .blif / .v.  Throws on unknown names/unreadable files.
+/// Loads a sweep target: a path ending in .bench / .blif / .v (see
+/// read_netlist_file), else a bundled benchmark name.  Throws on unknown
+/// names and unreadable or malformed files.
 Netlist load_target(const std::string& target);
 
 /// --policy / --budget / --nvm -> synthesis recipe.

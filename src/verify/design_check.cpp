@@ -2,6 +2,7 @@
 
 #include "diac/codegen.hpp"
 #include "netlist/verilog_format.hpp"
+#include "obs/obs.hpp"
 
 namespace diac::verify {
 
@@ -33,8 +34,14 @@ void append_design_findings(const IntermittentDesign& design,
 RoundTripResult check_codegen_roundtrip(const IntermittentDesign& design,
                                         EquivalenceOptions options) {
   RoundTripResult rt;
-  rt.verilog = generate_verilog(design);
-  const VerilogModule module = parse_structural_verilog_string(rt.verilog);
+  {
+    DIAC_TRACE_SPAN("codegen.emit", "verify");
+    rt.verilog = generate_verilog(design);
+  }
+  const VerilogModule module = [&] {
+    DIAC_TRACE_SPAN("netlist.parse", "netlist");
+    return parse_structural_verilog(rt.verilog);
+  }();
   rt.gates_reimported = module.netlist.size();
   rt.nvreg_instances = module.instances.size();
   // The backend renames every signal, so names cannot match; both the

@@ -8,7 +8,7 @@
 ///
 /// `check_codegen_roundtrip` closes the emission loop: it emits the
 /// design's Verilog with `generate_verilog`, re-imports the text with
-/// `parse_structural_verilog_string`, and proves the re-imported
+/// `parse_structural_verilog`, and proves the re-imported
 /// netlist functionally equivalent to the source netlist with
 /// `check_equivalence`.  Ports are matched positionally because the
 /// backend renames every signal (`w_` prefix + sanitization); port

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "netlist/compiled_sim.hpp"
+#include "obs/obs.hpp"
 #include "util/rng.hpp"
 
 namespace diac::verify {
@@ -127,6 +128,7 @@ const char* to_string(EquivalenceStatus status) {
 
 EquivalenceResult check_equivalence(const Netlist& a, const Netlist& b,
                                     const EquivalenceOptions& options) {
+  DIAC_TRACE_SPAN("verify.equivalence", "verify");
   EquivalenceResult res;
   const PortMatch pm = match_ports(a, b, options.match_ports_by_order);
   if (!pm.mismatch.empty()) {

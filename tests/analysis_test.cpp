@@ -46,7 +46,7 @@ TEST(Analysis, LevelizeChain) {
 }
 
 TEST(Analysis, DffIsLevelZeroSource) {
-  const Netlist nl = parse_bench_string(
+  const Netlist nl = parse_bench(
       "OUTPUT(y)\nq = DFF(d)\nd = NOT(q)\ny = BUF(q)\n");
   const auto level = levelize(nl);
   EXPECT_EQ(level[nl.find("q")], 0);
@@ -79,7 +79,7 @@ TEST(Analysis, CriticalPathPicksLongestBranch) {
 }
 
 TEST(Analysis, ArrivalTimesCutAtDff) {
-  const Netlist nl = parse_bench_string(
+  const Netlist nl = parse_bench(
       "INPUT(a)\nOUTPUT(y)\nw = NOT(a)\nq = DFF(w)\ny = NOT(q)\n");
   const CellLibrary lib = CellLibrary::nominal_45nm();
   const auto at = arrival_times(nl, lib);
@@ -112,7 +112,7 @@ TEST(Analysis, MultiFanoutSplitsCones) {
 }
 
 TEST(Analysis, EveryCombGateInExactlyOneCone) {
-  const Netlist nl = parse_bench_string(R"(
+  const Netlist nl = parse_bench(R"(
 INPUT(a)
 INPUT(b)
 INPUT(c)
@@ -136,7 +136,7 @@ y = NOT(w3)
 }
 
 TEST(Analysis, ConeRootsHaveExternalFanout) {
-  const Netlist nl = parse_bench_string(R"(
+  const Netlist nl = parse_bench(R"(
 INPUT(a)
 INPUT(b)
 OUTPUT(y)

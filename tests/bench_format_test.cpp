@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "netlist/bench_format.hpp"
+#include "netlist/netlist_file.hpp"
 
 namespace diac {
 namespace {
@@ -29,7 +30,7 @@ G17 = NOT(G11)
 )";
 
 TEST(BenchFormat, ParsesS27LikeCircuit) {
-  const Netlist nl = parse_bench_string(kS27Like, "s27ish");
+  const Netlist nl = parse_bench(kS27Like, "s27ish");
   EXPECT_EQ(nl.inputs().size(), 4u);
   EXPECT_EQ(nl.outputs().size(), 1u);
   EXPECT_EQ(nl.dffs().size(), 3u);
@@ -38,7 +39,7 @@ TEST(BenchFormat, ParsesS27LikeCircuit) {
 }
 
 TEST(BenchFormat, SupportsAllFunctions) {
-  const Netlist nl = parse_bench_string(R"(
+  const Netlist nl = parse_bench(R"(
 INPUT(a)
 INPUT(b)
 INPUT(s)
@@ -60,46 +61,46 @@ z = XOR(w10, w7)
 }
 
 TEST(BenchFormat, CaseInsensitiveKeywords) {
-  const Netlist nl = parse_bench_string(
+  const Netlist nl = parse_bench(
       "input(a)\ninput(b)\noutput(y)\ny = nand(a, b)\n");
   EXPECT_EQ(nl.logic_gate_count(), 1u);
 }
 
 TEST(BenchFormat, CommentsAndBlankLinesIgnored) {
-  const Netlist nl = parse_bench_string(
+  const Netlist nl = parse_bench(
       "# header\n\nINPUT(a)  # port\nOUTPUT(y)\n\ny = NOT(a) # invert\n");
   EXPECT_EQ(nl.logic_gate_count(), 1u);
 }
 
 TEST(BenchFormat, UndefinedSignalRejected) {
-  EXPECT_THROW(parse_bench_string("INPUT(a)\ny = AND(a, ghost)\n"),
+  EXPECT_THROW(parse_bench("INPUT(a)\ny = AND(a, ghost)\n"),
                std::runtime_error);
 }
 
 TEST(BenchFormat, DuplicateDefinitionRejected) {
   EXPECT_THROW(
-      parse_bench_string("INPUT(a)\nx = NOT(a)\nx = BUF(a)\n"),
+      parse_bench("INPUT(a)\nx = NOT(a)\nx = BUF(a)\n"),
       std::runtime_error);
 }
 
 TEST(BenchFormat, UnknownFunctionRejected) {
-  EXPECT_THROW(parse_bench_string("INPUT(a)\ny = FROB(a)\n"),
+  EXPECT_THROW(parse_bench("INPUT(a)\ny = FROB(a)\n"),
                std::runtime_error);
 }
 
 TEST(BenchFormat, UndrivenOutputRejected) {
-  EXPECT_THROW(parse_bench_string("INPUT(a)\nOUTPUT(nothing)\n"),
+  EXPECT_THROW(parse_bench("INPUT(a)\nOUTPUT(nothing)\n"),
                std::runtime_error);
 }
 
 TEST(BenchFormat, WrongOperandCountRejected) {
-  EXPECT_THROW(parse_bench_string("INPUT(a)\ny = NOT(a, a)\n"),
+  EXPECT_THROW(parse_bench("INPUT(a)\ny = NOT(a, a)\n"),
                std::runtime_error);
 }
 
 TEST(BenchFormat, ErrorsCarryLineNumbers) {
   try {
-    parse_bench_string("INPUT(a)\n\ny = FROB(a)\n");
+    parse_bench("INPUT(a)\n\ny = FROB(a)\n");
     FAIL() << "expected throw";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos);
@@ -109,7 +110,7 @@ TEST(BenchFormat, ErrorsCarryLineNumbers) {
 // The message a parse of `text` throws ("" when it parses).
 std::string parse_error(const std::string& text) {
   try {
-    parse_bench_string(text);
+    parse_bench(text);
   } catch (const std::runtime_error& e) {
     return e.what();
   }
@@ -127,10 +128,44 @@ TEST(BenchFormat, DuplicateNamesCarryLineNumbers) {
             "bench parse error at line 2: duplicate definition of 'a'");
 }
 
+TEST(BenchFormat, MalformedLinesFailAtTheirLine) {
+  // Each line here was once read without complaint (INPUTX as INPUT, the
+  // trailing text dropped, "a b" one name, empty operands skipped).
+  const struct {
+    const char* text;
+    int line;
+  } kCases[] = {
+      {"INPUT(a)\nINPUTX(b)\n", 2},
+      {"INPUT(a) junk\n", 1},
+      {"INPUT(a)\nOUTPUT(z)\nz = NOT(a) trailing\n", 3},
+      {"INPUT(a b)\n", 1},
+      {"INPUT(a)\nOUTPUT(z)\nz y = NOT(a)\n", 3},
+      {"INPUT(a)\nINPUT(b)\n\nz = NOT(a b)\n", 4},
+      {"INPUT(a)\n# note\nz = NOT(a,,)\n", 3},
+      {"INPUT(a)\nz = AND(a,)\n", 2},
+      {"INPUT()\n", 1},
+  };
+  for (const auto& c : kCases) {
+    const std::string prefix =
+        "bench parse error at line " + std::to_string(c.line) + ": ";
+    EXPECT_EQ(parse_error(c.text).rfind(prefix, 0), 0u)
+        << c.text << "-> " << parse_error(c.text);
+  }
+  EXPECT_EQ(parse_error("INPUT(a)\nINPUTX(b)\n"),
+            "bench parse error at line 2: unknown declaration 'INPUTX'");
+  EXPECT_EQ(parse_error("INPUT(a b)\n"),
+            "bench parse error at line 1: expected ')', found 'b'");
+}
+
+TEST(BenchFormat, UndrivenOutputNamesItsLine) {
+  EXPECT_EQ(parse_error("INPUT(a)\n\nOUTPUT(q)\nz = NOT(a)\n"),
+            "bench parse error at line 3: OUTPUT(q) has no driver");
+}
+
 TEST(BenchFormat, RoundTripPreservesStructure) {
-  const Netlist original = parse_bench_string(kS27Like, "rt");
+  const Netlist original = parse_bench(kS27Like, "rt");
   const std::string text = to_bench_string(original);
-  const Netlist reparsed = parse_bench_string(text, "rt2");
+  const Netlist reparsed = parse_bench(text, "rt2");
   EXPECT_EQ(reparsed.inputs().size(), original.inputs().size());
   EXPECT_EQ(reparsed.outputs().size(), original.outputs().size());
   EXPECT_EQ(reparsed.dffs().size(), original.dffs().size());
@@ -139,21 +174,21 @@ TEST(BenchFormat, RoundTripPreservesStructure) {
 
 TEST(BenchFormat, ForwardReferencesAllowed) {
   // DFF feedback requires using a signal before its definition.
-  const Netlist nl = parse_bench_string(
+  const Netlist nl = parse_bench(
       "OUTPUT(q)\nq = DFF(d)\nd = NOT(q)\n");
   EXPECT_EQ(nl.dffs().size(), 1u);
   EXPECT_NO_THROW(nl.validate());
 }
 
 TEST(BenchFormat, ConstantsSupported) {
-  const Netlist nl = parse_bench_string(
+  const Netlist nl = parse_bench(
       "INPUT(a)\nOUTPUT(y)\none = VDD()\ny = AND(a, one)\n");
   EXPECT_NO_THROW(nl.validate());
   EXPECT_EQ(nl.logic_gate_count(), 1u);  // constants are pseudo-cells
 }
 
 TEST(BenchFormat, MissingFileThrows) {
-  EXPECT_THROW(parse_bench_file("/nonexistent/path.bench"),
+  EXPECT_THROW(read_netlist_file("/nonexistent/path.bench"),
                std::runtime_error);
 }
 

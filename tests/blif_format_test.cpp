@@ -1,8 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "netlist/blif_format.hpp"
+#include "netlist/compiled_sim.hpp"
 #include "netlist/generators.hpp"
-#include "netlist/logic_sim.hpp"
+#include "netlist/netlist_file.hpp"
 
 namespace diac {
 namespace {
@@ -22,7 +23,7 @@ constexpr const char* kSmall = R"(
 )";
 
 TEST(Blif, ParsesSmallModel) {
-  const Netlist nl = parse_blif_string(kSmall);
+  const Netlist nl = parse_blif(kSmall);
   EXPECT_EQ(nl.name(), "small");
   EXPECT_EQ(nl.inputs().size(), 2u);
   EXPECT_EQ(nl.outputs().size(), 1u);
@@ -32,11 +33,11 @@ TEST(Blif, ParsesSmallModel) {
 
 TEST(Blif, CoverSemantics) {
   // y = a AND b through an on-set cover; functional check.
-  const Netlist nl = parse_blif_string(
+  const Netlist nl = parse_blif(
       ".model c\n.inputs a b\n.outputs y\n.names a b y\n11 1\n.end\n");
-  LogicSimulator sim(nl);
-  sim.set_input("a", 0b1100);
-  sim.set_input("b", 0b1010);
+  CompiledSimulator sim(nl);
+  sim.set_input(nl.find("a"), 0b1100);
+  sim.set_input(nl.find("b"), 0b1010);
   sim.settle();
   const GateId y = nl.outputs()[0];
   EXPECT_EQ(sim.value(y) & 0xF, Word{0b1000});
@@ -44,31 +45,31 @@ TEST(Blif, CoverSemantics) {
 
 TEST(Blif, DontCareColumns) {
   // y = a (b is don't-care).
-  const Netlist nl = parse_blif_string(
+  const Netlist nl = parse_blif(
       ".model c\n.inputs a b\n.outputs y\n.names a b y\n1- 1\n.end\n");
-  LogicSimulator sim(nl);
-  sim.set_input("a", 0b10);
-  sim.set_input("b", 0b01);
+  CompiledSimulator sim(nl);
+  sim.set_input(nl.find("a"), 0b10);
+  sim.set_input(nl.find("b"), 0b01);
   sim.settle();
   EXPECT_EQ(sim.value(nl.outputs()[0]) & 0x3, Word{0b10});
 }
 
 TEST(Blif, OffSetCover) {
   // Cover rows with output 0: y = NOT(a AND b).
-  const Netlist nl = parse_blif_string(
+  const Netlist nl = parse_blif(
       ".model c\n.inputs a b\n.outputs y\n.names a b y\n11 0\n.end\n");
-  LogicSimulator sim(nl);
-  sim.set_input("a", 0b11);
-  sim.set_input("b", 0b01);
+  CompiledSimulator sim(nl);
+  sim.set_input(nl.find("a"), 0b11);
+  sim.set_input(nl.find("b"), 0b01);
   sim.settle();
   EXPECT_EQ(sim.value(nl.outputs()[0]) & 0x3, Word{0b10});
 }
 
 TEST(Blif, ConstantCovers) {
-  const Netlist nl = parse_blif_string(
+  const Netlist nl = parse_blif(
       ".model c\n.inputs a\n.outputs x y\n.names x\n1\n.names y\n.end\n");
-  LogicSimulator sim(nl);
-  sim.set_input("a", 0);
+  CompiledSimulator sim(nl);
+  sim.set_input(nl.find("a"), 0);
   sim.settle();
   EXPECT_EQ(sim.value(nl.find("x$out")), ~Word{0});
   EXPECT_EQ(sim.value(nl.find("y$out")), Word{0});
@@ -76,58 +77,58 @@ TEST(Blif, ConstantCovers) {
 
 TEST(Blif, MultiRowOr) {
   // Two single-literal rows OR together: y = a | b.
-  const Netlist nl = parse_blif_string(
+  const Netlist nl = parse_blif(
       ".model c\n.inputs a b\n.outputs y\n.names a b y\n1- 1\n-1 1\n.end\n");
-  LogicSimulator sim(nl);
-  sim.set_input("a", 0b0110);
-  sim.set_input("b", 0b0011);
+  CompiledSimulator sim(nl);
+  sim.set_input(nl.find("a"), 0b0110);
+  sim.set_input(nl.find("b"), 0b0011);
   sim.settle();
   EXPECT_EQ(sim.value(nl.outputs()[0]) & 0xF, Word{0b0111});
 }
 
 TEST(Blif, LatchFeedback) {
   // Toggle bit: q' = NOT q.
-  const Netlist nl = parse_blif_string(
+  const Netlist nl = parse_blif(
       ".model t\n.outputs q\n.names q d\n0 1\n.latch d q 0\n.end\n");
-  LogicSimulator sim(nl);
+  CompiledSimulator sim(nl);
   sim.step();
   sim.settle();
   EXPECT_EQ(sim.value(nl.find("q")), ~Word{0});
 }
 
 TEST(Blif, LineContinuations) {
-  const Netlist nl = parse_blif_string(
+  const Netlist nl = parse_blif(
       ".model c\n.inputs a \\\nb\n.outputs y\n.names a b y\n11 1\n.end\n");
   EXPECT_EQ(nl.inputs().size(), 2u);
 }
 
 TEST(Blif, RejectsUnsupportedConstructs) {
-  EXPECT_THROW(parse_blif_string(".model x\n.subckt foo a=b\n.end\n"),
+  EXPECT_THROW(parse_blif(".model x\n.subckt foo a=b\n.end\n"),
                std::runtime_error);
-  EXPECT_THROW(parse_blif_string(".model x\n.gate nand2 a=x\n.end\n"),
+  EXPECT_THROW(parse_blif(".model x\n.gate nand2 a=x\n.end\n"),
                std::runtime_error);
 }
 
 TEST(Blif, RejectsMalformedCovers) {
   EXPECT_THROW(
-      parse_blif_string(".model x\n.inputs a\n.outputs y\n.names a y\n111 1\n.end\n"),
+      parse_blif(".model x\n.inputs a\n.outputs y\n.names a y\n111 1\n.end\n"),
       std::runtime_error);  // mask wider than inputs
-  EXPECT_THROW(parse_blif_string(".model x\n.inputs a\n11 1\n.end\n"),
+  EXPECT_THROW(parse_blif(".model x\n.inputs a\n11 1\n.end\n"),
                std::runtime_error);  // row outside .names
 }
 
 TEST(Blif, RejectsUndefinedAndDuplicate) {
   EXPECT_THROW(
-      parse_blif_string(".model x\n.outputs y\n.names ghost y\n1 1\n.end\n"),
+      parse_blif(".model x\n.outputs y\n.names ghost y\n1 1\n.end\n"),
       std::runtime_error);
-  EXPECT_THROW(parse_blif_string(".model x\n.inputs a\n.outputs y\n"
+  EXPECT_THROW(parse_blif(".model x\n.inputs a\n.outputs y\n"
                                  ".names a y\n1 1\n.names a y\n0 1\n.end\n"),
                std::runtime_error);
 }
 
 TEST(Blif, ErrorsCarryLineNumbers) {
   try {
-    parse_blif_string(".model x\n\n.subckt bad\n");
+    parse_blif(".model x\n\n.subckt bad\n");
     FAIL();
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos);
@@ -137,7 +138,7 @@ TEST(Blif, ErrorsCarryLineNumbers) {
 // The message a parse of `text` throws ("" when it parses).
 std::string parse_error(const std::string& text) {
   try {
-    parse_blif_string(text);
+    parse_blif(text);
   } catch (const std::runtime_error& e) {
     return e.what();
   }
@@ -162,23 +163,50 @@ TEST(Blif, DuplicateNamesCarryLineNumbers) {
             "blif parse error at line 4: duplicate definition of 'a'");
 }
 
+TEST(Blif, CoverKeepsOnePolarity) {
+  // "11 1" then "10 0" once built z = NOT(a) from the last row's polarity.
+  EXPECT_EQ(parse_error(".model m\n.inputs a b\n.outputs z\n.names a b z\n"
+                        "11 1\n10 0\n.end\n"),
+            "blif parse error at line 6: cover mixes on-set (1) and off-set "
+            "(0) rows");
+  EXPECT_EQ(parse_error(".model m\n.outputs k\n.names k\n1\n0\n.end\n"),
+            "blif parse error at line 5: cover mixes on-set (1) and off-set "
+            "(0) rows");
+}
+
+TEST(Blif, CoverOutputIsZeroOrOne) {
+  // "11 2" was once read as an on-set row.
+  EXPECT_EQ(parse_error(".model m\n.inputs a b\n.outputs z\n.names a b z\n"
+                        "11 2\n.end\n"),
+            "blif parse error at line 5: cover output must be 0 or 1, "
+            "found '2'");
+  EXPECT_EQ(parse_error(".model m\n.inputs a b\n.outputs z\n.names a b z\n"
+                        "1x 1\n.end\n"),
+            "blif parse error at line 5: bad cover character 'x'");
+}
+
+TEST(Blif, UndrivenOutputNamesItsLine) {
+  EXPECT_EQ(parse_error(".model m\n.inputs a\n.outputs z\n.end\n"),
+            "blif parse error at line 3: .outputs signal 'z' has no driver");
+}
+
 TEST(Blif, WriterRoundTripsFunctionally) {
   // Emit a structurally rich circuit to BLIF, re-parse, and compare
   // behaviour on the logic simulator.
   const Netlist original = gen::alu_datapath("alu", 4, 3);
-  const Netlist reparsed = parse_blif_string(to_blif_string(original));
+  const Netlist reparsed = parse_blif(to_blif_string(original));
   ASSERT_EQ(reparsed.inputs().size(), original.inputs().size());
   ASSERT_EQ(reparsed.outputs().size(), original.outputs().size());
   ASSERT_EQ(reparsed.dffs().size(), original.dffs().size());
 
-  LogicSimulator a(original), b(reparsed);
+  CompiledSimulator a(original), b(reparsed);
   SplitMix64 rng(77);
   for (int cycle = 0; cycle < 6; ++cycle) {
     for (std::size_t i = 0; i < original.inputs().size(); ++i) {
       const Word w = rng.next();
       a.set_input(original.inputs()[i], w);
       // Match by name (writer preserves input names).
-      b.set_input(original.gate(original.inputs()[i]).name, w);
+      b.set_input(reparsed.find(original.gate(original.inputs()[i]).name), w);
     }
     a.step();
     b.step();
@@ -187,7 +215,7 @@ TEST(Blif, WriterRoundTripsFunctionally) {
   b.settle();
   // Compare output values pairwise by driver name order.
   for (std::size_t i = 0; i < original.outputs().size(); ++i) {
-    EXPECT_EQ(b.value(b.netlist().outputs()[i]),
+    EXPECT_EQ(b.value(reparsed.outputs()[i]),
               a.value(original.outputs()[i]))
         << i;
   }
@@ -195,23 +223,23 @@ TEST(Blif, WriterRoundTripsFunctionally) {
 
 TEST(Blif, WriterRoundTripsBenchSuiteCircuit) {
   const Netlist original = gen::xor_cipher("ciph", 8, 2, 9);
-  const Netlist reparsed = parse_blif_string(to_blif_string(original));
-  LogicSimulator a(original), b(reparsed);
+  const Netlist reparsed = parse_blif(to_blif_string(original));
+  CompiledSimulator a(original), b(reparsed);
   SplitMix64 rng(5);
   for (std::size_t i = 0; i < original.inputs().size(); ++i) {
     const Word w = rng.next();
     a.set_input(original.inputs()[i], w);
-    b.set_input(original.gate(original.inputs()[i]).name, w);
+    b.set_input(reparsed.find(original.gate(original.inputs()[i]).name), w);
   }
   a.settle();
   b.settle();
   for (std::size_t i = 0; i < original.outputs().size(); ++i) {
-    EXPECT_EQ(b.value(b.netlist().outputs()[i]), a.value(original.outputs()[i]));
+    EXPECT_EQ(b.value(reparsed.outputs()[i]), a.value(original.outputs()[i]));
   }
 }
 
 TEST(Blif, MissingFileThrows) {
-  EXPECT_THROW(parse_blif_file("/nonexistent.blif"), std::runtime_error);
+  EXPECT_THROW(read_netlist_file("/nonexistent.blif"), std::runtime_error);
 }
 
 }  // namespace

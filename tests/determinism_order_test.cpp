@@ -12,7 +12,7 @@
 
 #include "diac/baselines.hpp"
 #include "netlist/bench_format.hpp"
-#include "netlist/logic_sim.hpp"
+#include "netlist/compiled_sim.hpp"
 #include "tree/energy_model.hpp"
 #include "tree/task_tree.hpp"
 
@@ -53,7 +53,7 @@ d1 = DFF(n1)
 )";
 
 TEST(DeterminismOrder, OperandCostIgnoresMemberOrder) {
-  const Netlist nl = parse_bench_string(kForwardBench);
+  const Netlist nl = parse_bench(kForwardBench);
   std::vector<GateId> members;
   for (GateId id = 0; id < nl.size(); ++id) {
     if (is_logic(nl.gate(id).kind)) members.push_back(id);
@@ -82,8 +82,8 @@ TEST(DeterminismOrder, OperandCostIgnoresMemberOrder) {
 }
 
 TEST(DeterminismOrder, TaskFanCountsIgnoreDeclarationOrder) {
-  const Netlist fwd = parse_bench_string(kForwardBench);
-  const Netlist shf = parse_bench_string(kShuffledBench);
+  const Netlist fwd = parse_bench(kForwardBench);
+  const Netlist shf = parse_bench(kShuffledBench);
   ASSERT_EQ(fwd.logic_gate_count(), shf.logic_gate_count());
 
   const TaskTree tf = per_gate_tree(fwd, lib());
@@ -106,30 +106,30 @@ TEST(DeterminismOrder, TaskFanCountsIgnoreDeclarationOrder) {
 }
 
 TEST(DeterminismOrder, ClusteringBitsIgnoreDeclarationOrder) {
-  const Netlist fwd = parse_bench_string(kForwardBench);
-  const Netlist shf = parse_bench_string(kShuffledBench);
+  const Netlist fwd = parse_bench(kForwardBench);
+  const Netlist shf = parse_bench(kShuffledBench);
   EXPECT_EQ(nv_based_state_bits(fwd), nv_based_state_bits(shf));
   EXPECT_EQ(nv_clustering_state_bits(fwd), nv_clustering_state_bits(shf));
   EXPECT_EQ(le_ff_clustering_ratio(fwd), le_ff_clustering_ratio(shf));
 }
 
 TEST(DeterminismOrder, LogicSimOutputsIgnoreDeclarationOrder) {
-  const Netlist fwd = parse_bench_string(kForwardBench);
-  const Netlist shf = parse_bench_string(kShuffledBench);
-  LogicSimulator sa(fwd);
-  LogicSimulator sb(shf);
+  const Netlist fwd = parse_bench(kForwardBench);
+  const Netlist shf = parse_bench(kShuffledBench);
+  CompiledSimulator sa(fwd);
+  CompiledSimulator sb(shf);
   std::mt19937_64 rng(0xD1AC);  // fixed seed
   for (int cycle = 0; cycle < 32; ++cycle) {
     const Word a = rng(), b = rng();
-    sa.set_input("a", a);
-    sa.set_input("b", b);
-    sb.set_input("a", a);
-    sb.set_input("b", b);
+    sa.set_input(fwd.find("a"), a);
+    sa.set_input(fwd.find("b"), b);
+    sb.set_input(shf.find("a"), a);
+    sb.set_input(shf.find("b"), b);
     sa.step();
     sb.step();
-    EXPECT_EQ(sa.value("y"), sb.value("y")) << "cycle " << cycle;
-    EXPECT_EQ(sa.value("d1"), sb.value("d1")) << "cycle " << cycle;
-    EXPECT_EQ(sa.value("d2"), sb.value("d2")) << "cycle " << cycle;
+    EXPECT_EQ(sa.value(fwd.find("y")), sb.value(shf.find("y"))) << "cycle " << cycle;
+    EXPECT_EQ(sa.value(fwd.find("d1")), sb.value(shf.find("d1"))) << "cycle " << cycle;
+    EXPECT_EQ(sa.value(fwd.find("d2")), sb.value(shf.find("d2"))) << "cycle " << cycle;
   }
 }
 

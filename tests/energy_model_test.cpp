@@ -11,7 +11,7 @@ namespace diac {
 namespace {
 
 TEST(EnergyModel, EmptyOperandIsFree) {
-  const Netlist nl = parse_bench_string("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n");
+  const Netlist nl = parse_bench("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n");
   const CellLibrary lib = CellLibrary::nominal_45nm();
   const OperandCost c = operand_cost(nl, {}, lib);
   EXPECT_DOUBLE_EQ(c.energy(), 0.0);
@@ -19,7 +19,7 @@ TEST(EnergyModel, EmptyOperandIsFree) {
 }
 
 TEST(EnergyModel, SingleGateMatchesPaperFormula) {
-  const Netlist nl = parse_bench_string(
+  const Netlist nl = parse_bench(
       "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\n");
   const CellLibrary lib = CellLibrary::nominal_45nm();
   const GateId g = nl.find("y");
@@ -32,7 +32,7 @@ TEST(EnergyModel, SingleGateMatchesPaperFormula) {
 }
 
 TEST(EnergyModel, DynamicEnergySumsOverMembers) {
-  const Netlist nl = parse_bench_string(
+  const Netlist nl = parse_bench(
       "INPUT(a)\nOUTPUT(y)\nw1 = NOT(a)\nw2 = NOT(w1)\ny = NOT(w2)\n");
   const CellLibrary lib = CellLibrary::nominal_45nm();
   std::vector<GateId> members = {nl.find("w1"), nl.find("w2"), nl.find("y")};
@@ -44,7 +44,7 @@ TEST(EnergyModel, DynamicEnergySumsOverMembers) {
 }
 
 TEST(EnergyModel, StaticEnergyUsesCdpTimesLeakage) {
-  const Netlist nl = parse_bench_string(
+  const Netlist nl = parse_bench(
       "INPUT(a)\nOUTPUT(y)\nw1 = NOT(a)\nw2 = NOT(w1)\ny = NOT(w2)\n");
   const CellLibrary lib = CellLibrary::nominal_45nm();
   std::vector<GateId> members = {nl.find("w1"), nl.find("w2"), nl.find("y")};
@@ -57,7 +57,7 @@ TEST(EnergyModel, StaticEnergyUsesCdpTimesLeakage) {
 TEST(EnergyModel, ExternalFaninsArriveAtZero) {
   // Two parallel inverters: the operand containing only the second one
   // sees its input (the first inverter, outside the set) at t=0.
-  const Netlist nl = parse_bench_string(
+  const Netlist nl = parse_bench(
       "INPUT(a)\nOUTPUT(y)\nw1 = NOT(a)\ny = NOT(w1)\n");
   const CellLibrary lib = CellLibrary::nominal_45nm();
   const OperandCost c =
@@ -67,7 +67,7 @@ TEST(EnergyModel, ExternalFaninsArriveAtZero) {
 
 TEST(EnergyModel, ParallelMembersShareCdp) {
   // Two independent inverters in one operand: CDP is one delay, not two.
-  const Netlist nl = parse_bench_string(
+  const Netlist nl = parse_bench(
       "INPUT(a)\nINPUT(b)\nOUTPUT(x)\nOUTPUT(y)\nx = NOT(a)\ny = NOT(b)\n");
   const CellLibrary lib = CellLibrary::nominal_45nm();
   std::vector<GateId> members = {nl.find("x"), nl.find("y")};
@@ -78,7 +78,7 @@ TEST(EnergyModel, ParallelMembersShareCdp) {
 }
 
 TEST(EnergyModel, PowerIsEnergyOverDelay) {
-  const Netlist nl = parse_bench_string(
+  const Netlist nl = parse_bench(
       "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nw = AND(a, b)\ny = NOT(w)\n");
   const CellLibrary lib = CellLibrary::nominal_45nm();
   std::vector<GateId> members = {nl.find("w"), nl.find("y")};
@@ -87,7 +87,7 @@ TEST(EnergyModel, PowerIsEnergyOverDelay) {
 }
 
 TEST(EnergyModel, NetlistCostCoversAllLogic) {
-  const Netlist nl = parse_bench_string(R"(
+  const Netlist nl = parse_bench(R"(
 INPUT(a)
 INPUT(b)
 OUTPUT(y)
@@ -106,7 +106,7 @@ y = NOT(q)
 }
 
 TEST(EnergyModel, PrecomputedPositionsMatchAdHoc) {
-  const Netlist nl = parse_bench_string(R"(
+  const Netlist nl = parse_bench(R"(
 INPUT(a)
 INPUT(b)
 OUTPUT(y)
@@ -154,7 +154,7 @@ TEST(EnergyModel, SharedScratchBufferMatchesFreshBuffersOnS38417) {
 }
 
 TEST(EnergyModel, DffMemberContributesCaptureDelay) {
-  const Netlist nl = parse_bench_string(
+  const Netlist nl = parse_bench(
       "INPUT(a)\nOUTPUT(q)\nq = DFF(a)\n");
   const CellLibrary lib = CellLibrary::nominal_45nm();
   const OperandCost c =

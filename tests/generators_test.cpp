@@ -4,7 +4,7 @@
 
 #include "netlist/analysis.hpp"
 #include "netlist/generators.hpp"
-#include "netlist/logic_sim.hpp"
+#include "netlist/compiled_sim.hpp"
 
 namespace diac {
 namespace {
@@ -41,7 +41,7 @@ TEST(Generators, FullAdderTruthTable) {
   nl.add(GateKind::kOutput, "s$out", {sum});
   nl.add(GateKind::kOutput, "co$out", {carry});
   nl.seal();
-  LogicSimulator sim(nl);
+  CompiledSimulator sim(nl);
   Word wa = 0, wb = 0, wc = 0;
   for (int lane = 0; lane < 8; ++lane) {
     if (lane & 1) wa |= Word{1} << lane;
@@ -133,7 +133,7 @@ TEST(Generators, FsmHasStateRegister) {
   // each input with a distinct lane pattern and check that the state
   // register leaves reset within a few cycles (XOR-toggle state bits can
   // be periodic, so compare against every visited state).
-  LogicSimulator sim(nl);
+  CompiledSimulator sim(nl);
   const auto inputs = nl.inputs();
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     SplitMix64 rng(0x1234 + i);
@@ -163,33 +163,33 @@ TEST(Generators, SerialConverterShifts) {
 TEST(Generators, CipherDiffuses) {
   // Flipping one plaintext bit must change the ciphertext.
   const Netlist nl = gen::xor_cipher("ciph", 16, 3, 5);
-  LogicSimulator sim(nl);
+  CompiledSimulator sim(nl);
   for (GateId in : nl.inputs()) sim.set_input(in, 0);
   sim.settle();
   std::vector<Word> base = sim.output_values();
-  sim.set_input("pt0", ~Word{0});
+  sim.set_input(nl.find("pt0"), ~Word{0});
   sim.settle();
   EXPECT_NE(sim.output_values(), base);
 }
 
 TEST(Generators, ComparatorFindsMinAndMax) {
   const Netlist nl = gen::comparator_tree("cmp", 4, 4);
-  LogicSimulator sim(nl);
+  CompiledSimulator sim(nl);
   SplitMix64 rng(21);
   for (int trial = 0; trial < 30; ++trial) {
     unsigned words[4];
     for (int w = 0; w < 4; ++w) {
       words[w] = static_cast<unsigned>(rng.below(16));
       for (int b = 0; b < 4; ++b) {
-        sim.set_input("w" + std::to_string(w) + "_" + std::to_string(b),
+        sim.set_input(nl.find("w" + std::to_string(w) + "_" + std::to_string(b)),
                       (words[w] >> b) & 1 ? ~Word{0} : 0);
       }
     }
     sim.settle();
     unsigned got_max = 0, got_min = 0;
     for (int b = 0; b < 4; ++b) {
-      if (sim.value("max" + std::to_string(b) + "$out") & 1) got_max |= 1u << b;
-      if (sim.value("min" + std::to_string(b) + "$out") & 1) got_min |= 1u << b;
+      if (sim.value(nl.find("max" + std::to_string(b) + "$out")) & 1) got_max |= 1u << b;
+      if (sim.value(nl.find("min" + std::to_string(b) + "$out")) & 1) got_min |= 1u << b;
     }
     const unsigned want_max = std::max({words[0], words[1], words[2], words[3]});
     const unsigned want_min = std::min({words[0], words[1], words[2], words[3]});
@@ -200,23 +200,23 @@ TEST(Generators, ComparatorFindsMinAndMax) {
 
 TEST(Generators, AluAddsAndMasks) {
   const Netlist nl = gen::alu_datapath("alu", 8, 1);
-  LogicSimulator sim(nl);
+  CompiledSimulator sim(nl);
   SplitMix64 rng(33);
   for (int trial = 0; trial < 20; ++trial) {
     const unsigned a = static_cast<unsigned>(rng.below(256));
     const unsigned b = static_cast<unsigned>(rng.below(256));
     for (int i = 0; i < 8; ++i) {
-      sim.set_input("ra" + std::to_string(i), (a >> i) & 1 ? ~Word{0} : 0);
-      sim.set_input("rb" + std::to_string(i), (b >> i) & 1 ? ~Word{0} : 0);
+      sim.set_input(nl.find("ra" + std::to_string(i)), (a >> i) & 1 ? ~Word{0} : 0);
+      sim.set_input(nl.find("rb" + std::to_string(i)), (b >> i) & 1 ? ~Word{0} : 0);
     }
     // op = 00 -> ADD lane (two register stages).
-    sim.set_input("op0", 0);
-    sim.set_input("op1", 0);
+    sim.set_input(nl.find("op0"), 0);
+    sim.set_input(nl.find("op1"), 0);
     sim.run(2);
     sim.settle();
     unsigned sum = 0;
     for (int i = 0; i < 8; ++i) {
-      if (sim.value("res" + std::to_string(i) + "$out") & 1) sum |= 1u << i;
+      if (sim.value(nl.find("res" + std::to_string(i) + "$out")) & 1) sum |= 1u << i;
     }
     EXPECT_EQ(sum, (a + b) & 0xFF) << a << "+" << b;
   }
@@ -224,15 +224,15 @@ TEST(Generators, AluAddsAndMasks) {
 
 TEST(Generators, BusControllerGrantsHighestPriority) {
   const Netlist nl = gen::bus_controller("bus", 4, 8, 1);
-  LogicSimulator sim(nl);
+  CompiledSimulator sim(nl);
   // Master 1 and 3 request; master 1 wins (fixed priority).
   for (GateId in : nl.inputs()) sim.set_input(in, 0);
-  sim.set_input("req1", ~Word{0});
-  sim.set_input("req3", ~Word{0});
+  sim.set_input(nl.find("req1"), ~Word{0});
+  sim.set_input(nl.find("req3"), ~Word{0});
   sim.run(1);
   sim.settle();
-  EXPECT_EQ(sim.value("gnt1$out"), ~Word{0});
-  EXPECT_EQ(sim.value("gnt3$out"), Word{0});
+  EXPECT_EQ(sim.value(nl.find("gnt1$out")), ~Word{0});
+  EXPECT_EQ(sim.value(nl.find("gnt3$out")), Word{0});
 }
 
 }  // namespace

@@ -156,27 +156,27 @@ endmodule
 std::vector<std::pair<std::string, Netlist>> fixture_cases() {
   static const CellLibrary lib = CellLibrary::nominal_45nm();
   std::vector<std::pair<std::string, Netlist>> cases;
-  cases.emplace_back("bench/s27like", parse_bench_string(kS27Like, "s27like"));
+  cases.emplace_back("bench/s27like", parse_bench(kS27Like, "s27like"));
   cases.emplace_back("bench/functions",
-                     parse_bench_string(kAllFunctions, "fn"));
-  cases.emplace_back("bench/shuffled", parse_bench_string(kShuffled, "shf"));
+                     parse_bench(kAllFunctions, "fn"));
+  cases.emplace_back("bench/shuffled", parse_bench(kShuffled, "shf"));
   cases.emplace_back(
       "bench/s1238",
-      parse_bench_string(to_bench_string(build_benchmark("s1238")), "s1238"));
-  cases.emplace_back("blif/small", parse_blif_string(kBlif));
+      parse_bench(to_bench_string(build_benchmark("s1238")), "s1238"));
+  cases.emplace_back("blif/small", parse_blif(kBlif));
   cases.emplace_back(
       "blif/alu",
-      parse_blif_string(to_blif_string(gen::alu_datapath("alu", 4, 3))));
+      parse_blif(to_blif_string(gen::alu_datapath("alu", 4, 3))));
   cases.emplace_back("blif/b13",
-                     parse_blif_string(to_blif_string(build_benchmark("b13"))));
+                     parse_blif(to_blif_string(build_benchmark("b13"))));
   cases.emplace_back("verilog/forms",
-                     parse_structural_verilog_string(kVerilog).netlist);
+                     parse_structural_verilog(kVerilog).netlist);
   {
     const Netlist nl = build_benchmark("s27");
     const SynthesisResult r =
         DiacSynthesizer(nl, lib).synthesize_scheme(Scheme::kDiac);
     cases.emplace_back("verilog/s27",
-                       parse_structural_verilog_string(generate_verilog(r.design))
+                       parse_structural_verilog(generate_verilog(r.design))
                            .netlist);
   }
   const std::size_t readers = cases.size();
@@ -191,6 +191,19 @@ std::vector<std::pair<std::string, Netlist>> fixture_cases() {
   for (const char* c : {"s1238", "b13", "s349"}) {
     const Netlist src = build_benchmark(c);
     cases.emplace_back(std::string("suite/") + c + "/cleanup", cleanup(src));
+  }
+  // The largest suite circuit through each reader: the BENCH and BLIF
+  // writers' text and the DIAC design's emitted Verilog.
+  {
+    const Netlist big = build_benchmark("s38417");
+    cases.emplace_back("bench/s38417",
+                       parse_bench(to_bench_string(big), "s38417"));
+    cases.emplace_back("blif/s38417", parse_blif(to_blif_string(big)));
+    const SynthesisResult r =
+        DiacSynthesizer(big, lib).synthesize_scheme(Scheme::kDiac);
+    cases.emplace_back(
+        "verilog/s38417",
+        parse_structural_verilog(generate_verilog(r.design)).netlist);
   }
   return cases;
 }
@@ -432,6 +445,9 @@ const std::map<std::string, std::string>& pinned_fixtures() {
     {"suite/s1238/cleanup", "2668c5d72f3c891575da04ff20f15013"},
     {"suite/b13/cleanup", "3cba5df1b1edb6df4ea8f3739476dabd"},
     {"suite/s349/cleanup", "d35d2b917b529102f606a3b312973932"},
+    {"bench/s38417", "9c3daa8b8cf5d223d260fddc13f71627"},
+    {"blif/s38417", "5a7305aa651fd7a1f48d02212fb137cd"},
+    {"verilog/s38417", "2684e6d5f3319e325e99ab7c0e41c304"},
   };
   return pinned;
 }

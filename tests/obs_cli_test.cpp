@@ -400,6 +400,25 @@ TEST(ObsCli, NetlistLoadSplitsIntoGenerateOrParseAndOneValidate) {
 #endif
 }
 
+TEST(ObsCli, CheckSpansEveryPhase) {
+  // DRC (before and after synthesis), Verilog emission, its re-import
+  // and the equivalence check each record a span.
+  const fs::path trace = temp_file("obscli_check.json");
+  ASSERT_EQ(
+      run_cli("check s344 --trace-out " + trace.string(), "obscli_check")
+          .exit_code,
+      0);
+#if !defined(DIAC_OBS_DISABLED)
+  EXPECT_EQ(span_counts(trace, "verify."),
+            (std::map<std::string, int>{{"verify.drc", 2},
+                                        {"verify.equivalence", 1}}));
+  EXPECT_EQ(span_counts(trace, "codegen."),
+            (std::map<std::string, int>{{"codegen.emit", 1}}));
+  EXPECT_EQ(span_counts(trace, "netlist.parse"),
+            (std::map<std::string, int>{{"netlist.parse", 1}}));
+#endif
+}
+
 TEST(ObsCli, ShardWorkerStderrLinesArePrefixed) {
   // Worker failure diagnostics must arrive line-buffered and tagged with
   // the shard index.  With one trace over two workers only the owning

@@ -1,5 +1,5 @@
 // The scalar AoS logic simulator: the golden reference the compiled SoA
-// kernel (netlist/compiled_sim.hpp, wrapped by LogicSimulator) is
+// kernel (netlist/compiled_sim.hpp) is
 // differentially tested against.  Test-only; no production path uses it.
 #pragma once
 

@@ -12,7 +12,7 @@
 
 #include <list>
 
-#include "netlist/logic_sim.hpp"
+#include "netlist/compiled_sim.hpp"
 #include "netlist/suite.hpp"
 #include "util/rng.hpp"
 
@@ -26,7 +26,7 @@ Word stimulus(std::uint64_t seed, std::size_t input_idx, int cycle) {
   return rng.next();
 }
 
-void drive(LogicSimulator& sim, const Netlist& nl, std::uint64_t seed,
+void drive(CompiledSimulator& sim, const Netlist& nl, std::uint64_t seed,
            int cycle) {
   const auto inputs = nl.inputs();
   for (std::size_t i = 0; i < inputs.size(); ++i) {
@@ -45,7 +45,7 @@ std::shared_ptr<const CompiledNetlist> shared_compiled(const Netlist& nl) {
 std::uint64_t golden_fingerprint(
     const Netlist& nl, const std::shared_ptr<const CompiledNetlist>& cn,
     std::uint64_t seed, int cycles) {
-  LogicSimulator sim(nl, cn);
+  CompiledSimulator sim(cn);
   for (int c = 0; c < cycles; ++c) {
     drive(sim, nl, seed, c);
     sim.step();
@@ -61,7 +61,7 @@ std::uint64_t intermittent_fingerprint(
     const Netlist& nl, const std::shared_ptr<const CompiledNetlist>& cn,
     std::uint64_t seed, int cycles, int checkpoint_interval,
     double failure_probability, std::uint64_t failure_seed) {
-  LogicSimulator sim(nl, cn);
+  CompiledSimulator sim(cn);
   SplitMix64 failures(failure_seed);
 
   struct Checkpoint {
@@ -171,7 +171,7 @@ TEST(Robustness, MissingCheckpointsWouldDiverge) {
   const int cycles = 40;
 
   auto rolling_hash = [&](bool inject) {
-    LogicSimulator sim(nl, cn);
+    CompiledSimulator sim(cn);
     const std::vector<Word> nvm = sim.state();
     std::uint64_t h = 0xcbf29ce484222325ULL;
     for (int c = 0; c < cycles; ++c) {

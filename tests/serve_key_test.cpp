@@ -29,14 +29,14 @@ namespace {
 TEST(ServeKey, FingerprintStableUnderDeclarationReorder) {
   // The same circuit, gates and inputs declared in two different orders
   // (and under different module names): same canonical fingerprint.
-  const Netlist a = parse_bench_string(
+  const Netlist a = parse_bench(
       "INPUT(a)\nINPUT(b)\n"
       "c = AND(a, b)\n"
       "d = OR(a, b)\n"
       "e = NAND(c, d)\n"
       "OUTPUT(e)\n",
       "first");
-  const Netlist b = parse_bench_string(
+  const Netlist b = parse_bench(
       "INPUT(b)\nINPUT(a)\n"
       "d = OR(a, b)\n"
       "c = AND(a, b)\n"
@@ -47,13 +47,13 @@ TEST(ServeKey, FingerprintStableUnderDeclarationReorder) {
 }
 
 TEST(ServeKey, FingerprintSeesStructure) {
-  const Netlist a = parse_bench_string(
+  const Netlist a = parse_bench(
       "INPUT(a)\nINPUT(b)\nc = AND(a, b)\nOUTPUT(c)\n");
-  const Netlist gate_kind = parse_bench_string(
+  const Netlist gate_kind = parse_bench(
       "INPUT(a)\nINPUT(b)\nc = OR(a, b)\nOUTPUT(c)\n");
-  const Netlist fanin_order = parse_bench_string(
+  const Netlist fanin_order = parse_bench(
       "INPUT(a)\nINPUT(b)\nc = AND(b, a)\nOUTPUT(c)\n");
-  const Netlist renamed = parse_bench_string(
+  const Netlist renamed = parse_bench(
       "INPUT(a)\nINPUT(b)\nx = AND(a, b)\nOUTPUT(x)\n");
   EXPECT_NE(canonical_fingerprint(a), canonical_fingerprint(gate_kind));
   EXPECT_NE(canonical_fingerprint(a), canonical_fingerprint(fanin_order));

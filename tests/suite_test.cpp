@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <set>
 
-#include "netlist/logic_sim.hpp"
+#include "netlist/compiled_sim.hpp"
 #include "netlist/suite.hpp"
 
 namespace diac {
@@ -96,7 +96,7 @@ TEST(Suite, BenchmarksAreSimulatable) {
   // Every circuit must run on the logic simulator (observability sanity).
   for (const char* name : {"s27", "s344", "b02", "b10", "sbc"}) {
     const Netlist nl = build_benchmark(name);
-    LogicSimulator sim(nl);
+    CompiledSimulator sim(nl);
     for (GateId in : nl.inputs()) sim.set_input(in, 0x123456789ABCDEF0ULL);
     sim.run(3);
     sim.settle();

@@ -18,7 +18,7 @@ const CellLibrary& lib() {
 
 Netlist diamond() {
   // a,b -> g1; g1 -> g2, g3; g2,g3 -> g4 -> y  (diamond).
-  return parse_bench_string(R"(
+  return parse_bench(R"(
 INPUT(a)
 INPUT(b)
 OUTPUT(g4)
@@ -187,7 +187,7 @@ TEST(TaskTree, InitialTreeGroupsByCone) {
 }
 
 TEST(TaskTree, InitialTreeHandlesDffs) {
-  const Netlist nl = parse_bench_string(
+  const Netlist nl = parse_bench(
       "INPUT(a)\nOUTPUT(y)\nw = NOT(a)\nq = DFF(w)\ny = NOT(q)\n");
   const TaskTree tree = initial_tree(nl, lib());
   // DFF is its own node; its D-input edge is sequential (no dep edge).

@@ -19,7 +19,7 @@ namespace diac {
 namespace {
 
 TEST(TraceIo, ParsesTwoColumnCsv) {
-  std::istringstream in("0,0.001\n10,0.005\n20,0\n");
+  const std::string in("0,0.001\n10,0.005\n20,0\n");
   const PiecewiseTrace trace = parse_trace_csv(in);
   EXPECT_DOUBLE_EQ(trace.power_at(5), 0.001);
   EXPECT_DOUBLE_EQ(trace.power_at(15), 0.005);
@@ -27,7 +27,7 @@ TEST(TraceIo, ParsesTwoColumnCsv) {
 }
 
 TEST(TraceIo, ToleratesHeaderAndComments) {
-  std::istringstream in(
+  const std::string in(
       "time_s,power_W\n# measured on rooftop\n\n0,0.002\n5,0.004\n");
   const PiecewiseTrace trace = parse_trace_csv(in);
   EXPECT_DOUBLE_EQ(trace.power_at(1), 0.002);
@@ -35,15 +35,15 @@ TEST(TraceIo, ToleratesHeaderAndComments) {
 }
 
 TEST(TraceIo, RejectsBadInput) {
-  std::istringstream empty("");
+  const std::string empty("");
   EXPECT_THROW(parse_trace_csv(empty), std::runtime_error);
-  std::istringstream one_col("0\n");
+  const std::string one_col("0\n");
   EXPECT_THROW(parse_trace_csv(one_col), std::runtime_error);
-  std::istringstream descending("10,0.001\n5,0.002\n");
+  const std::string descending("10,0.001\n5,0.002\n");
   EXPECT_THROW(parse_trace_csv(descending), std::runtime_error);
-  std::istringstream negative("0,-0.5\n");
+  const std::string negative("0,-0.5\n");
   EXPECT_THROW(parse_trace_csv(negative), std::runtime_error);
-  std::istringstream mid_garbage("0,0.001\nxx,yy\n");
+  const std::string mid_garbage("0,0.001\nxx,yy\n");
   EXPECT_THROW(parse_trace_csv(mid_garbage), std::runtime_error);
 }
 
@@ -51,7 +51,7 @@ TEST(TraceIo, DuplicateTimestampLastSampleWins) {
   // A logger emitting the same timestamp twice used to create a
   // zero-width segment whose earlier sample was unreachable; the later
   // sample now replaces it outright.
-  std::istringstream in("0,0.001\n5,0.002\n5,0.003\n10,0\n");
+  const std::string in("0,0.001\n5,0.002\n5,0.003\n10,0\n");
   const PiecewiseTrace trace = parse_trace_csv(in);
   ASSERT_EQ(trace.segments().size(), 3u);
   EXPECT_DOUBLE_EQ(trace.power_at(2), 0.001);
@@ -60,7 +60,7 @@ TEST(TraceIo, DuplicateTimestampLastSampleWins) {
   EXPECT_DOUBLE_EQ(trace.next_change(5), 10.0);
 
   // Also collapses a duplicate of the very first sample.
-  std::istringstream first("0,0.001\n0,0.004\n8,0\n");
+  const std::string first("0,0.001\n0,0.004\n8,0\n");
   const PiecewiseTrace t2 = parse_trace_csv(first);
   ASSERT_EQ(t2.segments().size(), 2u);
   EXPECT_DOUBLE_EQ(t2.power_at(1), 0.004);
@@ -68,11 +68,11 @@ TEST(TraceIo, DuplicateTimestampLastSampleWins) {
 
 TEST(TraceIo, ToleratesExactlyOneHeaderRow) {
   // One header row is fine (with or without leading comments/blanks)...
-  std::istringstream one("# log\n\ntime_s,power_W\n0,0.001\n");
+  const std::string one("# log\n\ntime_s,power_W\n0,0.001\n");
   EXPECT_DOUBLE_EQ(parse_trace_csv(one).power_at(0.5), 0.001);
   // ...but a second non-numeric row before the first sample is a
   // malformed file, not a header, and is reported with its line number.
-  std::istringstream two("time_s,power_W\ngarbage,row\n0,0.001\n");
+  const std::string two("time_s,power_W\ngarbage,row\n0,0.001\n");
   try {
     parse_trace_csv(two);
     FAIL() << "expected parse failure";
@@ -82,15 +82,10 @@ TEST(TraceIo, ToleratesExactlyOneHeaderRow) {
   }
 }
 
-PiecewiseTrace parse(const std::string& text) {
-  std::istringstream in(text);
-  return parse_trace_csv(in);
-}
-
 // The message parse_trace_csv throws for `text`, or "" when it parses.
 std::string parse_error(const std::string& text) {
   try {
-    parse(text);
+    parse_trace_csv(text);
   } catch (const std::runtime_error& e) {
     return e.what();
   }
@@ -101,7 +96,7 @@ TEST(TraceIo, AcceptsEveryDocumentedForm) {
   // One leading header row, '#' comments (whole-line and trailing),
   // blank and blank-only lines, CRLF endings, blanks around fields, a
   // leading '+', scientific notation, and last-wins duplicate timestamps.
-  const PiecewiseTrace trace = parse(
+  const PiecewiseTrace trace = parse_trace_csv(
       "# logged by node 7\r\n"
       "\r\n"
       "time_s,power_W\r\n"
@@ -235,7 +230,8 @@ TEST(TraceIo, ParserMatchesStodReferenceBitForBit) {
     for (const auto& [variant, text] : variants) {
       const std::string tag = std::string(name) + "/" + variant;
       std::istringstream in(text);
-      expect_same_segments(parse(text), reference_parse_trace_csv(in), tag);
+      expect_same_segments(parse_trace_csv(text),
+                           reference_parse_trace_csv(in), tag);
     }
     std::ifstream file(path);
     expect_same_segments(load_trace_csv(path),

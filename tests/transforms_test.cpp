@@ -2,7 +2,7 @@
 
 #include "netlist/bench_format.hpp"
 #include "netlist/generators.hpp"
-#include "netlist/logic_sim.hpp"
+#include "netlist/compiled_sim.hpp"
 #include "netlist/transforms.hpp"
 #include "util/rng.hpp"
 
@@ -15,13 +15,13 @@ void expect_equivalent(const Netlist& a, const Netlist& b,
                        std::uint64_t seed = 0xE0) {
   ASSERT_EQ(a.inputs().size(), b.inputs().size());
   ASSERT_EQ(a.outputs().size(), b.outputs().size());
-  LogicSimulator sa(a), sb(b);
+  CompiledSimulator sa(a), sb(b);
   SplitMix64 rng(seed);
   for (int cycle = 0; cycle < 8; ++cycle) {
     for (std::size_t i = 0; i < a.inputs().size(); ++i) {
       const Word w = rng.next();
       sa.set_input(a.inputs()[i], w);
-      sb.set_input(b.gate(b.inputs()[i]).name, w);
+      sb.set_input(b.find(b.gate(b.inputs()[i]).name), w);
     }
     sa.step();
     sb.step();
@@ -51,7 +51,7 @@ TEST(Transforms, SweepRemovesDeadLogic) {
 }
 
 TEST(Transforms, SweepKeepsDffCones) {
-  const Netlist nl = parse_bench_string(
+  const Netlist nl = parse_bench(
       "INPUT(a)\nOUTPUT(y)\nw = NOT(a)\nq = DFF(w)\ny = NOT(q)\n");
   TransformStats stats;
   const Netlist swept = sweep_dead_gates(nl, &stats);
@@ -60,31 +60,31 @@ TEST(Transforms, SweepKeepsDffCones) {
 }
 
 TEST(Transforms, ConstantFoldingAnd) {
-  const Netlist nl = parse_bench_string(
+  const Netlist nl = parse_bench(
       "INPUT(a)\nOUTPUT(y)\nzero = CONST0()\ny = AND(a, zero)\n");
   TransformStats stats;
   const Netlist folded = propagate_constants(nl, &stats);
   EXPECT_EQ(stats.folded_constants, 1u);
   // y is now constant 0.
-  LogicSimulator sim(folded);
-  sim.set_input("a", ~Word{0});
+  CompiledSimulator sim(folded);
+  sim.set_input(folded.find("a"), ~Word{0});
   sim.settle();
   EXPECT_EQ(sim.value(folded.outputs()[0]), Word{0});
 }
 
 TEST(Transforms, ConstantFoldingDominatedOr) {
-  const Netlist nl = parse_bench_string(
+  const Netlist nl = parse_bench(
       "INPUT(a)\nOUTPUT(y)\none = VDD()\ny = OR(a, one)\n");
   const Netlist folded = propagate_constants(nl);
-  LogicSimulator sim(folded);
-  sim.set_input("a", 0);
+  CompiledSimulator sim(folded);
+  sim.set_input(folded.find("a"), 0);
   sim.settle();
   EXPECT_EQ(sim.value(folded.outputs()[0]), ~Word{0});
 }
 
 TEST(Transforms, ConstantFoldingXorChain) {
   // XOR(1, 1) = 0; NOT(0) = 1 -> whole cone folds through two levels.
-  const Netlist nl = parse_bench_string(
+  const Netlist nl = parse_bench(
       "INPUT(a)\nOUTPUT(y)\none = VDD()\nw = XOR(one, one)\nx = NOT(w)\n"
       "y = AND(x, a)\n");
   TransformStats stats;
@@ -94,14 +94,14 @@ TEST(Transforms, ConstantFoldingXorChain) {
 }
 
 TEST(Transforms, ConstantsNeverFoldDffs) {
-  const Netlist nl = parse_bench_string(
+  const Netlist nl = parse_bench(
       "OUTPUT(q)\none = VDD()\nq = DFF(one)\n");
   const Netlist folded = propagate_constants(nl);
   EXPECT_EQ(folded.dffs().size(), 1u);
 }
 
 TEST(Transforms, MuxWithConstantSelect) {
-  const Netlist nl = parse_bench_string(
+  const Netlist nl = parse_bench(
       "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nzero = GND()\ny = MUX(zero, a, b)\n");
   const Netlist folded = propagate_constants(nl);
   // sel = 0 selects operand a; the mux is not fully constant, so the
@@ -110,7 +110,7 @@ TEST(Transforms, MuxWithConstantSelect) {
 }
 
 TEST(Transforms, ElideBuffersRewires) {
-  const Netlist nl = parse_bench_string(
+  const Netlist nl = parse_bench(
       "INPUT(a)\nOUTPUT(y)\nb1 = BUF(a)\nb2 = BUF(b1)\nw = NOT(b2)\n"
       "y = BUF(w)\n");
   TransformStats stats;
@@ -122,7 +122,7 @@ TEST(Transforms, ElideBuffersRewires) {
 
 TEST(Transforms, BufferToOutputPortIsLegal) {
   // OUTPUT port ends up reading the input directly.
-  const Netlist nl = parse_bench_string(
+  const Netlist nl = parse_bench(
       "INPUT(a)\nOUTPUT(y)\ny = BUF(a)\n");
   const Netlist out = elide_buffers(nl);
   EXPECT_NO_THROW(out.validate());
@@ -130,7 +130,7 @@ TEST(Transforms, BufferToOutputPortIsLegal) {
 }
 
 TEST(Transforms, CleanupComposesAll) {
-  const Netlist nl = parse_bench_string(R"(
+  const Netlist nl = parse_bench(R"(
 INPUT(a)
 INPUT(b)
 OUTPUT(y)

@@ -4,7 +4,7 @@
 
 #include "diac/codegen.hpp"
 #include "diac/synthesizer.hpp"
-#include "netlist/logic_sim.hpp"
+#include "netlist/compiled_sim.hpp"
 #include "netlist/suite.hpp"
 #include "netlist/verilog_format.hpp"
 #include "util/rng.hpp"
@@ -18,7 +18,7 @@ const CellLibrary& lib() {
 }
 
 TEST(VerilogParse, MinimalModule) {
-  const auto m = parse_structural_verilog_string(R"(
+  const auto m = parse_structural_verilog(R"(
 module tiny (
   input wire clk,
   input wire backup_en,
@@ -34,15 +34,15 @@ endmodule
   EXPECT_EQ(m.netlist.name(), "tiny");
   EXPECT_EQ(m.netlist.inputs().size(), 2u);  // clk/backup_en dropped
   EXPECT_EQ(m.netlist.outputs().size(), 1u);
-  LogicSimulator sim(m.netlist);
-  sim.set_input("a", 0b11);
-  sim.set_input("b", 0b01);
+  CompiledSimulator sim(m.netlist);
+  sim.set_input(m.netlist.find("a"), 0b11);
+  sim.set_input(m.netlist.find("b"), 0b01);
   sim.settle();
   EXPECT_EQ(sim.value(m.netlist.outputs()[0]) & 0x3, Word{0b10});
 }
 
 TEST(VerilogParse, AllExpressionForms) {
-  const auto m = parse_structural_verilog_string(R"(
+  const auto m = parse_structural_verilog(R"(
 module forms (
   input wire clk,
   input wire s,
@@ -66,21 +66,21 @@ module forms (
   assign y = muxw ^ q;
 endmodule
 )");
-  LogicSimulator sim(m.netlist);
+  CompiledSimulator sim(m.netlist);
   // Truth spot-checks, lane-wise: s=0 selects b; s=1 selects a.
-  sim.set_input("s", 0b10);
-  sim.set_input("a", 0b11);
-  sim.set_input("b", 0b00);
+  sim.set_input(m.netlist.find("s"), 0b10);
+  sim.set_input(m.netlist.find("a"), 0b11);
+  sim.set_input(m.netlist.find("b"), 0b00);
   sim.settle();
-  EXPECT_EQ(sim.value("muxw") & 0x3, Word{0b10});
-  EXPECT_EQ(sim.value("andw") & 0x3, Word{0b00});   // a & b & 1
-  EXPECT_EQ(sim.value("nandw") & 0x3, Word{0b11});  // ~(a & b)
-  EXPECT_EQ(sim.value("orw") & 0x3, Word{0b11});    // a | b | 0
-  EXPECT_EQ(sim.value("xnorw") & 0x3, Word{0b00});  // ~(a ^ b), a=11 b=00
+  EXPECT_EQ(sim.value(m.netlist.find("muxw")) & 0x3, Word{0b10});
+  EXPECT_EQ(sim.value(m.netlist.find("andw")) & 0x3, Word{0b00});   // a & b & 1
+  EXPECT_EQ(sim.value(m.netlist.find("nandw")) & 0x3, Word{0b11});  // ~(a & b)
+  EXPECT_EQ(sim.value(m.netlist.find("orw")) & 0x3, Word{0b11});    // a | b | 0
+  EXPECT_EQ(sim.value(m.netlist.find("xnorw")) & 0x3, Word{0b00});  // ~(a ^ b), a=11 b=00
 }
 
 TEST(VerilogParse, RecordsInstances) {
-  const auto m = parse_structural_verilog_string(R"(
+  const auto m = parse_structural_verilog(R"(
 module withnv (
   input wire clk,
   input wire backup_en,
@@ -101,12 +101,50 @@ endmodule
 }
 
 TEST(VerilogParse, RejectsGarbage) {
-  EXPECT_THROW(parse_structural_verilog_string("not verilog at all"),
+  EXPECT_THROW(parse_structural_verilog("not verilog at all"),
                std::runtime_error);
-  EXPECT_THROW(parse_structural_verilog_string(
+  EXPECT_THROW(parse_structural_verilog(
                    "module m (input wire a, output wire y);\n"
                    "initial begin y = a; end\nendmodule\n"),
                std::runtime_error);
+}
+
+// The message a parse of `text` throws ("" when it parses).
+std::string parse_error(const std::string& text) {
+  try {
+    parse_structural_verilog(text);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(VerilogParse, RejectsUnbalancedParentheses) {
+  // `~(a & a` was once read as NAND(a, a).
+  EXPECT_EQ(parse_error("module m (input wire a, output wire y);\n"
+                        "  assign y = ~(a & a;\nendmodule\n"),
+            "verilog parse error at line 2: expected ')', found ';'");
+}
+
+TEST(VerilogParse, ErrorsNameTheirExactLine) {
+  EXPECT_EQ(parse_error("module m (\n  input wire a,\n  output wire y\n);\n"
+                        "  // y is never assigned\nendmodule\n"),
+            "verilog parse error at line 3: output 'y' has no driver");
+  EXPECT_EQ(parse_error("module m (input wire a, output wire y);\n"
+                        "  wire w;\n\n  assign w = a;\n"
+                        "  assign y = w &\n    ghost;\nendmodule\n"),
+            "verilog parse error at line 5: undefined signal 'ghost'");
+  EXPECT_EQ(parse_error("module m (input wire a,\n  output wire y,\n"
+                        "  output wire y);\n  assign y = a;\nendmodule\n"),
+            "verilog parse error at line 3: output 'y' repeated");
+  EXPECT_EQ(parse_error("module m (input wire a, output wire y);\n"
+                        "  assign y = a & a | a;\nendmodule\n"),
+            "verilog parse error at line 2: mixed operators in one "
+            "expression");
+  EXPECT_EQ(parse_error("module m (input wire a, output wire y);\n"
+                        "  assign y = a;"),
+            "verilog parse error at line 2: expected a statement or "
+            "'endmodule', found end of file");
 }
 
 // The integration property: generated Verilog is functionally identical
@@ -119,7 +157,7 @@ TEST_P(CodegenRoundTrip, EmittedVerilogMatchesNetlist) {
   const Netlist& original = cache.back();
   DiacSynthesizer synth(original, lib());
   const auto r = synth.synthesize();
-  const auto m = parse_structural_verilog_string(generate_verilog(r.design));
+  const auto m = parse_structural_verilog(generate_verilog(r.design));
   const Netlist& reparsed = m.netlist;
 
   ASSERT_EQ(reparsed.inputs().size(), original.inputs().size());
@@ -128,7 +166,7 @@ TEST_P(CodegenRoundTrip, EmittedVerilogMatchesNetlist) {
   // Commit points materialize as diac_nvreg shadow instances.
   EXPECT_FALSE(m.instances.empty());
 
-  LogicSimulator sa(original), sb(reparsed);
+  CompiledSimulator sa(original), sb(reparsed);
   SplitMix64 rng(0xC0DE);
   for (int cycle = 0; cycle < 6; ++cycle) {
     for (std::size_t i = 0; i < original.inputs().size(); ++i) {

@@ -318,7 +318,10 @@ int cmd_check(const Args& a) {
       serve::choice_option(a.options, "match", "name", {"name", "order"}) == 1;
 
   const Netlist nl = serve::load_target(a.target);
-  const verify::DrcReport drc = verify::run_drc(nl);
+  const verify::DrcReport drc = [&] {
+    DIAC_TRACE_SPAN("verify.drc", "verify");
+    return verify::run_drc(nl);
+  }();
   verify::write_drc_report(std::cout, drc, nl.name());
   bool drc_ok = drc.clean();
   bool equivalent = true;
@@ -338,7 +341,10 @@ int cmd_check(const Args& a) {
       // of the post-synthesis DRC is the report above; only the
       // design-level findings are new.
       verify::DrcReport post = drc;
-      verify::append_design_findings(r.design, post);
+      {
+        DIAC_TRACE_SPAN("verify.drc", "verify");
+        verify::append_design_findings(r.design, post);
+      }
       std::cout << "post-synthesis drc: " << post.errors << " error(s), "
                 << post.warnings << " warning(s)\n";
       const verify::RoundTripResult rt =

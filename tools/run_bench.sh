@@ -141,6 +141,13 @@ write_mb_per_s = write[0]["MB_per_s"]
 assert write_mb_per_s >= 25.0, \
     f"trace writing too slow: {write_mb_per_s:.1f} MB/s (< 25 MB/s)"
 print(f"BM_TraceWrite: {write_mb_per_s:.1f} MB/s")
+# The netlist readers (src/netlist, util/lexer.hpp) over s38417 text:
+# reported, not gated.
+for fmt in ("bench", "blif", "verilog"):
+    entry = [b for b in doc["benchmarks"]
+             if b["name"] == f"BM_NetlistParse/{fmt}"]
+    assert entry, f"missing BM_NetlistParse/{fmt} entry: {kernels}"
+    print(f"BM_NetlistParse/{fmt}: {entry[0]['MB_per_s']:.1f} MB/s")
 print(f"BENCH_micro.json OK: {len(kernels)} kernels timed")
 EOF
 fi
