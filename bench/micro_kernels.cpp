@@ -30,6 +30,7 @@
 #include "shard/merge.hpp"
 #include "shard/row_cache.hpp"
 #include "shard/worker.hpp"
+#include "verify/drc.hpp"
 #include "verify/equivalence.hpp"
 
 namespace {
@@ -153,6 +154,30 @@ BENCHMARK_CAPTURE(BM_NetlistParse, bench, std::string("bench"))
 BENCHMARK_CAPTURE(BM_NetlistParse, blif, std::string("blif"))
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_NetlistParse, verilog, std::string("verilog"))
+    ->Unit(benchmark::kMillisecond);
+
+// The two phases of `diac check` that apply the Verilog identifier rule
+// to every gate: emitting the DIAC design's Verilog (one reserved
+// string), and the full netlist DRC, N1-N6, whose N5 scans each name in
+// place.
+void BM_CodegenEmit(benchmark::State& state) {
+  static const SynthesisResult r =
+      DiacSynthesizer(circuit("s38417"), lib()).synthesize();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(generate_verilog(r.design).size());
+  }
+}
+BENCHMARK(BM_CodegenEmit)
+    ->Name("BM_CodegenEmit/s38417")
+    ->Unit(benchmark::kMillisecond);
+
+void BM_Drc(benchmark::State& state, const std::string& name) {
+  const Netlist& nl = circuit(name);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(verify::run_drc(nl).findings.size());
+  }
+}
+BENCHMARK_CAPTURE(BM_Drc, s38417, std::string("s38417"))
     ->Unit(benchmark::kMillisecond);
 
 // Full equivalence check (circuit vs its cleanup()) on the largest suite

@@ -1,153 +1,119 @@
 #include "diac/codegen.hpp"
 
-#include <sstream>
+#include <algorithm>
+#include <type_traits>
 
+#include "netlist/verilog_format.hpp"
 #include "util/units.hpp"
 
 namespace diac {
 
-namespace {
-
-// Verilog-safe identifier: replace characters outside [A-Za-z0-9_].
-std::string vname(std::string_view raw) {
-  std::string out = "w_";
-  for (char c : raw) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_';
-    out += ok ? c : '_';
-  }
-  return out;
-}
-
-std::string operand_list(const Netlist& nl, const Gate& g, const char* sep) {
-  std::string out;
-  for (std::size_t i = 0; i < g.fanin.size(); ++i) {
-    if (i) out += sep;
-    out += vname(nl.gate(g.fanin[i]).name);
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string generate_verilog(const IntermittentDesign& design,
-                             const CodegenOptions& options) {
+std::string generate_verilog(const IntermittentDesign& design) {
   const Netlist& nl = design.tree.netlist();
-  const std::string mod =
-      options.module_name.empty() ? nl.name() : options.module_name;
+  std::string v;
+  v.reserve(96 * nl.size());  // ~75 bytes per gate on s38417
+  // Appends each part: text as it is, a GateId as its wire "w_<name>".
+  const auto put = [&](const auto&... parts) {
+    const auto one = [&](const auto& part) {
+      if constexpr (std::is_same_v<std::decay_t<decltype(part)>, GateId>) {
+        append_verilog_identifier(v, nl.gate_name(part), "w_");
+      } else {
+        v += part;
+      }
+    };
+    (one(parts), ...);
+  };
+  // `a OP b OP ...` over the gate's fanins, as `~(...)` when `negate`.
+  const auto chain = [&](const Gate& g, std::string_view op, bool negate) {
+    if (negate) v += "~(";
+    for (std::size_t i = 0; i < g.fanin.size(); ++i) {
+      put(i ? op : "", g.fanin[i]);
+    }
+    if (negate) v += ')';
+  };
 
-  std::ostringstream os;
-  os << "// Generated by DIAC — scheme " << to_string(design.scheme) << ", NVM "
-     << to_string(design.technology) << "\n";
-  os << "// Tasks: " << design.tree.size() << ", NVM commit points: "
-     << design.tree.nvm_points().size() << "\n";
-  os << "module " << mod << " (\n  input wire clk,\n  input wire backup_en,\n";
-  for (GateId id : nl.inputs()) {
-    os << "  input wire " << vname(nl.gate(id).name) << ",\n";
-  }
-  const auto outs = nl.outputs();
-  for (std::size_t i = 0; i < outs.size(); ++i) {
-    os << "  output wire " << vname(nl.gate(outs[i]).name)
-       << (i + 1 < outs.size() ? ",\n" : "\n");
-  }
-  os << ");\n\n";
+  put("// Generated by DIAC — scheme ", to_string(design.scheme), ", NVM ",
+      to_string(design.technology), "\n// Tasks: ",
+      std::to_string(design.tree.size()), ", NVM commit points: ",
+      std::to_string(design.tree.nvm_points().size()), "\nmodule ");
+  append_verilog_identifier(v, nl.name());
+  v += " (\n  input wire clk,\n  input wire backup_en,\n";
+  for (GateId id : nl.inputs()) put("  input wire ", id, ",\n");
+  for (GateId id : nl.outputs()) put("  output wire ", id, ",\n");
+  v.erase(v.size() - 2, 1);  // the last port's ','
+  v += ");\n\n";
 
   // Wires.
   for (GateId id : nl.all_ids()) {
-    const Gate g = nl.gate(id);
-    if (g.kind == GateKind::kInput || g.kind == GateKind::kOutput) continue;
-    os << (g.kind == GateKind::kDff ? "  reg " : "  wire ") << vname(g.name)
-       << ";\n";
+    const GateKind k = nl.kind(id);
+    if (k == GateKind::kInput || k == GateKind::kOutput) continue;
+    put(k == GateKind::kDff ? "  reg " : "  wire ", id, ";\n");
   }
-  os << '\n';
+  v += '\n';
 
-  // Gates, grouped by task for annotation.
-  const auto& part = design.tree.partition();
-  auto emit_gate = [&](GateId id) {
+  const auto emit_gate = [&](GateId id) {
     const Gate g = nl.gate(id);
-    const std::string lhs = vname(g.name);
+    const bool dff = g.kind == GateKind::kDff;
+    put(dff ? "  always @(posedge clk) " : "  assign ", id,
+        dff ? " <= " : " = ");
     switch (g.kind) {
-      case GateKind::kInput:
-        break;
+      case GateKind::kConst0: v += "1'b0"; break;
+      case GateKind::kConst1: v += "1'b1"; break;
+      case GateKind::kInput: break;  // neither a task member nor last
+      case GateKind::kNot: v += '~'; [[fallthrough]];
       case GateKind::kOutput:
-        os << "  assign " << lhs << " = " << vname(nl.gate(g.fanin[0]).name)
-           << ";\n";
-        break;
-      case GateKind::kConst0: os << "  assign " << lhs << " = 1'b0;\n"; break;
-      case GateKind::kConst1: os << "  assign " << lhs << " = 1'b1;\n"; break;
       case GateKind::kBuf:
-        os << "  assign " << lhs << " = " << operand_list(nl, g, "") << ";\n";
-        break;
-      case GateKind::kNot:
-        os << "  assign " << lhs << " = ~" << operand_list(nl, g, "") << ";\n";
-        break;
-      case GateKind::kAnd:
-        os << "  assign " << lhs << " = " << operand_list(nl, g, " & ") << ";\n";
-        break;
-      case GateKind::kNand:
-        os << "  assign " << lhs << " = ~(" << operand_list(nl, g, " & ") << ");\n";
-        break;
-      case GateKind::kOr:
-        os << "  assign " << lhs << " = " << operand_list(nl, g, " | ") << ";\n";
-        break;
-      case GateKind::kNor:
-        os << "  assign " << lhs << " = ~(" << operand_list(nl, g, " | ") << ");\n";
-        break;
-      case GateKind::kXor:
-        os << "  assign " << lhs << " = " << operand_list(nl, g, " ^ ") << ";\n";
-        break;
-      case GateKind::kXnor:
-        os << "  assign " << lhs << " = ~(" << operand_list(nl, g, " ^ ") << ");\n";
-        break;
-      case GateKind::kMux:
-        os << "  assign " << lhs << " = " << vname(nl.gate(g.fanin[0]).name)
-           << " ? " << vname(nl.gate(g.fanin[2]).name) << " : "
-           << vname(nl.gate(g.fanin[1]).name) << ";\n";
-        break;
-      case GateKind::kDff:
-        os << "  always @(posedge clk) " << lhs << " <= "
-           << vname(nl.gate(g.fanin[0]).name) << ";\n";
+      case GateKind::kDff: put(g.fanin[0]); break;
+      case GateKind::kAnd: chain(g, " & ", false); break;
+      case GateKind::kNand: chain(g, " & ", true); break;
+      case GateKind::kOr: chain(g, " | ", false); break;
+      case GateKind::kNor: chain(g, " | ", true); break;
+      case GateKind::kXor: chain(g, " ^ ", false); break;
+      case GateKind::kXnor: chain(g, " ^ ", true); break;
+      case GateKind::kMux:  // sel ? b : a
+        put(g.fanin[0], " ? ", g.fanin[2], " : ", g.fanin[1]);
         break;
     }
+    v += ";\n";
   };
 
-  if (options.annotate_tasks) {
-    for (TaskId t : design.tree.schedule()) {
-      const TaskNode& node = design.tree.node(t);
-      const bool commit = design.tree.annotation(t).has_nvm;
-      os << "  // --- task " << node.label << " (level " << node.dict.level
-         << ", " << node.gates.size() << " gates"
-         << (commit ? ", NVM commit point" : "") << ") ---\n";
-      for (GateId g : node.gates) emit_gate(g);
-      if (commit) {
-        // Shadow NVM registers for every boundary signal of the commit.
-        int bit = 0;
-        for (GateId g : node.gates) {
-          bool external = false;
-          for (GateId c : nl.gate(g).fanout) {
-            if (part[c] != part[g]) { external = true; break; }
-          }
-          if (!external) continue;
-          os << "  diac_nvreg nv_" << node.label << "_" << bit++ << " (.clk(clk), "
-             << ".en(backup_en), .d(" << vname(nl.gate(g).name) << "));\n";
-        }
+  // Gates, grouped by task with a boundary comment each.
+  const auto& part = design.tree.partition();
+  for (TaskId t : design.tree.schedule()) {
+    const TaskNode& node = design.tree.node(t);
+    const bool commit = design.tree.annotation(t).has_nvm;
+    put("  // --- task ", node.label, " (level ",
+        std::to_string(node.dict.level), ", ",
+        std::to_string(node.gates.size()),
+        commit ? " gates, NVM commit point) ---\n" : " gates) ---\n");
+    for (GateId g : node.gates) emit_gate(g);
+    if (!commit) continue;
+    // Shadow NVM registers for every boundary signal of the commit.
+    int bit = 0;
+    for (GateId g : node.gates) {
+      const auto fanout = nl.fanout(g);
+      if (std::none_of(fanout.begin(), fanout.end(),
+                       [&](GateId c) { return part[c] != part[g]; })) {
+        continue;
       }
+      v += "  diac_nvreg ";
+      append_verilog_identifier(v, node.label, "nv_");
+      put('_', std::to_string(bit++), " (.clk(clk), .en(backup_en), .d(", g,
+          "));\n");
     }
-    // Port and constant gates are never task members (TaskTree rejects
-    // them); emit their drivers last so every referenced wire is assigned.
-    for (GateId id : nl.all_ids()) {
-      const GateKind k = nl.gate(id).kind;
-      if (k == GateKind::kOutput || k == GateKind::kConst0 ||
-          k == GateKind::kConst1) {
-        emit_gate(id);
-      }
+  }
+  // Port and constant gates are never task members (TaskTree rejects
+  // them); emit their drivers last so every referenced wire is assigned.
+  for (GateId id : nl.all_ids()) {
+    const GateKind k = nl.kind(id);
+    if (k == GateKind::kOutput || k == GateKind::kConst0 ||
+        k == GateKind::kConst1) {
+      emit_gate(id);
     }
-  } else {
-    for (GateId id : nl.all_ids()) emit_gate(id);
   }
 
-  os << "endmodule\n";
-  return os.str();
+  v += "endmodule\n";
+  return v;
 }
 
 ValidationReport validate_design(const IntermittentDesign& design,

@@ -15,14 +15,11 @@
 
 namespace diac {
 
-struct CodegenOptions {
-  std::string module_name;     // defaults to the netlist name
-  bool annotate_tasks = true;  // emit task-boundary comments
-};
-
-// Emits Verilog for the design's netlist + NVM commit points.
-std::string generate_verilog(const IntermittentDesign& design,
-                             const CodegenOptions& options = {});
+// Emits Verilog for the design's netlist + NVM commit points: module
+// <netlist name>, wire or reg "w_<gate>" and shadow register instances
+// "nv_<task label>_<k>", each made an identifier by
+// `append_verilog_identifier` (netlist/verilog_format.hpp).
+std::string generate_verilog(const IntermittentDesign& design);
 
 // --- validation ---------------------------------------------------------
 

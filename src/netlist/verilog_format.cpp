@@ -1,5 +1,6 @@
 #include "netlist/verilog_format.hpp"
 
+#include <stdexcept>
 #include <tuple>
 
 #include "util/lexer.hpp"
@@ -22,15 +23,14 @@ struct PendingAssign {
   int line;
 };
 
-// A name with '.' in it, as the emitter writes module names taken from
-// file names ("s27.opt") and instance names taken from task labels
-// ("nv_F6.1_0"): word { '.' word }.
-std::string_view dotted_name(Lexer& lex, std::string_view what) {
-  const std::string_view first = lex.word(what);
-  std::string_view last = first;
-  while (lex.accept(".")) last = lex.word(what);
-  return {first.data(),
-          static_cast<std::size_t>(last.data() + last.size() - first.data())};
+// A name position: the next word, which must be an identifier.
+std::string_view identifier(Lexer& lex, std::string_view what) {
+  const int line = lex.line();
+  const std::string_view name = lex.word(what);
+  if (!is_verilog_identifier(name)) {
+    lex.fail(line, "'" + std::string(name) + "' is not a Verilog identifier");
+  }
+  return name;
 }
 
 // `a OP b OP ...` after its first operand: appends the operands and
@@ -44,7 +44,7 @@ GateKind parse_chain(Lexer& lex, std::vector<std::string_view>& operands,
       {"^", GateKind::kXor, GateKind::kXnor}};
   for (const auto& [op, kind, inverse] : kOps) {
     if (!lex.at(op)) continue;
-    while (lex.accept(op)) operands.push_back(lex.word("an operand"));
+    while (lex.accept(op)) operands.push_back(identifier(lex, "an operand"));
     if (lex.at("&") || lex.at("|") || lex.at("^")) {
       lex.fail("mixed operators in one expression");
     }
@@ -59,18 +59,18 @@ GateKind parse_expression(Lexer& lex,
   GateKind kind;
   if (lex.accept("~")) {  // ~x or ~(chain)
     const bool group = lex.accept("(");
-    operands.push_back(lex.word("an operand"));
+    operands.push_back(identifier(lex, "an operand"));
     kind = group ? parse_chain(lex, operands, true) : GateKind::kNot;
     if (group) lex.expect(")");
+  } else if (lex.at("1'b0") || lex.at("1'b1")) {
+    kind = lex.next().text == "1'b1" ? GateKind::kConst1 : GateKind::kConst0;
   } else {
-    const std::string_view first = lex.word("an expression");
-    if (first == "1'b0" || first == "1'b1") {
-      kind = first == "1'b1" ? GateKind::kConst1 : GateKind::kConst0;
-    } else if (lex.accept("?")) {
+    const std::string_view first = identifier(lex, "an expression");
+    if (lex.accept("?")) {
       // sel ? x : y  ->  MUX(sel, y, x).
-      const std::string_view when1 = lex.word("an operand");
+      const std::string_view when1 = identifier(lex, "an operand");
       lex.expect(":");
-      const std::string_view when0 = lex.word("an operand");
+      const std::string_view when0 = identifier(lex, "an operand");
       operands.insert(operands.end(), {first, when0, when1});
       kind = GateKind::kMux;
     } else {
@@ -91,7 +91,7 @@ VerilogModule parse_structural_verilog(std::string_view text) {
 
   // Header: module <name> ( <direction> ... <name>, ... );
   lex.expect("module");
-  nl.set_name(std::string(dotted_name(lex, "a module name")));
+  nl.set_name(std::string(identifier(lex, "a module name")));
   lex.expect("(");
   std::vector<Token> outputs;
   if (!lex.at(")")) do {
@@ -100,8 +100,8 @@ VerilogModule parse_structural_verilog(std::string_view text) {
     if (dir != "input" && dir != "output") {
       lex.fail(line, "bad port direction '" + std::string(dir) + "'");
     }
-    std::string_view name = lex.word("a port name");
-    while (lex.at_word()) name = lex.next().text;
+    std::string_view name = identifier(lex, "a port name");
+    while (lex.at_word()) name = identifier(lex, "a port name");
     if (dir == "output") {
       outputs.push_back({name, line});
     } else if (name != "clk" && name != "backup_en") {  // control pins
@@ -116,26 +116,28 @@ VerilogModule parse_structural_verilog(std::string_view text) {
 
   std::vector<PendingAssign> assigns;
   std::vector<std::string_view> operands;
+  int end_line = lex.line();  // where the module as a whole fails
   while (!lex.accept("endmodule")) {
     const int line = lex.line();
-    const std::string_view head = lex.word("a statement or 'endmodule'");
+    const std::string_view head =
+        identifier(lex, "a statement or 'endmodule'");
     if (head == "wire" || head == "reg") {
-      do lex.word("a signal name"); while (lex.accept(","));
+      do identifier(lex, "a signal name"); while (lex.accept(","));
       lex.expect(";");
     } else if (head == "assign") {
-      const std::string_view lhs = lex.word("a signal name");
+      const std::string_view lhs = identifier(lex, "a signal name");
       lex.expect("=");
       const std::size_t first = operands.size();
       const GateKind kind = parse_expression(lex, operands);
       assigns.push_back({lhs, kind, first, operands.size(), line});
     } else if (head == "always") {  // always @(posedge clk) q <= d;
       for (const char* t : {"@", "(", "posedge"}) lex.expect(t);
-      lex.word("a clock");
+      identifier(lex, "a clock");
       lex.expect(")");
-      const std::string_view lhs = lex.word("a register name");
+      const std::string_view lhs = identifier(lex, "a register name");
       lex.expect("<");
       lex.expect("=");
-      operands.push_back(lex.word("an operand"));
+      operands.push_back(identifier(lex, "an operand"));
       lex.expect(";");
       assigns.push_back(
           {lhs, GateKind::kDff, operands.size() - 1, operands.size(), line});
@@ -143,19 +145,20 @@ VerilogModule parse_structural_verilog(std::string_view text) {
       // Cell instance: <cell> <inst> (.pin(sig), ...);
       VerilogModule::Instance inst;
       inst.cell = head;
-      inst.name = dotted_name(lex, "an instance name");
+      inst.name = identifier(lex, "an instance name");
       lex.expect("(");
       if (!lex.at(")")) do {
         lex.expect(".");
-        const std::string_view pin = lex.word("a pin name");
+        const std::string_view pin = identifier(lex, "a pin name");
         lex.expect("(");
-        inst.pins.emplace_back(pin, lex.word("a signal name"));
+        inst.pins.emplace_back(pin, identifier(lex, "a signal name"));
         lex.expect(")");
       } while (lex.accept(","));
       lex.expect(")");
       lex.expect(";");
       result.instances.push_back(std::move(inst));
     }
+    end_line = lex.line();  // `endmodule`'s, once the loop ends
   }
 
   // Declare all assigned signals as gates (kind fixed up when wiring).
@@ -197,7 +200,11 @@ VerilogModule parse_structural_verilog(std::string_view text) {
     }
     nl.add(GateKind::kOutput, name + "$port", {src});
   }
-  nl.seal();
+  try {
+    nl.seal();  // the one check left: no combinational cycle
+  } catch (const std::runtime_error& e) {
+    lex.fail(end_line, e.what());
+  }
   return result;
 }
 

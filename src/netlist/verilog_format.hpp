@@ -30,6 +30,34 @@
 
 namespace diac {
 
+// The Verilog-2001 simple identifier [A-Za-z_][A-Za-z0-9_$]*: every name
+// this reader accepts, the code generator (diac/codegen) writes and DRC
+// rule N5 checks.  A name behind a `prefix` (codegen's "w_") may start
+// with a digit or '$'.
+constexpr bool is_identifier_char(char c, bool first) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' ||
+         (!first && ((c >= '0' && c <= '9') || c == '$'));
+}
+
+constexpr bool is_verilog_identifier(std::string_view name,
+                                     std::string_view prefix = {}) {
+  for (std::size_t i = 0; i < name.size(); ++i) {
+    if (!is_identifier_char(name[i], i == 0 && prefix.empty())) return false;
+  }
+  return !(name.empty() && prefix.empty());
+}
+
+// Appends `prefix` + `name` to `out` as an identifier: a legal name passes
+// through unchanged, any other character becomes '_' (an empty one "_").
+inline void append_verilog_identifier(std::string& out, std::string_view name,
+                                      std::string_view prefix = {}) {
+  const std::size_t at = (out += prefix).size();
+  out += name.empty() && prefix.empty() ? "_" : name;
+  for (std::size_t i = at; i < out.size(); ++i) {
+    if (!is_identifier_char(out[i], i == at && prefix.empty())) out[i] = '_';
+  }
+}
+
 struct VerilogModule {
   Netlist netlist;
   // Instantiated leaf cells that are not gates (e.g. diac_nvreg shadow
@@ -43,8 +71,9 @@ struct VerilogModule {
 };
 
 // Throws std::runtime_error "verilog parse error at line N: ..." on
-// anything outside the supported subset, an unknown signal or an
-// undriven output.
+// anything outside the supported subset, a name outside the identifier
+// rule, an unknown signal or an undriven output, each at its line, and on
+// a combinational cycle at the `endmodule` line.
 VerilogModule parse_structural_verilog(std::string_view text);
 
 }  // namespace diac

@@ -11,8 +11,8 @@
 /// `parse_structural_verilog`, and proves the re-imported
 /// netlist functionally equivalent to the source netlist with
 /// `check_equivalence`.  Ports are matched positionally because the
-/// backend renames every signal (`w_` prefix + sanitization); port
-/// *order* is preserved by both the emitter and the parser.  This is
+/// backend renames every signal (`w_` prefix + Verilog identifier rule);
+/// port *order* is preserved by both the emitter and the parser.  This is
 /// the differential-test harness the multi-backend emission roadmap
 /// item calls for — any future backend plugs into the same check.
 // diac-lint: api-header

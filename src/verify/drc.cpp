@@ -1,8 +1,9 @@
 #include "verify/drc.hpp"
 
 #include <algorithm>
-#include <map>
 #include <ostream>
+
+#include "netlist/verilog_format.hpp"
 
 namespace diac::verify {
 namespace {
@@ -143,23 +144,14 @@ void check_floating(const Netlist& nl, std::vector<DrcFinding>& out) {
   }
 }
 
-// N5: names codegen cannot emit verbatim.  Characters outside
-// [A-Za-z0-9_] are sanitized by the Verilog backend's vname(); that is
-// a warning, but when two sanitized names collide the emission would
-// merge distinct wires — an error.  Empty names are errors outright.
+// N5: names codegen cannot emit verbatim.  Codegen writes gate `g` as the
+// wire "w_<g>" through append_verilog_identifier; a name that fails the
+// identifier rule is rewritten (a warning), and two gates spelled alike
+// would merge distinct wires (an error).  Empty names are errors outright.
 void check_names(const Netlist& nl, std::vector<DrcFinding>& out) {
-  // Mirror of codegen's vname() sanitization (without the "w_" prefix,
-  // which is collision-neutral).
-  const auto sanitize = [](std::string_view raw) {
-    std::string s(raw);
-    for (char& c : s) {
-      const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '_';
-      if (!ok) c = '_';
-    }
-    return s;
-  };
-  std::map<std::string, std::vector<GateId>> by_sanitized;
+  // ("w_<spelling>", gate) for each rewritten name and for a gate already
+  // named so: a spelling's lowest id keeps it, any other collides.
+  std::vector<std::pair<std::string, GateId>> spelled;
   for (GateId id = 0; id < nl.size(); ++id) {
     const std::string_view name = nl.gate_name(id);
     if (name.empty()) {
@@ -167,22 +159,28 @@ void check_names(const Netlist& nl, std::vector<DrcFinding>& out) {
            "gate " + std::to_string(id) + " has an empty name");
       continue;
     }
-    const std::string clean = sanitize(name);
-    if (clean != name) {
-      emit(out, DrcRule::kNames, DrcSeverity::kWarning, id, nl,
-           "name '" + std::string(name) +
-               "' needs sanitization for codegen ('w_" + clean + "')");
-    }
-    by_sanitized[clean].push_back(id);
+    if (is_verilog_identifier(name, "w_")) continue;
+    std::string clean;
+    append_verilog_identifier(clean, name, "w_");
+    emit(out, DrcRule::kNames, DrcSeverity::kWarning, id, nl,
+         "name '" + std::string(name) + "' needs sanitization for codegen ('" +
+             clean + "')");
+    const GateId named = nl.find(std::string_view(clean).substr(2));
+    if (named != kNullGate) spelled.emplace_back(clean, named);
+    spelled.emplace_back(std::move(clean), id);
   }
-  for (const auto& [clean, ids] : by_sanitized) {
-    if (ids.size() < 2) continue;
-    for (std::size_t i = 1; i < ids.size(); ++i) {
-      emit(out, DrcRule::kNames, DrcSeverity::kError, ids[i], nl,
-           "sanitized name 'w_" + clean + "' of '" +
-               std::string(nl.gate_name(ids[i])) + "' collides with gate '" +
-               std::string(nl.gate_name(ids[0])) + "'");
+  std::sort(spelled.begin(), spelled.end());
+  spelled.erase(std::unique(spelled.begin(), spelled.end()), spelled.end());
+  for (std::size_t i = 1, first = 0; i < spelled.size(); ++i) {
+    const auto& [clean, id] = spelled[i];
+    if (clean != spelled[first].first) {
+      first = i;
+      continue;
     }
+    emit(out, DrcRule::kNames, DrcSeverity::kError, id, nl,
+         "sanitized name '" + clean + "' of '" +
+             std::string(nl.gate_name(id)) + "' collides with gate '" +
+             std::string(nl.gate_name(spelled[first].second)) + "'");
   }
 }
 
@@ -301,7 +299,8 @@ const char* rule_summary(DrcRule rule) {
     case DrcRule::kFloating:
       return "every gate has a path to an output port";
     case DrcRule::kNames:
-      return "gate names survive codegen sanitization without collisions";
+      return "gate names are Verilog identifiers or sanitize without "
+             "collisions";
     case DrcRule::kDegenerate:
       return "no DFF-of-DFF or constant-determined degeneracies";
   }

@@ -12,8 +12,8 @@
 /// arity violations (N2), combinational cycles (N3), and post-sanitize
 /// name collisions that would merge two Verilog wires (N5) — while
 /// *warnings* flag suspicious-but-simulable shapes: unreachable logic
-/// (N4), names codegen must rewrite (N5), and constant-driven or
-/// DFF-of-DFF degeneracies (N6).  `DrcReport::clean()` and the
+/// (N4), names codegen must rewrite (N5: `w_<name>` is not a Verilog
+/// identifier), and constant-driven or DFF-of-DFF degeneracies (N6).  `DrcReport::clean()` and the
 /// `diac check` exit code key on errors only.
 ///
 /// Everything here is bit-deterministic: findings are emitted in
@@ -37,7 +37,7 @@ enum class DrcRule : std::uint8_t {
   kArity = 1,       ///< N2: fan-in count outside the GateKind's arity
   kCycle = 2,       ///< N3: combinational cycle (path through no DFF)
   kFloating = 3,    ///< N4: gate with no path to any output / unused input
-  kNames = 4,       ///< N5: codegen-unsafe or post-sanitize-colliding name
+  kNames = 4,       ///< N5: non-identifier or post-sanitize-colliding name
   kDegenerate = 5,  ///< N6: DFF-of-DFF / constant-input degeneracies
 };
 

@@ -1,14 +1,29 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <list>
+#include <regex>
+#include <set>
+#include <sstream>
+#include <utility>
 
 #include "diac/codegen.hpp"
 #include "diac/synthesizer.hpp"
+#include "netlist/bench_format.hpp"
 #include "netlist/suite.hpp"
 #include "tree/tree_generator.hpp"
 
+#ifndef DIAC_CLI_PATH
+#error "DIAC_CLI_PATH must point at the diac CLI binary"
+#endif
+
 namespace diac {
 namespace {
+
+namespace fs = std::filesystem;
 
 const CellLibrary& lib() {
   static const CellLibrary l = CellLibrary::nominal_45nm();
@@ -63,26 +78,71 @@ TEST(Codegen, TaskAnnotationsPresent) {
   const auto r = synth("s344");
   const std::string v = generate_verilog(r.design);
   EXPECT_NE(v.find("--- task F"), std::string::npos);
-  CodegenOptions opt;
-  opt.annotate_tasks = false;
-  const std::string bare = generate_verilog(r.design, opt);
-  EXPECT_EQ(bare.find("--- task F"), std::string::npos);
 }
 
-TEST(Codegen, ModuleNameOverride) {
-  const auto r = synth("s344");
-  CodegenOptions opt;
-  opt.module_name = "custom_top";
-  const std::string v = generate_verilog(r.design, opt);
-  EXPECT_NE(v.find("module custom_top"), std::string::npos);
+TEST(Codegen, ModuleNameIsTheSanitizedNetlistName) {
+  for (const auto& [name, module] :
+       {std::pair<std::string, std::string>{"a.b", "module a_b ("},
+        {"9m", "module _m ("},
+        {"top$1", "module top$1 ("}}) {
+    Netlist nl = build_benchmark("s27");
+    nl.set_name(name);
+    const auto r = DiacSynthesizer(nl, lib()).synthesize();
+    EXPECT_NE(generate_verilog(r.design).find(module), std::string::npos)
+        << name;
+  }
+}
+
+// The distinct words of the emitted text outside comments, split as the
+// reader's lexer splits them; `1'b0`/`1'b1` are the only words that are
+// not names.
+std::set<std::string> emitted_names(const std::string& v) {
+  static constexpr std::string_view kDelims = " \n(),;=~&|^?:@.<";
+  std::set<std::string> names;
+  std::size_t i = 0;
+  while ((i = v.find_first_not_of(kDelims, i)) != std::string::npos) {
+    const std::size_t end = std::min(v.find_first_of(kDelims, i), v.size());
+    const std::string word = v.substr(i, end - i);
+    if (word.starts_with("//")) {
+      i = v.find('\n', i);
+      continue;
+    }
+    if (word != "1'b0" && word != "1'b1") names.insert(word);
+    i = end;
+  }
+  return names;
 }
 
 TEST(Codegen, SanitizesIdentifiers) {
-  // Output ports carry a '$' suffix internally; Verilog identifiers must
-  // not contain '$' after sanitization (we map to '_').
-  const auto r = synth("s344");
-  const std::string v = generate_verilog(r.design);
-  EXPECT_EQ(v.find('$'), std::string::npos);
+  // Gate names such as "<signal>$out" keep their legal '$'; task labels
+  // such as "F6.1" lose their '.' in the nvreg instance names.  Every
+  // name is a Verilog-2001 simple identifier and every instance name is
+  // unique, across the suite and every scheme.
+  static const std::regex identifier("[A-Za-z_][A-Za-z0-9_$]*");
+  static constexpr std::string_view kCell = "  diac_nvreg ";
+  for (const BenchmarkSpec& spec : benchmark_suite()) {
+    const Netlist nl = build_benchmark(spec);
+    const DiacSynthesizer synth(nl, lib());
+    const TaskTree tree = synth.transformed_tree();
+    for (int s = 0; s < kSchemeCount; ++s) {
+      const Scheme scheme = static_cast<Scheme>(s);
+      const std::string v =
+          generate_verilog(synth.synthesize_scheme(scheme, tree).design);
+      for (const std::string& name : emitted_names(v)) {
+        ASSERT_TRUE(std::regex_match(name, identifier))
+            << spec.name << " " << to_string(scheme) << ": '" << name << "'";
+      }
+      std::set<std::string> instances;
+      for (std::size_t at = v.find(kCell); at != std::string::npos;
+           at = v.find(kCell, at + 1)) {
+        const std::size_t name = at + kCell.size();
+        const std::string inst = v.substr(name, v.find(' ', name) - name);
+        ASSERT_TRUE(instances.insert(inst).second)
+            << spec.name << " " << to_string(scheme) << ": " << inst;
+      }
+      EXPECT_EQ(instances.empty(), !uses_commit_points(scheme)) << spec.name;
+    }
+  }
 }
 
 TEST(Codegen, DffsEmitAlwaysBlocks) {
@@ -90,6 +150,58 @@ TEST(Codegen, DffsEmitAlwaysBlocks) {
   const std::string v = generate_verilog(r.design);
   if (r.design.tree.netlist().dffs().empty()) GTEST_SKIP();
   EXPECT_NE(v.find("always @(posedge clk)"), std::string::npos);
+}
+
+// --- the CLI's artifacts (DIAC_CLI_PATH, injected by CMake) ------------------
+
+struct CliRun {
+  int exit_code = -1;
+  std::string out;
+  std::string err;
+};
+
+std::string slurp(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+CliRun run_cli(const std::string& args, const std::string& tag) {
+  const fs::path out = fs::path(::testing::TempDir()) / (tag + ".out");
+  const fs::path err = fs::path(::testing::TempDir()) / (tag + ".err");
+  const std::string cmd = std::string(DIAC_CLI_PATH) + " " + args + " > " +
+                          out.string() + " 2> " + err.string();
+  const int status = std::system(cmd.c_str());
+  CliRun run;
+  run.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  run.out = slurp(out);
+  run.err = slurp(err);
+  return run;
+}
+
+TEST(CodegenCli, SynthFailsOnAnUnwritableOut) {
+  const std::string prefix =
+      (fs::path(::testing::TempDir()) / "no_such_dir" / "x").string();
+  const CliRun run = run_cli("synth s27 --out " + prefix, "cgcli_unwritable");
+  EXPECT_EQ(run.exit_code, 1);
+  EXPECT_EQ(run.out.find("wrote"), std::string::npos) << run.out;
+  EXPECT_EQ(run.err, "error: cannot write " + prefix + "_diac.v\n");
+}
+
+TEST(CodegenCli, DottedFileNameRoundTripsThroughSynthAndCheck) {
+  const fs::path dir = fs::path(::testing::TempDir()) / "cgcli_dotted";
+  fs::create_directories(dir);
+  std::ofstream(dir / "a.b.bench") << to_bench_string(build_benchmark("s27"));
+  const std::string prefix = (dir / "ab").string();
+  const CliRun synth = run_cli(
+      "synth " + (dir / "a.b.bench").string() + " --out " + prefix,
+      "cgcli_dotted_synth");
+  ASSERT_EQ(synth.exit_code, 0) << synth.err;
+  const std::string v = slurp(prefix + "_diac.v");
+  EXPECT_NE(v.find("\nmodule a_b (\n"), std::string::npos) << v;
+  const CliRun check = run_cli("check " + prefix + "_diac.v", "cgcli_dotted_check");
+  EXPECT_EQ(check.exit_code, 0) << check.out << check.err;
 }
 
 // --- validation -------------------------------------------------------------

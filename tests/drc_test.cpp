@@ -161,17 +161,41 @@ TEST(Drc, N4NoOutputsAtAll) {
 
 TEST(Drc, N5UnsafeNameWarnsCollisionErrors) {
   Netlist nl("names");
-  const GateId a = nl.add(GateKind::kInput, "sig$1");
+  const GateId a = nl.add(GateKind::kInput, "sig.1");
   const GateId b = nl.add(GateKind::kInput, "sig_1");
   const GateId x = nl.add(GateKind::kXor, "x", {a, b});
   nl.add(GateKind::kOutput, "y", {x});
   const DrcReport r = run_drc(nl);
-  // 'sig$1' needs sanitization (warning) and then collides with
+  // 'sig.1' needs sanitization (warning) and then collides with
   // 'sig_1' (error): codegen would merge the two wires.
   EXPECT_EQ(r.count(DrcRule::kNames), 2u);
   EXPECT_EQ(r.errors, 1u);
   EXPECT_EQ(r.warnings, 1u);
+  ASSERT_EQ(r.findings.size(), 2u);
+  EXPECT_EQ(r.findings[0].message,
+            "name 'sig.1' needs sanitization for codegen ('w_sig_1')");
+  EXPECT_EQ(r.findings[1].message,
+            "sanitized name 'w_sig_1' of 'sig_1' collides with gate 'sig.1'");
   EXPECT_NO_THROW(nl.validate()) << "name rules stay out of validate()";
+}
+
+TEST(Drc, N5FollowsTheVerilogIdentifierRule) {
+  // '$' after the first character is legal ("<signal>$out" port gates);
+  // two rewritten names that sanitize alike collide with the lower id.
+  Netlist nl("names");
+  const GateId a = nl.add(GateKind::kInput, "a$1");
+  const GateId b = nl.add(GateKind::kInput, "b-c");
+  const GateId c = nl.add(GateKind::kInput, "b.c");
+  const GateId d = nl.add(GateKind::kInput, "9");
+  const GateId x = nl.add(GateKind::kXor, "x", {a, b, c, d});
+  nl.add(GateKind::kOutput, "y$out", {x});
+  const DrcReport r = run_drc(nl);
+  ASSERT_EQ(r.count(DrcRule::kNames), 3u);
+  EXPECT_EQ(r.warnings, 2u);
+  EXPECT_EQ(r.errors, 1u);
+  EXPECT_EQ(r.findings[2].gate, c);
+  EXPECT_EQ(r.findings[2].message,
+            "sanitized name 'w_b_c' of 'b.c' collides with gate 'b-c'");
 }
 
 TEST(Drc, N6Degeneracies) {
@@ -210,7 +234,7 @@ TEST(Drc, ValidateDelegatesToDrcEngine) {
 
 TEST(Drc, StructuralOptionsSkipAdvisoryRules) {
   Netlist nl("adv");
-  nl.add(GateKind::kInput, "unused$in");  // N4 + N5 material
+  nl.add(GateKind::kInput, "unused.in");  // N4 + N5 material
   nl.add(GateKind::kOutput, "y", {nl.add(GateKind::kConst1, "c1")});
   EXPECT_FALSE(run_drc(nl).findings.empty());
   EXPECT_TRUE(run_drc(nl, DrcOptions::structural()).findings.empty());
@@ -220,7 +244,7 @@ TEST(Drc, ReportIsDeterministicAndOrdered) {
   // Advisory findings on several gates: N4 (unused input, unreachable
   // gate), N5 (unsafe names) and N6 (constant-driven DFF).
   Netlist nl = clean_netlist();
-  nl.add(GateKind::kInput, "dead$in");
+  nl.add(GateKind::kInput, "dead.in");
   const GateId c = nl.add(GateKind::kConst0, "zero");
   nl.add(GateKind::kDff, "stuck.q", {c});
   const DrcReport r1 = run_drc(nl);

@@ -405,7 +405,7 @@ const std::map<std::string, std::string>& pinned_fixtures() {
     {"blif/alu", "fb7ddc20f4fcb03910dcd6c2ab63908d"},
     {"blif/b13", "a2bb8cb86d4a671d568e896e9c05ae09"},
     {"verilog/forms", "ceb16bc7203842a3d93a5d60b7b437c3"},
-    {"verilog/s27", "d68777465a05e08c82e9210a64dd424c"},
+    {"verilog/s27", "74bedf8c392e1bc3c3c882aac1a32790"},
     {"bench/s27like/sweep", "56cceb3eea27ecc584a93358012e0924"},
     {"bench/s27like/constants", "56cceb3eea27ecc584a93358012e0924"},
     {"bench/s27like/buffers", "56cceb3eea27ecc584a93358012e0924"},
@@ -438,16 +438,16 @@ const std::map<std::string, std::string>& pinned_fixtures() {
     {"verilog/forms/constants", "d2c6a920ccf01afbc937f981055b9afe"},
     {"verilog/forms/buffers", "6ef7335f04f51876cfe808076e062a0b"},
     {"verilog/forms/cleanup", "3c3c77d35c5751a2fd07b5b5fdc63fea"},
-    {"verilog/s27/sweep", "ce67c7fe803f1d3bc3d1e7a85be630fc"},
-    {"verilog/s27/constants", "ce67c7fe803f1d3bc3d1e7a85be630fc"},
-    {"verilog/s27/buffers", "c89c2278e1fc2ffcfff1549aaa9931e8"},
-    {"verilog/s27/cleanup", "c89c2278e1fc2ffcfff1549aaa9931e8"},
+    {"verilog/s27/sweep", "d8d9e00c5153e35515c4e81f61e7cb40"},
+    {"verilog/s27/constants", "d8d9e00c5153e35515c4e81f61e7cb40"},
+    {"verilog/s27/buffers", "abdf2953a597a431b2398b1824e60e59"},
+    {"verilog/s27/cleanup", "abdf2953a597a431b2398b1824e60e59"},
     {"suite/s1238/cleanup", "2668c5d72f3c891575da04ff20f15013"},
     {"suite/b13/cleanup", "3cba5df1b1edb6df4ea8f3739476dabd"},
     {"suite/s349/cleanup", "d35d2b917b529102f606a3b312973932"},
     {"bench/s38417", "9c3daa8b8cf5d223d260fddc13f71627"},
     {"blif/s38417", "5a7305aa651fd7a1f48d02212fb137cd"},
-    {"verilog/s38417", "2684e6d5f3319e325e99ab7c0e41c304"},
+    {"verilog/s38417", "1452aa90e3815ba76578cfdb7a681a2e"},
   };
   return pinned;
 }

@@ -293,12 +293,18 @@ int cmd_synth(const Args& a) {
   {
     std::ofstream v(prefix + "_diac.v");
     v << generate_verilog(r.design);
+    if (!v.flush()) {
+      throw std::runtime_error("cannot write " + prefix + "_diac.v");
+    }
   }
   {
     std::ofstream d(prefix + "_tree.dot");
     DotOptions dopt;
     dopt.energy_scale = r.design.scale;
     write_dot(d, r.design.tree, dopt);
+    if (!d.flush()) {
+      throw std::runtime_error("cannot write " + prefix + "_tree.dot");
+    }
   }
   std::cout << "wrote " << prefix << "_diac.v, " << prefix << "_tree.dot\n";
   if (!drc.clean()) return 4;
