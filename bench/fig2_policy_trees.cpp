@@ -20,7 +20,7 @@ void print_tree(const char* title, const diac::TaskTree& tree, double scale) {
   Table t({"node", "level", "gates", "fanin", "fanout", "energy [mJ]"});
   for (TaskId id : tree.schedule()) {
     const TaskNode& n = tree.node(id);
-    t.add_row({n.label, std::to_string(n.dict.level),
+    t.add_row({std::string(n.label), std::to_string(n.dict.level),
                std::to_string(n.gates.size()), std::to_string(n.dict.fanin),
                std::to_string(n.dict.fanout),
                Table::num(units::as_mJ(scale * n.dict.energy()), 2)});

@@ -32,24 +32,6 @@ const char* to_string(GateKind kind) {
   return "?";
 }
 
-bool is_pseudo(GateKind kind) {
-  switch (kind) {
-    case GateKind::kInput:
-    case GateKind::kOutput:
-    case GateKind::kConst0:
-    case GateKind::kConst1:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_logic(GateKind kind) { return !is_pseudo(kind); }
-
-bool is_combinational(GateKind kind) {
-  return !is_pseudo(kind) && kind != GateKind::kDff;
-}
-
 CellLibrary CellLibrary::nominal_45nm() {
   using namespace units;
   CellLibrary lib;
@@ -78,17 +60,8 @@ CellLibrary CellLibrary::nominal_45nm() {
   return lib;
 }
 
-const CellParams& CellLibrary::base(GateKind kind) const {
-  return cells_[index_of(kind)];
-}
-
 void CellLibrary::set_base(GateKind kind, const CellParams& params) {
   cells_[index_of(kind)] = params;
-}
-
-double CellLibrary::derate(int fanin) const {
-  if (fanin <= 2) return 1.0;
-  return 1.0 + derate_slope_ * static_cast<double>(fanin - 2);
 }
 
 double CellLibrary::delay(GateKind kind, int fanin) const {

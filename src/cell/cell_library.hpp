@@ -37,11 +37,16 @@ inline constexpr int kGateKindCount = 14;
 const char* to_string(GateKind kind);
 
 // True for port/constant pseudo-cells that carry no timing or power cost.
-bool is_pseudo(GateKind kind);
+constexpr bool is_pseudo(GateKind kind) {
+  return kind == GateKind::kInput || kind == GateKind::kOutput ||
+         kind == GateKind::kConst0 || kind == GateKind::kConst1;
+}
 // True for the kinds counted as "logic gates" in benchmark gate counts
 // (everything except ports and constants; DFFs are counted).
-bool is_logic(GateKind kind);
-bool is_combinational(GateKind kind);
+constexpr bool is_logic(GateKind kind) { return !is_pseudo(kind); }
+constexpr bool is_combinational(GateKind kind) {
+  return !is_pseudo(kind) && kind != GateKind::kDff;
+}
 
 // Characterization of one cell at nominal drive.
 struct CellParams {
@@ -73,11 +78,16 @@ class CellLibrary {
   // energy consumption estimation", SIV.A).
   double switching_energy(GateKind kind, int fanin) const;
 
-  const CellParams& base(GateKind kind) const;
+  const CellParams& base(GateKind kind) const {
+    return cells_[static_cast<std::size_t>(kind)];
+  }
   void set_base(GateKind kind, const CellParams& params);
 
   // Fan-in derating factor: 1 + slope * max(0, fanin - 2).
-  double derate(int fanin) const;
+  double derate(int fanin) const {
+    if (fanin <= 2) return 1.0;
+    return 1.0 + derate_slope_ * static_cast<double>(fanin - 2);
+  }
   void set_derate_slope(double slope) { derate_slope_ = slope; }
 
   const std::string& name() const { return name_; }

@@ -125,7 +125,8 @@ ValidationReport validate_design(const IntermittentDesign& design,
     if (node.dict.delay > clock_period) {
       report.violations.push_back(
           {Violation::Kind::kTiming, id,
-           node.label + ": CDP " + std::to_string(units::as_ns(node.dict.delay)) +
+           std::string(node.label) + ": CDP " +
+               std::to_string(units::as_ns(node.dict.delay)) +
                " ns exceeds clock " +
                std::to_string(units::as_ns(clock_period)) + " ns"});
     }
@@ -133,7 +134,8 @@ ValidationReport validate_design(const IntermittentDesign& design,
     if (scaled > energy_budget) {
       report.violations.push_back(
           {Violation::Kind::kPowerBudget, id,
-           node.label + ": task energy " + std::to_string(units::as_mJ(scaled)) +
+           std::string(node.label) + ": task energy " +
+               std::to_string(units::as_mJ(scaled)) +
                " mJ exceeds budget " +
                std::to_string(units::as_mJ(energy_budget)) + " mJ"});
     }

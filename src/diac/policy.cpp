@@ -5,6 +5,7 @@
 #include <span>
 #include <stdexcept>
 
+#include "obs/obs.hpp"
 #include "tree/energy_model.hpp"
 
 namespace diac {
@@ -36,25 +37,22 @@ TaskTree split_large_nodes(const TaskTree& tree, const PolicyLimits& limits) {
   std::vector<int> part(nl.size(), kNoNode);
   std::vector<std::string> labels;
   int next = 0;
-  const std::span<const std::uint32_t> pos = tree.topo_positions();
 
-  for (const TaskNode& node : tree.nodes()) {
+  for (TaskId id = 0; id < tree.size(); ++id) {
+    const TaskNode& node = tree.node(id);
     if (!splits(node)) {
       for (GateId g : node.gates) part[g] = next;
-      labels.push_back(node.label);
+      labels.emplace_back(node.label);
       ++next;
       continue;
     }
     // Cut member gates along topological order into chunks whose scaled
     // switching energy stays below chunk_cap.  Chunk edges can only point
     // forward in topological order, so the partition stays acyclic.
-    std::vector<GateId> ordered(node.gates.begin(), node.gates.end());
-    std::sort(ordered.begin(), ordered.end(),
-              [pos](GateId a, GateId b) { return pos[a] < pos[b]; });
     double acc = 0.0;
     bool chunk_open = false;
     int chunk_idx = 0;
-    for (GateId g : ordered) {
+    for (GateId g : tree.topo_gates(id)) {
       const Gate gate = nl.gate(g);
       const double e =
           limits.scaled(lib.switching_energy(gate.kind, gate.fanin_count()));
@@ -64,7 +62,8 @@ TaskTree split_large_nodes(const TaskTree& tree, const PolicyLimits& limits) {
         acc = 0.0;
       }
       if (!chunk_open) {
-        labels.push_back(node.label + "." + std::to_string(++chunk_idx));
+        labels.push_back(std::string(node.label) + "." +
+                         std::to_string(++chunk_idx));
       }
       part[g] = next;
       chunk_open = true;
@@ -72,7 +71,7 @@ TaskTree split_large_nodes(const TaskTree& tree, const PolicyLimits& limits) {
     }
     if (chunk_open) ++next;
   }
-  return tree.repartition(part, next, labels);
+  return tree.repartition(std::move(part), next, labels);
 }
 
 namespace {
@@ -99,10 +98,10 @@ class UnionFind {
 // The merge stage's coarse graph: one entry per group of the input tree's
 // nodes, holding what a packing pass reads (energy, schedule).  Each
 // contraction maps groups onto coarser ones.  A group that absorbed
-// another is recosted with operand_cost over the union of its gates, the
-// same cost a rebuild computes; summing member energies instead could
-// flip a decision near a limit.  Edges come from the input tree's edges
-// through the group map, and the schedule is Kahn's order as
+// another is recosted with the cost kernel over the union of its gates,
+// the same cost a rebuild computes; summing member energies instead could
+// flip a decision near a limit.  Edges come from the previous level's
+// edges through the group map, and the schedule is Kahn's order as
 // TaskTree::build computes it, so every decision equals the one a rebuild
 // per contraction would make.  The fine tree is rebuilt once, from the
 // composed map (partition()).
@@ -110,12 +109,15 @@ class Quotient {
  public:
   explicit Quotient(const TaskTree& tree)
       : tree_(&tree),
+        nodes_(tree.nodes()),
         group_(tree.size()),
+        groups_(tree.size()),
         energy_(tree.size()),
         arrival_(tree.netlist().size(), -1.0) {
     for (std::size_t t = 0; t < tree.size(); ++t) {
       group_[t] = static_cast<int>(t);
-      energy_[t] = tree.nodes()[t].dict.energy();
+      energy_[t] = nodes_[t].dict.energy();
+      edges_ += nodes_[t].preds.size();
     }
   }
 
@@ -141,45 +143,63 @@ class Quotient {
       return;
     }
 
-    // Member tasks of each new group, ascending (counting sort).
-    const std::span<const TaskNode> nodes = tree_->nodes();
-    std::vector<std::uint32_t> begin(k + 1, 0);
-    for (int g : group_) ++begin[static_cast<std::size_t>(g) + 1];
-    for (std::size_t j = 0; j < k; ++j) begin[j + 1] += begin[j];
-    std::vector<TaskId> members(group_.size());
-    {
-      std::vector<std::uint32_t> fill(begin.begin(), begin.end() - 1);
-      for (TaskId t = 0; t < group_.size(); ++t) {
-        members[fill[static_cast<std::size_t>(group_[t])]++] = t;
+    // Gates of each merged group in topological order: size the rows from
+    // the member tasks, then bucket one pass over the netlist's order.
+    std::vector<std::uint32_t> gate_begin(k + 1, 0);
+    for (TaskId t = 0; t < group_.size(); ++t) {
+      const auto j = static_cast<std::size_t>(group_[t]);
+      if (absorbed[j] > 1) {
+        gate_begin[j + 1] += static_cast<std::uint32_t>(nodes_[t].gates.size());
       }
     }
-
+    for (std::size_t j = 0; j < k; ++j) gate_begin[j + 1] += gate_begin[j];
+    std::vector<GateId> gates(gate_begin[k]);
+    {
+      const std::vector<int>& task_of = tree_->partition();
+      std::vector<std::uint32_t> fill(gate_begin.begin(), gate_begin.end() - 1);
+      for (GateId g : tree_->facts().topological_order) {
+        if (task_of[g] == kNoNode) continue;
+        const auto j = static_cast<std::size_t>(
+            group_[static_cast<std::size_t>(task_of[g])]);
+        if (absorbed[j] > 1) gates[fill[j]++] = g;
+      }
+    }
     const Netlist& nl = tree_->netlist();
-    std::vector<GateId> gates;
     for (std::size_t j = 0; j < k; ++j) {
       if (absorbed[j] < 2) continue;
-      gates.clear();
-      for (std::uint32_t m = begin[j]; m < begin[j + 1]; ++m) {
-        const std::span<const GateId> g = nodes[members[m]].gates;
-        gates.insert(gates.end(), g.begin(), g.end());
-      }
-      energy[j] = operand_cost(nl, gates, tree_->library(),
-                               tree_->topo_positions(), arrival_, ordered_)
-                      .energy();
+      const std::span<const GateId> ordered =
+          std::span<const GateId>(gates).subspan(
+              gate_begin[j], gate_begin[j + 1] - gate_begin[j]);
+      energy[j] =
+          ordered_operand_cost(nl, ordered, tree_->library(), arrival_).energy();
     }
+    DIAC_OBS_COUNT("synth.costed_gates", gates.size());
     energy_ = std::move(energy);
 
-    // Sorted-unique preds per group; succs are their inverse, pushed in
-    // ascending group order so each list comes out sorted.
+    // Preds of each new group: the old groups' preds through `to`,
+    // deduplicated and in discovery order (only their set is read).  Succs
+    // are their inverse, filled in ascending group order, so each succ row
+    // comes out sorted as Kahn's order needs.
+    std::vector<std::uint32_t> member_begin(k + 1, 0);
+    for (int j : to) ++member_begin[static_cast<std::size_t>(j) + 1];
+    for (std::size_t j = 0; j < k; ++j) member_begin[j + 1] += member_begin[j];
+    std::vector<TaskId> members(to.size());  // old groups, by new group
+    {
+      std::vector<std::uint32_t> fill(member_begin.begin(),
+                                      member_begin.end() - 1);
+      for (TaskId g = 0; g < to.size(); ++g) {
+        members[fill[static_cast<std::size_t>(to[g])]++] = g;
+      }
+    }
     std::vector<std::uint32_t> pred_begin(k + 1, 0);
     std::vector<TaskId> preds;
+    preds.reserve(edges_);
     std::vector<std::uint32_t> succ_begin(k + 1, 0);
     std::vector<int> seen(k, -1);
     for (std::size_t j = 0; j < k; ++j) {
-      const auto row = preds.size();
-      for (std::uint32_t m = begin[j]; m < begin[j + 1]; ++m) {
-        for (TaskId p : nodes[members[m]].preds) {
-          const int q = group_[p];
+      for (std::uint32_t m = member_begin[j]; m < member_begin[j + 1]; ++m) {
+        for (TaskId p : preds_of(members[m])) {
+          const int q = to[p];
           if (q == static_cast<int>(j) || seen[q] == static_cast<int>(j)) {
             continue;
           }
@@ -188,7 +208,6 @@ class Quotient {
           ++succ_begin[static_cast<std::size_t>(q) + 1];
         }
       }
-      std::sort(preds.begin() + static_cast<std::ptrdiff_t>(row), preds.end());
       pred_begin[j + 1] = static_cast<std::uint32_t>(preds.size());
     }
     for (std::size_t j = 0; j < k; ++j) succ_begin[j + 1] += succ_begin[j];
@@ -201,20 +220,11 @@ class Quotient {
         }
       }
     }
+    edges_ = preds.size();
+    pred_begin_ = std::move(pred_begin);
+    preds_ = std::move(preds);
 
-    // Kahn's order: ready groups seeded in index order, FIFO.
-    std::vector<std::uint32_t> pending(k);
-    schedule_.reserve(k);
-    for (std::size_t j = 0; j < k; ++j) {
-      pending[j] = pred_begin[j + 1] - pred_begin[j];
-      if (pending[j] == 0) schedule_.push_back(static_cast<TaskId>(j));
-    }
-    for (std::size_t head = 0; head < schedule_.size(); ++head) {
-      const TaskId j = schedule_[head];
-      for (std::uint32_t e = succ_begin[j]; e < succ_begin[j + 1]; ++e) {
-        if (--pending[succs[e]] == 0) schedule_.push_back(succs[e]);
-      }
-    }
+    schedule_ = kahn_schedule(pred_begin_, succ_begin, succs);
     if (schedule_.size() != k) {
       throw std::invalid_argument(
           "TaskTree: partition induces a cyclic node graph");
@@ -231,13 +241,26 @@ class Quotient {
   }
 
  private:
+  // Preds of group g before the next contraction: the input tree's edges
+  // until the first contraction, then the quotient's own.
+  std::span<const TaskId> preds_of(TaskId g) const {
+    if (pred_begin_.empty()) return nodes_[g].preds;
+    return std::span<const TaskId>(preds_).subspan(
+        pred_begin_[g], pred_begin_[g + 1] - pred_begin_[g]);
+  }
+
   const TaskTree* tree_;
+  std::span<const TaskNode> nodes_;  // the input tree's
   std::vector<int> group_;  // input task -> current group
   std::size_t groups_ = 0;
   std::vector<double> energy_;  // unscaled dict.energy() per group
   std::vector<TaskId> schedule_;
+  // Pred rows of the current groups, empty before the first contraction,
+  // and their edge count.
+  std::vector<std::uint32_t> pred_begin_;
+  std::vector<TaskId> preds_;
+  std::size_t edges_ = 0;
   std::vector<double> arrival_;  // operand_cost scratch, all -1.0
-  std::vector<GateId> ordered_;  // operand_cost scratch
 };
 
 }  // namespace
@@ -409,13 +432,14 @@ TaskTree merge_small_nodes(const TaskTree& tree, const PolicyLimits& limits) {
   std::vector<std::string> labels(static_cast<std::size_t>(next));
   for (TaskId id = 0; id < n; ++id) {
     std::string& l = labels[static_cast<std::size_t>(to[id])];
-    const std::string& member = nodes[id].label;
+    const std::string_view member = nodes[id].label;
     if (l.empty()) {
       l = member;
     } else if (l.size() >= 3 && l.compare(l.size() - 3, 3, "+..") == 0) {
       // already elided
     } else if (std::count(l.begin(), l.end(), '+') < 3) {
-      l += "+" + member;
+      l += '+';
+      l += member;
     } else {
       l += "+..";
     }

@@ -14,30 +14,33 @@ bool cuts_paths(GateKind kind) { return kind == GateKind::kDff; }
 }  // namespace
 
 std::vector<GateId> topological_order(const Netlist& nl) {
+  // Kahn's algorithm; the FIFO queue of ready gates is the order itself.
+  // Each gate is written at the tail and kept only if it became ready,
+  // so the queue grows without a branch per edge.  A DFF starts ready
+  // (its fanin edge is a sequential boundary) and its one fanin takes
+  // its count below zero, so it is never queued twice.
   const std::size_t n = nl.size();
   std::vector<int> pending(n, 0);
-  std::vector<GateId> ready;
-  ready.reserve(n);
+  std::vector<GateId> order(n + 1);  // one spare slot for the last write
+  std::size_t tail = 0;
   for (GateId id = 0; id < n; ++id) {
     const int deps =
         cuts_paths(nl.kind(id)) ? 0 : static_cast<int>(nl.fanin(id).size());
     pending[id] = deps;
-    if (deps == 0) ready.push_back(id);
+    order[tail] = id;
+    tail += deps == 0;
   }
-  std::vector<GateId> order;
-  order.reserve(n);
-  for (std::size_t head = 0; head < ready.size(); ++head) {
-    const GateId id = ready[head];
-    order.push_back(id);
-    for (GateId consumer : nl.fanout(id)) {
-      if (cuts_paths(nl.kind(consumer))) continue;  // already a source
-      if (--pending[consumer] == 0) ready.push_back(consumer);
+  for (std::size_t head = 0; head < tail; ++head) {
+    for (GateId consumer : nl.fanout(order[head])) {
+      order[tail] = consumer;
+      tail += --pending[consumer] == 0;
     }
   }
-  if (order.size() != n) {
+  if (tail != n) {
     throw std::runtime_error("topological_order: combinational cycle in '" +
                              nl.name() + "'");
   }
+  order.pop_back();
   return order;
 }
 

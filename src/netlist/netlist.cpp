@@ -53,17 +53,14 @@ std::pair<int, int> arity(GateKind kind) {
 
 Netlist::Netlist(std::string name) : name_(std::move(name)) {}
 
-GateId Netlist::checked(GateId id) const {
-  if (id >= size()) throw std::out_of_range("Netlist::gate: bad id");
-  return id;
+void Netlist::throw_bad_id() {
+  throw std::out_of_range("Netlist::gate: bad id");
 }
 
-void Netlist::require_sealed(const char* what) const {
-  if (!sealed_) {
-    throw std::logic_error("Netlist '" + name_ + "': " + what +
-                           " needs a sealed netlist (call seal() after "
-                           "building)");
-  }
+void Netlist::throw_unsealed(const char* what) const {
+  throw std::logic_error("Netlist '" + name_ + "': " + what +
+                         " needs a sealed netlist (call seal() after "
+                         "building)");
 }
 
 std::size_t Netlist::probe(std::string_view name, std::uint32_t hash) const {
@@ -251,13 +248,6 @@ void Netlist::build_fanout() {
     return link_stamp_[a] < link_stamp_[b];
   });
   for (GateId id : order) link(id);
-}
-
-std::span<const GateId> Netlist::fanout(GateId id) const {
-  checked(id);
-  require_sealed("fanout");
-  return {fanout_pool_.data() + fanout_begin_[id],
-          fanout_begin_[id + 1] - fanout_begin_[id]};
 }
 
 Gate Netlist::gate(GateId id) const {

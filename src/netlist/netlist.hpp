@@ -100,8 +100,13 @@ class Netlist {
     checked(id);
     return {fanin_pool_.data() + fanin_begin_[id], fanin_count_[id]};
   }
-  std::span<const GateId> fanout(GateId id) const;  // sealed only
-  Gate gate(GateId id) const;                       // sealed only
+  std::span<const GateId> fanout(GateId id) const {  // sealed only
+    checked(id);
+    require_sealed("fanout");
+    return {fanout_pool_.data() + fanout_begin_[id],
+            fanout_begin_[id + 1] - fanout_begin_[id]};
+  }
+  Gate gate(GateId id) const;  // sealed only
   GateId find(std::string_view name) const;  // kNullGate when absent
   bool contains(std::string_view name) const { return find(name) != kNullGate; }
 
@@ -139,8 +144,17 @@ class Netlist {
     GateId id = kNullGate;
   };
 
-  GateId checked(GateId id) const;
-  void require_sealed(const char* what) const;
+  // Inline range and seal checks on every accessor; only the throws are
+  // out of line.
+  GateId checked(GateId id) const {
+    if (id >= size()) [[unlikely]] throw_bad_id();
+    return id;
+  }
+  void require_sealed(const char* what) const {
+    if (!sealed_) [[unlikely]] throw_unsealed(what);
+  }
+  [[noreturn]] static void throw_bad_id();
+  [[noreturn]] void throw_unsealed(const char* what) const;
   // Index slot holding `name`, or the empty slot where it would go.
   std::size_t probe(std::string_view name, std::uint32_t hash) const;
   // Grows the index (doubling) until `gates` names fit at load <= 1/2.

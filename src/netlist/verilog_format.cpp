@@ -23,13 +23,21 @@ struct PendingAssign {
   int line;
 };
 
+// Fails at `line` unless `name`, read at a name position, is an
+// identifier.
+void check_identifier(const Lexer& lex, int line, std::string_view name) {
+  if (is_verilog_identifier(name)) return;
+  lex.fail(line, "'" + std::string(name) + "' is " +
+                     (is_verilog_keyword(name)
+                          ? "a reserved word, not an identifier"
+                          : "not a Verilog identifier"));
+}
+
 // A name position: the next word, which must be an identifier.
 std::string_view identifier(Lexer& lex, std::string_view what) {
   const int line = lex.line();
   const std::string_view name = lex.word(what);
-  if (!is_verilog_identifier(name)) {
-    lex.fail(line, "'" + std::string(name) + "' is not a Verilog identifier");
-  }
+  check_identifier(lex, line, name);
   return name;
 }
 
@@ -100,8 +108,15 @@ VerilogModule parse_structural_verilog(std::string_view text) {
     if (dir != "input" && dir != "output") {
       lex.fail(line, "bad port direction '" + std::string(dir) + "'");
     }
-    std::string_view name = identifier(lex, "a port name");
-    while (lex.at_word()) name = identifier(lex, "a port name");
+    // Type words (`wire`, `reg`) may come before the name, which is last.
+    int name_line = lex.line();
+    std::string_view name = lex.word("a port name");
+    while (lex.at_word()) {
+      if (!is_verilog_keyword(name)) check_identifier(lex, name_line, name);
+      name_line = lex.line();
+      name = lex.word("a port name");
+    }
+    check_identifier(lex, name_line, name);
     if (dir == "output") {
       outputs.push_back({name, line});
     } else if (name != "clk" && name != "backup_en") {  // control pins
@@ -119,8 +134,7 @@ VerilogModule parse_structural_verilog(std::string_view text) {
   int end_line = lex.line();  // where the module as a whole fails
   while (!lex.accept("endmodule")) {
     const int line = lex.line();
-    const std::string_view head =
-        identifier(lex, "a statement or 'endmodule'");
+    const std::string_view head = lex.word("a statement or 'endmodule'");
     if (head == "wire" || head == "reg") {
       do identifier(lex, "a signal name"); while (lex.accept(","));
       lex.expect(";");
@@ -143,6 +157,7 @@ VerilogModule parse_structural_verilog(std::string_view text) {
           {lhs, GateKind::kDff, operands.size() - 1, operands.size(), line});
     } else {
       // Cell instance: <cell> <inst> (.pin(sig), ...);
+      check_identifier(lex, line, head);
       VerilogModule::Instance inst;
       inst.cell = head;
       inst.name = identifier(lex, "an instance name");

@@ -15,6 +15,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cell/cell_library.hpp"
@@ -40,11 +41,11 @@ struct FeatureDict {
   double energy() const { return dynamic_energy + static_energy; }
 };
 
-// One node of a tree.  The member gates and edges are read-only views
-// into the tree's shared structure (see TaskTree), so they stay valid as
-// long as any copy of the tree is alive.
+// One node of a tree.  The label, member gates and edges are read-only
+// views into the tree's shared structure (see TaskTree), so they stay
+// valid as long as any copy of the tree is alive.
 struct TaskNode {
-  std::string label;                // "F<id>"
+  std::string_view label;           // "F<id>"; points into the tree
   std::span<const GateId> gates;    // member gates (logic gates), ascending
   FeatureDict dict;
   std::span<const TaskId> preds;    // dependency edges (deduplicated, sorted)
@@ -52,7 +53,7 @@ struct TaskNode {
 };
 
 // NVM insertion state of one node (filled by the replacement engine).
-// The only per-copy part of a tree.
+// The only per-copy part of a tree, allocated on the first write.
 struct NvmAnnotation {
   bool has_nvm = false;
   int nvm_bits = 0;               // signals persisted when this node commits
@@ -63,9 +64,9 @@ struct NvmAnnotation {
 // when the first tree over the netlist is built and carried by
 // repartition.
 struct NetlistFacts {
-  // pos[g] = rank of gate g in topological_order(netlist); operand costs
-  // order members by it.
-  std::vector<std::uint32_t> topo_pos;
+  // topological_order(netlist): every build buckets each node's members
+  // along it, so operand costs visit them in this order with no sort.
+  std::vector<GateId> topological_order;
   // cone_roots(): root of g's fanout-free cone, kNullGate off the cones.
   std::vector<GateId> cone_root;
   // state_driver_cones(): the LE-FF cluster count NV-Clustering sizes by.
@@ -86,30 +87,30 @@ class TaskTree {
   // (F2 -> F2.1/F2.2, F5..F8 -> F5+F6+F7+F8).  Throws on invalid
   // assignments or on a cyclic node graph.
   static TaskTree from_partition(const Netlist& nl, const CellLibrary& lib,
-                                 const std::vector<int>& node_of_gate,
-                                 int num_nodes,
+                                 std::vector<int> node_of_gate, int num_nodes,
                                  const std::vector<std::string>& labels = {});
 
   // from_partition over this tree's netlist and library, sharing this
   // tree's NetlistFacts instead of recomputing them: the rebuild step of
   // every policy transform.
-  TaskTree repartition(const std::vector<int>& node_of_gate, int num_nodes,
+  TaskTree repartition(std::vector<int> node_of_gate, int num_nodes,
                        const std::vector<std::string>& labels = {}) const;
 
   const Netlist& netlist() const { return *shape_->nl; }
   const CellLibrary& library() const { return *shape_->lib; }
 
-  std::size_t size() const { return annotations_.size(); }
+  std::size_t size() const { return shape_ ? shape_->nodes.size() : 0; }
   const TaskNode& node(TaskId id) const;
   std::span<const TaskNode> nodes() const;
+
+  // node(id).gates in the netlist's topological order: the order operand
+  // costs and splits visit members in.
+  std::span<const GateId> topo_gates(TaskId id) const;
 
   // The gate->node map this tree was built from.
   const std::vector<int>& partition() const { return shape_->node_of_gate; }
 
   const NetlistFacts& facts() const { return *shape_->facts; }
-  std::span<const std::uint32_t> topo_positions() const {
-    return facts().topo_pos;
-  }
 
   // Topological order of nodes (sources first).
   const std::vector<TaskId>& schedule() const { return shape_->schedule; }
@@ -157,8 +158,10 @@ class TaskTree {
     std::shared_ptr<const NetlistFacts> facts;
     std::vector<int> node_of_gate;
     std::vector<GateId> gate_pool;  // members of node i, node-major
+    std::vector<GateId> topo_pool;  // gate_pool's rows in topological order
     std::vector<TaskId> pred_pool;
     std::vector<TaskId> succ_pool;
+    std::string label_pool;  // every node's label, back to back
     std::vector<TaskNode> nodes;
     std::vector<TaskId> schedule;
     int max_level = 0;
@@ -166,12 +169,22 @@ class TaskTree {
 
   static TaskTree build(const Netlist& nl, const CellLibrary& lib,
                         std::shared_ptr<const NetlistFacts> facts,
-                        const std::vector<int>& node_of_gate, int num_nodes,
+                        std::vector<int> node_of_gate, int num_nodes,
                         const std::vector<std::string>& labels);
 
   std::shared_ptr<const Shape> shape_;
   std::vector<NvmAnnotation> annotations_;
 };
+
+// Kahn's order of a node graph given as CSR rows: node i has
+// pred_begin[i + 1] - pred_begin[i] preds and succs
+// succs[succ_begin[i] .. succ_begin[i + 1]).  Ready nodes are seeded in
+// index order and run FIFO, so one graph has one schedule whoever builds
+// it (TaskTree::build, the policies' quotient graph).  Returns fewer than
+// pred_begin.size() - 1 nodes when the graph has a cycle.
+std::vector<TaskId> kahn_schedule(std::span<const std::uint32_t> pred_begin,
+                                  std::span<const std::uint32_t> succ_begin,
+                                  std::span<const TaskId> succs);
 
 // Builds the trivial partition: one node per fanout-free cone plus one node
 // per DFF (the un-optimized tree of SIII.A step 1).

@@ -24,8 +24,8 @@ void append_design_findings(const IntermittentDesign& design,
     f.rule = DrcRule::kDegenerate;
     f.severity = DrcSeverity::kWarning;
     f.gate = kNullGate;
-    f.message = "NVM commit point at task '" + design.tree.node(id).label +
-                "' persists zero bits";
+    f.message = "NVM commit point at task '" +
+                std::string(design.tree.node(id).label) + "' persists zero bits";
     report.findings.push_back(std::move(f));
     ++report.warnings;
   }

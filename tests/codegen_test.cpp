@@ -204,6 +204,37 @@ TEST(CodegenCli, DottedFileNameRoundTripsThroughSynthAndCheck) {
   EXPECT_EQ(check.exit_code, 0) << check.out << check.err;
 }
 
+TEST(CodegenCli, ReservedWordFileNameRoundTripsThroughSynthAndCheck) {
+  // A file named after a reserved word gives the module "wire_", which
+  // the reader takes back; the bare "wire" it rejects at its line.
+  const fs::path dir = fs::path(::testing::TempDir()) / "cgcli_keyword";
+  fs::create_directories(dir);
+  std::ofstream(dir / "wire.bench") << to_bench_string(build_benchmark("s27"));
+  const std::string prefix = (dir / "wire").string();
+  const CliRun synth = run_cli(
+      "synth " + (dir / "wire.bench").string() + " --out " + prefix,
+      "cgcli_keyword_synth");
+  ASSERT_EQ(synth.exit_code, 0) << synth.err;
+  const std::string v = slurp(prefix + "_diac.v");
+  EXPECT_NE(v.find("\nmodule wire_ (\n"), std::string::npos) << v;
+  const CliRun check =
+      run_cli("check " + prefix + "_diac.v", "cgcli_keyword_check");
+  EXPECT_EQ(check.exit_code, 0) << check.out << check.err;
+  EXPECT_EQ(run_cli("check " + (dir / "wire.bench").string(),
+                    "cgcli_keyword_check_bench")
+                .exit_code,
+            0);
+
+  std::string bare = v;
+  bare.replace(bare.find("\nmodule wire_ ("), 15, "\nmodule wire (");
+  std::ofstream(dir / "bare.v") << bare;
+  const CliRun rejected =
+      run_cli("check " + (dir / "bare.v").string(), "cgcli_keyword_bare");
+  EXPECT_EQ(rejected.exit_code, 1);
+  EXPECT_NE(rejected.err.find("'wire' is a reserved word"), std::string::npos)
+      << rejected.err;
+}
+
 // --- validation -------------------------------------------------------------
 
 TEST(Validation, CleanDesignPasses) {

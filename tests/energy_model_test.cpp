@@ -115,16 +115,19 @@ w2 = NOR(w1, a)
 y = XOR(w1, w2)
 )");
   const CellLibrary lib = CellLibrary::nominal_45nm();
-  std::vector<GateId> members = {nl.find("w1"), nl.find("w2"), nl.find("y")};
-  const auto pos = topological_positions(nl);
-  std::vector<double> arrival(nl.size(), -1.0);
+  std::vector<GateId> members = {nl.find("y"), nl.find("w1"), nl.find("w2")};
   const OperandCost c1 = operand_cost(nl, members, lib);
-  const OperandCost c2 = operand_cost(nl, members, lib, pos, arrival);
+  // The kernel takes the members ordered by their topological positions.
+  const auto pos = topological_positions(nl);
+  std::sort(members.begin(), members.end(),
+            [&pos](GateId a, GateId b) { return pos[a] < pos[b]; });
+  std::vector<double> arrival(nl.size(), -1.0);
+  const OperandCost c2 = ordered_operand_cost(nl, members, lib, arrival);
   EXPECT_DOUBLE_EQ(c1.dynamic_energy, c2.dynamic_energy);
   EXPECT_DOUBLE_EQ(c1.static_energy, c2.static_energy);
   EXPECT_DOUBLE_EQ(c1.delay, c2.delay);
   std::vector<double> short_buffer(nl.size() - 1, -1.0);
-  EXPECT_THROW(operand_cost(nl, members, lib, pos, short_buffer),
+  EXPECT_THROW(ordered_operand_cost(nl, members, lib, short_buffer),
                std::invalid_argument);
 }
 
@@ -135,12 +138,14 @@ TEST(EnergyModel, SharedScratchBufferMatchesFreshBuffersOnS38417) {
   const CellLibrary lib = CellLibrary::nominal_45nm();
   const TaskTree tree = initial_tree(nl, lib);
   ASSERT_GT(tree.size(), 1000u);
-  const auto pos = topological_positions(nl);
   std::vector<double> shared(nl.size(), -1.0);
-  for (const TaskNode& node : tree.nodes()) {
+  for (TaskId id = 0; id < tree.size(); ++id) {
+    const TaskNode& node = tree.node(id);
     std::vector<double> fresh(nl.size(), -1.0);
-    const OperandCost a = operand_cost(nl, node.gates, lib, pos, shared);
-    const OperandCost b = operand_cost(nl, node.gates, lib, pos, fresh);
+    const OperandCost a =
+        ordered_operand_cost(nl, tree.topo_gates(id), lib, shared);
+    const OperandCost b =
+        ordered_operand_cost(nl, tree.topo_gates(id), lib, fresh);
     ASSERT_EQ(a.delay, b.delay) << node.label;
     ASSERT_EQ(a.dynamic_energy, b.dynamic_energy) << node.label;
     ASSERT_EQ(a.static_energy, b.static_energy) << node.label;

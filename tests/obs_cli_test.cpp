@@ -274,6 +274,28 @@ TEST(ObsCli, SearchSimulatesSensingTwinsOnce) {
   }
 }
 
+TEST(ObsCli, CostedGatesArePinnedAndThreadInvariant) {
+  // synth.costed_gates counts the gates the cost kernel visits: s38417's
+  // 19 253 logic gates once for the initial tree and once for the policy
+  // tree, plus the merged groups the policy's quotient recosts.
+  for (const int threads : {1, 2}) {
+    const std::string name = "obscli_costed_" + std::to_string(threads);
+    const fs::path metrics = temp_file(name + ".json");
+    ASSERT_EQ(run_cli("mc s38417 --runs 32 --instances 4 --threads " +
+                          std::to_string(threads) + " --metrics-out " +
+                          metrics.string(),
+                      name)
+                  .exit_code,
+              0);
+#if !defined(DIAC_OBS_DISABLED)
+    const obs::JsonValue m = obs::parse_json(slurp(metrics));
+    EXPECT_EQ(m.find("counters")->find("synth.costed_gates")->as_u64(),
+              59949u)
+        << threads;
+#endif
+  }
+}
+
 TEST(ObsCli, SupplyCountersAndLibraryLoadSpan) {
   // power.trace_rows counts the sample rows replay parsed,
   // power.source_segments the RFID segments mc's cursors generated, and

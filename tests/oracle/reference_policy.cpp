@@ -107,7 +107,7 @@ TaskTree reference_merge_small_nodes(const TaskTree& tree,
       group_index[root] = next++;
       labels.emplace_back();
     }
-    append_label(group_index[root], tree.node(id).label);
+    append_label(group_index[root], std::string(tree.node(id).label));
     for (GateId g : tree.node(id).gates) part[g] = group_index[root];
   }
   TaskTree merged = tree.repartition(part, next, labels);

@@ -175,6 +175,56 @@ TEST(VerilogParse, RejectsNamesOutsideTheIdentifierRule) {
             "verilog parse error at line 6: Netlist::validate: combinational");
 }
 
+TEST(VerilogIdentifier, ReservedWordsAreNotIdentifiers) {
+  for (std::string_view word : {"wire", "module", "and", "endmodule", "xor",
+                                "pulsestyle_ondetect"}) {
+    EXPECT_TRUE(is_verilog_keyword(word)) << word;
+    EXPECT_FALSE(is_verilog_identifier(word)) << word;
+    std::string out;
+    append_verilog_identifier(out, word);
+    EXPECT_EQ(out, std::string(word) + "_");
+    EXPECT_TRUE(is_verilog_identifier(out)) << out;
+  }
+  // Case matters, and a prefix makes a new word.
+  EXPECT_TRUE(is_verilog_identifier("Wire"));
+  EXPECT_TRUE(is_verilog_identifier("wire", "w_"));
+  EXPECT_FALSE(is_verilog_identifier("re", "wi"));
+  std::string out = "x ";
+  append_verilog_identifier(out, "re", "wi");
+  EXPECT_EQ(out, "x wire_");
+  out.clear();
+  append_verilog_identifier(out, "wire", "w_");
+  EXPECT_EQ(out, "w_wire");
+}
+
+TEST(VerilogParse, RejectsReservedWordsAtNamePositions) {
+  const std::string head = "module m (input wire a, output wire y);\n";
+  EXPECT_EQ(parse_error("module wire (input wire a, output wire y);\n"
+                        "  assign y = a;\nendmodule\n"),
+            "verilog parse error at line 1: 'wire' is a reserved word, not "
+            "an identifier");
+  EXPECT_EQ(parse_error("module m (\n  input wire a,\n  output wire or\n);\n"
+                        "  assign y = a;\nendmodule\n"),
+            "verilog parse error at line 3: 'or' is a reserved word, not an "
+            "identifier");
+  EXPECT_EQ(parse_error(head + "  wire reg;\n  assign y = a;\nendmodule\n"),
+            "verilog parse error at line 2: 'reg' is a reserved word, not an "
+            "identifier");
+  EXPECT_EQ(parse_error(head + "  assign y = a & and;\nendmodule\n"),
+            "verilog parse error at line 2: 'and' is a reserved word, not an "
+            "identifier");
+  EXPECT_EQ(parse_error(head + "  assign y = a;\n  initial y = a;\nendmodule\n"),
+            "verilog parse error at line 3: 'initial' is a reserved word, not "
+            "an identifier");
+  EXPECT_EQ(parse_error(head + "  diac_nvreg begin (.d(a));\n"
+                               "  assign y = a;\nendmodule\n"),
+            "verilog parse error at line 2: 'begin' is a reserved word, not an "
+            "identifier");
+  // Type words before a port's name stay legal.
+  EXPECT_NO_THROW(parse_structural_verilog(
+      "module m (input wire a, output reg y);\n  assign y = a;\nendmodule\n"));
+}
+
 // Seeded mutants of emitted text: every one parses or fails at a line of
 // the text, never with another error or a crash.
 std::vector<std::string_view> tokens_of(const std::string& text) {
