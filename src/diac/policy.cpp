@@ -95,173 +95,167 @@ class UnionFind {
   std::vector<TaskId> parent_;
 };
 
-// The merge stage's coarse graph: one entry per group of the input tree's
-// nodes, holding what a packing pass reads (energy, schedule).  Each
-// contraction maps groups onto coarser ones.  A group that absorbed
-// another is recosted with the cost kernel over the union of its gates,
-// the same cost a rebuild computes; summing member energies instead could
-// flip a decision near a limit.  Edges come from the previous level's
-// edges through the group map, and the schedule is Kahn's order as
-// TaskTree::build computes it, so every decision equals the one a rebuild
-// per contraction would make.  The fine tree is rebuilt once, from the
-// composed map (partition()).
-class Quotient {
- public:
-  explicit Quotient(const TaskTree& tree)
-      : tree_(&tree),
-        nodes_(tree.nodes()),
-        group_(tree.size()),
-        groups_(tree.size()),
-        energy_(tree.size()),
-        arrival_(tree.netlist().size(), -1.0) {
-    for (std::size_t t = 0; t < tree.size(); ++t) {
-      group_[t] = static_cast<int>(t);
-      energy_[t] = nodes_[t].dict.energy();
-      edges_ += nodes_[t].preds.size();
-    }
-  }
-
-  std::size_t size() const { return groups_; }
-  double energy(TaskId g) const { return energy_[g]; }
-  const std::vector<TaskId>& schedule() const { return schedule_; }
-
-  // Maps group g onto to[g], dense in [0, groups).  `rescan` recosts the
-  // merged groups and reschedules; the last contraction skips both.
-  void contract(const std::vector<int>& to, int groups, bool rescan) {
-    const std::size_t k = static_cast<std::size_t>(groups);
-    std::vector<int> absorbed(k, 0);  // old groups per new group
-    std::vector<double> energy(k);
-    for (std::size_t g = 0; g < to.size(); ++g) {
-      const auto j = static_cast<std::size_t>(to[g]);
-      if (absorbed[j]++ == 0 && rescan) energy[j] = energy_[g];
-    }
-    for (int& g : group_) g = to[static_cast<std::size_t>(g)];
-    groups_ = k;
-    schedule_.clear();
-    if (!rescan) {
-      energy_.clear();
-      return;
-    }
-
-    // Gates of each merged group in topological order: size the rows from
-    // the member tasks, then bucket one pass over the netlist's order.
-    std::vector<std::uint32_t> gate_begin(k + 1, 0);
-    for (TaskId t = 0; t < group_.size(); ++t) {
-      const auto j = static_cast<std::size_t>(group_[t]);
-      if (absorbed[j] > 1) {
-        gate_begin[j + 1] += static_cast<std::uint32_t>(nodes_[t].gates.size());
-      }
-    }
-    for (std::size_t j = 0; j < k; ++j) gate_begin[j + 1] += gate_begin[j];
-    std::vector<GateId> gates(gate_begin[k]);
-    {
-      const std::vector<int>& task_of = tree_->partition();
-      std::vector<std::uint32_t> fill(gate_begin.begin(), gate_begin.end() - 1);
-      for (GateId g : tree_->facts().topological_order) {
-        if (task_of[g] == kNoNode) continue;
-        const auto j = static_cast<std::size_t>(
-            group_[static_cast<std::size_t>(task_of[g])]);
-        if (absorbed[j] > 1) gates[fill[j]++] = g;
-      }
-    }
-    const Netlist& nl = tree_->netlist();
-    for (std::size_t j = 0; j < k; ++j) {
-      if (absorbed[j] < 2) continue;
-      const std::span<const GateId> ordered =
-          std::span<const GateId>(gates).subspan(
-              gate_begin[j], gate_begin[j + 1] - gate_begin[j]);
-      energy[j] =
-          ordered_operand_cost(nl, ordered, tree_->library(), arrival_).energy();
-    }
-    DIAC_OBS_COUNT("synth.costed_gates", gates.size());
-    energy_ = std::move(energy);
-
-    // Preds of each new group: the old groups' preds through `to`,
-    // deduplicated and in discovery order (only their set is read).  Succs
-    // are their inverse, filled in ascending group order, so each succ row
-    // comes out sorted as Kahn's order needs.
-    std::vector<std::uint32_t> member_begin(k + 1, 0);
-    for (int j : to) ++member_begin[static_cast<std::size_t>(j) + 1];
-    for (std::size_t j = 0; j < k; ++j) member_begin[j + 1] += member_begin[j];
-    std::vector<TaskId> members(to.size());  // old groups, by new group
-    {
-      std::vector<std::uint32_t> fill(member_begin.begin(),
-                                      member_begin.end() - 1);
-      for (TaskId g = 0; g < to.size(); ++g) {
-        members[fill[static_cast<std::size_t>(to[g])]++] = g;
-      }
-    }
-    std::vector<std::uint32_t> pred_begin(k + 1, 0);
-    std::vector<TaskId> preds;
-    preds.reserve(edges_);
-    std::vector<std::uint32_t> succ_begin(k + 1, 0);
-    std::vector<int> seen(k, -1);
-    for (std::size_t j = 0; j < k; ++j) {
-      for (std::uint32_t m = member_begin[j]; m < member_begin[j + 1]; ++m) {
-        for (TaskId p : preds_of(members[m])) {
-          const int q = to[p];
-          if (q == static_cast<int>(j) || seen[q] == static_cast<int>(j)) {
-            continue;
-          }
-          seen[q] = static_cast<int>(j);
-          preds.push_back(static_cast<TaskId>(q));
-          ++succ_begin[static_cast<std::size_t>(q) + 1];
-        }
-      }
-      pred_begin[j + 1] = static_cast<std::uint32_t>(preds.size());
-    }
-    for (std::size_t j = 0; j < k; ++j) succ_begin[j + 1] += succ_begin[j];
-    std::vector<TaskId> succs(preds.size());
-    {
-      std::vector<std::uint32_t> fill(succ_begin.begin(), succ_begin.end() - 1);
-      for (std::size_t j = 0; j < k; ++j) {
-        for (std::uint32_t e = pred_begin[j]; e < pred_begin[j + 1]; ++e) {
-          succs[fill[preds[e]]++] = static_cast<TaskId>(j);
-        }
-      }
-    }
-    edges_ = preds.size();
-    pred_begin_ = std::move(pred_begin);
-    preds_ = std::move(preds);
-
-    schedule_ = kahn_schedule(pred_begin_, succ_begin, succs);
-    if (schedule_.size() != k) {
-      throw std::invalid_argument(
-          "TaskTree: partition induces a cyclic node graph");
-    }
-  }
-
-  // The composed gate->group map.
-  std::vector<int> partition() const {
-    std::vector<int> part = tree_->partition();
-    for (int& p : part) {
-      if (p != kNoNode) p = group_[static_cast<std::size_t>(p)];
-    }
-    return part;
-  }
-
- private:
-  // Preds of group g before the next contraction: the input tree's edges
-  // until the first contraction, then the quotient's own.
-  std::span<const TaskId> preds_of(TaskId g) const {
-    if (pred_begin_.empty()) return nodes_[g].preds;
-    return std::span<const TaskId>(preds_).subspan(
-        pred_begin_[g], pred_begin_[g + 1] - pred_begin_[g]);
-  }
-
-  const TaskTree* tree_;
-  std::span<const TaskNode> nodes_;  // the input tree's
-  std::vector<int> group_;  // input task -> current group
-  std::size_t groups_ = 0;
-  std::vector<double> energy_;  // unscaled dict.energy() per group
-  std::vector<TaskId> schedule_;
-  // Pred rows of the current groups, empty before the first contraction,
-  // and their edge count.
-  std::vector<std::uint32_t> pred_begin_;
-  std::vector<TaskId> preds_;
-  std::size_t edges_ = 0;
-  std::vector<double> arrival_;  // operand_cost scratch, all -1.0
+// The groups rules (a)+(b) leave, holding what the first packing pass
+// reads: each group's unscaled energy and Kahn's order of the group graph.
+// A group that absorbed another is recosted with the cost kernel over the
+// union of its gates, the cost a rebuild computes (summing member
+// energies instead could flip a decision near a limit); the others keep
+// their node's energy.  The schedule is the one TaskTree::build would
+// compute for the contracted partition, from succ rows built in one pass
+// over the input tree's edges; no pred rows are built.
+struct GroupLevel {
+  std::vector<double> energy;
+  std::vector<TaskId> schedule;
 };
+
+GroupLevel contract_groups(const TaskTree& tree, const std::vector<int>& to,
+                           int groups) {
+  const std::span<const TaskNode> nodes = tree.nodes();
+  const std::size_t k = static_cast<std::size_t>(groups);
+  GroupLevel level;
+  level.energy.resize(k);
+
+  // Tasks of each group in ascending task order.
+  std::vector<std::uint32_t> member_begin(k + 1, 0);
+  for (int j : to) ++member_begin[static_cast<std::size_t>(j) + 1];
+  for (std::size_t j = 0; j < k; ++j) member_begin[j + 1] += member_begin[j];
+  std::vector<TaskId> members(to.size());
+  {
+    std::vector<std::uint32_t> fill(member_begin.begin(),
+                                    member_begin.end() - 1);
+    for (TaskId t = 0; t < to.size(); ++t) {
+      members[fill[static_cast<std::size_t>(to[t])]++] = t;
+    }
+  }
+  const auto absorbed = [&member_begin](std::size_t j) {
+    return member_begin[j + 1] - member_begin[j] > 1;
+  };
+
+  // Gates of each merged group in topological order: size the rows from
+  // the member tasks, then bucket one pass over the netlist's order.
+  std::vector<std::uint32_t> gate_begin(k + 1, 0);
+  std::size_t edges = 0;
+  for (TaskId t = 0; t < to.size(); ++t) {
+    const auto j = static_cast<std::size_t>(to[t]);
+    edges += nodes[t].succs.size();
+    if (absorbed(j)) {
+      gate_begin[j + 1] += static_cast<std::uint32_t>(nodes[t].gates.size());
+    } else {
+      level.energy[j] = nodes[t].dict.energy();
+    }
+  }
+  for (std::size_t j = 0; j < k; ++j) gate_begin[j + 1] += gate_begin[j];
+  std::vector<GateId> gates(gate_begin[k]);
+  {
+    const std::vector<int>& task_of = tree.partition();
+    std::vector<std::uint32_t> fill(gate_begin.begin(), gate_begin.end() - 1);
+    for (GateId g : tree.facts().topological_order) {
+      if (task_of[g] == kNoNode) continue;
+      const auto j =
+          static_cast<std::size_t>(to[static_cast<std::size_t>(task_of[g])]);
+      if (absorbed(j)) gates[fill[j]++] = g;
+    }
+  }
+  const Netlist& nl = tree.netlist();
+  std::vector<double> arrival(nl.size(), -1.0);  // operand_cost scratch
+  for (std::size_t j = 0; j < k; ++j) {
+    if (!absorbed(j)) continue;
+    const std::span<const GateId> ordered =
+        std::span<const GateId>(gates).subspan(gate_begin[j],
+                                               gate_begin[j + 1] - gate_begin[j]);
+    level.energy[j] =
+        ordered_operand_cost(nl, ordered, tree.library(), arrival).energy();
+  }
+  DIAC_OBS_COUNT("synth.costed_gates", gates.size());
+
+  // Kahn's order of the group graph, as kahn_schedule computes it over
+  // sorted succ rows.  Group j's succ row is its members' succs through
+  // `to`, deduplicated by stamping j; kahn_schedule reads only the
+  // in-degrees of pred rows, so their prefix sums stand in for them.
+  // `to` numbers groups by their first task, so most rows come out
+  // sorted already.
+  std::vector<int> stamp(k, -1);
+  std::vector<std::uint32_t> pred_begin(k + 1, 0);
+  std::vector<std::uint32_t> succ_begin(k + 1, 0);
+  std::vector<TaskId> succs;
+  succs.reserve(edges);
+  for (std::size_t j = 0; j < k; ++j) {
+    for (std::uint32_t m = member_begin[j]; m < member_begin[j + 1]; ++m) {
+      for (TaskId s : nodes[members[m]].succs) {
+        const auto q = static_cast<std::size_t>(to[s]);
+        if (q == j || stamp[q] == static_cast<int>(j)) continue;
+        stamp[q] = static_cast<int>(j);
+        succs.push_back(static_cast<TaskId>(q));
+        ++pred_begin[q + 1];
+      }
+    }
+    succ_begin[j + 1] = static_cast<std::uint32_t>(succs.size());
+    const auto row = succs.begin() + succ_begin[j];
+    if (!std::is_sorted(row, succs.end())) std::sort(row, succs.end());
+  }
+  for (std::size_t j = 0; j < k; ++j) pred_begin[j + 1] += pred_begin[j];
+  level.schedule = kahn_schedule(pred_begin, succ_begin, succs);
+  if (level.schedule.size() != k) {
+    throw std::invalid_argument(
+        "TaskTree: partition induces a cyclic node graph");
+  }
+  return level;
+}
+
+// One packing pass over groups visited in `schedule` order, where
+// energy(g) is group g's unscaled energy.  Maps each group onto its run in
+// `to` (runs numbered by first appearance in group order) and returns the
+// run count, or 0 when no group joins another's run.
+template <typename EnergyOf>
+int pack_runs(std::span<const TaskId> schedule, EnergyOf energy,
+              const PolicyLimits& limits, std::vector<int>& to) {
+  std::vector<int> seg_of(schedule.size(), -1);
+  bool changed = false;
+  int seg = 0;
+  double acc = 0;
+  bool open = false;
+  for (TaskId id : schedule) {
+    const double e = limits.scaled(energy(id));
+    if (e >= limits.lower) {
+      // Large nodes stand alone; close any open run first.
+      if (open) {
+        ++seg;
+        acc = 0;
+        open = false;
+      }
+      seg_of[id] = seg++;
+      continue;
+    }
+    if (open && acc + e > limits.upper) {
+      ++seg;  // close the full run
+      acc = 0;
+      open = false;
+    }
+    if (open) changed = true;  // this node joins an existing run
+    seg_of[id] = seg;
+    open = true;
+    acc += e;
+  }
+  if (!changed) return 0;
+  std::vector<int> dense(static_cast<std::size_t>(seg) + 1, -1);
+  to.resize(schedule.size());
+  int runs = 0;
+  for (std::size_t id = 0; id < schedule.size(); ++id) {
+    const auto s = static_cast<std::size_t>(seg_of[id]);
+    if (dense[s] < 0) dense[s] = runs++;
+    to[id] = dense[s];
+  }
+  return runs;
+}
+
+// `tree`'s gate->node map with every node t replaced by to[t].
+std::vector<int> compose(const TaskTree& tree, const std::vector<int>& to) {
+  std::vector<int> part = tree.partition();
+  for (int& p : part) {
+    if (p != kNoNode) p = to[static_cast<std::size_t>(p)];
+  }
+  return part;
+}
 
 }  // namespace
 
@@ -271,7 +265,6 @@ TaskTree merge_small_nodes(const TaskTree& tree, const PolicyLimits& limits) {
   }
   const std::span<const TaskNode> nodes = tree.nodes();
   const std::size_t n = nodes.size();
-
   UnionFind uf(n);
   std::vector<double> group_energy(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -371,61 +364,36 @@ TaskTree merge_small_nodes(const TaskTree& tree, const PolicyLimits& limits) {
     if (group_index[root] < 0) group_index[root] = next++;
     to[id] = group_index[root];
   }
-  Quotient merged(tree);
-  merged.contract(to, next, !limits.structural_only);
 
   // Stage (c): pack topologically-contiguous runs of small nodes.  A
   // contiguous segment of a topological order only has forward edges to
   // later segments, so any such packing is acyclic.  This coarsens the
-  // many tiny cones of large netlists into operand-sized tasks.
+  // many tiny cones of large netlists into operand-sized tasks.  The
+  // first pass reads the groups of rules (a)+(b); each productive pass is
+  // rebuilt into a tree once, and the next pass reads that tree's node
+  // energies and schedule (the ones a contraction would derive).
   constexpr int kPackingPasses = 4;
-  bool packed = false;
-  for (int pass = 0; pass < kPackingPasses && !limits.structural_only;
-       ++pass) {
-    bool changed = false;
-    const std::size_t m = merged.size();
-    std::vector<int> seg_of(m, -1);
-    int seg = 0;
-    double acc = 0;
-    bool open = false;
-    for (TaskId id : merged.schedule()) {
-      const double e = limits.scaled(merged.energy(id));
-      if (e >= limits.lower) {
-        // Large nodes stand alone; close any open run first.
-        if (open) {
-          ++seg;
-          acc = 0;
-          open = false;
-        }
-        seg_of[id] = seg++;
-        continue;
-      }
-      if (open && acc + e > limits.upper) {
-        ++seg;  // close the full run
-        acc = 0;
-        open = false;
-      }
-      if (open) changed = true;  // this node joins an existing run
-      seg_of[id] = seg;
-      open = true;
-      acc += e;
-    }
-    if (!changed) break;
-    // Number the segments by first appearance in group order.
-    std::vector<int> dense(static_cast<std::size_t>(seg) + 1, -1);
-    std::vector<int> to_seg(m);
-    int next_seg = 0;
-    for (std::size_t id = 0; id < m; ++id) {
-      const auto s = static_cast<std::size_t>(seg_of[id]);
-      if (dense[s] < 0) dense[s] = next_seg++;
-      to_seg[id] = dense[s];
-    }
-    merged.contract(to_seg, next_seg, pass + 1 < kPackingPasses);
-    packed = true;
+  std::vector<int> to_run;
+  int runs = 0;
+  if (!limits.structural_only) {
+    const GroupLevel level = contract_groups(tree, to, next);
+    runs = pack_runs(
+        level.schedule, [&level](TaskId g) { return level.energy[g]; },
+        limits, to_run);
   }
-  if (packed) {  // packed nodes fall back to "F<i+1>" labels
-    return tree.repartition(merged.partition(),
-                            static_cast<int>(merged.size()));
+  if (runs > 0) {  // packed nodes fall back to "F<i+1>" labels
+    for (int& g : to) g = to_run[static_cast<std::size_t>(g)];
+    TaskTree packed = tree.repartition(compose(tree, to), runs);
+    for (int pass = 1; pass < kPackingPasses; ++pass) {
+      const std::span<const TaskNode> groups = packed.nodes();
+      runs = pack_runs(
+          packed.schedule(),
+          [groups](TaskId g) { return groups[g].dict.energy(); }, limits,
+          to_run);
+      if (runs == 0) break;
+      packed = packed.repartition(compose(packed, to_run), runs);
+    }
+    return packed;
   }
   // Merged groups keep a joined label (capped at three member names, the
   // paper's F13 style).
@@ -444,7 +412,7 @@ TaskTree merge_small_nodes(const TaskTree& tree, const PolicyLimits& limits) {
       l += "+..";
     }
   }
-  return tree.repartition(merged.partition(), next, labels);
+  return tree.repartition(compose(tree, to), next, labels);
 }
 
 TaskTree apply_policy(const TaskTree& tree, PolicyKind kind,

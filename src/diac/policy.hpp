@@ -20,10 +20,11 @@
 //    (this is what turns F5..F8 into F13) and (b) single-pred/single-succ
 //    chains; both rules provably preserve acyclicity.
 //
-// Merging contracts a quotient graph of the input's nodes (multilevel
-// coarsening): rules (a)+(b) and every packing pass act on the groups,
-// merged groups are recosted over the union of their gates, and the tree
-// is rebuilt once from the composed gate->group map.
+// Merging coarsens in levels: rules (a)+(b) group the input's nodes, the
+// first packing pass reads those groups (merged ones recosted over the
+// union of their gates, scheduled off the input's edges), and each
+// productive pass is rebuilt into a tree once, which the next pass reads.
+// A pass that packs nothing returns the tree it read.
 #pragma once
 
 #include "tree/task_tree.hpp"

@@ -24,9 +24,7 @@ TaskTree DiacSynthesizer::initial_tree() const {
   return TreeGenerator(*nl_, *lib_, tg).generate();
 }
 
-TaskTree DiacSynthesizer::policy_tree(const TaskTree& initial) const {
-  DIAC_TRACE_SPAN("synth.policy", "synth");
-  DIAC_OBS_COUNT("synth.policy_trees", 1);
+PolicyLimits DiacSynthesizer::policy_limits(const TaskTree& initial) const {
   PolicyLimits limits;
   const double total = initial.total_energy();
   if (total <= 0) {
@@ -35,7 +33,23 @@ TaskTree DiacSynthesizer::policy_tree(const TaskTree& initial) const {
   limits.scale = options_.instance_rho * options_.e_max / total;
   limits.upper = options_.upper_fraction * options_.e_max;
   limits.lower = options_.lower_ratio * limits.upper;
-  return apply_policy(initial, options_.policy, limits);
+  return limits;
+}
+
+TaskTree DiacSynthesizer::policy_tree(const TaskTree& initial) const {
+  DIAC_TRACE_SPAN("synth.policy", "synth");
+  DIAC_OBS_COUNT("synth.policy_trees", 1);
+  return apply_policy(initial, options_.policy, policy_limits(initial));
+}
+
+TaskTree DiacSynthesizer::policy_tree(const TaskTree& initial,
+                                      const TaskTree& split) const {
+  if (options_.policy != PolicyKind::kPolicy3) {
+    throw std::logic_error("DiacSynthesizer: only Policy3 merges a split tree");
+  }
+  DIAC_TRACE_SPAN("synth.policy", "synth");
+  DIAC_OBS_COUNT("synth.policy_trees", 1);
+  return merge_small_nodes(split, policy_limits(initial));
 }
 
 TaskTree DiacSynthesizer::transformed_tree() const {

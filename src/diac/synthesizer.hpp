@@ -74,6 +74,11 @@ class DiacSynthesizer {
   // policy.  `initial` must come from initial_tree() of a synthesizer with
   // the same netlist and grouping.
   TaskTree policy_tree(const TaskTree& initial) const;
+  // Step 4 for Policy3 from Policy1's tree: merge_small_nodes over
+  // `split`, which must be policy_tree(initial) of a Policy1 synthesizer
+  // that agrees with this one on the other policy-tree fields.  Policy3
+  // is Policy2 over Policy1's tree, so this equals policy_tree(initial).
+  TaskTree policy_tree(const TaskTree& initial, const TaskTree& split) const;
   // Steps 5-6 (replacement): the `scheme` design over `policy_tree`, which
   // must come from policy_tree() of a synthesizer that agrees with this one
   // on the policy-tree fields above.  The design holds its own copy of the
@@ -89,6 +94,9 @@ class DiacSynthesizer {
   const SynthesisOptions& options() const { return options_; }
 
  private:
+  // The policy limits `options_` derive for `initial`.
+  PolicyLimits policy_limits(const TaskTree& initial) const;
+
   const Netlist* nl_;
   const CellLibrary* lib_;
   SynthesisOptions options_;

@@ -117,7 +117,13 @@ void grow_to(Netlist& nl, std::size_t target, SplitMix64& rng, const GateMix& mi
                                 " gates, target " + std::to_string(target));
   }
   if (logic == target && dangling.empty()) return;
-  nl.reserve(nl.size() + (target - logic) + 1);  // + the closing OUTPUT
+  // Every added gate reads at most four signals and is auto-named
+  // "<kind>_<id>" with a kind of at most four letters; the closing OUTPUT
+  // reads one.
+  const std::size_t added = (target - logic) + 1;
+  const std::string output_name = nl.name() + "_grow_obs$out";
+  const std::size_t id_digits = std::to_string(nl.size() + added).size();
+  nl.reserve(added, 4 * added, added * (5 + id_digits) + output_name.size());
 
   auto take_dangling = [&]() -> GateId {
     const std::size_t i = rng.below(dangling.size());
@@ -175,7 +181,7 @@ void grow_to(Netlist& nl, std::size_t target, SplitMix64& rng, const GateMix& mi
   // Close: XOR-reduce dangling signals into one observable output.
   if (!dangling.empty()) {
     const GateId root = xor_reduce(nl, std::move(dangling));
-    nl.add(GateKind::kOutput, nl.name() + "_grow_obs$out", {root});
+    nl.add(GateKind::kOutput, output_name, {root});
   }
   nl.seal();
 }

@@ -87,12 +87,16 @@ void Netlist::reserve_index(std::size_t gates) {
   }
 }
 
-void Netlist::reserve(std::size_t gates) {
+void Netlist::reserve(std::size_t gates, std::size_t fanins,
+                      std::size_t name_bytes) {
+  gates += size();
   kind_.reserve(gates);
   fanin_begin_.reserve(gates + 1);
   fanin_count_.reserve(gates);
   link_stamp_.reserve(gates);
   name_begin_.reserve(gates + 1);
+  fanin_pool_.reserve(fanin_pool_.size() + fanins);
+  names_.reserve(names_.size() + name_bytes);
   reserve_index(gates);
 }
 

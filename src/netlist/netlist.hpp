@@ -70,9 +70,10 @@ class Netlist {
     return add(kind, std::span<const GateId>(fanin.begin(), fanin.size()));
   }
 
-  // Makes room for `gates` gates in total, so a builder that knows its
-  // size grows each array once.
-  void reserve(std::size_t gates);
+  // Makes room for `gates` more gates that read `fanins` signals and are
+  // named in `name_bytes` bytes in all, so a builder that knows its size
+  // grows each array and pool once.
+  void reserve(std::size_t gates, std::size_t fanins, std::size_t name_bytes);
 
   // Replaces the fanin list of `gate`.
   void set_fanin(GateId gate, std::span<const GateId> fanin);

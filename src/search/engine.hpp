@@ -2,15 +2,19 @@
 /// ranks the outcomes on a Pareto front.
 ///
 /// Pipeline per search:
-///   1. synthesize each candidate once (candidates differing only in
-///      runtime knobs share one synthesis, and all candidates share one
-///      initial tree and one policy tree per policy),
+///   1. synthesize each design once: all candidates share one initial
+///      tree and one policy tree per policy, Policy3's tree is the merge
+///      of Policy1's (Policy2's tree itself when Policy1 splits nothing),
+///      and designs are keyed on (policy tree, budget, NVM, scheme), so
+///      candidates differing only in runtime knobs, or in policies whose
+///      trees coincide, share one design,
 ///   2. materialize the harvest scenario once and share the read-only
 ///      HarvestSource across every job,
 ///   3. simulate each design once per sensing mode that can matter: one
-///      runner job per design, all in one parallel_for, simulates the
-///      design's first candidate's sensing mode, and the other mode only
-///      when a candidate wants it and that run's witness fired.  A run
+///      runner job per design, all in one parallel_for, compiles and
+///      simulates the design's first candidate's sensing mode, and the
+///      other mode only when a candidate wants it and that run's witness
+///      fired; each SimPlan lives only while its run does.  A run
 ///      whose witness stayed clear is its twin's run bit for bit:
 ///      adaptive sensing feeds exactly two decisions (the timer test and
 ///      the timer cap on the integrator's horizon), the witness checks

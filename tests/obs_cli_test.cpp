@@ -6,6 +6,7 @@
 // obs flags on or off — must hold.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -221,19 +222,15 @@ TEST(ObsCli, StatsRendersMetricsFile) {
 }
 
 TEST(ObsCli, SweepsBuildEachTreeOncePerPolicy) {
-  // mc derives its four schemes from one policy tree; the search grid's
-  // 36 designs share one initial tree and one policy tree per policy.
+  // mc derives its four schemes from one policy tree; a search grid
+  // shares one initial tree and one policy tree per policy.  s344's
+  // Policy1 splits, so its grid builds three trees and 36 designs; b14's
+  // splits nothing, so Policy3's tree is Policy2's and its 12 designs are
+  // Policy2's: two trees, 24 designs.
   const fs::path mc = temp_file("obscli_stages_mc.json");
-  const fs::path search = temp_file("obscli_stages_search.json");
   ASSERT_EQ(run_cli("mc s344 --runs 4 --instances 4 --metrics-out " +
                         mc.string(),
                     "obscli_stages_mc")
-                .exit_code,
-            0);
-  ASSERT_EQ(run_cli("search s344 --instances 4 --max-time 8000 "
-                    "--metrics-out " +
-                        search.string(),
-                    "obscli_stages_search")
                 .exit_code,
             0);
 #if !defined(DIAC_OBS_DISABLED)
@@ -242,18 +239,39 @@ TEST(ObsCli, SweepsBuildEachTreeOncePerPolicy) {
   EXPECT_EQ(mc_counters->find("synth.tree_builds")->as_u64(), 1u);
   EXPECT_EQ(mc_counters->find("synth.policy_trees")->as_u64(), 1u);
   EXPECT_EQ(mc_counters->find("synth.runs")->as_u64(), 4u);
-  const obs::JsonValue s = obs::parse_json(slurp(search));
-  const obs::JsonValue* search_counters = s.find("counters");
-  EXPECT_EQ(search_counters->find("synth.tree_builds")->as_u64(), 1u);
-  EXPECT_EQ(search_counters->find("synth.policy_trees")->as_u64(), 3u);
-  EXPECT_EQ(search_counters->find("synth.runs")->as_u64(), 36u);
 #endif
+  const struct {
+    const char* circuit;
+    std::uint64_t policy_trees;
+    std::uint64_t designs;
+  } grids[] = {{"s344", 3, 36}, {"b14", 2, 24}};
+  for (const auto& g : grids) {
+    const std::string name = std::string("obscli_stages_search_") + g.circuit;
+    const fs::path search = temp_file(name + ".json");
+    ASSERT_EQ(run_cli(std::string("search ") + g.circuit +
+                          " --instances 4 --max-time 8000 --metrics-out " +
+                          search.string(),
+                      name)
+                  .exit_code,
+              0);
+#if !defined(DIAC_OBS_DISABLED)
+    const obs::JsonValue s = obs::parse_json(slurp(search));
+    const obs::JsonValue* counters = s.find("counters");
+    EXPECT_EQ(counters->find("synth.tree_builds")->as_u64(), 1u) << g.circuit;
+    EXPECT_EQ(counters->find("synth.policy_trees")->as_u64(), g.policy_trees)
+        << g.circuit;
+    EXPECT_EQ(counters->find("synth.runs")->as_u64(), g.designs) << g.circuit;
+    EXPECT_EQ(counters->find("search.unique_designs")->as_u64(), g.designs)
+        << g.circuit;
+#endif
+  }
 }
 
 TEST(ObsCli, SearchSimulatesSensingTwinsOnce) {
-  // The default b14 grid has 72 candidates over 36 designs; 27 twin
-  // pairs' witnesses stay clear, so 45 simulations cover all 72, at any
-  // thread count.
+  // The default b14 grid has 72 candidates over 24 designs (Policy1
+  // splits nothing on b14, so each Policy3 candidate shares its Policy2
+  // counterpart's design); 18 twin pairs' witnesses stay clear, so 30
+  // simulations cover all 72, at any thread count.
   for (const int threads : {1, 2, 4}) {
     const std::string name = "obscli_twins_" + std::to_string(threads);
     const fs::path metrics = temp_file(name + ".json");
@@ -266,18 +284,22 @@ TEST(ObsCli, SearchSimulatesSensingTwinsOnce) {
     const obs::JsonValue m = obs::parse_json(slurp(metrics));
     const obs::JsonValue* counters = m.find("counters");
     EXPECT_EQ(counters->find("search.evaluated")->as_u64(), 72u) << threads;
-    EXPECT_EQ(counters->find("search.simulations")->as_u64(), 45u)
+    EXPECT_EQ(counters->find("search.unique_designs")->as_u64(), 24u)
         << threads;
-    EXPECT_EQ(counters->find("search.shared")->as_u64(), 27u) << threads;
-    EXPECT_EQ(counters->find("sim.runs")->as_u64(), 45u) << threads;
+    EXPECT_EQ(counters->find("search.simulations")->as_u64(), 30u)
+        << threads;
+    EXPECT_EQ(counters->find("search.shared")->as_u64(), 42u) << threads;
+    EXPECT_EQ(counters->find("sim.runs")->as_u64(), 30u) << threads;
 #endif
   }
 }
 
 TEST(ObsCli, CostedGatesArePinnedAndThreadInvariant) {
   // synth.costed_gates counts the gates the cost kernel visits: s38417's
-  // 19 253 logic gates once for the initial tree and once for the policy
-  // tree, plus the merged groups the policy's quotient recosts.
+  // 19 253 logic gates once for the initial tree and once for the tree
+  // its one productive packing pass is rebuilt into, plus the 2 287 gates
+  // of the groups rules (a)+(b) merged.  The second packing pass packs
+  // nothing, so that tree is the policy tree.
   for (const int threads : {1, 2}) {
     const std::string name = "obscli_costed_" + std::to_string(threads);
     const fs::path metrics = temp_file(name + ".json");
@@ -290,7 +312,7 @@ TEST(ObsCli, CostedGatesArePinnedAndThreadInvariant) {
 #if !defined(DIAC_OBS_DISABLED)
     const obs::JsonValue m = obs::parse_json(slurp(metrics));
     EXPECT_EQ(m.find("counters")->find("synth.costed_gates")->as_u64(),
-              59949u)
+              40793u)
         << threads;
 #endif
   }

@@ -99,6 +99,36 @@ TEST_P(PolicyOracle, QuotientMergeMatchesSequentialRebuilds) {
   }
 }
 
+TEST_P(PolicyOracle, Policy3MergesTheMemoizedPolicy1Tree) {
+  // A search builds Policy3's tree by merging the Policy1 tree it already
+  // holds, and takes Policy2's tree when that Policy1 tree shares the
+  // initial tree's structure (the split was a no-op).  Both must equal
+  // apply_policy(Policy3) bit for bit.
+  const Netlist nl = build_benchmark(GetParam());
+  const TaskTree initial = DiacSynthesizer(nl, lib()).initial_tree();
+  const PolicyLimits limits = default_limits(initial);
+  SynthesisOptions o;
+  const auto policy_tree = [&](PolicyKind kind) {
+    o.policy = kind;
+    return DiacSynthesizer(nl, lib(), o).policy_tree(initial);
+  };
+  const TaskTree split = policy_tree(PolicyKind::kPolicy1);
+  const TaskTree want = apply_policy(initial, PolicyKind::kPolicy3, limits);
+  o.policy = PolicyKind::kPolicy3;
+  expect_same_tree(DiacSynthesizer(nl, lib(), o).policy_tree(initial, split),
+                   want, GetParam() + "/merged Policy1");
+
+  // A no-op split is a property of the circuit: three of the suite's.
+  const bool no_op = split.nodes().data() == initial.nodes().data();
+  EXPECT_EQ(no_op, GetParam() == "b14" || GetParam() == "dsip" ||
+                       GetParam() == "s38417")
+      << GetParam();
+  if (no_op) {
+    expect_same_tree(policy_tree(PolicyKind::kPolicy2), want,
+                     GetParam() + "/Policy2");
+  }
+}
+
 std::vector<std::string> suite_names() {
   std::vector<std::string> names;
   for (const BenchmarkSpec& spec : benchmark_suite()) {

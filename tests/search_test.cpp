@@ -297,42 +297,6 @@ TEST(SearchEngine, FrontMembersSurviveExhaustiveNonDominationRecheck) {
   }
 }
 
-TEST(SearchEngine, SharedPolicyTreesMatchPerCandidateSynthesis) {
-  // A grid search builds one initial tree and one policy tree per policy,
-  // shared across budgets, technologies and schemes.  Searching each
-  // candidate alone builds everything from scratch; every candidate's
-  // design and outcome, and hence the front, must be unchanged.
-  const SearchOptions options = small_search_options();
-  CandidateSpace space = small_space();
-  space.schemes = {Scheme::kDiacOptimized, Scheme::kNvClustering};
-  const std::vector<DesignPoint> points = space.grid();
-  ExperimentRunner runner(1);
-  const SearchResult shared = run_search(s344(), lib(), points, options, runner);
-  ASSERT_EQ(shared.candidates.size(), points.size());
-
-  ParetoFront front(options.objectives.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const SearchResult alone =
-        run_search(s344(), lib(), {points[i]}, options, runner);
-    const CandidateResult& a = alone.candidates[0];
-    const CandidateResult& b = shared.candidates[i];
-    EXPECT_EQ(a.tasks, b.tasks) << a.point.label();
-    EXPECT_EQ(a.commit_points, b.commit_points) << a.point.label();
-    EXPECT_EQ(a.stats.makespan, b.stats.makespan) << a.point.label();
-    EXPECT_EQ(a.stats.energy_consumed, b.stats.energy_consumed)
-        << a.point.label();
-    EXPECT_EQ(a.stats.nvm_writes, b.stats.nvm_writes) << a.point.label();
-    ASSERT_EQ(a.costs.size(), b.costs.size()) << a.point.label();
-    for (std::size_t k = 0; k < a.costs.size(); ++k) {
-      EXPECT_EQ(compare_cost(a.costs[k], b.costs[k]), 0)
-          << a.point.label() << " objective " << k;
-    }
-    front.insert(i, a.costs);
-  }
-  EXPECT_FALSE(shared.front.empty());
-  EXPECT_EQ(shared.front, ranked_front(front));
-}
-
 TEST(SearchEngine, SingleCandidateSearchPutsItOnTheFront) {
   CandidateSpace space;
   space.policies = {PolicyKind::kPolicy3};
@@ -457,6 +421,45 @@ void expect_same_costs(const std::vector<double>& got,
   }
 }
 
+TEST(SearchEngine, SharedPolicyTreesMatchPerCandidateSynthesis) {
+  // A grid search builds one initial tree and one policy tree per policy,
+  // shared across budgets, technologies and schemes, and Policy3's tree
+  // from Policy1's (on b14, whose Policy1 splits nothing, it is Policy2's
+  // tree).  Searching each candidate alone builds everything from
+  // scratch; every candidate's design and outcome, and hence the front,
+  // must be unchanged.
+  const SearchOptions options = small_search_options();
+  CandidateSpace space = small_space();
+  space.schemes = {Scheme::kDiacOptimized, Scheme::kNvClustering};
+  const std::vector<DesignPoint> points = space.grid();
+  ExperimentRunner runner(1);
+  for (const char* circuit : {"s344", "b14"}) {
+    const Netlist nl = build_benchmark(circuit);
+    const SearchResult shared = run_search(nl, lib(), points, options, runner);
+    ASSERT_EQ(shared.candidates.size(), points.size()) << circuit;
+
+    ParetoFront front(options.objectives.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      const SearchResult alone =
+          run_search(nl, lib(), {points[i]}, options, runner);
+      const CandidateResult& a = alone.candidates[0];
+      const CandidateResult& b = shared.candidates[i];
+      const std::string who = std::string(circuit) + " " + a.point.label();
+      EXPECT_EQ(a.tasks, b.tasks) << who;
+      EXPECT_EQ(a.commit_points, b.commit_points) << who;
+      expect_same_stats(b.stats, a.stats, who);
+      ASSERT_EQ(a.costs.size(), b.costs.size()) << who;
+      for (std::size_t k = 0; k < a.costs.size(); ++k) {
+        EXPECT_EQ(compare_cost(a.costs[k], b.costs[k]), 0)
+            << who << " objective " << k;
+      }
+      front.insert(i, a.costs);
+    }
+    EXPECT_FALSE(shared.front.empty()) << circuit;
+    EXPECT_EQ(shared.front, ranked_front(front)) << circuit;
+  }
+}
+
 // The per-candidate reference for SensingTwinsMatchPerCandidateSimulation:
 // each candidate synthesized on its own (memoized per design only to save
 // time), compiled into its own plan and simulated by run_simulation.
@@ -470,7 +473,7 @@ class PerCandidateReference {
     auto it = stats_.find(key);
     if (it == stats_.end()) {
       const auto plan = std::make_shared<const SimPlan>(
-          design(p), p.fsm_config(options_.fsm), options_.simulator);
+          synthesis(p).design, p.fsm_config(options_.fsm), options_.simulator);
       it = stats_.emplace(key, run_simulation({plan, scenario,
                                                options_.simulator}))
                .first;
@@ -478,8 +481,7 @@ class PerCandidateReference {
     return it->second;
   }
 
- private:
-  const IntermittentDesign& design(const DesignPoint& p) {
+  const SynthesisResult& synthesis(const DesignPoint& p) {
     const auto key =
         std::make_tuple(p.policy, p.budget_fraction, p.technology, p.scheme);
     auto it = designs_.find(key);
@@ -488,8 +490,10 @@ class PerCandidateReference {
                                   p.synthesis_options(options_.synthesis));
       it = designs_.emplace(key, synth.synthesize_scheme(p.scheme)).first;
     }
-    return it->second.design;
+    return it->second;
   }
+
+ private:
 
   const Netlist& nl_;
   SearchOptions options_;
@@ -566,6 +570,65 @@ TEST(SearchEngine, SensingTwinsMatchPerCandidateSimulation) {
         }
       }
     }
+  }
+}
+
+TEST(SearchEngine, NoOpSplitSharesPolicy2Designs) {
+  // Policy3 is Policy2 over Policy1's tree.  On b14 Policy1 splits
+  // nothing, so every Policy3 candidate shares its Policy2 counterpart's
+  // design, plan and simulation; on s344 Policy1 splits, so the Policy3
+  // designs stay separate.  Either way every candidate must equal the
+  // per-candidate reference, which synthesizes each policy on its own.
+  const std::vector<DesignPoint> points = CandidateSpace{}.grid();
+  const auto counterpart = [](const DesignPoint& p) {
+    return std::make_tuple(p.budget_fraction, p.technology, p.scheme,
+                           p.adaptive_sensing);
+  };
+  ExperimentRunner pool(4);
+  for (const auto& [circuit, no_op_split] :
+       {std::pair{"b14", true}, std::pair{"s344", false}}) {
+    const Netlist nl = build_benchmark(circuit);
+    SearchOptions options;
+    options.simulator.target_instances = 6;
+    options.simulator.max_time = 30000;
+    PerCandidateReference reference(nl, options);
+    const SearchResult got = run_search(nl, lib(), points, options, pool);
+    ASSERT_EQ(got.candidates.size(), points.size()) << circuit;
+
+    std::map<std::tuple<double, NvmTechnology, Scheme, bool>, std::size_t>
+        policy2;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      if (points[i].policy == PolicyKind::kPolicy2) {
+        policy2.emplace(counterpart(points[i]), i);
+      }
+    }
+    std::size_t policy3 = 0;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      const DesignPoint& p = points[i];
+      const CandidateResult& c = got.candidates[i];
+      const std::string who = std::string(circuit) + " " + p.label();
+      const SynthesisResult& want = reference.synthesis(p);
+      const RunStats want_stats = reference.stats(p, options.scenario);
+      EXPECT_EQ(c.point.label(), p.label()) << who;
+      EXPECT_EQ(c.tasks, want.design.tree.size()) << who;
+      EXPECT_EQ(c.commit_points, want.replacement.points.size()) << who;
+      expect_same_stats(c.stats, want_stats, who);
+      expect_same_costs(c.costs, options.objectives.costs(want_stats), who);
+      if (p.policy != PolicyKind::kPolicy3) continue;
+
+      ++policy3;
+      const CandidateResult& twin = got.candidates[policy2.at(counterpart(p))];
+      const std::string pair = who + " vs " + twin.point.label();
+      if (!no_op_split) {
+        EXPECT_NE(c.tasks, twin.tasks) << pair;
+        continue;
+      }
+      EXPECT_EQ(c.tasks, twin.tasks) << pair;
+      EXPECT_EQ(c.commit_points, twin.commit_points) << pair;
+      expect_same_stats(c.stats, twin.stats, pair);
+      expect_same_costs(c.costs, twin.costs, pair);
+    }
+    EXPECT_EQ(policy3, points.size() / 3) << circuit;
   }
 }
 

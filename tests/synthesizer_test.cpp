@@ -150,7 +150,8 @@ TEST(Synthesizer, PolicyTreeRebuildsTheTreeOnce) {
     const auto it = counters.find("synth.repartitions");
     return it == counters.end() ? std::uint64_t{0} : it->second;
   };
-  // The merge stage contracts a quotient graph and rebuilds once; at the
+  // The merge stage rebuilds once: on these trees only the first packing
+  // pass packs, and the pass after it returns that rebuilt tree.  At the
   // default limits no node of these trees splits, so Policy1 rebuilds
   // nothing and Policy3 adds no split rebuild.
   for (const char* name : {"s38417", "b14"}) {
