@@ -15,7 +15,8 @@
 namespace diac {
 
 // Loads a two-column CSV (time, power) into a step-function trace.
-// Grammar, per line (LF or CRLF):
+// Grammar, per line (LF or CRLF), after one skipped UTF-8 byte order mark
+// at the very start of the text (a BOM anywhere else fails at its line):
 //   - everything from a '#' on is a comment; blank lines are skipped;
 //   - a sample row is exactly two comma-separated fields, each a decimal
 //     or scientific number with optional surrounding blanks (space, tab)
@@ -29,6 +30,9 @@ namespace diac {
 // `inf`, a missing or third column — throws std::runtime_error naming
 // its line ("trace csv line N: ...").
 // Throws "cannot open trace file: <path>" when the file cannot be read.
+// Rows of the common shape (short decimals, no blanks: `12.5,0.003`) are
+// read in one pointer pass and every other line by the general path; both
+// give the doubles std::from_chars gives for the same text.
 PiecewiseTrace load_trace_csv(const std::string& path);
 PiecewiseTrace parse_trace_csv(std::string_view text);
 

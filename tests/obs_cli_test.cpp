@@ -319,9 +319,10 @@ TEST(ObsCli, CostedGatesArePinnedAndThreadInvariant) {
 }
 
 TEST(ObsCli, SupplyCountersAndLibraryLoadSpan) {
-  // power.trace_rows counts the sample rows replay parsed,
-  // power.source_segments the RFID segments mc's cursors generated, and
-  // the library load is one trace_library.load span.
+  // power.trace_rows and power.trace_bytes count the sample rows and
+  // bytes replay parsed, power.source_segments the RFID segments mc's
+  // cursors generated, and the library load is one trace_library.load
+  // span with one trace_csv.parse span per file.
   const fs::path dir = fs::path(::testing::TempDir()) / "obscli_supply_lib";
   fs::remove_all(dir);
   fs::create_directories(dir);
@@ -329,6 +330,10 @@ TEST(ObsCli, SupplyCountersAndLibraryLoadSpan) {
     const ConstantSource source(2e-3 * (i + 1));
     save_trace_csv((dir / ("t" + std::to_string(i) + ".csv")).string(),
                    source, 600.0, 2.0);  // 300 rows each
+  }
+  std::uintmax_t bytes = 0;
+  for (const fs::directory_entry& file : fs::directory_iterator(dir)) {
+    bytes += file.file_size();
   }
   const fs::path replay_metrics = temp_file("obscli_supply_replay.json");
   const fs::path replay_trace = temp_file("obscli_supply_trace.json");
@@ -349,13 +354,17 @@ TEST(ObsCli, SupplyCountersAndLibraryLoadSpan) {
 #if !defined(DIAC_OBS_DISABLED)
   const obs::JsonValue r = obs::parse_json(slurp(replay_metrics));
   EXPECT_EQ(r.find("counters")->find("power.trace_rows")->as_u64(), 900u);
-  std::size_t load_spans = 0;
+  EXPECT_EQ(r.find("counters")->find("power.trace_bytes")->as_u64(), bytes);
+  std::size_t load_spans = 0, parse_spans = 0;
   const obs::JsonValue t = obs::parse_json(slurp(replay_trace));
   for (const obs::JsonValue& ev : t.find("traceEvents")->items) {
     const obs::JsonValue* name = ev.find("name");
-    if (name != nullptr && name->text == "trace_library.load") ++load_spans;
+    if (name == nullptr) continue;
+    if (name->text == "trace_library.load") ++load_spans;
+    if (name->text == "trace_csv.parse") ++parse_spans;
   }
   EXPECT_EQ(load_spans, 1u);
+  EXPECT_EQ(parse_spans, 3u);
   // 16 runs each read a short prefix of their 50 000 s supply: far
   // fewer segments than materializing the sources would build.
   const obs::JsonValue m = obs::parse_json(slurp(mc_metrics));

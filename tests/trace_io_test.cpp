@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -239,6 +241,204 @@ TEST(TraceIo, ParserMatchesStodReferenceBitForBit) {
                          std::string(name) + "/load");
   }
   std::remove(path.c_str());
+}
+
+// Bitwise agreement with the stod reference on one well-formed text.
+void expect_matches_reference(const std::string& text, const std::string& tag) {
+  std::istringstream in(text);
+  expect_same_segments(parse_trace_csv(text), reference_parse_trace_csv(in),
+                       tag);
+}
+
+// save_trace_csv of an RFID source on perfbench_gen's grid: 0.5 s steps
+// over `horizon`, long full-precision powers repeated across each burst.
+std::string rfid_grid_text(std::uint64_t seed, double horizon) {
+  const std::string path = ::testing::TempDir() + "diac_trace_grid_text.csv";
+  RfidBurstSource::Options ro;
+  ro.horizon = horizon;
+  save_trace_csv(path, RfidBurstSource(seed, ro), horizon, 0.5);
+  std::string text = read_text(path);
+  std::remove(path.c_str());
+  return text;
+}
+
+TEST(TraceIo, LaneBoundariesMatchReferenceBitForBit) {
+  // Each case is a header and a first sample, then rows on either side
+  // of the short-decimal row lane's limits: a mantissa of at most 2^53,
+  // at most 22 fraction digits, `D+('.'D+)?`, a repeated power, a line
+  // end, a strictly increasing time.
+  const std::string head = "time_s,power_W\n0,0\n";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"mantissa_2^53",
+       "1,9007199254740991\n2,9007199254740992\n3,9007199254740993\n"
+       "4,0.9007199254740991\n5,0.9007199254740992\n6,0.9007199254740993\n"
+       "7,900719925474099.1\n8,900719925474099.2\n9,900719925474099.3\n"
+       "9007199254740991,1\n9007199254740992,2\n9007199254740993,3\n"},
+      {"significant_19_20",
+       "1,0.1234567890123456789\n2,0.12345678901234567891\n"
+       "3,1234567890.123456789\n4,1234567890.1234567891\n"
+       "5,0.0000000000000000001\n6,0.00000000000000000001\n"
+       "1234567890123456789,0.5\n12345678901234567891,0.5\n"},
+      {"fraction_22_23",
+       "1,0.0000000000000000000001\n2,0.00000000000000000000001\n"
+       "3,0.0000000000000012345678\n4,0.00000000000000123456789\n"
+       "5,1.2345678901234567890123\n6,1.23456789012345678901234\n"
+       "7.0000000000000000000001,0.5\n7.00000000000000000000001,0.5\n"
+       "8.0000000000000000000012,0.5\n"},
+      {"leading_zeros",
+       "0001,0.5\n0002.250,00.5\n02.5,000\n3.000,0.0\n0003.5,0000.25\n"},
+      {"other_number_forms",
+       "5.,0.5\n.5e1,5.\n6,.5\n1e1,1e3\n11,1E-3\n1.2E1,2.5e-2\n13,0.5\n"},
+      {"no_final_newline", "1,0.5\n2,0.25\n3,0.125"},
+      {"lone_cr", "1,0.5\n2\r,0.5\n3,\r0.25\n4,0.25\r\r\n5,0.5\r\n6,0.5\n"},
+      {"repeat_then_blanks_or_comment",
+       "1,0.0056996024715067744\n1.5,0.0056996024715067744\n"
+       "2,0.0056996024715067744 \n2.5,0.0056996024715067744\t\n"
+       "3,0.0056996024715067744# c\n3.5,0.0056996024715067744 # c\n"
+       "4,0.0056996024715067744\n"},
+      {"repeat_prefix",
+       "1,0.5\n2,0.55\n3,0.5\n4,0.5\n5,0.50\n6,0.5\n7,+0.5\n8,+0.5\n"},
+      {"duplicate_after_lane",
+       "1,0.5\n1.5,0.5\n2,0.25\n2,0.75\n2.5,0.75\n2.5,0.0056996024715067744\n"
+       "3,0.0056996024715067744\n3,0.0056996024715067744\n3.5,1\n"},
+      {"crlf_lane", "1,0.5\r\n1.5,0.5\r\n2,0.0056996024715067744\r\n"
+                    "2.5,0.0056996024715067744\r\n3,0\r\n"},
+  };
+  for (const auto& [tag, rows] : cases) {
+    expect_matches_reference(head + rows, tag);
+  }
+  // perfbench_gen's library shape: the 0.5 s grid over 2000 s.
+  for (const std::uint64_t seed : {60247u, 7u}) {
+    const std::string grid = rfid_grid_text(seed, 2000.0);
+    expect_matches_reference(grid, "grid/" + std::to_string(seed));
+    expect_matches_reference(grid.substr(0, grid.size() - 1),
+                             "grid_no_final_newline/" + std::to_string(seed));
+  }
+}
+
+TEST(TraceIo, LaneRowErrorsKeepTheirLine) {
+  // A header and 1 000 lane rows (lines 2..1001), then one bad row.
+  std::string lane = "time_s,power_W\n";
+  for (int i = 0; i < 1000; ++i) {
+    lane += std::to_string(i) + ".5," + (i % 3 == 0 ? "0" : "0.25") + "\n";
+  }
+  EXPECT_NE(parse_error(lane + "500,0.25\n")
+                .find("trace csv line 1002: timestamps must be non-decreasing"),
+            std::string::npos);
+  EXPECT_NE(parse_error(lane + "\n# c\n1000,-0.5\n")
+                .find("trace csv line 1004: negative power"),
+            std::string::npos);
+  EXPECT_NE(parse_error(lane + "1000,0.25,1\n")
+                .find("trace csv line 1002: expected two"),
+            std::string::npos);
+  // An equal time after lane rows is a last-wins duplicate, not an error.
+  const PiecewiseTrace dup = parse_trace_csv(lane + "999.5,0.75\n");
+  ASSERT_EQ(dup.segments().size(), 1000u);
+  EXPECT_EQ(dup.segments().back().power, 0.75);
+}
+
+TEST(TraceIo, SkipsOneLeadingByteOrderMark) {
+  const std::string bom = "\xEF\xBB\xBF";
+  const std::string headerless = "0,0.001\n5,0.002\n10,0\n";
+  const std::string with_header = "time_s,power_W\n" + headerless;
+  for (const std::string& text : {headerless, with_header}) {
+    const PiecewiseTrace plain = parse_trace_csv(text);
+    ASSERT_EQ(plain.segments().size(), 3u);
+    // The first sample is kept, not taken for a header.
+    expect_same_segments(parse_trace_csv(bom + text), plain, "bom");
+  }
+  // A BOM anywhere else is rejected at its line, never taken as a header.
+  EXPECT_NE(parse_error("0,0.001\n" + bom + "5,0.002\n")
+                .find("line 2: byte order mark"),
+            std::string::npos);
+  EXPECT_NE(parse_error("# log\n" + bom + "0,0.001\n5,0.002\n")
+                .find("line 2: byte order mark"),
+            std::string::npos);
+  EXPECT_NE(parse_error("time_s,power_W\n0," + bom + "0.001\n")
+                .find("line 2: byte order mark"),
+            std::string::npos);
+  EXPECT_NE(parse_error(bom + bom + headerless).find("line 1: byte order mark"),
+            std::string::npos);
+}
+
+TEST(TraceIo, SeededMutantsParseOrFailAtALine) {
+  // A perfbench-shaped text: the header and 80 rows of the 0.5 s grid
+  // around a change of an RFID trace's power, each side a repeated value.
+  const std::string full = rfid_grid_text(60247, 2000.0);
+  std::vector<std::string> lines;
+  for (std::size_t at = 0; at < full.size();) {
+    const std::size_t nl = full.find('\n', at);
+    lines.push_back(full.substr(at, nl + 1 - at));
+    at = nl + 1;
+  }
+  const auto power = [&](std::size_t i) {
+    return lines[i].substr(lines[i].find(','));
+  };
+  std::size_t burst = 41;  // the first power change after 40 rows
+  while (burst + 40 < lines.size() && power(burst) == power(burst - 1)) {
+    ++burst;
+  }
+  ASSERT_LT(burst + 40, lines.size());
+  std::string base = lines[0];
+  for (std::size_t i = burst - 40; i < burst + 40; ++i) base += lines[i];
+
+  const std::string alphabet = ",#\r\n+-e.";
+  std::size_t mutants = 0, parsed = 0;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    std::mt19937_64 rng(seed);
+    for (int k = 0; k < 750; ++k, ++mutants) {
+      std::string text = base;
+      const int edits = 1 + static_cast<int>(rng() % 3);
+      for (int e = 0; e < edits; ++e) {
+        const std::size_t at = rng() % text.size();
+        switch (rng() % 3) {
+          case 0:  // flip one bit of one byte
+            text[at] = static_cast<char>(text[at] ^ (1 << (rng() % 8)));
+            break;
+          case 1:  // insert one of the grammar's bytes
+            text.insert(text.begin() + static_cast<std::ptrdiff_t>(at),
+                        alphabet[rng() % alphabet.size()]);
+            break;
+          default: {  // delete the first grammar byte at or after `at`
+            const std::size_t del = text.find_first_of(alphabet, at);
+            if (del != std::string::npos) text.erase(del, 1);
+          }
+        }
+      }
+      const std::string tag =
+          "seed " + std::to_string(seed) + " mutant " + std::to_string(k);
+      std::string error;
+      try {
+        const PiecewiseTrace got = parse_trace_csv(text);
+        std::istringstream in(text);
+        expect_same_segments(got, reference_parse_trace_csv(in), tag);
+        ++parsed;
+      } catch (const std::runtime_error& e) {
+        error = e.what();
+      }
+      if (!error.empty()) {
+        const std::size_t line_count =
+            static_cast<std::size_t>(
+                std::count(text.begin(), text.end(), '\n')) +
+            (text.back() != '\n');
+        const std::string prefix = "trace csv line ";
+        std::size_t n = 0;
+        ASSERT_EQ(error.rfind(prefix, 0), 0u) << tag << ": " << error;
+        ASSERT_EQ(std::sscanf(error.c_str() + prefix.size(), "%zu", &n), 1)
+            << tag << ": " << error;
+        EXPECT_GE(n, 1u) << tag << ": " << error;
+        EXPECT_LE(n, line_count) << tag << ": " << error;
+      }
+      if (::testing::Test::HasFailure()) {
+        ADD_FAILURE() << tag << " text:\n" << text;
+        return;
+      }
+    }
+  }
+  EXPECT_GE(mutants, 2000u);
+  // Both outcomes are exercised: some mutants still parse.
+  EXPECT_GT(parsed, mutants / 20);
+  EXPECT_LT(parsed, mutants);
 }
 
 TEST(TraceIo, SaveUsesIndexBasedSampleGrid) {
