@@ -4,6 +4,7 @@
 #include <cctype>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/lexer.hpp"
 
@@ -50,9 +51,10 @@ Netlist parse_bench(std::string_view text, const std::string& name) {
   Lexer lex(text, kBench);
   std::vector<Statement> inputs, outputs, defs;
   std::vector<std::string_view> operands;
+  int last_line = 1;  // of the last statement
   while (!lex.at_end()) {
     if (lex.accept("\n")) continue;
-    const int line = lex.line();
+    const int line = last_line = lex.line();
     const std::string_view head = lex.word("a signal name or INPUT/OUTPUT");
     if (lex.accept("(")) {
       const bool input = is_keyword(head, "INPUT");
@@ -117,7 +119,11 @@ Netlist parse_bench(std::string_view text, const std::string& name) {
     }
     nl.add(GateKind::kOutput, signal + "$out", {src});
   }
-  nl.seal();
+  try {
+    nl.seal();  // the one check left: no combinational cycle
+  } catch (const std::runtime_error& e) {
+    lex.fail(last_line, e.what());
+  }
   return nl;
 }
 

@@ -62,13 +62,14 @@ Netlist parse_blif(std::string_view text) {
   std::vector<Cover> covers;
   std::vector<std::array<Token, 2>> latches;  // input, output
   bool cover_open = false, in_model = false;
+  int end_line = 1;  // of the statement that ends the model
   while (!lex.at_end()) {
     toks.clear();
     while (!lex.at_eol()) toks.push_back(lex.next());
     lex.end_line();
     if (toks.empty()) continue;
     const std::string_view head = toks[0].text;
-    const int line = toks[0].line;
+    const int line = end_line = toks[0].line;
     const std::span<const Token> args = std::span(toks).subspan(1);
     if (head[0] == '.') cover_open = false;
 
@@ -167,7 +168,11 @@ Netlist parse_blif(std::string_view text) {
     }
     nl.add(GateKind::kOutput, signal + "$out", {src});
   }
-  nl.seal();
+  try {
+    nl.seal();  // the one check left: no combinational cycle
+  } catch (const std::runtime_error& e) {
+    lex.fail(end_line, e.what());
+  }
   return nl;
 }
 

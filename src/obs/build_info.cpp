@@ -41,11 +41,4 @@ void write_build_info_json(std::ostream& out) {
       << (b.obs_enabled ? "on" : "off") << "\"}";
 }
 
-std::string build_info_line() {
-  const BuildInfo& b = build_info();
-  return b.git_hash + " (" + b.compiler + ", " + b.build_type +
-         ", sanitize=" + b.sanitize + ", obs=" +
-         (b.obs_enabled ? "on" : "off") + ")";
-}
-
 }  // namespace diac::obs

@@ -29,8 +29,4 @@ const BuildInfo& build_info();
 /// the "build" header field of trace and metrics files.
 void write_build_info_json(std::ostream& out);
 
-/// Returns a one-line human summary, e.g.
-/// `abc123 (GNU 12.2.0, Release, sanitize=OFF, obs=on)`.
-std::string build_info_line();
-
 }  // namespace diac::obs

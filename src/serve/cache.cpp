@@ -1,7 +1,5 @@
 #include "serve/cache.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -86,32 +84,21 @@ void ResultCache::store(const std::string& kind, const Hash128& key,
   fs::create_directories(path.parent_path(), ec);
   if (ec) return;  // best-effort: the computed result is already in hand
 
-  // Atomic publish: write a per-process temp name, then rename into
-  // place — concurrent writers of the same key race benignly (both
-  // write identical bytes, rename is atomic either way).
-  const fs::path tmp =
-      path.string() + ".tmp." + std::to_string(::getpid());
-  {
-    std::ofstream out(tmp);
-    if (!out) return;
-    ShardHeader header;
-    header.kind = kind;
-    header.shards = 1;
-    header.index = 0;
-    header.jobs = 1;
-    write_shard_header(out, header);
-    write_shard_row(out, 0, tokens);
-    write_shard_trailer(out, 1);
-    out.flush();
-    if (!out) {
-      fs::remove(tmp, ec);
-      return;
-    }
-  }
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    return;
+  // Atomic publish: concurrent writers of the same key race benignly
+  // (both write identical bytes, rename is atomic either way).
+  try {
+    publish_shard_file(path.string(), [&](std::ostream& out) {
+      ShardHeader header;
+      header.kind = kind;
+      header.shards = 1;
+      header.index = 0;
+      header.jobs = 1;
+      write_shard_header(out, header);
+      write_shard_row(out, 0, tokens);
+      write_shard_trailer(out, 1);
+    });
+  } catch (const std::exception&) {
+    return;  // best-effort: the computed result is already in hand
   }
   DIAC_OBS_COUNT("serve.cache.store", 1);
 

@@ -1,11 +1,14 @@
 #include "serve/options.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <filesystem>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "exp/trace_library.hpp"
 #include "netlist/netlist_file.hpp"
@@ -57,56 +60,64 @@ constexpr CommandSpec kCommands[] = {
     {"shard-worker", kShardWorker, true, ""},
 };
 
-struct OptionSpec {
-  std::string_view name;  // without the leading dashes
-  std::string_view arg;   // value placeholder for help; empty: bare flag
-  unsigned commands;      // the commands that read it
-  Forward forward;
-  std::string_view help;  // at most 51 characters: one line of `diac help`
-};
+// Upper bounds of the count options (--runs, --instances, --random) and
+// of the process options (--threads, --shards).
+constexpr long long kMaxCount = 1'000'000;
+constexpr long long kMaxThreads = 1024;
+
+using enum ValueType;
 
 // Every option.  `commands` is exactly what each command's code reads.
 // `diac help` prints the rows in this order, one heading per run of rows
 // with the same commands.
 constexpr OptionSpec kOptions[] = {
-    {"policy", "1|2|3", kSynthesizing, kEverywhere, "tree policy (default 3)"},
+    {"policy", "1|2|3", kSynthesizing, kEverywhere, "tree policy", "3",
+     kChoice},
     {"budget", "<fraction>", kSynthesizing, kEverywhere,
-     "commit budget, a fraction of E_MAX (default 0.25)"},
+     "commit budget, a fraction of E_MAX", "0.25", kReal, 0, 1'000'000},
     {"nvm", "mram|reram|feram|pcm", kSynthesizing, kEverywhere,
-     "NVM technology (default mram)"},
-    {"seed", "<n>", kSeeded, kEverywhere, "trace seed (default 60247)"},
+     "NVM technology", "mram", kChoice},
+    {"seed", "<n>", kSeeded, kEverywhere, "trace seed", "60247", kUint64},
     {"instances", "<n>", kSimulating, kEverywhere,
-     "workload size (default 8; mc/search 6, fsm 4)"},
+     "workload size; mc/search 6, fsm 4", "8", kInt, 1, kMaxCount},
     {"source", "constant|square|rfid|solar|fig4|trace:<path>", kSimulating,
-     kEverywhere, "harvest scenario (default rfid)"},
-    {"threads", "<n>", kThreaded, kNever, "simulation threads (0: all cores)"},
-    {"shards", "<n>", kSharded, kNever, "split the sweep over n processes"},
+     kEverywhere, "harvest scenario", "rfid"},
+    {"threads", "<n>", kThreaded, kNever, "simulation threads (0: all cores)",
+     "", kInt, 0, kMaxThreads},
+    {"shards", "<n>", kSharded, kNever, "split the sweep over n processes", "",
+     kInt, 1, kMaxThreads},
     {"connect", "<socket>", kSweeps, kNever, "send the sweep to `diac serve`"},
     {"cache-dir", "<dir>", kCaching, kWorkers, "result cache directory"},
-    {"cache-limit-mb", "<n>", kCaching, kWorkers,
-     "cache size cap in MiB (default 1024)"},
+    {"cache-limit-mb", "<n>", kCaching, kWorkers, "cache size cap in MiB",
+     "1024", kInt, 0, 1LL << 40},
     {"socket", "<path>", kServe, kNever, "unix socket to listen on (required)"},
-    {"runs", "<n>", kMc, kEverywhere, "Monte-Carlo trace count (default 32)"},
+    {"runs", "<n>", kMc, kEverywhere, "Monte-Carlo trace count", "32", kInt, 1,
+     kMaxCount},
     {"trace", "<file|dir>", kReplay, kEverywhere,
      "trace CSV, or a library directory"},
     {"grid", "", kSearch, kEverywhere, "sweep the full grid (default)"},
-    {"random", "<n>", kSearch, kEverywhere, "sample n distinct candidates"},
-    {"sample-seed", "<n>", kSearch, kEverywhere,
-     "seed of the --random draw (default 53715)"},
+    {"random", "<n>", kSearch, kEverywhere, "sample n distinct candidates", "",
+     kInt, 1, kMaxCount},
+    {"sample-seed", "<n>", kSearch, kEverywhere, "seed of the --random draw",
+     "53715", kUint64},
     {"objectives", "<list>", kSearch, kEverywhere,
-     "comma list, e.g. pdp,writes (default pdp,progress)"},
-    {"max-time", "<s>", kSearch, kEverywhere, "horizon in s (default 30000)"},
+     "comma list, e.g. pdp,writes", "pdp,progress"},
+    {"max-time", "<s>", kSearch, kEverywhere, "horizon in s", "30000", kReal, 0,
+     1'000'000'000'000},
     {"csv", "<file>", kSearch, kNever, "dump every candidate to a CSV"},
     {"scheme", "nv-based|nv-clustering|diac|diac-opt", kFsm, kNever,
-     "scheme to trace (default diac-opt)"},
+     "scheme to trace", "diac-opt", kChoice},
     {"out", "<prefix>", kSynth, kNever, "artifact prefix (default: circuit)"},
     {"against", "<circuit|file>", kCheck, kNever,
      "check equivalence against this netlist"},
     {"drc-only", "", kCheck, kNever, "stop after the DRC report"},
-    {"seq-cycles", "<k>", kCheck, kNever, "cycles per round (default 8)"},
-    {"match", "name|order", kCheck, kNever, "port matching (default name)"},
-    {"shard-cmd", "mc|replay|search", kShardWorker, kNever, "sweep kind"},
-    {"shard-index", "<i>", kShardWorker, kNever, "this worker's block"},
+    {"seq-cycles", "<k>", kCheck, kNever, "cycles per round", "8", kInt, 1,
+     1 << 20},
+    {"match", "name|order", kCheck, kNever, "port matching", "name", kChoice},
+    {"shard-cmd", "mc|replay|search", kShardWorker, kNever, "sweep kind", "",
+     kChoice},
+    {"shard-index", "<i>", kShardWorker, kNever, "this worker's block", "",
+     kInt, 0, kMaxThreads - 1},
     {"shard-out", "<file>", kShardWorker, kNever, "the row file to write"},
     {"trace-out", "<file>", kEvery, kNever, "write a Chrome trace-event JSON"},
     {"metrics-out", "<file>", kEvery, kNever, "write the metrics as JSON"},
@@ -151,6 +162,76 @@ std::string command_list(unsigned commands) {
   return list;
 }
 
+// A row's help line: its help, then its default in parentheses, which
+// take in a "; " tail of the help.
+std::string help_text(const OptionSpec& o) {
+  if (o.dflt.empty()) return std::string(o.help);
+  const std::size_t tail = std::min(o.help.find("; "), o.help.size());
+  return std::string(o.help.substr(0, tail)) + " (default " +
+         std::string(o.dflt) + std::string(o.help.substr(tail)) + ")";
+}
+
+// "--<name>: expected <what, by default the row's arg>, got '<value>'".
+[[noreturn]] void bad_value(const OptionSpec& o, std::string_view value,
+                            std::string_view what = {}) {
+  throw std::runtime_error(
+      "--" + std::string(o.name) + ": expected " +
+      std::string(what.empty() ? o.arg : what) + ", got '" +
+      std::string(value) + "'");
+}
+
+// The whole of `text` as a T (std::from_chars consumes every character)
+// within the row's range.
+template <typename T>
+T parse_number(const OptionSpec& o, std::string_view text) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  const bool whole = ec == std::errc{} && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) {
+    const double hi = static_cast<double>(o.hi);
+    if (whole && std::isfinite(v) && v > 0 && v <= hi) return v;
+    std::ostringstream what;
+    what << "a finite number in (0, " << hi << "]";
+    bad_value(o, text, what.str());
+  } else if constexpr (std::is_signed_v<T>) {
+    if (whole && o.lo <= v && v <= o.hi) return v;
+    bad_value(o, text, "an integer in [" + std::to_string(o.lo) + ", " +
+                           std::to_string(o.hi) + "]");
+  } else {
+    if (whole) return v;
+    bad_value(o, text, "an unsigned 64-bit integer");
+  }
+}
+
+// The index of `value` among the row's '|'-separated names.
+std::size_t choice_index(const OptionSpec& o, std::string_view value) {
+  for (std::size_t begin = 0, index = 0;; ++index) {
+    const std::size_t end = std::min(o.arg.find('|', begin), o.arg.size());
+    if (o.arg.substr(begin, end - begin) == value) return index;
+    if (end == o.arg.size()) bad_value(o, value);
+    begin = end + 1;
+  }
+}
+
+// The one validator: throws bad_value unless `value` satisfies the row.
+void check_value(const OptionSpec& option, std::string_view value) {
+  switch (option.type) {
+    case kInt: parse_number<long long>(option, value); break;
+    case kUint64: parse_number<std::uint64_t>(option, value); break;
+    case kReal: parse_number<double>(option, value); break;
+    case kChoice: choice_index(option, value); break;
+    case kText: break;
+  }
+}
+
+// The row `key` names, which must be of `type`.
+const OptionSpec& row(std::string_view key, ValueType type) {
+  const OptionSpec* o = find_option(key);
+  if (o != nullptr && o->type == type) return *o;
+  throw std::logic_error("--" + std::string(key) + ": no row of this type");
+}
+
 }  // namespace
 
 bool is_command(std::string_view command) { return bit_of(command) != 0; }
@@ -186,6 +267,7 @@ OptionMap parse_options(const std::string& command,
       throw std::runtime_error(command + ": option " + token +
                                " requires a value");
     }
+    check_value(*o, tokens[i]);  // a flag: its own token, a kText row
     options[std::string(o->name)] = o->arg.empty() ? "1" : tokens[i];
   }
   return options;
@@ -223,7 +305,7 @@ void write_usage(std::ostream& out) {
     }
     const std::string head = "  --" + std::string(o.name);
     write_help_line(out, o.arg.empty() ? head : head + " " + std::string(o.arg),
-                    o.help);
+                    help_text(o));
   }
 }
 
@@ -238,80 +320,51 @@ std::string option_or(const OptionMap& options, const std::string& key,
   return it == options.end() ? dflt : it->second;
 }
 
-namespace {
+std::span<const OptionSpec> option_table() { return kOptions; }
 
-// Upper bound of the count options (--runs, --instances, --random).
-constexpr long long kMaxCount = 1'000'000;
-
-[[noreturn]] void bad_value(const std::string& key, const std::string& what,
-                            const std::string& value) {
-  throw std::runtime_error("--" + key + ": expected " + what + ", got '" +
-                           value + "'");
-}
-
-// `options[key]`, or `dflt` when absent.  The whole value must parse
-// (std::from_chars consumes every character) and satisfy `ok`;
-// otherwise bad_value reports it as not `what`.
-template <typename T, typename Ok>
-T number_option(const OptionMap& options, const std::string& key, T dflt,
-                const std::string& what, Ok ok) {
-  const auto it = options.find(key);
-  if (it == options.end()) return dflt;
-  const std::string& text = it->second;
-  T v{};
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), v);
-  if (ec != std::errc{} || ptr != text.data() + text.size() || text.empty() ||
-      !ok(v)) {
-    bad_value(key, what, text);
+template <typename T>
+T number_value(const OptionMap& options, std::string_view key,
+               std::optional<T> absent) {
+  const OptionSpec* o = find_option(key);
+  if (o == nullptr || o->type == kText || o->type == kChoice ||
+      (o->type == kReal) != std::is_floating_point_v<T>) {
+    throw std::logic_error("--" + std::string(key) + ": not a number row");
   }
-  return v;
-}
-
-}  // namespace
-
-long long int_option(const OptionMap& options, const std::string& key,
-                     long long dflt, long long lo, long long hi) {
-  return number_option(options, key, dflt,
-                       "an integer in [" + std::to_string(lo) + ", " +
-                           std::to_string(hi) + "]",
-                       [&](long long v) { return lo <= v && v <= hi; });
-}
-
-std::uint64_t uint64_option(const OptionMap& options, const std::string& key,
-                            std::uint64_t dflt) {
-  return number_option(options, key, dflt, "an unsigned 64-bit integer",
-                       [](std::uint64_t) { return true; });
-}
-
-double positive_option(const OptionMap& options, const std::string& key,
-                       double dflt, double hi) {
-  std::ostringstream what;
-  what << "a finite number in (0, " << hi << "]";
-  return number_option(options, key, dflt, what.str(), [&](double v) {
-    return std::isfinite(v) && v > 0 && v <= hi;
-  });
-}
-
-std::size_t choice_option(const OptionMap& options, const std::string& key,
-                          const std::string& dflt,
-                          std::initializer_list<std::string_view> names) {
-  const std::string value = option_or(options, key, dflt);
-  std::size_t i = 0;
-  for (std::string_view name : names) {
-    if (value == name) return i;
-    ++i;
+  const auto it = options.find(std::string(key));
+  if (it == options.end() && (absent || o->dflt.empty())) {
+    return absent.value_or(T{});
   }
-  std::string what;
-  for (std::string_view name : names) {
-    if (!what.empty()) what += '|';
-    what += name;
-  }
-  bad_value(key, what, value);
+  const std::string_view text = it != options.end() ? it->second : o->dflt;
+  if (o->type == kReal) return static_cast<T>(parse_number<double>(*o, text));
+  if (o->type == kInt) return static_cast<T>(parse_number<long long>(*o, text));
+  return static_cast<T>(parse_number<std::uint64_t>(*o, text));
 }
 
-int instances_option(const OptionMap& options, int dflt) {
-  return static_cast<int>(int_option(options, "instances", dflt, 1, kMaxCount));
+using Key = std::string_view;
+template int number_value(const OptionMap&, Key, std::optional<int>);
+template std::uint64_t number_value(const OptionMap&, Key,
+                                    std::optional<std::uint64_t>);
+template double number_value(const OptionMap&, Key, std::optional<double>);
+
+std::size_t choice_value(const OptionMap& options, std::string_view key) {
+  const OptionSpec& o = row(key, kChoice);
+  const auto it = options.find(std::string(key));
+  return choice_index(o, it != options.end() ? it->second : o.dflt);
+}
+
+std::string text_value(const OptionMap& options, std::string_view key) {
+  const OptionSpec& o = row(key, kText);
+  const auto it = options.find(std::string(key));
+  return it != options.end() ? it->second : std::string(o.dflt);
+}
+
+std::string required_value(const OptionMap& options, std::string_view command,
+                           std::string_view key) {
+  const auto it = options.find(std::string(key));
+  if (it != options.end()) return it->second;
+  throw std::runtime_error(std::string(command) + " requires --" +
+                           std::string(key) + " " +
+                           std::string(find_option(key)->arg));
 }
 
 Netlist load_target(const std::string& target) {
@@ -328,26 +381,31 @@ SynthesisOptions synth_options(const OptionMap& options) {
   constexpr PolicyKind kPolicies[] = {PolicyKind::kPolicy1,
                                       PolicyKind::kPolicy2,
                                       PolicyKind::kPolicy3};
-  so.policy = kPolicies[choice_option(options, "policy", "3", {"1", "2", "3"})];
-  so.budget_fraction = positive_option(options, "budget", 0.25, 1.0e6);
+  so.policy = kPolicies[choice_value(options, "policy")];
+  so.budget_fraction = number_value<double>(options, "budget");
   constexpr NvmTechnology kTechnologies[] = {
       NvmTechnology::kMram, NvmTechnology::kReram, NvmTechnology::kFeram,
       NvmTechnology::kPcm};
-  so.technology = kTechnologies[choice_option(
-      options, "nvm", "mram", {"mram", "reram", "feram", "pcm"})];
+  so.technology = kTechnologies[choice_value(options, "nvm")];
   return so;
 }
 
 ScenarioSpec scenario_options(const OptionMap& options) {
-  ScenarioSpec spec = scenario_from_name(option_or(options, "source", "rfid"));
-  spec.seed = uint64_option(options, "seed", 60247);
+  const std::string source = text_value(options, "source");
+  ScenarioSpec spec;
+  try {
+    spec = scenario_from_name(source);
+  } catch (const std::invalid_argument&) {  // not a source name
+    bad_value(row("source", kText), source);
+  }
+  spec.seed = number_value<std::uint64_t>(options, "seed");
   return spec;
 }
 
 EvaluationOptions mc_eval_options(const OptionMap& options) {
   EvaluationOptions eo;
   eo.synthesis = synth_options(options);
-  eo.simulator.target_instances = instances_option(options, 6);
+  eo.simulator.target_instances = number_value<int>(options, "instances", 6);
   eo.simulator.max_time = 20000;
   // evaluate_monte_carlo / mc_rows reject non-seeded sources.
   eo.scenario = scenario_options(options);
@@ -355,21 +413,21 @@ EvaluationOptions mc_eval_options(const OptionMap& options) {
 }
 
 int mc_runs(const OptionMap& options) {
-  return static_cast<int>(int_option(options, "runs", 32, 1, kMaxCount));
+  return number_value<int>(options, "runs");
 }
 
 EvaluationOptions replay_eval_options(const OptionMap& options) {
   EvaluationOptions eo;
   eo.synthesis = synth_options(options);
-  eo.simulator.target_instances = instances_option(options, 8);
+  eo.simulator.target_instances = number_value<int>(options, "instances");
   return eo;
 }
 
 std::string replay_trace_arg(const OptionMap& options) {
-  std::string trace = option_or(options, "trace", "");
+  std::string trace = text_value(options, "trace");
   if (trace.empty()) {
     // `--source trace:<path>` is the flag-compatible spelling.
-    const std::string source = option_or(options, "source", "");
+    const std::string source = text_value(options, "source");
     if (source.rfind("trace:", 0) == 0) trace = source.substr(6);
   }
   if (trace.empty()) {
@@ -391,10 +449,20 @@ SearchOptions search_options(const OptionMap& options) {
   SearchOptions so;
   so.synthesis = synth_options(options);  // base values under the swept axes
   so.scenario = scenario_options(options);
-  so.simulator.target_instances = instances_option(options, 6);
-  so.simulator.max_time = positive_option(options, "max-time", 30000, 1.0e12);
-  so.objectives =
-      SearchObjectives::parse(option_or(options, "objectives", "pdp,progress"));
+  so.simulator.target_instances = number_value<int>(options, "instances", 6);
+  so.simulator.max_time = number_value<double>(options, "max-time");
+  const std::string objectives = text_value(options, "objectives");
+  try {
+    so.objectives = SearchObjectives::parse(objectives);
+  } catch (const std::invalid_argument&) {
+    std::string names;
+    for (int i = 0; i < kObjectiveKindCount; ++i) {
+      names += i == 0 ? "" : "|";
+      names += to_string(static_cast<ObjectiveKind>(i));
+    }
+    bad_value(row("objectives", kText), objectives,
+              "a comma list of distinct " + names);
+  }
   return so;
 }
 
@@ -404,9 +472,8 @@ std::vector<DesignPoint> search_points(const OptionMap& options) {
     if (options.count("grid") != 0) {
       throw std::runtime_error("--grid and --random are mutually exclusive");
     }
-    const long long n = int_option(options, "random", 8, 1, kMaxCount);
-    return space.sample(static_cast<std::size_t>(n),
-                        uint64_option(options, "sample-seed", 53715));
+    return space.sample(number_value<std::size_t>(options, "random"),
+                        number_value<std::uint64_t>(options, "sample-seed"));
   }
   return space.grid();  // --grid is the default
 }

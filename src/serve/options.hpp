@@ -10,9 +10,10 @@
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
 #include <iosfwd>
 #include <map>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -65,28 +66,56 @@ bool is_flag_option(const std::string& name);
 std::string option_or(const OptionMap& options, const std::string& key,
                       const std::string& dflt);
 
-/// Typed option readers, shared by the CLI, `shard-worker` and serve.
-/// int_option reads an integer in [lo, hi].
-/// Each reads `options[key]` (or `dflt` when absent) and parses the whole
-/// value: std::from_chars must consume every character, numbers must be
-/// finite and lie in the stated range, and a choice must be one of the
-/// listed names.  Anything else throws std::runtime_error
-/// "--<key>: expected <what>, got '<value>'".
-long long int_option(const OptionMap& options, const std::string& key,
-                     long long dflt, long long lo, long long hi);
-/// Any unsigned 64-bit integer.
-std::uint64_t uint64_option(const OptionMap& options, const std::string& key,
-                            std::uint64_t dflt);
-/// A finite number > 0 and <= hi.
-double positive_option(const OptionMap& options, const std::string& key,
-                       double dflt, double hi);
-/// The index of the value in `names`.
-std::size_t choice_option(const OptionMap& options, const std::string& key,
-                          const std::string& dflt,
-                          std::initializer_list<std::string_view> names);
+/// The rule an option's value must satisfy.
+enum class ValueType : unsigned char {
+  kText,    ///< any text (a bare flag: none)
+  kInt,     ///< an integer in [lo, hi]
+  kUint64,  ///< any unsigned 64-bit integer
+  kReal,    ///< a finite number in (0, hi]
+  kChoice,  ///< one of the '|'-separated names of `arg`
+};
 
-/// --instances in [1, 1000000].
-int instances_option(const OptionMap& options, int dflt);
+/// One row of the option table: everything about one option.
+struct OptionSpec {
+  std::string_view name;  ///< without the leading dashes
+  std::string_view arg;   ///< value placeholder for help; empty: bare flag
+  unsigned commands;      ///< the commands that read it (a bit each)
+  Forward forward;
+  /// At most 51 characters: one line of `diac help`.  A "; " tail goes
+  /// inside the parentheses of the default.
+  std::string_view help;
+  /// The value an absent option reads as; empty: the zero of its type
+  /// (0, or empty text).  `diac help` prints it as "(default <dflt>)".
+  std::string_view dflt = "";
+  ValueType type = ValueType::kText;
+  long long lo = 0, hi = 0;  ///< the range of kInt; kReal uses hi only
+};
+
+/// The option table, in `diac help` order.
+std::span<const OptionSpec> option_table();
+
+/// The row-reading getters, shared by the CLI, `shard-worker` and serve.
+/// Each reads `options[key]`, else the row's default, and checks it as
+/// parse_options does: a number must be spelled whole (std::from_chars
+/// consumes every character), be finite and lie in the row's range; a
+/// choice must be one of its names.  Anything else throws
+/// std::runtime_error "--<name>: expected <what>, got '<value>'".  `key`
+/// must name a row of the getter's type (a std::logic_error otherwise).
+///
+/// number_value reads a kInt or kUint64 row as an int or std::uint64_t
+/// (which must hold the row's range), a kReal row as a double.  `absent`
+/// overrides the row default: --instances defaults per command.
+template <typename T>
+T number_value(const OptionMap& options, std::string_view key,
+               std::optional<T> absent = std::nullopt);
+/// A kChoice row's value, as its index among the row's names.
+std::size_t choice_value(const OptionMap& options, std::string_view key);
+/// A kText row's value.
+std::string text_value(const OptionMap& options, std::string_view key);
+/// The value of an option `command` cannot run without; absent throws
+/// "<command> requires --<key> <arg>".
+std::string required_value(const OptionMap& options, std::string_view command,
+                           std::string_view key);
 
 /// Loads a sweep target: a path ending in .bench / .blif / .v (see
 /// read_netlist_file), else a bundled benchmark name.  Throws on unknown

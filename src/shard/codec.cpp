@@ -1,8 +1,12 @@
 #include "shard/codec.hpp"
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 #include "util/exactfmt.hpp"
 
@@ -99,6 +103,23 @@ ShardFile read_shard_stream(std::istream& in, const std::string& name) {
   }
   if (!ended) throw fail("truncated (missing end trailer)");
   return file;
+}
+
+void publish_shard_file(const std::string& path,
+                        const std::function<void(std::ostream&)>& write) {
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  try {
+    {
+      std::ofstream out(tmp);
+      if (out) write(out);
+      if (!out.flush()) throw std::runtime_error("cannot write " + path);
+    }
+    std::filesystem::rename(tmp, path);
+  } catch (...) {
+    std::error_code ec;
+    std::filesystem::remove(tmp, ec);
+    throw;
+  }
 }
 
 ShardFile read_shard_file(const std::string& path) {

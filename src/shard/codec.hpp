@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -90,6 +91,15 @@ void write_shard_row(std::ostream& out, std::size_t job,
                      const std::vector<std::string>& tokens);
 /// Writes the "end <rows>" trailer that guards against truncation.
 void write_shard_trailer(std::ostream& out, std::size_t rows);
+
+/// Writes a shard file whole or not at all: `write` fills a per-process
+/// temp name next to `path`, renamed onto `path` once flushed, so
+/// concurrent writers of one path race benignly and a failed writer
+/// leaves nothing behind.  Throws when `write` throws (rethrown) or the
+/// file cannot be written ("cannot write <path>"), after removing the
+/// temp file.
+void publish_shard_file(const std::string& path,
+                        const std::function<void(std::ostream&)>& write);
 
 /// Parses a shard result file; throws std::runtime_error (with `path`
 /// in the message) on unreadable, malformed, version-mismatched or

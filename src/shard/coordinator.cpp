@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <system_error>
 #include <thread>
+#include <utility>
 
 #include "obs/obs.hpp"
 #include "shard/codec.hpp"
@@ -25,39 +26,19 @@ namespace diac {
 
 namespace fs = std::filesystem;
 
-namespace {
-
-void remove_scratch(const std::string& dir, bool keep) {
-  if (keep || dir.empty()) return;
-  std::error_code ec;
-  fs::remove_all(dir, ec);  // best effort; scratch lives under temp
-}
-
-}  // namespace
-
 ShardFileSet::ShardFileSet(ShardFileSet&& other) noexcept
     : dir(std::move(other.dir)),
       paths(std::move(other.paths)),
       trace_paths(std::move(other.trace_paths)),
-      metrics_paths(std::move(other.metrics_paths)),
-      keep(other.keep) {
+      metrics_paths(std::move(other.metrics_paths)) {
   other.dir.clear();
 }
 
-ShardFileSet& ShardFileSet::operator=(ShardFileSet&& other) noexcept {
-  if (this != &other) {
-    remove_scratch(dir, keep);
-    dir = std::move(other.dir);
-    paths = std::move(other.paths);
-    trace_paths = std::move(other.trace_paths);
-    metrics_paths = std::move(other.metrics_paths);
-    keep = other.keep;
-    other.dir.clear();
-  }
-  return *this;
+ShardFileSet::~ShardFileSet() {
+  if (dir.empty()) return;
+  std::error_code ec;
+  fs::remove_all(dir, ec);  // best effort; scratch lives under temp
 }
-
-ShardFileSet::~ShardFileSet() { remove_scratch(dir, keep); }
 
 namespace {
 
@@ -71,36 +52,46 @@ std::string make_scratch_dir() {
   return dir.string();
 }
 
-pid_t spawn_worker(const std::string& exe, const std::vector<std::string>& args,
-                   posix_spawn_file_actions_t* file_actions) {
+// Spawns `exe args...` with its fd 2 on the write end of a pipe and
+// returns the pid and the read end, for a relay thread to drain.
+// O_CLOEXEC keeps later workers from inheriting earlier pipes (dup2
+// clears the flag on fd 2).
+std::pair<pid_t, int> spawn_worker(const std::string& exe,
+                                   const std::vector<std::string>& args) {
   std::vector<char*> argv;
   argv.reserve(args.size() + 2);
   argv.push_back(const_cast<char*>(exe.c_str()));
   for (const std::string& a : args) argv.push_back(const_cast<char*>(a.c_str()));
   argv.push_back(nullptr);
+  int pipe_fds[2] = {-1, -1};
+  if (::pipe2(pipe_fds, O_CLOEXEC) != 0) {
+    throw std::runtime_error(std::string("pipe2: ") + std::strerror(errno));
+  }
+  posix_spawn_file_actions_t fa;
+  ::posix_spawn_file_actions_init(&fa);
+  ::posix_spawn_file_actions_adddup2(&fa, pipe_fds[1], 2);
   pid_t pid = -1;
   // posix_spawnp: PATH search covers the non-Linux fallback where the
   // worker binary is self_exe()'s bare argv[0].
-  const int rc = ::posix_spawnp(&pid, exe.c_str(), file_actions, nullptr,
-                                argv.data(), environ);
+  const int rc = ::posix_spawnp(&pid, exe.c_str(), &fa, nullptr, argv.data(),
+                                environ);
+  ::posix_spawn_file_actions_destroy(&fa);
+  ::close(pipe_fds[1]);
   if (rc != 0) {
+    ::close(pipe_fds[0]);
     throw std::runtime_error("shard coordinator: posix_spawn " + exe + ": " +
                              std::strerror(rc));
   }
-  return pid;
+  return {pid, pipe_fds[0]};
 }
 
 // Worker diagnostics are forwarded whole-line under one lock so lines
 // from concurrent workers (and the coordinator itself) never interleave
 // mid-line.
-std::mutex& stderr_mutex() {
-  static std::mutex m;
-  return m;
-}
-
 void emit_stderr_line(const std::string& prefix, const std::string& line) {
+  static std::mutex m;
   const std::string full = prefix + line + "\n";
-  const std::lock_guard<std::mutex> lock(stderr_mutex());
+  const std::lock_guard<std::mutex> lock(m);
   std::fwrite(full.data(), 1, full.size(), stderr);
   std::fflush(stderr);
 }
@@ -154,13 +145,7 @@ ShardFileSet run_shard_workers(const ShardLaunch& launch) {
     throw std::invalid_argument("shard coordinator: shards must be >= 1");
   }
   ShardFileSet files;
-  if (launch.scratch_dir.empty()) {
-    files.dir = make_scratch_dir();
-  } else {
-    files.dir = launch.scratch_dir;
-    files.keep = true;  // the caller owns an explicit directory
-    fs::create_directories(files.dir);
-  }
+  files.dir = make_scratch_dir();
 
   DIAC_OBS_COUNT("shard.workers", launch.shards);
 
@@ -192,42 +177,16 @@ ShardFileSet run_shard_workers(const ShardLaunch& launch) {
       args.push_back("--shard-out");
       args.push_back(out);
 
-      // With prefixing on, the worker's fd 2 becomes the write end of a
-      // pipe drained by a relay thread; O_CLOEXEC keeps later workers
-      // from inheriting earlier pipes (dup2 clears the flag on fd 2).
-      int pipe_fds[2] = {-1, -1};
-      posix_spawn_file_actions_t fa;
-      posix_spawn_file_actions_t* fap = nullptr;
-      if (launch.prefix_stderr) {
-        if (::pipe2(pipe_fds, O_CLOEXEC) != 0) {
-          errors += std::string(errors.empty() ? "" : "; ") + "shard " +
-                    std::to_string(i) + "/" + std::to_string(launch.shards) +
-                    ": pipe2: " + std::strerror(errno);
-          break;
-        }
-        ::posix_spawn_file_actions_init(&fa);
-        ::posix_spawn_file_actions_adddup2(&fa, pipe_fds[1], 2);
-        fap = &fa;
-      }
+      const std::string shard =
+          "shard " + std::to_string(i) + "/" + std::to_string(launch.shards);
       try {
-        pids.push_back(spawn_worker(launch.exe, args, fap));
+        const auto [pid, stderr_fd] = spawn_worker(launch.exe, args);
+        pids.push_back(pid);
+        relays.emplace_back(relay_worker_stderr, stderr_fd, "[" + shard + "] ");
       } catch (const std::exception& e) {
-        if (fap != nullptr) {
-          ::posix_spawn_file_actions_destroy(&fa);
-          ::close(pipe_fds[0]);
-          ::close(pipe_fds[1]);
-        }
-        errors += std::string(errors.empty() ? "" : "; ") + "shard " +
-                  std::to_string(i) + "/" + std::to_string(launch.shards) +
-                  ": " + e.what();
+        errors +=
+            std::string(errors.empty() ? "" : "; ") + shard + ": " + e.what();
         break;  // don't launch more after a spawn failure
-      }
-      if (fap != nullptr) {
-        ::posix_spawn_file_actions_destroy(&fa);
-        ::close(pipe_fds[1]);
-        relays.emplace_back(relay_worker_stderr, pipe_fds[0],
-                            "[shard " + std::to_string(i) + "/" +
-                                std::to_string(launch.shards) + "] ");
       }
     }
   }

@@ -13,8 +13,9 @@
 ///
 /// Failure propagation: every worker is reaped even when some fail;
 /// non-zero exits and fatal signals are collected into one
-/// std::runtime_error naming each failed shard (worker stderr is
-/// inherited, so the underlying error is already on the terminal).
+/// std::runtime_error naming each failed shard (worker stderr is relayed
+/// line by line under a `[shard i/N] ` prefix, so the underlying error
+/// is already on the terminal).
 /// Merging then independently rejects missing files, truncated files,
 /// foreign headers, and duplicate or missing job rows.
 #pragma once
@@ -36,11 +37,6 @@ struct ShardLaunch {
   std::vector<std::string> args;
   /// Worker process count (>= 1).
   int shards = 1;
-  /// Directory for the per-shard result files.  Empty picks a unique
-  /// directory under the system temp path, removed when the returned
-  /// ShardFileSet is destroyed; a caller-supplied directory is created
-  /// if needed and always kept.
-  std::string scratch_dir;
   /// When set, each worker also gets `--trace-out <scratch>/shard_i.
   /// trace.json`; the paths come back in ShardFileSet::trace_paths for
   /// the caller to merge (obs side channel — never affects results).
@@ -48,26 +44,20 @@ struct ShardLaunch {
   /// Same for `--metrics-out <scratch>/shard_i.metrics.json` into
   /// ShardFileSet::metrics_paths.
   bool metrics_files = false;
-  /// Line-buffer each worker's stderr and prefix every line with
-  /// `[shard i/N] ` so concurrent diagnostics cannot interleave mid-line.
-  /// Off hands workers the parent's stderr fd directly.
-  bool prefix_stderr = true;
 };
 
-/// The per-shard result files of one fan-out; cleans up the scratch
-/// directory on destruction unless `keep` is set.
+/// The per-shard result files of one fan-out; removes the scratch
+/// directory on destruction.
 struct ShardFileSet {
-  std::string dir;
+  std::string dir;  ///< a unique scratch directory under the temp path
   std::vector<std::string> paths;  ///< paths[i] belongs to shard i
   std::vector<std::string> trace_paths;    ///< per-shard trace files, or empty
   std::vector<std::string> metrics_paths;  ///< per-shard metrics files, ditto
-  bool keep = false;
 
   ShardFileSet() = default;
   ShardFileSet(const ShardFileSet&) = delete;
   ShardFileSet& operator=(const ShardFileSet&) = delete;
   ShardFileSet(ShardFileSet&& other) noexcept;
-  ShardFileSet& operator=(ShardFileSet&& other) noexcept;
   ~ShardFileSet();
 };
 

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <regex>
+#include <string>
+
 #include "netlist/bench_format.hpp"
 #include "netlist/netlist_file.hpp"
+#include "netlist/suite.hpp"
+#include "seeded_mutants.hpp"
 
 namespace diac {
 namespace {
@@ -117,6 +122,15 @@ std::string parse_error(const std::string& text) {
   return "";
 }
 
+TEST(BenchFormat, CycleFailsAtTheLastStatement) {
+  const std::string want =
+      "bench parse error at line 5: Netlist::validate: combinational cycle";
+  EXPECT_EQ(parse_error("INPUT(a)\nOUTPUT(z)\np = NOT(q)\nq = AND(a, p)\n"
+                        "z = BUF(q)\n\n")
+                .substr(0, want.size()),
+            want);
+}
+
 TEST(BenchFormat, DuplicateNamesCarryLineNumbers) {
   EXPECT_EQ(parse_error("INPUT(a)\nINPUT(a)\nOUTPUT(z)\nz = NOT(a)\n"),
             "bench parse error at line 2: duplicate definition of 'a'");
@@ -190,6 +204,21 @@ TEST(BenchFormat, ConstantsSupported) {
 TEST(BenchFormat, MissingFileThrows) {
   EXPECT_THROW(read_netlist_file("/nonexistent/path.bench"),
                std::runtime_error);
+}
+
+// Seeded mutants of written text: every one parses or fails at a line of
+// the text, never with another error or a crash.
+TEST(BenchFormat, SeededMutantsParseOrFailAtALine) {
+  static const std::regex located("bench parse error at line ([0-9]+): .*");
+  for (const char* circuit : {"s27", "s344"}) {
+    const std::string text = to_bench_string(build_benchmark(circuit));
+    const int parsed = parse_seeded_mutants(
+        text, "(),=#", 0x5EED0000ULL + text.size(), 1000, located,
+        [](const std::string& m) { parse_bench(m); });
+    // Some mutants stay valid (a duplicated comment word); most must fail.
+    EXPECT_GT(parsed, 0) << circuit;
+    EXPECT_LT(parsed, 1000) << circuit;
+  }
 }
 
 }  // namespace

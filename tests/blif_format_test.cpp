@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <regex>
+#include <string>
+
 #include "netlist/blif_format.hpp"
 #include "netlist/compiled_sim.hpp"
 #include "netlist/generators.hpp"
 #include "netlist/netlist_file.hpp"
+#include "netlist/suite.hpp"
+#include "seeded_mutants.hpp"
 
 namespace diac {
 namespace {
@@ -145,6 +150,15 @@ std::string parse_error(const std::string& text) {
   return "";
 }
 
+TEST(Blif, CycleFailsAtTheEndOfTheModel) {
+  const std::string want =
+      "blif parse error at line 10: Netlist::validate: combinational cycle";
+  EXPECT_EQ(parse_error(".model c\n.inputs a\n.outputs z\n.names q p\n0 1\n"
+                        ".names a p q\n11 1\n.names q z\n1 1\n.end\n")
+                .substr(0, want.size()),
+            want);
+}
+
 TEST(Blif, DuplicateNamesCarryLineNumbers) {
   EXPECT_EQ(parse_error(".model d\n.inputs a\n.inputs a\n.outputs z\n"
                         ".names a z\n0 1\n.end\n"),
@@ -240,6 +254,21 @@ TEST(Blif, WriterRoundTripsBenchSuiteCircuit) {
 
 TEST(Blif, MissingFileThrows) {
   EXPECT_THROW(read_netlist_file("/nonexistent.blif"), std::runtime_error);
+}
+
+// Seeded mutants of written text: every one parses or fails at a line of
+// the text, never with another error or a crash.
+TEST(Blif, SeededMutantsParseOrFailAtALine) {
+  static const std::regex located("blif parse error at line ([0-9]+): .*");
+  for (const char* circuit : {"s27", "s344"}) {
+    const std::string text = to_blif_string(build_benchmark(circuit));
+    const int parsed = parse_seeded_mutants(
+        text, ".-01#\\", 0x5EED0000ULL + text.size(), 1000, located,
+        [](const std::string& m) { parse_blif(m); });
+    // Some mutants stay valid (a duplicated comment word); most must fail.
+    EXPECT_GT(parsed, 0) << circuit;
+    EXPECT_LT(parsed, 1000) << circuit;
+  }
 }
 
 }  // namespace

@@ -7,18 +7,25 @@
 // located message, and the CLI must exit 1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <sys/wait.h>
 
 #include "serve/options.hpp"
 #include "serve/request.hpp"
+#include "util/rng.hpp"
 
 #ifndef DIAC_CLI_PATH
 #error "DIAC_CLI_PATH must point at the diac CLI binary"
@@ -58,6 +65,9 @@ const BadValue kBadValues[] = {
     {"search", "random", "0", "an integer in [1, 1000000]"},
     {"search", "max-time", "-5", "a finite number in (0, 1e+12]"},
     {"search", "instances", "4.5", "an integer in [1, 1000000]"},
+    {"mc", "source", "bogus", "constant|square|rfid|solar|fig4|trace:<path>"},
+    {"search", "objectives", "pdp,pdp",
+     "a comma list of distinct pdp|progress|writes|completion|energy|makespan"},
 };
 // clang-format on
 
@@ -305,6 +315,303 @@ TEST(Options, CommandHelpPrintsUsage) {
     EXPECT_EQ(run.out.rfind("usage: diac <command>", 0), 0u) << args;
     EXPECT_EQ(run.err, "") << args;
   }
+}
+
+
+
+// The seeded value fuzzer, generated from the table: for every typed row,
+// in-range and boundary values and seeded mutants of them go through the
+// tokenizer (command line and serve request) and the sweep builders.  An
+// oracle built on std::from_chars alone decides each value: a valid one is
+// read back as the number from_chars gives, an invalid one is rejected
+// everywhere with exactly "--<flag>: expected <what>, got '<value>'".
+
+// The whole of `v` as a T, if std::from_chars consumes every character.
+template <typename T>
+std::optional<T> whole(std::string_view v) {
+  T x{};
+  const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), x);
+  if (ec != std::errc{} || ptr != v.data() + v.size()) return std::nullopt;
+  return x;
+}
+
+std::vector<std::string> names_of(const serve::OptionSpec& o) {
+  std::vector<std::string> names;
+  std::stringstream in{std::string(o.arg)};
+  for (std::string name; std::getline(in, name, '|');) names.push_back(name);
+  return names;
+}
+
+bool is_valid(const serve::OptionSpec& o, std::string_view v) {
+  switch (o.type) {
+    case serve::ValueType::kInt: {
+      const auto x = whole<long long>(v);
+      return x && o.lo <= *x && *x <= o.hi;
+    }
+    case serve::ValueType::kUint64:
+      return whole<std::uint64_t>(v).has_value();
+    case serve::ValueType::kReal: {
+      const auto x = whole<double>(v);
+      return x && std::isfinite(*x) && *x > 0 &&
+             *x <= static_cast<double>(o.hi);
+    }
+    case serve::ValueType::kChoice: {
+      const std::vector<std::string> names = names_of(o);
+      return std::find(names.begin(), names.end(), v) != names.end();
+    }
+    default:
+      return true;
+  }
+}
+
+std::string expected_what(const serve::OptionSpec& o) {
+  std::ostringstream what;
+  switch (o.type) {
+    case serve::ValueType::kInt:
+      what << "an integer in [" << o.lo << ", " << o.hi << "]";
+      break;
+    case serve::ValueType::kUint64:
+      what << "an unsigned 64-bit integer";
+      break;
+    case serve::ValueType::kReal:
+      what << "a finite number in (0, " << static_cast<double>(o.hi) << "]";
+      break;
+    default:
+      what << o.arg;
+  }
+  return what.str();
+}
+
+// In-range values, the boundaries and one past them, then seeded mutants.
+std::vector<std::string> fuzz_values(const serve::OptionSpec& o,
+                                     SplitMix64& rng) {
+  std::vector<std::string> base;
+  switch (o.type) {
+    case serve::ValueType::kInt:
+      base = {std::to_string(o.lo), std::to_string(o.hi),
+              std::to_string(o.lo - 1), std::to_string(o.hi + 1),
+              std::to_string(rng.between(o.lo, o.hi))};
+      break;
+    case serve::ValueType::kUint64:
+      base = {"0", "18446744073709551615", "-1", "18446744073709551616",
+              std::to_string(rng.next())};
+      break;
+    case serve::ValueType::kReal: {
+      const double hi = static_cast<double>(o.hi);
+      base = {std::to_string(o.hi), "0", "-1", std::to_string(o.hi + 1),
+              "5e-324", std::to_string(rng.uniform(0, hi))};
+      break;
+    }
+    default:
+      base = names_of(o);
+  }
+  constexpr const char* kInserts[] = {"-", "+", "e3", "E-2", " ", "0x", "."};
+  std::vector<std::string> values = base;
+  for (int i = 0; i < 24; ++i) {
+    std::string m = base[rng.below(base.size())];
+    const std::size_t at = rng.below(m.size() + 1);
+    if (rng.below(4) == 0 && !m.empty()) {
+      m[rng.below(m.size())] ^= static_cast<char>(1u << rng.below(8));
+    } else {
+      m.insert(at, kInserts[rng.below(std::size(kInserts))]);
+    }
+    values.push_back(m);
+  }
+  return values;
+}
+
+// The message of `read`, or "" when it accepts.
+std::string rejection(const std::function<void()>& read) {
+  try {
+    read();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A value every row accepts, for finding the commands that read a row.
+std::string some_value(const serve::OptionSpec& o) {
+  if (!o.dflt.empty()) return std::string(o.dflt);
+  if (o.type == serve::ValueType::kChoice) return names_of(o).front();
+  return std::to_string(o.lo);
+}
+
+// The first command of `commands` that reads row `o` from `source`.
+std::string reader_of(const serve::OptionSpec& o,
+                      std::initializer_list<const char*> commands,
+                      serve::OptionSource source) {
+  for (const char* command : commands) {
+    const std::string err = rejection([&] {
+      serve::parse_options(command, {"--" + std::string(o.name), some_value(o)},
+                           source);
+    });
+    if (err.find("unknown option") == std::string::npos) return command;
+  }
+  return "";
+}
+
+// The value the getter of the row's type reads, as text.
+std::string read_back(const serve::OptionSpec& o, const serve::OptionMap& m) {
+  switch (o.type) {
+    case serve::ValueType::kInt:
+      return std::to_string(serve::number_value<std::uint64_t>(m, o.name));
+    case serve::ValueType::kUint64:
+      return std::to_string(serve::number_value<std::uint64_t>(m, o.name));
+    case serve::ValueType::kReal: {
+      char buf[64];
+      const double v = serve::number_value<double>(m, o.name);
+      return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+    }
+    default:
+      return names_of(o)[serve::choice_value(m, o.name)];
+  }
+}
+
+// What from_chars makes of a valid value, as read_back spells it.
+std::string from_chars_text(const serve::OptionSpec& o, std::string_view v) {
+  switch (o.type) {
+    case serve::ValueType::kInt:
+      return std::to_string(*whole<long long>(v));
+    case serve::ValueType::kUint64:
+      return std::to_string(*whole<std::uint64_t>(v));
+    case serve::ValueType::kReal: {
+      char buf[64];
+      const double x = *whole<double>(v);
+      return std::string(buf, std::to_chars(buf, buf + sizeof buf, x).ptr);
+    }
+    default:
+      return std::string(v);
+  }
+}
+
+// Every sweep builder; each throws on a bad value of the options it reads.
+void build_every_sweep(const serve::OptionMap& options) {
+  serve::mc_eval_options(options);
+  serve::mc_runs(options);
+  serve::replay_eval_options(options);
+  serve::search_options(options);
+  serve::search_points(options);
+}
+
+// The fields the builders fill from the numeric rows they read.
+std::string built_value(const std::string& flag,
+                        const serve::OptionMap& options) {
+  char buf[64];
+  const auto real = [&](double v) {
+    return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+  };
+  if (flag == "budget") {
+    return real(serve::mc_eval_options(options).synthesis.budget_fraction);
+  }
+  if (flag == "max-time") {
+    return real(serve::search_options(options).simulator.max_time);
+  }
+  if (flag == "seed") {
+    return std::to_string(serve::mc_eval_options(options).scenario.seed);
+  }
+  if (flag == "instances") {
+    return std::to_string(
+        serve::mc_eval_options(options).simulator.target_instances);
+  }
+  if (flag == "runs") return std::to_string(serve::mc_runs(options));
+  return "";
+}
+
+struct Rejected {
+  std::string command, flag, value, message;
+};
+
+TEST(Options, SeededValuesAreReadOrRejectedAtTheBoundary) {
+  SplitMix64 rng(0x0F7105EEDULL);
+  std::vector<Rejected> rejected;
+  int typed = 0, accepted = 0;
+  for (const serve::OptionSpec& o : serve::option_table()) {
+    if (o.type == serve::ValueType::kText) continue;
+    ++typed;
+    const std::string flag(o.name);
+    // The row's default reads back like any given value.
+    if (!o.dflt.empty()) {
+      ASSERT_TRUE(is_valid(o, o.dflt)) << flag;
+      EXPECT_EQ(read_back(o, {}), from_chars_text(o, o.dflt)) << flag;
+    }
+    const std::string cli = reader_of(
+        o, {"mc", "replay", "search", "simulate", "check", "fsm", "serve",
+            "shard-worker"},
+        serve::OptionSource::kCommandLine);
+    ASSERT_FALSE(cli.empty()) << flag;
+    const std::string request =
+        o.forward == serve::kEverywhere
+            ? reader_of(o, {"mc", "replay", "search"},
+                        serve::OptionSource::kRequest)
+            : "";
+    for (const std::string& v : fuzz_values(o, rng)) {
+      const bool valid = is_valid(o, v);
+      const std::string want =
+          valid ? "" : "--" + flag + ": expected " + expected_what(o) +
+                           ", got '" + v + "'";
+      accepted += valid;
+      const std::vector<std::string> tokens{"--" + flag, v};
+      serve::OptionMap parsed;
+      EXPECT_EQ(rejection([&] {
+                  parsed = serve::parse_options(
+                      cli, tokens, serve::OptionSource::kCommandLine);
+                }),
+                want)
+          << cli << " --" << flag << " '" << v << "'";
+      if (!request.empty()) {
+        EXPECT_EQ(rejection([&] {
+                    serve::parse_options(request, tokens,
+                                         serve::OptionSource::kRequest);
+                  }),
+                  want)
+            << "request " << request << " --" << flag << " '" << v << "'";
+      }
+      const serve::OptionMap options{{flag, v}};
+      if (valid) {
+        EXPECT_EQ(parsed, options) << flag << " '" << v << "'";
+        EXPECT_EQ(read_back(o, options), from_chars_text(o, v))
+            << flag << " '" << v << "'";
+      } else {
+        EXPECT_EQ(rejection([&] { read_back(o, options); }), want);
+        rejected.push_back({cli, flag, v, want});
+      }
+      if (request.empty()) continue;
+      // The sweep builders: --random 2 keeps search_points reading
+      // --sample-seed, at the cost of a two-candidate draw.
+      serve::OptionMap sweep{{"random", "2"}};
+      sweep[flag] = v;
+      EXPECT_EQ(rejection([&] { build_every_sweep(sweep); }), want)
+          << "builders --" << flag << " '" << v << "'";
+      const std::string built = valid ? built_value(flag, sweep) : "";
+      if (!built.empty()) {
+        EXPECT_EQ(built, from_chars_text(o, v)) << flag << " '" << v << "'";
+      }
+    }
+  }
+  EXPECT_GE(typed, 15);
+  EXPECT_GT(accepted, typed);
+  ASSERT_GT(rejected.size(), 100u);
+
+  // A few rejected values through the real binary: exit 1 before any
+  // output.  Values a shell cannot carry in single quotes are skipped.
+  int ran = 0;
+  for (std::size_t i = 0; i < rejected.size() && ran < 4; i += 37) {
+    const Rejected& r = rejected[i];
+    if (r.command == "serve" || r.command == "shard-worker" ||
+        !std::all_of(r.value.begin(), r.value.end(), [](char c) {
+          return c >= ' ' && c <= '~' && c != '\'';
+        })) {
+      continue;
+    }
+    const CliRun run =
+        run_cli(r.command + " s27 --" + r.flag + " '" + r.value + "'",
+                "options_fuzz_" + std::to_string(ran++));
+    EXPECT_EQ(run.exit_code, 1) << r.message;
+    EXPECT_EQ(run.out, "") << r.message;
+    EXPECT_EQ(run.err, "error: " + r.message + "\n");
+  }
+  EXPECT_EQ(ran, 4);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <string>
 #include <utility>
 
+#include <sys/wait.h>
 
 #ifndef DIAC_CLI_PATH
 #error "DIAC_CLI_PATH must point at the diac CLI binary"
@@ -86,6 +87,43 @@ TEST(ShardCli, RejectsOutOfRangeSimulatorOptions) {
                                   "shardcli_badopt.out.err");
     EXPECT_EQ(err, message) << args;
   }
+}
+
+TEST(ShardCli, FailedWorkerLeavesNoRowFile) {
+  // A worker that fails before or during its sweep exits 1 and leaves
+  // nothing at --shard-out (nor its temp name) for a merge to pick up.
+  const fs::path dir = fs::path(::testing::TempDir()) / "shardcli_partial";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const fs::path rows = dir / "x.rows";
+  const std::pair<std::string, std::string> cases[] = {
+      {"--shard-cmd bogus",
+       "error: --shard-cmd: expected mc|replay|search, got 'bogus'\n"},
+      {"", "error: shard-worker requires --shard-cmd mc|replay|search\n"},
+      {"--shard-cmd mc --runs 0",
+       "error: --runs: expected an integer in [1, 1000000], got '0'\n"},
+      {"--shard-cmd replay --trace /nonexistent_diac_trace.csv",
+       "error: cannot open trace file: /nonexistent_diac_trace.csv\n"},
+  };
+  for (const auto& [args, message] : cases) {
+    const CliRun run = run_cli(
+        "shard-worker s27 " + args + " --shard-out " + rows.string(),
+        "shardcli_partial");
+    EXPECT_TRUE(WIFEXITED(run.exit_code) && WEXITSTATUS(run.exit_code) == 1)
+        << args;
+    EXPECT_EQ(slurp(fs::path(::testing::TempDir()) /
+                    "shardcli_partial.out.err"),
+              message)
+        << args;
+    EXPECT_TRUE(fs::is_empty(dir)) << args;
+  }
+  // A worker that succeeds publishes the whole file under its name.
+  const CliRun ok = run_cli("shard-worker s27 --shard-cmd mc --runs 2 "
+                            "--shard-out " + rows.string(),
+                            "shardcli_partial");
+  EXPECT_EQ(ok.exit_code, 0);
+  EXPECT_EQ(slurp(rows).rfind("diac-shard 2 mc 1 0 2\n", 0), 0u);
+  EXPECT_EQ(std::distance(fs::directory_iterator(dir), {}), 1);
 }
 
 }  // namespace

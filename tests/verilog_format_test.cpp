@@ -11,6 +11,7 @@
 #include "netlist/compiled_sim.hpp"
 #include "netlist/suite.hpp"
 #include "netlist/verilog_format.hpp"
+#include "seeded_mutants.hpp"
 #include "util/rng.hpp"
 
 namespace diac {
@@ -227,71 +228,15 @@ TEST(VerilogParse, RejectsReservedWordsAtNamePositions) {
 
 // Seeded mutants of emitted text: every one parses or fails at a line of
 // the text, never with another error or a crash.
-std::vector<std::string_view> tokens_of(const std::string& text) {
-  std::vector<std::string_view> tokens;
-  std::size_t i = 0;
-  while (i < text.size()) {
-    const std::size_t start = text.find_first_not_of(" \n", i);
-    if (start == std::string::npos) break;
-    i = text.find_first_of(" \n", start);
-    if (i == std::string::npos) i = text.size();
-    tokens.emplace_back(text.data() + start, i - start);
-  }
-  return tokens;
-}
-
-std::string mutate(const std::string& text,
-                   const std::vector<std::string_view>& tokens,
-                   SplitMix64& rng) {
-  const std::string_view t = tokens[rng.below(tokens.size())];
-  const std::size_t at = static_cast<std::size_t>(t.data() - text.data());
-  std::string m = text;
-  switch (rng.below(5)) {
-    case 0:  // flip one bit of one byte
-      m[rng.below(m.size())] ^= static_cast<char>(1u << rng.below(8));
-      break;
-    case 1:  // delete a token
-      m.erase(at, t.size());
-      break;
-    case 2:  // duplicate a token
-      m.insert(at, std::string(t) + " ");
-      break;
-    case 3: {  // '.' or '$' inside a name
-      const char c = rng.below(2) ? '.' : '$';
-      m.insert(at + rng.below(t.size() + 1), 1, c);
-      break;
-    }
-    default:  // a leading digit
-      m.insert(at, 1, static_cast<char>('0' + rng.below(10)));
-      break;
-  }
-  return m;
-}
-
 TEST(VerilogParse, SeededMutantsParseOrFailAtALine) {
   static const std::regex located("verilog parse error at line ([0-9]+): .*");
   for (const char* circuit : {"s27", "s344"}) {
     const Netlist nl = build_benchmark(circuit);
     const std::string text = generate_verilog(
         DiacSynthesizer(nl, lib()).synthesize_scheme(Scheme::kDiac).design);
-    const std::vector<std::string_view> tokens = tokens_of(text);
-    SplitMix64 rng(0x5EED0000ULL + text.size());
-    int parsed = 0;
-    for (int i = 0; i < 1000; ++i) {
-      const std::string m = mutate(text, tokens, rng);
-      const long lines = std::count(m.begin(), m.end(), '\n') + 1;
-      try {
-        parse_structural_verilog(m);
-        ++parsed;
-      } catch (const std::runtime_error& e) {
-        std::cmatch match;
-        ASSERT_TRUE(std::regex_match(e.what(), match, located))
-            << circuit << " mutant " << i << ": " << e.what();
-        const long line = std::stol(match[1]);
-        ASSERT_TRUE(line >= 1 && line <= lines)
-            << circuit << " mutant " << i << ": " << e.what();
-      }
-    }
+    const int parsed = parse_seeded_mutants(
+        text, "$.", 0x5EED0000ULL + text.size(), 1000, located,
+        [](const std::string& m) { parse_structural_verilog(m); });
     // Some mutants stay valid (a duplicated comment word, a renamed
     // instance); most must fail.
     EXPECT_GT(parsed, 0) << circuit;

@@ -72,58 +72,27 @@ Args parse_args(int argc, char** argv) {
   return args;
 }
 
-std::string opt(const Args& a, const std::string& key, const std::string& dflt) {
-  return serve::option_or(a.options, key, dflt);
-}
-
-// Upper bound of --threads / --shards.
-constexpr long long kMaxThreads = 1024;
-
-int shard_index(const Args& a) {
-  return static_cast<int>(
-      serve::int_option(a.options, "shard-index", 0, 0, kMaxThreads - 1));
-}
-
-// Global --threads N (0 = all cores, the default) plumbed into every
-// ExperimentRunner.  Results are bit-identical at any thread count, so
-// the default can afford to use the machine.
-int threads_option(const Args& a) {
-  return static_cast<int>(
-      serve::int_option(a.options, "threads", 0, 0, kMaxThreads));
-}
-
-// --shards N (>= 1) routes mc/replay/search through N `diac` worker
-// processes; absent keeps the in-process thread pool.  Sharded runs
-// (including --shards 1) produce byte-identical reports for every N:
-// diagnostics that depend on the split go to stderr.
-int shards_option(const Args& a) {
-  if (a.options.count("shards") == 0) return 0;
-  return static_cast<int>(
-      serve::int_option(a.options, "shards", 1, 1, kMaxThreads));
-}
-
 // --cache-dir <dir> [--cache-limit-mb <n>] -> on-disk result cache of
 // mc/replay/search and serve; absent = no cache.  Entries are exact rows
 // keyed by canonical job digests, so cached sweeps stay byte-identical
 // to cold ones (docs/SERVE.md).
 serve::CacheConfig cache_config(const Args& a) {
   serve::CacheConfig config;
-  config.dir = opt(a, "cache-dir", "");
-  config.limit_bytes = static_cast<std::uint64_t>(serve::int_option(
-                           a.options, "cache-limit-mb", 1024, 0, 1LL << 40))
-                       << 20;
+  config.dir = serve::text_value(a.options, "cache-dir");
+  config.limit_bytes =
+      serve::number_value<std::uint64_t>(a.options, "cache-limit-mb") << 20;
   return config;
 }
 
 std::unique_ptr<serve::ResultCache> cache_option(const Args& a) {
-  if (opt(a, "cache-dir", "").empty()) return nullptr;
+  if (serve::text_value(a.options, "cache-dir").empty()) return nullptr;
   return std::make_unique<serve::ResultCache>(cache_config(a));
 }
 
 // --connect <socket> routes the sweep to a running `diac serve`; it is
 // exclusive with the flags that steer local evaluation.
 std::string connect_option(const Args& a) {
-  const std::string socket = opt(a, "connect", "");
+  const std::string socket = serve::text_value(a.options, "connect");
   if (socket.empty()) return socket;
   if (a.options.count("shards") != 0) {
     throw std::runtime_error("--connect and --shards are mutually exclusive");
@@ -160,7 +129,7 @@ std::vector<std::string> worker_args(const Args& a, const std::string& kind,
     args.push_back("--" + key);
     if (!serve::is_flag_option(key)) args.push_back(value);
   }
-  int threads = threads_option(a);
+  int threads = serve::number_value<int>(a.options, "threads");
   if (threads == 0) {
     const auto cores =
         std::max(1u, std::thread::hardware_concurrency());
@@ -218,13 +187,14 @@ auto sweep_rows(const Args& a, const std::string& kind, std::size_t jobs,
         serve::forwarded_options(a.options, serve::Forward::kEverywhere)};
     return decode(serve::run_remote_sweep(connect, request, jobs));
   }
-  if (const int shards = shards_option(a); shards > 0) {
+  const int shards = serve::number_value<int>(a.options, "shards");
+  if (shards > 0) {
     std::cerr << "sharding " << jobs << " " << noun << " over " << shards
               << " worker process(es)\n";
     return decode(run_sharded_sweep(a, kind, shards, jobs));
   }
   const auto cache = cache_option(a);
-  ExperimentRunner runner(threads_option(a));
+  ExperimentRunner runner(serve::number_value<int>(a.options, "threads"));
   if (cache == nullptr) {
     suffix = " on " + std::to_string(runner.jobs()) + " " + unit;
   }
@@ -289,7 +259,7 @@ int cmd_synth(const Args& a) {
   const verify::DrcReport drc = verify::run_design_drc(r.design);
   std::cout << "drc: " << drc.errors << " error(s), " << drc.warnings
             << " warning(s)\n";
-  const std::string prefix = opt(a, "out", nl.name());
+  const std::string prefix = serve::option_or(a.options, "out", nl.name());
   {
     std::ofstream v(prefix + "_diac.v");
     v << generate_verilog(r.design);
@@ -317,11 +287,9 @@ int cmd_synth(const Args& a) {
 // 5 not equivalent.  Output is byte-deterministic for fixed options.
 int cmd_check(const Args& a) {
   verify::EquivalenceOptions eo;
-  eo.seq_cycles = static_cast<int>(
-      serve::int_option(a.options, "seq-cycles", 8, 1, 1 << 20));
-  eo.seed = serve::uint64_option(a.options, "seed", 60247);
-  eo.match_ports_by_order =
-      serve::choice_option(a.options, "match", "name", {"name", "order"}) == 1;
+  eo.seq_cycles = serve::number_value<int>(a.options, "seq-cycles");
+  eo.seed = serve::number_value<std::uint64_t>(a.options, "seed");
+  eo.match_ports_by_order = serve::choice_value(a.options, "match") == 1;
 
   const Netlist nl = serve::load_target(a.target);
   const verify::DrcReport drc = [&] {
@@ -333,7 +301,7 @@ int cmd_check(const Args& a) {
   bool equivalent = true;
 
   if (a.options.count("drc-only") == 0) {
-    const std::string against = opt(a, "against", "");
+    const std::string against = serve::text_value(a.options, "against");
     if (!against.empty()) {
       const Netlist other = serve::load_target(against);
       const verify::EquivalenceResult r = check_equivalence(nl, other, eo);
@@ -373,9 +341,10 @@ int cmd_simulate(const Args& a) {
   const CellLibrary lib = CellLibrary::nominal_45nm();
   EvaluationOptions eo;
   eo.synthesis = serve::synth_options(a.options);
-  eo.simulator.target_instances = serve::instances_option(a.options, 8);
+  eo.simulator.target_instances =
+      serve::number_value<int>(a.options, "instances");
   eo.scenario = serve::scenario_options(a.options);
-  ExperimentRunner runner(threads_option(a));
+  ExperimentRunner runner(serve::number_value<int>(a.options, "threads"));
   const BenchmarkResult r = evaluate_circuit(nl, lib, eo, runner);
   std::cout << scheme_detail_table(r).str();
   std::cout << "normalized PDP: ";
@@ -439,14 +408,12 @@ int cmd_fsm(const Args& a) {
   DiacSynthesizer synth(nl, lib, serve::synth_options(a.options));
   constexpr Scheme kSchemes[] = {Scheme::kNvBased, Scheme::kNvClustering,
                                  Scheme::kDiac, Scheme::kDiacOptimized};
-  const Scheme scheme = kSchemes[serve::choice_option(
-      a.options, "scheme", "diac-opt",
-      {"nv-based", "nv-clustering", "diac", "diac-opt"})];
+  const Scheme scheme = kSchemes[serve::choice_value(a.options, "scheme")];
   const auto sr = synth.synthesize_scheme(scheme);
   const ScenarioSpec scenario = serve::scenario_options(a.options);
   const auto source = make_source(scenario);
   SimulatorOptions so;
-  so.target_instances = serve::instances_option(a.options, 4);
+  so.target_instances = serve::number_value<int>(a.options, "instances", 4);
   so.max_time = 40000;
   // A replayed measurement ends at its last logged sample.
   so = clamp_to_measurement(so, scenario);
@@ -551,7 +518,7 @@ int cmd_search(const Args& a) {
               << ": none (no candidate defined this objective)\n";
   }
 
-  const std::string csv = opt(a, "csv", "");
+  const std::string csv = serve::text_value(a.options, "csv");
   if (!csv.empty()) {
     std::ofstream out(csv);
     if (!out) throw std::runtime_error("cannot write " + csv);
@@ -569,25 +536,25 @@ int cmd_search(const Args& a) {
 // parent, worker and server can never disagree on what a sweep means.
 int cmd_shard_worker(const Args& a) {
   ShardPlan plan;
-  plan.shards = static_cast<std::size_t>(std::max(1, shards_option(a)));
-  plan.index = static_cast<std::size_t>(shard_index(a));
+  plan.shards = std::max<std::size_t>(
+      1, serve::number_value<std::size_t>(a.options, "shards"));
+  plan.index = serve::number_value<std::size_t>(a.options, "shard-index");
   plan.validate();
-  const std::string out_path = opt(a, "shard-out", "");
-  if (out_path.empty()) {
-    throw std::runtime_error("shard-worker requires --shard-out <file>");
-  }
-  std::ofstream out(out_path);
-  if (!out) throw std::runtime_error("cannot write " + out_path);
+  const std::string kind =
+      serve::required_value(a.options, "shard-worker", "shard-cmd");
+  const std::string out_path =
+      serve::required_value(a.options, "shard-worker", "shard-out");
 
-  ExperimentRunner runner(threads_option(a));
+  ExperimentRunner runner(serve::number_value<int>(a.options, "threads"));
   // Workers of one sharded sweep share the --cache-dir on disk: entry
   // publication is atomic, so concurrent stores of one key are benign.
   const auto cache = cache_option(a);
-  serve::write_sweep_shard(out, opt(a, "shard-cmd", ""),
-                           serve::load_target(a.target), a.options, plan,
-                           runner, cache.get());
-  out.flush();
-  if (!out) throw std::runtime_error("write to " + out_path + " failed");
+  // Published whole, as cache entries are: a failed worker leaves no
+  // partial row file.
+  publish_shard_file(out_path, [&](std::ostream& out) {
+    serve::write_sweep_shard(out, kind, serve::load_target(a.target),
+                             a.options, plan, runner, cache.get());
+  });
   return 0;
 }
 
@@ -596,9 +563,9 @@ int cmd_shard_worker(const Args& a) {
 // result cache; each connection is one mc/replay/search request.
 int cmd_serve(const Args& a) {
   serve::ServerOptions so;
-  so.socket_path = opt(a, "socket", "");
+  so.socket_path = serve::text_value(a.options, "socket");
   so.cache = cache_config(a);
-  so.threads = threads_option(a);
+  so.threads = serve::number_value<int>(a.options, "threads");
   return serve::serve_forever(so);
 }
 
@@ -635,18 +602,22 @@ int run_command(const Args& args) {
 void export_obs(const Args& a) {
   const ShardedObs* sharded = g_sharded_obs ? &*g_sharded_obs : nullptr;
   const bool worker = a.command == "shard-worker";
+  const int shard =
+      worker ? serve::number_value<int>(a.options, "shard-index") : -1;
   std::string err;
-  if (const std::string path = opt(a, "trace-out", ""); !path.empty()) {
+  if (const std::string path = serve::text_value(a.options, "trace-out");
+      !path.empty()) {
     obs::TraceMeta meta;
     meta.process_name = "diac " + a.command;
     if (sharded != nullptr) {
       meta.pid = sharded->shards;  // workers are 0..N-1; the coordinator last
       meta.process_name = "diac " + a.command + " coordinator";
     } else if (worker) {
-      meta.pid = shard_index(a);
-      meta.process_name = "shard " + opt(a, "shard-index", "0") + "/" +
-                          opt(a, "shards", "1") + " (" +
-                          opt(a, "shard-cmd", "?") + ")";
+      meta.pid = shard;
+      meta.process_name =
+          "shard " + std::to_string(shard) + "/" +
+          serve::option_or(a.options, "shards", "1") + " (" +
+          serve::option_or(a.options, "shard-cmd", "?") + ")";
       meta.rebase = false;
     }
     if (!(sharded != nullptr ? obs::merge_trace_files(
@@ -661,10 +632,12 @@ void export_obs(const Args& a) {
       std::cerr << "wrote trace " << path << "\n";
     }
   }
-  if (const std::string path = opt(a, "metrics-out", ""); !path.empty()) {
+  if (const std::string path = serve::text_value(a.options, "metrics-out");
+      !path.empty()) {
     obs::MetricsMeta meta;
-    meta.command = worker ? opt(a, "shard-cmd", "?") : a.command;
-    if (worker) meta.shard_index = shard_index(a);
+    meta.command =
+        worker ? serve::option_or(a.options, "shard-cmd", "?") : a.command;
+    meta.shard_index = shard;
     if (sharded != nullptr) meta.shards_merged = sharded->shards;
     if (!(sharded != nullptr
               ? obs::merge_metrics_files(path, sharded->files.metrics_paths,
